@@ -19,7 +19,7 @@ from .actions import (
     quality_scale,
 )
 from .dqn import DqnAgent, DqnConfig, EpsilonSchedule, QNetwork, ReplayBuffer
-from .energy import Battery, PowerParams, client_power, lifetime_projection, soc_step
+from .energy import Battery, PowerParams, client_power, lifetime_projection
 from .environment import (
     EnvConfig,
     RewardParams,
@@ -125,7 +125,6 @@ __all__ = [
     "run_experiment",
     "run_scenario",
     "save_spec",
-    "soc_step",
     "stable_profile",
     "sweep",
     "threshold_select",

@@ -7,11 +7,13 @@ variable, else ./runs.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 from pathlib import Path
 
+from .config import from_jsonable
 from .harness import (
     MetricsRecord,
     ScenarioSpec,
@@ -22,8 +24,13 @@ from .harness import (
     save_spec,
     sweep,
 )
+from .policies import POLICIES
 
-_POLICIES = ("local", "offload", "greedy", "greedy-noqueue", "threshold", "rl")
+# MetricsRecord fields written to report.csv, in column order
+_REPORT_COLUMNS = (
+    "scenario", "policy", "seed", "compliance_pct", "avg_power_w", "compliance_per_watt",
+    "projected_lifetime_min", "local_fraction_pct", "survived_s",
+)
 
 
 def _out_dir(args) -> Path:
@@ -75,9 +82,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _parse_value(text: str):
+    """A sweep value as JSON (16, 0.5, true), else the raw string (an enum value)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def _cmd_sweep(args) -> int:
     spec = _build_spec(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = [_parse_value(v.strip()) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError(f"no sweep values parsed from {args.values!r}")
     out = _out_dir(args)
@@ -87,7 +102,7 @@ def _cmd_sweep(args) -> int:
         c = agg["compliance_pct"]["median"]
         p = agg["avg_power_w"]["median"]
         lf = agg["local_fraction_pct"]["median"]
-        print(f"  {args.param}={v:g}: compliance {c:6.2f}%  power {p:5.2f} W  local {lf:5.1f}%")
+        print(f"  {args.param}={v}: compliance {c:6.2f}%  power {p:5.2f} W  local {lf:5.1f}%")
     summary = [
         {"param": args.param, "value": v, **{k: agg[k] for k in ("compliance_pct", "avg_power_w", "local_fraction_pct")}}
         for v, agg in rows
@@ -102,8 +117,7 @@ def _cmd_sweep(args) -> int:
 def _load_metrics_under(root: Path) -> list[MetricsRecord]:
     records = []
     for path in sorted(root.rglob("metrics.json")):
-        data = json.loads(path.read_text())
-        records.append(MetricsRecord(**data))
+        records.append(from_jsonable(MetricsRecord, json.loads(path.read_text()), str(path)))
     return records
 
 
@@ -140,38 +154,24 @@ def _cmd_report(args) -> int:
     )
     print(header)
     print("-" * len(header))
-    lines = []
     for m in records:
         print(
             f"{m.scenario:28s} {m.policy:10s} {m.seed:4d} {m.compliance_pct:7.2f} "
             f"{m.avg_power_w:8.2f} {m.compliance_per_watt:7.2f} "
             f"{m.projected_lifetime_min:9.2f} {m.local_fraction_pct:7.1f} {m.survived_s:10.1f}"
         )
-        lines.append({
-            "scenario": m.scenario,
-            "policy": m.policy,
-            "seed": m.seed,
-            "compliance_pct": m.compliance_pct,
-            "avg_power_w": m.avg_power_w,
-            "compliance_per_watt": m.compliance_per_watt,
-            "projected_lifetime_min": m.projected_lifetime_min,
-            "local_fraction_pct": m.local_fraction_pct,
-            "survived_s": m.survived_s,
-        })
     report_path = root / "report.csv"
-    import csv as _csv
-
     with open(report_path, "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(lines[0].keys()))
-        writer.writeheader()
-        writer.writerows(lines)
+        writer = csv.writer(fh)
+        writer.writerow(_REPORT_COLUMNS)
+        writer.writerows([getattr(m, k) for k in _REPORT_COLUMNS] for m in records)
     print(f"wrote {report_path}")
     return 0
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="scenario JSON file (overrides the flags below)")
-    p.add_argument("--policy", default="rl", choices=_POLICIES)
+    p.add_argument("--policy", default="rl", choices=tuple(POLICIES))
     p.add_argument("--profile", default="cycle",
                    help="'cycle', 'stable', or a profile text file path")
     p.add_argument("--stable-mbps", type=float, default=1000.0,
@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_sweep)
     p_sweep.add_argument("--param", required=True,
                          help="dotted parameter path, e.g. dqn.eps_decay or env.reward.lam")
-    p_sweep.add_argument("--values", required=True, help="comma-separated numeric values")
+    p_sweep.add_argument("--values", required=True,
+                         help="comma-separated values, each parsed as JSON, else as a string")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_agg = sub.add_parser("aggregate", help="aggregate metrics.json files under a directory")

@@ -1,0 +1,78 @@
+"""Type-driven JSON conversion of the config and record dataclasses.
+
+Both directions walk `dataclasses.fields` and the type hints, so a new field
+needs no serializer edit. Enums travel by value, tuples as lists.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import typing
+from enum import Enum
+
+
+def to_jsonable(obj):
+    """JSON-safe form of a dataclass tree (dicts, lists, scalars)."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        return [to_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {to_jsonable(k): to_jsonable(v) for k, v in obj.items()}
+    return obj
+
+
+def field_types(cls) -> dict:
+    """Declared type of each constructor field of a dataclass; {} otherwise."""
+    if not dataclasses.is_dataclass(cls):
+        return {}
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+def from_jsonable(tp, data, path: str = "value"):
+    """Rebuild a value of declared type `tp` from its JSON form.
+
+    Missing keys take their defaults and an int may stand for a float; an
+    unknown key, a wrong type or a bad enum value raises ValueError naming
+    the dotted `path`.
+    """
+    if dataclasses.is_dataclass(tp):
+        if isinstance(data, tp):
+            return data
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected an object, got {data!r}")
+        types = field_types(tp)
+        unknown = sorted(set(data) - set(types))
+        if unknown:
+            raise ValueError(f"{path}: unknown field {', '.join(unknown)}")
+        missing = [f.name for f in dataclasses.fields(tp) if f.name not in data
+                   and f.default is f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise ValueError(f"{path}: missing field {', '.join(missing)}")
+        return tp(**{k: from_jsonable(types[k], v, f"{path}.{k}") for k, v in data.items()})
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(data)
+        except ValueError:
+            allowed = ", ".join(repr(m.value) for m in tp)
+            raise ValueError(f"{path}: {data!r} is not one of {allowed}") from None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (tuple, list):
+        if not isinstance(data, (list, tuple)):
+            raise ValueError(f"{path}: expected a list, got {data!r}")
+        items = [from_jsonable(args[0], x, f"{path}[{i}]") for i, x in enumerate(data)]
+        return tuple(items) if origin is tuple else items
+    if origin is dict:
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected an object, got {data!r}")
+        key_tp, value_tp = args
+        return {from_jsonable(key_tp, k, f"{path}.{k}"): from_jsonable(value_tp, v, f"{path}.{k}")
+                for k, v in data.items()}
+    if tp is float and type(data) in (int, float):
+        return float(data)
+    if tp in (int, str, bool) and type(data) is tp:
+        return data
+    raise ValueError(f"{path}: expected {getattr(tp, '__name__', tp)}, got {data!r}")

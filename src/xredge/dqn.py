@@ -12,9 +12,11 @@ the backward pass can be checked against finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
+
+from .config import from_jsonable, to_jsonable
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,19 @@ class DqnConfig:
     eps_decay: float = 0.9975      # per-decision multiplicative decay
     eps_min: float = 0.05
     train_per_decision: int = 1
+
+    def __post_init__(self):
+        if not 1 <= self.batch_size <= self.buffer_capacity:
+            raise ValueError(f"batch_size must be within [1, buffer_capacity]: {self.batch_size}")
+        if min(self.target_sync_every, self.train_per_decision) < 1:
+            raise ValueError(f"sync and train counts must be >= 1: {self.target_sync_every}, "
+                             f"{self.train_per_decision}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must be within [0, 1]: {self.gamma}")
+        if not 0.0 < self.eps_decay <= 1.0:
+            raise ValueError(f"eps_decay must be within (0, 1]: {self.eps_decay}")
+        if not 0.0 <= self.eps_min <= self.eps0 <= 1.0:
+            raise ValueError(f"need 0 <= eps_min {self.eps_min} <= eps0 {self.eps0} <= 1")
 
     def sizes(self) -> tuple[int, ...]:
         return (self.obs_dim, *self.hidden, self.n_actions)
@@ -285,7 +300,7 @@ class DqnAgent:
         meta = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "kind": "xredge-dqn-agent",
-            "cfg": asdict(self.cfg),
+            "cfg": to_jsonable(self.cfg),
             "decision_count": self.decision_count,
             "adam_t": self.optimizer.t,
         }
@@ -309,9 +324,7 @@ class DqnAgent:
                 raise ValueError(
                     f"unsupported checkpoint version: {meta.get('format_version')}"
                 )
-            cfg_dict = dict(meta["cfg"])
-            cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
-            cfg = DqnConfig(**cfg_dict)
+            cfg = from_jsonable(DqnConfig, meta["cfg"], "checkpoint cfg")
             agent = cls(cfg, seed=seed)
             n_layers = len(agent.online.weights)
             agent.online.weights = [data[f"online_w{i}"].copy() for i in range(n_layers)]

@@ -1,9 +1,7 @@
 """Client power draw and battery state.
 
 Power is a baseline plus a processing term: the fraction of the frame period
-spent processing, times the processor's thermal design power. CPU/GPU
-utilization proxies exist as weighted hooks but default to zero weight (the
-processing term subsumes them at this fidelity).
+spent processing, times the processor's thermal design power.
 
 Battery drain applies a drain-acceleration factor k to the electrical load.
 It reconciles nameplate capacity with observed endurance: real headsets lose
@@ -25,49 +23,21 @@ class PowerParams:
     p_base_w: float = 0.5          # idle baseline: sensors, display path
     tdp_proc_w: float = 35.0       # processor thermal design power
     w_proc: float = 1.0            # weight of the processing-duty term
-    w_cpu: float = 0.0             # CPU utilization proxy weight (unused default)
-    w_gpu: float = 0.0             # GPU utilization proxy weight (unused default)
-    p_cpu_w: float = 0.0
-    p_gpu_w: float = 0.0
     tau_frame_ms: float = 50.0     # frame period at 20 Hz
+
+    def __post_init__(self):
+        if self.tau_frame_ms <= 0:
+            raise ValueError(f"frame period must be positive: {self.tau_frame_ms}")
 
 
 def proc_power(cfg: ExecutionConfig, table: ProcTimeTable, params: PowerParams) -> float:
     """Processing power: duty cycle over the frame period times TDP."""
-    if params.tau_frame_ms <= 0:
-        raise ValueError(f"frame period must be positive: {params.tau_frame_ms}")
     return proc_time(cfg, table) / params.tau_frame_ms * params.tdp_proc_w
 
 
 def client_power(cfg: ExecutionConfig, table: ProcTimeTable, params: PowerParams) -> float:
     """Total client power draw in watts for a configuration."""
-    return (
-        params.p_base_w
-        + params.w_proc * proc_power(cfg, table, params)
-        + params.w_cpu * params.p_cpu_w
-        + params.w_gpu * params.p_gpu_w
-    )
-
-
-def soc_step(
-    soc: float,
-    power_w: float,
-    dt_s: float,
-    capacity_wh: float,
-    drain_factor: float = 1.0,
-) -> float:
-    """State of charge after drawing power_w for dt_s, clamped at zero.
-
-    drain_factor is the acceleration factor k applied to the electrical load.
-    """
-    if capacity_wh <= 0:
-        raise ValueError(f"capacity must be positive: {capacity_wh}")
-    if dt_s < 0:
-        raise ValueError(f"dt must be non-negative: {dt_s}")
-    if power_w < 0:
-        raise ValueError(f"power must be non-negative: {power_w}")
-    drop_pct = drain_factor * power_w * dt_s / (capacity_wh * 3600.0) * 100.0
-    return max(0.0, soc - drop_pct)
+    return params.p_base_w + params.w_proc * proc_power(cfg, table, params)
 
 
 def lifetime_projection(

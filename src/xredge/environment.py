@@ -75,6 +75,17 @@ class EnvConfig:
     rtt_max_ms: float = 50.0       # observation clamp
     mtp_max_ms: float = 100.0      # observation clamp
 
+    def __post_init__(self):
+        # Battery and UplinkQueue check capacity, SoC, drain factor and depth
+        if self.horizon_s < 0:
+            raise ValueError(f"horizon must be non-negative: {self.horizon_s}")
+        if self.tau_mtp_ms <= 0:
+            raise ValueError(f"MTP threshold must be positive: {self.tau_mtp_ms}")
+        if self.rtt_max_ms <= 0 or self.mtp_max_ms <= 0:
+            raise ValueError(f"observation clamps must be positive: "
+                             f"{self.rtt_max_ms}, {self.mtp_max_ms}")
+        self.n_ticks()
+
     def n_ticks(self) -> int:
         tick_s = self.power.tau_frame_ms / 1000.0
         n = round(self.decision_interval_s / tick_s)
@@ -140,7 +151,6 @@ class XrEnvironment:
     """Frame-granular simulator of the managed XR client."""
 
     def __init__(self, cfg: EnvConfig, seed: int = 0):
-        cfg.n_ticks()  # validate interval/tick ratio early
         self.cfg = cfg
         self.seed = seed
         self.reset()

@@ -9,28 +9,21 @@ that metric files are byte-reproducible.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .actions import ExecutionMode, ImuRate, N_ACTIONS
+from .actions import N_ACTIONS, decode_action
+from .config import field_types, from_jsonable, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
 from .environment import EnvConfig, XrEnvironment
-from .latency import FrameSizeModel, ProcTimeTable
-from .network import (
-    BandwidthProfile,
-    RttDistribution,
-    RttModel,
-    bandwidth_at,
-    cycle_profile,
-    stable_profile,
-)
+from .network import BandwidthProfile, bandwidth_at, cycle_profile, load_profile, stable_profile
 from .policies import RlPolicy, make_policy
 
 METRICS_SCHEMA_VERSION = 1
@@ -126,7 +119,7 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         toc_learn = time.perf_counter()
         latencies_s.append((toc_select - tic) + (toc_learn - tic_learn))
 
-        exec_cfg = _decoded(action)
+        exec_cfg = decode_action(action)
         is_rl = isinstance(policy, RlPolicy)
         decision_rows.append({
             "t": t0,
@@ -157,12 +150,6 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
     if out_dir is not None:
         write_run(Path(out_dir), result)
     return result
-
-
-def _decoded(action: int):
-    from .actions import decode_action
-
-    return decode_action(action)
 
 
 def _compute_metrics(spec, seed, env, decision_rows, frame_rows, latencies_s) -> MetricsRecord:
@@ -298,12 +285,18 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path | None = None) -> tuple
 
 
 def replace_path(obj, path: str, value):
-    """Functional deep-override of a dotted dataclass field path."""
+    """Functional deep-override of a dotted dataclass field path.
+
+    The value is coerced to the field's type as in a scenario file.
+    """
     head, _, rest = path.partition(".")
-    if not hasattr(obj, head):
+    types = field_types(type(obj))
+    if head not in types:
         raise ValueError(f"{type(obj).__name__} has no field {head!r}")
     if rest:
-        return replace(obj, **{head: replace_path(getattr(obj, head), rest, value)})
+        value = replace_path(getattr(obj, head), rest, value)
+    else:
+        value = from_jsonable(types[head], value, f"{type(obj).__name__}.{head}")
     return replace(obj, **{head: value})
 
 
@@ -317,6 +310,8 @@ def sweep(
     rows = []
     for v in values:
         spec = replace_path(base, param_path, v)
+        # names and rows carry the coerced value: 2 for a float field is 2.0
+        v = to_jsonable(reduce(getattr, param_path.split("."), spec))
         spec = replace(spec, name=f"{base.name}__{param_path.replace('.', '_')}_{v}")
         _, agg = run_scenario(spec, out_dir)
         agg["swept_param"] = param_path
@@ -354,82 +349,16 @@ def write_frame_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-# -- scenario (de)serialization --------------------------------------------
-
-
-def spec_to_dict(spec: ScenarioSpec) -> dict:
-    """JSON-safe dict form of a scenario."""
-
-    def convert(obj):
-        if isinstance(obj, BandwidthProfile):
-            return {"levels_mbps": list(obj.levels_mbps), "dwell_s": obj.dwell_s}
-        if isinstance(obj, RttModel):
-            return {
-                "base_ms": obj.base_ms,
-                "jitter_scale_ms": obj.jitter_scale_ms,
-                "sigma": obj.sigma,
-                "distribution": obj.distribution.value,
-            }
-        if isinstance(obj, ProcTimeTable):
-            d = asdict(obj)
-            d["rho"] = {k.value: v for k, v in obj.rho.items()}
-            return d
-        if is_dataclass(obj):
-            return {f.name: convert(getattr(obj, f.name)) for f in fields(obj)}
-        if isinstance(obj, tuple):
-            return list(obj)
-        return obj
-
-    return convert(spec)
-
-
-def spec_from_dict(data: dict) -> ScenarioSpec:
-    data = copy.deepcopy(data)
-    env_d = data.get("env", {})
-    if "profile" in env_d:
-        env_d["profile"] = BandwidthProfile(
-            levels_mbps=tuple(env_d["profile"]["levels_mbps"]),
-            dwell_s=env_d["profile"]["dwell_s"],
-        )
-    if "rtt" in env_d:
-        rtt_d = env_d["rtt"]
-        rtt_d["distribution"] = RttDistribution(rtt_d.get("distribution", "lognormal"))
-        env_d["rtt"] = RttModel(**rtt_d)
-    if "table" in env_d:
-        table_d = env_d["table"]
-        if "rho" in table_d:
-            table_d["rho"] = {ImuRate(k): v for k, v in table_d["rho"].items()}
-        env_d["table"] = ProcTimeTable(**table_d)
-    if "frame" in env_d:
-        env_d["frame"] = FrameSizeModel(**env_d["frame"])
-    if "power" in env_d:
-        from .energy import PowerParams
-
-        env_d["power"] = PowerParams(**env_d["power"])
-    if "reward" in env_d:
-        from .environment import RewardParams
-
-        env_d["reward"] = RewardParams(**env_d["reward"])
-    env = EnvConfig(**env_d)
-    dqn_d = data.get("dqn", {})
-    if "hidden" in dqn_d:
-        dqn_d["hidden"] = tuple(dqn_d["hidden"])
-    dqn = DqnConfig(**dqn_d)
-    return ScenarioSpec(
-        name=data.get("name", "scenario"),
-        policy=data.get("policy", "rl"),
-        env=env,
-        dqn=dqn,
-        seeds=tuple(data.get("seeds", (1, 2, 3))),
-    )
+# -- scenario files --------------------------------------------------------
 
 
 def save_spec(spec: ScenarioSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(to_jsonable(spec), sort_keys=True, indent=2) + "\n")
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
-    return spec_from_dict(json.loads(Path(path).read_text()))
+    """Read a scenario file; missing keys take their defaults."""
+    return from_jsonable(ScenarioSpec, json.loads(Path(path).read_text()), "scenario")
 
 
 def default_scenario(
@@ -448,8 +377,6 @@ def default_scenario(
         prof = stable_profile(stable_mbps)
         label = f"stable{stable_mbps:g}"
     else:
-        from .network import load_profile
-
         prof = load_profile(profile)
         label = Path(profile).stem
     env = replace(EnvConfig(), profile=prof, horizon_s=horizon_s)

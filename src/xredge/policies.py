@@ -187,19 +187,20 @@ class RlPolicy:
         return self.agent.last_loss
 
 
+# name -> factory(dqn_cfg, seed); the CLI's --policy choices come from here
+POLICIES = {
+    "local": lambda dqn_cfg, seed: static_local(),
+    "offload": lambda dqn_cfg, seed: static_offload(),
+    "greedy": lambda dqn_cfg, seed: GreedyPolicy(),
+    "greedy-noqueue": lambda dqn_cfg, seed: GreedyPolicy(include_queue=False),
+    "threshold": lambda dqn_cfg, seed: ThresholdPolicy(),
+    "rl": lambda dqn_cfg, seed: RlPolicy(dqn_cfg, seed=seed),
+}
+
+
 def make_policy(kind: str, dqn_cfg: DqnConfig | None = None, seed: int = 0):
-    """Policy factory by name: local, offload, greedy, threshold, rl."""
-    kind = kind.lower()
-    if kind == "local":
-        return static_local()
-    if kind == "offload":
-        return static_offload()
-    if kind == "greedy":
-        return GreedyPolicy()
-    if kind == "greedy-noqueue":
-        return GreedyPolicy(include_queue=False)
-    if kind == "threshold":
-        return ThresholdPolicy()
-    if kind == "rl":
-        return RlPolicy(dqn_cfg or DqnConfig(), seed=seed)
-    raise ValueError(f"unknown policy kind: {kind!r}")
+    """Policy factory by case-insensitive name, one of POLICIES."""
+    factory = POLICIES.get(kind.lower())
+    if factory is None:
+        raise ValueError(f"unknown policy kind: {kind.lower()!r}")
+    return factory(dqn_cfg or DqnConfig(), seed)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from xredge.harness import run_scenario, spec_to_dict
+from xredge.config import to_jsonable
+from xredge.harness import run_scenario
 
 
 class ScenarioCache:
@@ -19,7 +20,7 @@ class ScenarioCache:
         self._cache = {}
 
     def run(self, spec):
-        d = spec_to_dict(spec)
+        d = to_jsonable(spec)
         d.pop("name", None)
         key = json.dumps(d, sort_keys=True)
         if key not in self._cache:

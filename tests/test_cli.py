@@ -93,3 +93,85 @@ def test_parser_lists_policies():
     assert "run" in helptext and "sweep" in helptext
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "--policy", "bogus"])
+
+
+def assert_clean_error(rc, capsys, *fragments):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+def _bad_key(d):
+    d["env"]["horzion_s"] = 5.0
+
+
+def _str_for_int(d):
+    d["env"]["queue_max_depth"] = "20"
+
+
+def _bad_enum(d):
+    d["env"]["rtt"]["distribution"] = "gaussian"
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (_bad_key, "scenario.env: unknown field horzion_s"),
+    (_str_for_int, "scenario.env.queue_max_depth: expected int"),
+    (_bad_enum, "scenario.env.rtt.distribution: 'gaussian' is not one of"),
+])
+def test_bad_scenario_file_fails_cleanly(tmp_path, capsys, edit, fragment):
+    from xredge.config import to_jsonable
+    from xredge.harness import default_scenario
+
+    data = to_jsonable(default_scenario("local", "stable", horizon_s=3.0, seeds=(1,)))
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, fragment)
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_horizon_fails_cleanly(tmp_path, capsys):
+    rc = main(["run", "--policy", "local", "--horizon", "-5", "--out", str(tmp_path)])
+    assert_clean_error(rc, capsys, "horizon")
+
+
+@pytest.mark.parametrize("command", ["aggregate", "report"])
+def test_metrics_with_extra_key_fails_cleanly(tmp_path, capsys, command):
+    main(["run", "--policy", "local", "--profile", "stable", "--horizon", "3",
+          "--seeds", "1", "--out", str(tmp_path)])
+    capsys.readouterr()
+    path = tmp_path / "local-stable1000" / "seed_1" / "metrics.json"
+    data = json.loads(path.read_text())
+    data["extra"] = 1
+    path.write_text(json.dumps(data))
+    flag = "--runs" if command == "aggregate" else "--out"
+    rc = main([command, flag, str(tmp_path)])
+    assert_clean_error(rc, capsys, "unknown field extra")
+
+
+def test_sweep_int_field(tmp_path):
+    rc = main([
+        "sweep", "--policy", "rl", "--profile", "stable", "--horizon", "40",
+        "--seeds", "1", "--param", "dqn.batch_size", "--values", "16",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    (row,) = json.loads((tmp_path / "sweep_dqn_batch_size.json").read_text())
+    assert row["value"] == 16 and type(row["value"]) is int
+    assert (tmp_path / "rl-stable1000__dqn_batch_size_16" / "aggregate.json").exists()
+
+
+def test_sweep_enum_field(tmp_path):
+    rc = main([
+        "sweep", "--policy", "local", "--profile", "stable", "--horizon", "3",
+        "--seeds", "1", "--param", "env.rtt.distribution", "--values", "none",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    (row,) = json.loads((tmp_path / "sweep_env_rtt_distribution.json").read_text())
+    assert row["value"] == "none"

@@ -198,9 +198,20 @@ def test_replay_buffer_sampling_is_roughly_uniform():
 
 def small_cfg(**kw):
     base = dict(obs_dim=2, n_actions=3, hidden=(8,), batch_size=4,
-                buffer_capacity=50, target_sync_every=5, eps0=0.0)
+                buffer_capacity=50, target_sync_every=5, eps0=0.0, eps_min=0.0)
     base.update(kw)
     return DqnConfig(**base)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(batch_size=0), dict(batch_size=51), dict(target_sync_every=0),
+    dict(train_per_decision=0), dict(gamma=-0.1), dict(gamma=1.1),
+    dict(eps_decay=0.0), dict(eps_decay=1.01), dict(eps_min=-0.1),
+    dict(eps0=0.0, eps_min=0.05), dict(eps0=1.5, eps_min=0.05),
+])
+def test_config_rejects_bad_values(overrides):
+    with pytest.raises(ValueError):
+        small_cfg(**overrides)
 
 
 def test_select_action_greedy_when_epsilon_zero():
@@ -304,4 +315,20 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     np.savez(path, **arrays)
 
     with pytest.raises(ValueError):
+        DqnAgent.load(path)
+
+
+def test_checkpoint_rejects_unknown_cfg_key(tmp_path):
+    agent = DqnAgent(small_cfg(), seed=8)
+    path = tmp_path / "agent.npz"
+    agent.save(path)
+
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta_json"]).decode())
+    meta["cfg"]["dueling"] = True
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+    with pytest.raises(ValueError, match="checkpoint cfg: unknown field dueling"):
         DqnAgent.load(path)

@@ -9,7 +9,6 @@ from xredge.energy import (
     client_power,
     lifetime_projection,
     proc_power,
-    soc_step,
 )
 from xredge.latency import ProcTimeTable
 
@@ -41,24 +40,28 @@ def test_power_ordering_over_action_space():
 def test_soc_step_decrement():
     # 20.8 W for 1 s against 16.6 Wh: 2080 / (16.6*3600) percent
     drop = 20.8 * 1.0 / (16.6 * 3600.0) * 100.0
-    assert soc_step(100.0, 20.8, 1.0, 16.6) == pytest.approx(100.0 - drop)
-    assert soc_step(100.0, 20.8, 1.0, 16.6, drain_factor=3.0) == pytest.approx(
-        100.0 - 3.0 * drop
-    )
+    b = Battery(16.6, 100.0, drain_factor=1.0)
+    assert b.step(20.8, 1.0) == pytest.approx(20.8)
+    assert b.soc == pytest.approx(100.0 - drop)
+    b = Battery(16.6, 100.0, drain_factor=3.0)
+    b.step(20.8, 1.0)
+    assert b.soc == pytest.approx(100.0 - 3.0 * drop)
     assert drop == pytest.approx(0.0348059, abs=1e-6)
 
 
 def test_soc_step_clamps_at_zero():
-    assert soc_step(0.01, 100.0, 3600.0, 16.6, drain_factor=3.0) == 0.0
+    b = Battery(16.6, 0.01, drain_factor=3.0)
+    b.step(100.0, 3600.0)
+    assert b.soc == 0.0
 
 
 def test_soc_step_validation():
     with pytest.raises(ValueError):
-        soc_step(50.0, 10.0, 1.0, 0.0)
+        Battery(0.0, 50.0)
     with pytest.raises(ValueError):
-        soc_step(50.0, -1.0, 1.0, 16.6)
+        Battery(16.6, 50.0).step(-1.0, 1.0)
     with pytest.raises(ValueError):
-        soc_step(50.0, 10.0, -1.0, 16.6)
+        Battery(16.6, 50.0).step(10.0, -1.0)
 
 
 def test_lifetime_projection_identity():
@@ -122,3 +125,8 @@ def test_battery_validation():
         bat.step(-1.0, 1.0)
     with pytest.raises(ValueError):
         bat.step(1.0, -1.0)
+
+
+def test_power_params_reject_nonpositive_frame_period():
+    with pytest.raises(ValueError):
+        PowerParams(tau_frame_ms=0.0)

@@ -249,6 +249,14 @@ def test_decision_interval_must_align_with_frame_period():
     XrEnvironment(default_env_config(decision_interval_s=0.05, horizon_s=1.0))
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(horizon_s=-5.0), dict(tau_mtp_ms=0.0), dict(rtt_max_ms=0.0), dict(mtp_max_ms=0.0),
+])
+def test_env_config_rejects_bad_values(overrides):
+    with pytest.raises(ValueError):
+        default_env_config(**overrides)
+
+
 def test_env_config_override_helper():
     cfg = default_env_config(horizon_s=60.0)
     assert cfg.horizon_s == 60.0

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from xredge.config import from_jsonable, to_jsonable
 from xredge.harness import (
     DECISION_COLUMNS,
     FRAME_COLUMNS,
     METRICS_SCHEMA_VERSION,
     MetricsRecord,
+    ScenarioSpec,
     aggregate_seeds,
     default_scenario,
     load_spec,
@@ -18,8 +20,6 @@ from xredge.harness import (
     run_experiment,
     run_scenario,
     save_spec,
-    spec_from_dict,
-    spec_to_dict,
     sweep,
 )
 from xredge.network import cycle_profile, stable_profile
@@ -189,6 +189,20 @@ def test_replace_path_nested():
         replace_path(spec, "env.nope", 1.0)
 
 
+def test_replace_path_coerces_to_field_type():
+    from xredge.network import RttDistribution
+
+    spec = local_spec()
+    assert type(replace_path(spec, "env.reward.lam", 2).env.reward.lam) is float
+    assert replace_path(spec, "dqn.batch_size", 16).dqn.batch_size == 16
+    none = replace_path(spec, "env.rtt.distribution", "none")
+    assert none.env.rtt.distribution is RttDistribution.NONE
+    with pytest.raises(ValueError, match="DqnConfig.batch_size: expected int"):
+        replace_path(spec, "dqn.batch_size", 16.5)
+    with pytest.raises(ValueError, match="DqnConfig.hidden: expected a list"):
+        replace_path(spec, "dqn.hidden", 64)
+
+
 def test_sweep_labels_and_values(tmp_path):
     spec = local_spec(horizon=5.0)
     rows = sweep(spec, "env.reward.lam", [0.5, 2.0], out_dir=tmp_path)
@@ -207,7 +221,7 @@ def test_spec_round_trip_stable_and_cycle(tmp_path):
         save_spec(spec, path)
         loaded = load_spec(path)
         assert loaded == spec
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert from_jsonable(ScenarioSpec, to_jsonable(spec)) == spec
 
 
 def test_default_scenario_names():
