@@ -4,44 +4,35 @@ Enumerate the 18 execution configurations.
 For each action id: the (quality, imu, mode) tuple, the client power draw,
 and the deterministic part of the motion-to-photon latency. Offload rows show
 the serialization + round-trip + server pipeline of an unqueued frame at a
-chosen bandwidth; RTT jitter comes on top of these numbers at run time.
+chosen bandwidth; RTT jitter comes on top of these numbers at run time. Every
+number comes from the environment's action table (`env.actions`), which
+prices each configuration once per environment config.
 """
 
-from xredge.actions import RESOLUTION, ExecutionMode, decode_action, quality_scale
-from xredge.energy import PowerParams, client_power
-from xredge.latency import FrameSizeModel, ProcTimeTable, mtp_local, net_delay
-from xredge.network import RttModel
+from xredge.actions import RESOLUTION
+from xredge.environment import EnvConfig, XrEnvironment
 
 BW_MBPS = 100.0
 
-table = ProcTimeTable()
-frame = FrameSizeModel()
-power_params = PowerParams()
-rtt = RttModel()
+env = XrEnvironment(EnvConfig())
+tab = env.actions
 
-print(f"offload pipeline shown at {BW_MBPS:g} Mbps, base RTT {rtt.base_ms:g} ms")
+print(f"offload pipeline shown at {BW_MBPS:g} Mbps, base RTT {env.cfg.rtt.base_ms:g} ms")
 print()
 header = f"{'id':>2}  {'quality':8} {'imu':7} {'mode':8} {'power_W':>8} {'det_MTP_ms':>11}"
 print(header)
 print("-" * len(header))
 
-for action in range(18):
-    cfg = decode_action(action)
-    p = client_power(cfg, table, power_params)
-    phi = quality_scale(cfg.quality)
-    if cfg.mode is ExecutionMode.LOCAL:
-        mtp = mtp_local(cfg, table)
+for action, cfg in enumerate(tab.configs):
+    if tab.is_local[action]:
+        mtp = tab.mtp_local_ms[action]
     else:
-        mtp = (
-            net_delay(cfg.quality, BW_MBPS, rtt.base_ms, frame)
-            + table.t_server_ms * phi
-            + table.t_decode_ms
-            + table.t0_encode_ms * phi
-        )
+        serialization_ms = tab.payload_mbit[action] / BW_MBPS * 1000.0
+        mtp = serialization_ms + tab.fixed_offload_ms[tab.offload_row[action]]
     w, h = RESOLUTION[cfg.quality]
     print(
         f"{action:>2}  {cfg.quality.name:8} {cfg.imu.name:7} {cfg.mode.name:8} "
-        f"{p:8.4f} {mtp:11.3f}   ({w}x{h})"
+        f"{tab.power_w[action]:8.4f} {mtp:11.3f}   ({w}x{h})"
     )
 
 print()

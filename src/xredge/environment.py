@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .actions import ExecutionConfig, ExecutionMode, N_ACTIONS, decode_action
+from .actions import ExecutionMode, N_ACTIONS, all_configs, quality_scale
 from .energy import Battery, PowerParams, client_power
 from .latency import (
     FrameSizeModel,
@@ -97,6 +97,60 @@ class EnvConfig:
         return n
 
 
+_CONFIGS = tuple(all_configs())
+_OFFLOAD = tuple(a for a, c in enumerate(_CONFIGS) if c.mode is ExecutionMode.OFFLOAD)
+# an offload prediction depends on the image quality alone, so the greedy
+# predictor prices one row per quality and shares it across IMU rates
+_OFFLOAD_QUALITIES = tuple(dict.fromkeys(_CONFIGS[a].quality for a in _OFFLOAD))
+
+
+class ActionTable:
+    """The 18 actions of one EnvConfig, rows indexed by action id.
+
+    Each value is computed once by the scalar model function that defines it,
+    so a lookup is bit-identical to calling that function. Tuples serve the
+    per-tick lookups of `XrEnvironment.step`; the numpy arrays serve the
+    vectorised greedy predictor. Local-only values are nan on offload rows.
+    The offload arrays have one row per offload quality; `offload_row` gives
+    each action id its row (-1 for a local action).
+    """
+
+    # the action space itself is the same for every config
+    configs = _CONFIGS
+    labels = tuple((c.quality.value, c.imu.value, c.mode.name) for c in _CONFIGS)
+    is_local = tuple(c.mode is ExecutionMode.LOCAL for c in _CONFIGS)
+    offload_ids = np.array(_OFFLOAD)
+    offload_row = tuple(-1 if local else _OFFLOAD_QUALITIES.index(c.quality)
+                        for c, local in zip(_CONFIGS, is_local))
+
+    def __init__(self, cfg: EnvConfig):
+        t = cfg.table
+        self.power_w = tuple(client_power(c, t, cfg.power) for c in self.configs)
+        self.mtp_local_ms = tuple(
+            mtp_local(c, t) if local else float("nan")
+            for c, local in zip(self.configs, self.is_local)
+        )
+        self.v_local = tuple(
+            violation(m, cfg.tau_mtp_ms) if local else float("nan")
+            for m, local in zip(self.mtp_local_ms, self.is_local)
+        )
+        self.payload_mbit = tuple(cfg.frame.payload_mbit(c.quality) for c in self.configs)
+        self.jitter_mean_ms = cfg.rtt.jitter_mean_ms()
+        # the reward's power term, as interval_reward computes it
+        self.reward_power = -cfg.reward.alpha_power * np.array(self.power_w) / cfg.reward.p_max_w
+
+        self.payload_offload_mbit = np.array([cfg.frame.payload_mbit(q) for q in _OFFLOAD_QUALITIES])
+        # an offloaded frame's MTP minus its queueing and serialization time,
+        # with the base RTT standing in for the drawn one
+        self.fixed_offload_ms = np.array([
+            ((cfg.rtt.base_ms + t.t_server_ms * f) + t.t_decode_ms) + t.t0_encode_ms * f
+            for f in map(quality_scale, _OFFLOAD_QUALITIES)
+        ])
+        # frame arrival times within an epoch, relative to its start
+        self.arrival_ms = np.arange(cfg.n_ticks()) * cfg.power.tau_frame_ms
+        self.strict_upper = np.triu(np.ones((self.arrival_ms.size,) * 2), 1)
+
+
 @dataclass(frozen=True)
 class FrameRecord:
     t_capture: float
@@ -153,6 +207,7 @@ class XrEnvironment:
     def __init__(self, cfg: EnvConfig, seed: int = 0):
         self.cfg = cfg
         self.seed = seed
+        self.actions = ActionTable(cfg)
         self.reset()
 
     def reset(self) -> SystemState:
@@ -186,17 +241,20 @@ class XrEnvironment:
         """Apply an action id for one decision interval."""
         if self.done:
             raise RuntimeError("episode is over; call reset()")
-        if not 0 <= int(action) < N_ACTIONS:
+        row = int(action)
+        if not 0 <= row < N_ACTIONS:
             raise ValueError(f"action id out of range [0, {N_ACTIONS}): {action}")
         cfg = self.cfg
-        exec_cfg = decode_action(int(action))
+        quality = self.actions.configs[row].quality
+        local = self.actions.is_local[row]
+        power = self.actions.power_w[row]
+        mtp_local_ms = self.actions.mtp_local_ms[row]
         tick_s = cfg.power.tau_frame_ms / 1000.0
         n_ticks = cfg.n_ticks()
-        power = client_power(exec_cfg, cfg.table, cfg.power)
 
         # a switch to local execution abandons pending uploads
         flushed = 0
-        if exec_cfg.mode is ExecutionMode.LOCAL and self.queue.depth:
+        if local and self.queue.depth:
             flushed = self.queue.flush()
 
         t0 = self.t
@@ -212,15 +270,12 @@ class XrEnvironment:
             bw = bandwidth_at(cfg.profile, tk)
             rtt = rtt_sample(cfg.rtt, self.rng)
 
-            if exec_cfg.mode is ExecutionMode.LOCAL:
-                mtp = mtp_local(exec_cfg, cfg.table)
-                frames.append(
-                    FrameRecord(tk, mtp, mtp <= cfg.tau_mtp_ms, ExecutionMode.LOCAL)
-                )
+            if local:
+                frames.append(FrameRecord(
+                    tk, mtp_local_ms, mtp_local_ms <= cfg.tau_mtp_ms, ExecutionMode.LOCAL
+                ))
             else:
-                dropped += self.queue.enqueue(
-                    tk, exec_cfg.quality, cfg.frame.payload_mbit(exec_cfg.quality)
-                )
+                dropped += self.queue.enqueue(tk, quality, self.actions.payload_mbit[row])
                 for dv in self.queue.drain(bw, rtt, tick_s, tk, cfg.table):
                     frames.append(
                         FrameRecord(

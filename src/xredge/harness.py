@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import N_ACTIONS, decode_action
+from .actions import N_ACTIONS
 from .config import field_types, from_jsonable, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
@@ -119,14 +119,14 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         toc_learn = time.perf_counter()
         latencies_s.append((toc_select - tic) + (toc_learn - tic_learn))
 
-        exec_cfg = decode_action(action)
+        quality, imu, mode = env.actions.labels[action]
         is_rl = isinstance(policy, RlPolicy)
         decision_rows.append({
             "t": t0,
             "action": action,
-            "quality": exec_cfg.quality.value,
-            "imu": exec_cfg.imu.value,
-            "mode": exec_cfg.mode.name,
+            "quality": quality,
+            "imu": imu,
+            "mode": mode,
             "bandwidth_mbps": bandwidth_at(spec.env.profile, t0),
             "rtt_ms": outcome.info["rtt_ms"],
             "mtp_mean_ms": outcome.info["mtp_mean_ms"],

@@ -131,8 +131,8 @@ class RttModel:
 
 
 def _phi(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    """Standard normal CDF; erfc keeps full relative precision deep in the lower tail."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def rtt_sample(model: RttModel, rng: np.random.Generator) -> float:

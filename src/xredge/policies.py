@@ -5,21 +5,27 @@ consumes step outcomes to feed its learner. GREEDY uses the simulator's own
 models as a perfect one-step predictor: for every action it prices the
 expected epoch reward (expected violation under the RTT jitter law, exact
 power draw, current battery credit) and takes the argmax, ties to the lowest
-action id. Because jitter is unbounded, any offloaded configuration carries a
-strictly positive expected violation and therefore never earns the full
-compliance bonus, which is what collapses GREEDY onto the cheapest local
-configuration.
+action id. Because lognormal jitter is unbounded, any offloaded configuration
+carries a strictly positive expected violation (until the tail underflows
+double precision, far below any default setting) and therefore never earns
+the full compliance bonus, which is what collapses GREEDY onto the cheapest
+local configuration.
+
+How GREEDY scores actions: `predicted_epoch` prices all 18 actions with one
+vectorised uplink sweep over the environment's action table, one row per
+offload quality, computed as the Lindley recursion in closed form (no loop
+over frames); each action reads its violation from that sweep or, if local,
+from the table. Every value is bit-identical to the per-action,
+frame-by-frame definition that the tests keep as their reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .actions import ExecutionMode, N_ACTIONS, decode_action, quality_scale
+from .actions import N_ACTIONS
 from .dqn import DqnAgent, DqnConfig
-from .energy import client_power
-from .environment import XrEnvironment, interval_reward
-from .latency import mtp_local, violation
+from .environment import XrEnvironment
 
 ACTION_LOCAL_FULL = 4      # HIGH imu, HIGH quality, LOCAL
 ACTION_OFFLOAD_FULL = 5    # HIGH imu, HIGH quality, OFFLOAD
@@ -70,77 +76,92 @@ class ThresholdPolicy:
         pass
 
 
-def predicted_epoch_violation(
-    action_id: int,
-    env: XrEnvironment,
-    include_queue: bool = True,
-) -> float:
-    """Model-predicted mean violation of one epoch under an action.
+def offload_epoch_violation(env: XrEnvironment, include_queue: bool = True) -> list[float]:
+    """Model-predicted mean violation of one offloaded epoch, per offload quality.
 
-    LOCAL: deterministic pipeline, exact violation. OFFLOAD: per-frame
-    deterministic delay from a first-in-first-out service sweep at the
+    Returns one value per row of the action table's offload arrays; an
+    offload prediction does not depend on the IMU rate. Per-frame
+    deterministic delay comes from a first-in-first-out service sweep at the
     currently observed bandwidth (optionally seeded with the real queue
     backlog), plus the closed-form expected RTT-jitter exceedance above each
     frame's remaining threshold slack.
+
+    The sweep is the Lindley recursion finish_i = max(a_i, finish_{i-1}) + s,
+    with a_0 the backlog and a_k = k*T, in closed form: because rounding
+    x + s is monotone in x, finish_i is, bit for bit, the largest over k <= i
+    of the sequential sum a_k + s + ... + s with i - k + 1 terms s. Frame
+    exceedances add up in frame order, so every value equals the one of the
+    frame-by-frame definition.
     """
-    cfg = env.cfg
-    exec_cfg = decode_action(action_id)
+    cfg, tab = env.cfg, env.actions
     tau = cfg.tau_mtp_ms
-    n_frames = cfg.n_ticks()
-
-    if exec_cfg.mode is ExecutionMode.LOCAL:
-        return violation(mtp_local(exec_cfg, cfg.table), tau)
-
     bw = env.state.bandwidth_mbps
-    phi = quality_scale(exec_cfg.quality)
-    serial_ms = cfg.frame.payload_mbit(exec_cfg.quality) / bw * 1000.0
-    fixed_ms = (
-        cfg.rtt.base_ms
-        + cfg.table.t_server_ms * phi
-        + cfg.table.t_decode_ms
-        + cfg.table.t0_encode_ms * phi
-    )
-    backlog_ms = env.queue_backlog_mbit() / bw * 1000.0 if include_queue else 0.0
-    frame_period_ms = cfg.power.tau_frame_ms
+    arrival = tab.arrival_ms
+    n = arrival.size
 
-    total_v = 0.0
-    finish_ms = backlog_ms  # transmission-finish time of the previous frame
-    for i in range(n_frames):
-        arrival_ms = i * frame_period_ms
-        start_ms = max(arrival_ms, finish_ms)
-        finish_ms = start_ms + serial_ms
-        det_mtp = (finish_ms - arrival_ms) + fixed_ms
-        slack = tau - det_mtp
-        if slack <= 0.0:
-            # already violating before jitter; add the mean jitter on top
-            ev = (det_mtp + cfg.rtt.jitter_mean_ms() - tau) / tau
-        else:
-            ev = cfg.rtt.jitter_excess_mean_ms(slack) / tau
-        total_v += ev
-    return total_v / n_frames
+    # rows are the offload qualities; along the last axis, candidate k sums
+    # zeros before frame k, then start_k + s, then one more s per frame
+    serial = tab.payload_offload_mbit / bw * 1000.0
+    start = arrival.copy()
+    start[0] = env.queue_backlog_mbit() / bw * 1000.0 if include_queue else 0.0
+    steps = tab.strict_upper * serial[:, None, None]
+    steps.reshape(serial.size, n * n)[:, :: n + 1] = start + serial[:, None]
+    finish = np.cumsum(steps, axis=2).max(axis=1)
+
+    det_mtp = (finish - arrival) + tab.fixed_offload_ms[:, None]
+    slack = tau - det_mtp
+    # already violating before jitter: the mean jitter adds on top
+    ev = (det_mtp + tab.jitter_mean_ms - tau) / tau
+    pos = slack > 0.0
+    if pos.any():
+        slacks = slack[pos].tolist()
+        excess = {x: cfg.rtt.jitter_excess_mean_ms(x) / tau for x in set(slacks)}
+        ev[pos] = [excess[x] for x in slacks]
+    # cumsum adds in frame order, as the definition does; np.sum adds pairwise
+    return (np.cumsum(ev, axis=1)[:, -1] / n).tolist()
 
 
-def predicted_epoch_reward(
-    action_id: int,
-    env: XrEnvironment,
-    include_queue: bool = True,
-) -> float:
-    """Expected one-epoch reward of an action under the simulator's models."""
-    exec_cfg = decode_action(action_id)
-    power = client_power(exec_cfg, env.cfg.table, env.cfg.power)
-    mean_v = predicted_epoch_violation(action_id, env, include_queue)
-    return interval_reward(mean_v, power, env.state.soc, env.cfg.reward)
+def predicted_epoch_violation(action_id: int, env: XrEnvironment, include_queue: bool = True,
+                              offload_v: list[float] | None = None) -> float:
+    """Model-predicted mean violation of one epoch under one action.
+
+    LOCAL: deterministic pipeline, exact violation from the action table.
+    OFFLOAD: the action's quality row of `offload_v`, the result of
+    `offload_epoch_violation` for the current state, computed here if not given.
+    """
+    tab = env.actions
+    if tab.is_local[action_id]:
+        return tab.v_local[action_id]
+    if offload_v is None:
+        offload_v = offload_epoch_violation(env, include_queue)
+    return offload_v[tab.offload_row[action_id]]
+
+
+def predicted_epoch(env: XrEnvironment, include_queue: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Model-predicted mean violation and reward of one epoch, for every action.
+
+    Returns two length-18 arrays indexed by action id. The offload sweep runs
+    once; each action then reads its violation through
+    `predicted_epoch_violation`. The reward is `interval_reward` of that
+    violation, the action's power draw and the current charge.
+    """
+    cfg, tab = env.cfg, env.actions
+    offload_v = offload_epoch_violation(env, include_queue)
+    v = np.array([predicted_epoch_violation(a, env, include_queue, offload_v) for a in range(N_ACTIONS)])
+    rp = cfg.reward
+    r_mtp = np.where(v == 0.0, rp.bonus, -rp.lam * v)
+    r = (r_mtp + tab.reward_power) + rp.beta_battery * env.state.soc / 100.0
+    return v, r
+
+
+def predicted_epoch_reward(action_id: int, env: XrEnvironment, include_queue: bool = True) -> float:
+    """Expected one-epoch reward of one action under the simulator's models."""
+    return float(predicted_epoch(env, include_queue)[1][action_id])
 
 
 def greedy_select(env: XrEnvironment, include_queue: bool = True) -> int:
     """Argmax of predicted one-epoch reward over all actions, ties to lowest id."""
-    best_id = 0
-    best_r = -np.inf
-    for a in range(N_ACTIONS):
-        r = predicted_epoch_reward(a, env, include_queue)
-        if r > best_r:
-            best_id, best_r = a, r
-    return best_id
+    return int(np.argmax(predicted_epoch(env, include_queue)[1]))
 
 
 class GreedyPolicy:

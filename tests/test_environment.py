@@ -1,8 +1,14 @@
 """Closed-loop environment: stepping, reward, observation, termination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xredge.actions import N_ACTIONS, ExecutionMode, decode_action
+from xredge.energy import PowerParams, client_power
 from xredge.environment import (
     EnvConfig,
     RewardParams,
@@ -13,7 +19,8 @@ from xredge.environment import (
     objective_value,
     observe,
 )
-from xredge.network import stable_profile
+from xredge.latency import mtp_local, violation
+from xredge.network import cycle_profile, stable_profile
 
 A_LOCAL_FULL = 4
 A_OFFLOAD_FULL = 5
@@ -262,3 +269,55 @@ def test_env_config_override_helper():
     assert cfg.horizon_s == 60.0
     assert isinstance(cfg, EnvConfig)
     assert default_env_config().horizon_s == 1200.0
+
+
+@pytest.mark.parametrize("overrides", [{}, {"tau_mtp_ms": 20.0}, {"power": PowerParams(p_base_w=1.5)}])
+def test_action_table_rows_equal_the_scalar_models(overrides):
+    env = make_env(**overrides)
+    cfg, tab = env.cfg, env.actions
+    for a in range(N_ACTIONS):
+        c = decode_action(a)
+        assert tab.configs[a] == c
+        assert tab.labels[a] == (c.quality.value, c.imu.value, c.mode.name)
+        assert tab.is_local[a] is (c.mode is ExecutionMode.LOCAL)
+        assert tab.power_w[a] == client_power(c, cfg.table, cfg.power)
+        assert tab.payload_mbit[a] == cfg.frame.payload_mbit(c.quality)
+        if tab.is_local[a]:
+            assert tab.mtp_local_ms[a] == mtp_local(c, cfg.table)
+            assert tab.v_local[a] == violation(mtp_local(c, cfg.table), cfg.tau_mtp_ms)
+    assert sorted(tab.offload_ids) == [a for a in range(N_ACTIONS) if not tab.is_local[a]]
+    assert tab.jitter_mean_ms == cfg.rtt.jitter_mean_ms()
+
+
+# ---------------------------------------------------------------------------
+# frame ledger
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    profile=st.sampled_from(["cycle", "stable"]),
+    mbps=st.sampled_from([1.0, 10.0, 100.0, 1000.0]),
+    capacity_wh=st.sampled_from([16.6, 0.002]),
+    actions=st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=30),
+    seed=st.integers(0, 2**16),
+)
+def test_frame_ledger_closes_every_step_and_every_run(profile, mbps, capacity_wh, actions, seed):
+    # the cycle's five levels at 2 s dwells, so a short run meets all of them;
+    # the tiny battery runs out mid-interval within a few decisions
+    prof = replace(cycle_profile(), dwell_s=2.0) if profile == "cycle" else stable_profile(mbps)
+    env = make_env(seed=seed, profile=prof, capacity_wh=capacity_wh, horizon_s=float(len(actions)))
+    for a in actions:
+        if env.done:
+            break
+        depth0, dropped0 = env.queue.depth, env.queue.dropped
+        out = env.step(a)
+        info = out.info
+        # captured = delivered + overflow drops + flushed + change in queue depth
+        assert info["frames_captured"] == (
+            info["frames_delivered"] + info["frames_dropped"] + info["queue_depth"] - depth0
+        )
+        assert info["frames_dropped"] == env.queue.dropped - dropped0
+        assert info["frames_delivered"] == len(out.frames)
+        assert info["queue_depth"] == env.queue.depth
+    assert env.frames_captured == env.frames_delivered + env.queue.dropped + env.queue.depth

@@ -1,0 +1,158 @@
+"""The vectorised greedy predictor against the per-action definition it replaced.
+
+`reference_violation` is the frame-by-frame loop that priced one action at a
+time; `predicted_epoch` prices all 18 at once. The arithmetic is meant to be
+the same operation for operation, so the properties here demand equality,
+not closeness, for every action's violation and reward and for the argmax.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from xredge.actions import N_ACTIONS, ExecutionMode, QualityLevel, decode_action, quality_scale
+from xredge.energy import PowerParams, client_power
+from xredge.environment import XrEnvironment, default_env_config, interval_reward
+from xredge.latency import QueuedFrame, mtp_local, violation
+from xredge.network import RttDistribution, RttModel, cycle_profile, stable_profile
+from xredge.policies import greedy_select, predicted_epoch
+
+
+def reference_violation(action_id, env, include_queue=True):
+    """Mean violation of one epoch under one action, one frame at a time."""
+    cfg = env.cfg
+    exec_cfg = decode_action(action_id)
+    tau = cfg.tau_mtp_ms
+    n_frames = cfg.n_ticks()
+
+    if exec_cfg.mode is ExecutionMode.LOCAL:
+        return violation(mtp_local(exec_cfg, cfg.table), tau)
+
+    bw = env.state.bandwidth_mbps
+    phi = quality_scale(exec_cfg.quality)
+    serial_ms = cfg.frame.payload_mbit(exec_cfg.quality) / bw * 1000.0
+    fixed_ms = (
+        cfg.rtt.base_ms
+        + cfg.table.t_server_ms * phi
+        + cfg.table.t_decode_ms
+        + cfg.table.t0_encode_ms * phi
+    )
+    backlog_ms = env.queue_backlog_mbit() / bw * 1000.0 if include_queue else 0.0
+    frame_period_ms = cfg.power.tau_frame_ms
+
+    total_v = 0.0
+    finish_ms = backlog_ms  # transmission-finish time of the previous frame
+    for i in range(n_frames):
+        arrival_ms = i * frame_period_ms
+        start_ms = max(arrival_ms, finish_ms)
+        finish_ms = start_ms + serial_ms
+        det_mtp = (finish_ms - arrival_ms) + fixed_ms
+        slack = tau - det_mtp
+        if slack <= 0.0:
+            ev = (det_mtp + cfg.rtt.jitter_mean_ms() - tau) / tau
+        else:
+            ev = cfg.rtt.jitter_excess_mean_ms(slack) / tau
+        total_v += ev
+    return total_v / n_frames
+
+
+def reference_reward(action_id, env, include_queue=True):
+    power = client_power(decode_action(action_id), env.cfg.table, env.cfg.power)
+    mean_v = reference_violation(action_id, env, include_queue)
+    return interval_reward(mean_v, power, env.state.soc, env.cfg.reward)
+
+
+def reference_greedy(env, include_queue=True):
+    best_id, best_r = 0, -np.inf
+    for a in range(N_ACTIONS):
+        r = reference_reward(a, env, include_queue)
+        if r > best_r:
+            best_id, best_r = a, r
+    return best_id
+
+
+def assert_exact(env, include_queue):
+    v, r = predicted_epoch(env, include_queue)
+    assert v.tolist() == [reference_violation(a, env, include_queue) for a in range(N_ACTIONS)]
+    assert r.tolist() == [reference_reward(a, env, include_queue) for a in range(N_ACTIONS)]
+    chosen = greedy_select(env, include_queue)
+    assert type(chosen) is int
+    assert chosen == reference_greedy(env, include_queue)
+
+
+CONFIGS = {
+    "default": default_env_config(),
+    "rtt-none": default_env_config(rtt=RttModel(distribution=RttDistribution.NONE)),
+    "sigma-0": default_env_config(rtt=RttModel(sigma=0.0)),
+    "jitter-0": default_env_config(rtt=RttModel(jitter_scale_ms=0.0)),
+    "sigma-0.5": default_env_config(rtt=RttModel(sigma=0.5)),
+    "tau-20": default_env_config(tau_mtp_ms=20.0),
+    "tau-45": default_env_config(tau_mtp_ms=45.0),
+    "depth-1": default_env_config(queue_max_depth=1),
+    "frame-25ms": default_env_config(power=PowerParams(tau_frame_ms=25.0), decision_interval_s=1.0),
+    # k*T is inexact here, so rounding can make the link idle and busy again
+    "frame-30hz": default_env_config(power=PowerParams(tau_frame_ms=1000.0 / 30.0)),
+}
+
+queued = st.tuples(
+    st.sampled_from(list(QualityLevel)),
+    st.floats(0.0, 1.0, exclude_min=True),   # share of the payload still to send
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    name=st.sampled_from(sorted(CONFIGS)),
+    bw=st.floats(0.5, 1e5),
+    queue=st.lists(queued, max_size=20),
+    soc=st.floats(0.0, 100.0),
+    include_queue=st.booleans(),
+)
+def test_vectorised_prediction_equals_per_action_loop(name, bw, queue, soc, include_queue):
+    env = XrEnvironment(CONFIGS[name], seed=0)
+    env.state = replace(env.state, bandwidth_mbps=bw, soc=soc)
+    env.queue.frames = [
+        QueuedFrame(-0.05 * (len(queue) - j), q, env.cfg.frame.payload_mbit(q) * share)
+        for j, (q, share) in enumerate(queue)
+    ]
+    assert_exact(env, include_queue)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["default", "sigma-0.5", "depth-1", "frame-25ms", "frame-30hz"]),
+    actions=st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=40),
+)
+def test_prediction_exact_along_cycle_trajectories(name, actions):
+    # one decision per dwell level: 60 s dwells squeezed to 1 s so the
+    # trajectory crosses every bandwidth of the cycle
+    cfg = replace(CONFIGS[name], profile=replace(cycle_profile(), dwell_s=1.0),
+                  horizon_s=float(len(actions)))
+    env = XrEnvironment(cfg, seed=3)
+    for a in actions:
+        for include_queue in (True, False):
+            assert_exact(env, include_queue)
+        env.step(a)
+
+
+@pytest.mark.parametrize("frame_ms", [50.0, 1000.0 / 30.0])
+@pytest.mark.parametrize("quality", list(QualityLevel))
+@pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("depth", [0, 1, 3, 20])
+def test_prediction_exact_where_service_time_meets_frame_period(frame_ms, quality, ulps, depth):
+    # at bw = 1000 * payload / T the serialization time is within ulps of the
+    # frame period T, where rounding alone decides whether the link idles;
+    # at T = 1000/30 ms it idles, works and idles again within one epoch
+    cfg = default_env_config(profile=stable_profile(1.0), power=PowerParams(tau_frame_ms=frame_ms))
+    env = XrEnvironment(cfg, seed=0)
+    payload = cfg.frame.payload_mbit(quality)
+    bw = payload / frame_ms * 1000.0
+    for _ in range(abs(ulps)):
+        bw = np.nextafter(bw, np.inf if ulps > 0 else -np.inf)
+    env.state = replace(env.state, bandwidth_mbps=float(bw))
+    env.queue.frames = [QueuedFrame(0.0, quality, payload * 0.37) for _ in range(depth)]
+    for include_queue in (True, False):
+        assert_exact(env, include_queue)

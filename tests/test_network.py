@@ -173,3 +173,27 @@ def test_load_profile_rejects_malformed(tmp_path, content):
     f.write_text(content)
     with pytest.raises(ValueError):
         load_profile(f)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.6])
+@pytest.mark.parametrize("threshold", [1e-3, 0.2, 1.0, 5.0, 10.0, 25.0])
+def test_jitter_excess_matches_scipy_lognorm_deep_in_the_tail(sigma, threshold):
+    # E[(X - t)+] = E[X] P(Y > t) - t P(X > t), with Y the size-biased
+    # lognormal (log-scale shifted by sigma^2); scipy's survival functions
+    # keep full relative precision where 1 - cdf would cancel to zero
+    lognorm = pytest.importorskip("scipy.stats").lognorm
+    model = RttModel(sigma=sigma)
+    s = model.jitter_scale_ms
+    expected = (
+        model.jitter_mean_ms() * lognorm.sf(threshold, sigma, scale=s * math.exp(sigma**2))
+        - threshold * lognorm.sf(threshold, sigma, scale=s)
+    )
+    assert expected > 0.0
+    assert model.jitter_excess_mean_ms(threshold) == pytest.approx(expected, rel=1e-9)
+
+
+def test_jitter_excess_stays_positive_where_the_cdf_saturates():
+    # 1 + erf(x) loses every digit below x of about -6; at sigma 0.5 a 10 ms
+    # slack sits near -10 standard deviations, where the excess is 1.9e-24
+    model = RttModel(sigma=0.5)
+    assert model.jitter_excess_mean_ms(10.0) == pytest.approx(1.8818e-24, rel=1e-4)

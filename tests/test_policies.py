@@ -5,7 +5,7 @@ import pytest
 
 from xredge.dqn import DqnConfig
 from xredge.environment import XrEnvironment, default_env_config, interval_reward
-from xredge.network import stable_profile
+from xredge.network import RttModel, stable_profile
 from xredge.policies import (
     ACTION_LOCAL_FULL,
     ACTION_OFFLOAD_FULL,
@@ -165,3 +165,12 @@ def test_make_policy_kinds():
     assert make_policy("LOCAL").name == "local"    # case-insensitive
     with pytest.raises(ValueError):
         make_policy("dagger")
+
+
+def test_greedy_prices_offload_jitter_under_a_light_tail():
+    # with sigma 0.5 the low-quality offload (action 1) keeps 18.05 ms of
+    # slack, so its jitter exceedance is tiny but not zero: offloading can
+    # never be predicted fully compliant, and the cheapest local action wins
+    env = make_env(1000.0, rtt=RttModel(sigma=0.5))
+    assert 0.0 < predicted_epoch_violation(1, env) < 1e-20
+    assert greedy_select(env) == 12
