@@ -51,8 +51,24 @@ class DqnConfig:
         return (self.obs_dim, *self.hidden, self.n_actions)
 
 
+def layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list, list]:
+    """Per-layer (weights, biases) views into a flat vector laid out W0, b0, W1, b1, ..."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 class QNetwork:
-    """Plain MLP: ReLU hidden layers, linear output head per action."""
+    """Plain MLP: ReLU hidden layers, linear output head per action.
+
+    All parameters live in one float64 vector `theta` (W0, b0, W1, b1, ...);
+    `weights` and `biases` are views into it, so writing to `theta` in place
+    (Adam, `copy_from`, checkpoint loading) updates every layer.
+    """
 
     def __init__(self, sizes: tuple[int, ...] = (5, 128, 128, 18), rng=None):
         if len(sizes) < 2:
@@ -60,22 +76,15 @@ class QNetwork:
         if rng is None:
             rng = np.random.default_rng(0)
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        out = []
+        self._bind(np.empty(sum(i * o + o for i, o in zip(self.sizes[:-1], self.sizes[1:]))))
         for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params)
+    def _bind(self, theta: np.ndarray) -> None:
+        self.theta = theta
+        self.weights, self.biases = layer_views(theta, self.sizes)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values, shape (batch, n_actions). Accepts a single obs or a batch."""
@@ -89,14 +98,12 @@ class QNetwork:
     def copy_from(self, other: "QNetwork") -> None:
         if other.sizes != self.sizes:
             raise ValueError(f"size mismatch: {other.sizes} vs {self.sizes}")
-        self.weights = [w.copy() for w in other.weights]
-        self.biases = [b.copy() for b in other.biases]
+        np.copyto(self.theta, other.theta)
 
     def clone(self) -> "QNetwork":
         dup = QNetwork.__new__(QNetwork)
         dup.sizes = self.sizes
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup._bind(self.theta.copy())
         return dup
 
 
@@ -105,11 +112,11 @@ def loss_and_grads(
     states: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
-) -> tuple[float, list[np.ndarray]]:
-    """Mean-squared TD loss and its gradients w.r.t. net.params.
+) -> tuple[float, np.ndarray]:
+    """Mean-squared TD loss and its gradient w.r.t. net.theta.
 
     Only the output unit of each sample's taken action receives error signal.
-    The grads list is ordered like net.params: W0, b0, W1, b1, ...
+    The gradient is one flat vector laid out like net.theta.
     """
     x = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.asarray(actions, dtype=np.int64)
@@ -134,19 +141,15 @@ def loss_and_grads(
 
     dz = np.zeros_like(q_all)
     dz[np.arange(n), actions] = 2.0 * err / n
-    grads_w: list[np.ndarray] = [None] * len(net.weights)
-    grads_b: list[np.ndarray] = [None] * len(net.biases)
+    grad = np.empty_like(net.theta)
+    grad_w, grad_b = layer_views(grad, net.sizes)
     for i in range(last, -1, -1):
-        grads_w[i] = acts[i].T @ dz
-        grads_b[i] = dz.sum(axis=0)
+        np.matmul(acts[i].T, dz, out=grad_w[i])
+        dz.sum(axis=0, out=grad_b[i])
         if i > 0:
             da = dz @ net.weights[i].T
             dz = da * (pre[i - 1] > 0.0)
-
-    grads: list[np.ndarray] = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.extend((gw, gb))
-    return loss, grads
+    return loss, grad
 
 
 def td_targets(
@@ -163,25 +166,33 @@ def td_targets(
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
+    """Adam over one flat parameter vector, which it updates in place."""
+
+    def __init__(self, theta: np.ndarray, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.params = params
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.theta = theta
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
+        # scratch: a fresh temporary per operation costs more than its arithmetic
+        self._s = np.empty_like(theta)
+        self._u = np.empty_like(theta)
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        theta -= (lr*m_hat) / (sqrt(v_hat) + eps), one operation at a time."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, s, u = self.m, self.v, self._s, self._u
+        m *= b1
+        m += np.multiply(1 - b1, grad, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(1 - b2, grad, out=s), grad, out=s)
+        np.sqrt(np.divide(v, 1 - b2**self.t, out=s), out=s)
+        s += self.eps
+        np.multiply(self.lr, np.divide(m, 1 - b1**self.t, out=u), out=u)
+        self.theta -= np.divide(u, s, out=u)
 
 
 @dataclass(frozen=True)
@@ -198,46 +209,43 @@ class EpsilonSchedule:
 
 
 class ReplayBuffer:
-    """Bounded ring buffer of transitions; overwrites oldest-first when full."""
+    """Bounded ring buffer of transitions; overwrites oldest-first when full.
 
-    def __init__(self, capacity: int = 5000):
+    Transition k lands in row k % capacity of preallocated arrays.
+    """
+
+    def __init__(self, capacity: int, obs_dim: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity}")
         self.capacity = capacity
-        self.data: list[tuple] = []
-        self.pos = 0
+        self.obs = np.zeros((capacity, obs_dim))
+        self.action = np.zeros(capacity, dtype=np.int64)
+        self.reward = np.zeros(capacity)
+        self.next_obs = np.zeros((capacity, obs_dim))
+        self.done = np.zeros(capacity)
+        self.count = 0
 
     def __len__(self) -> int:
-        return len(self.data)
+        return min(self.count, self.capacity)
 
     def push(self, obs, action, reward, next_obs, done) -> None:
-        item = (
-            np.asarray(obs, dtype=np.float64),
-            int(action),
-            float(reward),
-            np.asarray(next_obs, dtype=np.float64),
-            bool(done),
-        )
-        if len(self.data) < self.capacity:
-            self.data.append(item)
-        else:
-            self.data[self.pos] = item
-            self.pos = (self.pos + 1) % self.capacity
+        slot = self.count % self.capacity
+        self.obs[slot] = obs
+        self.action[slot] = action
+        self.reward[slot] = reward
+        self.next_obs[slot] = next_obs
+        self.done[slot] = bool(done)
+        self.count += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform minibatch without replacement, as stacked arrays."""
-        if batch_size > len(self.data):
-            raise ValueError(f"cannot sample {batch_size} from {len(self.data)} items")
-        idx = rng.choice(len(self.data), size=batch_size, replace=False)
-        obs = np.stack([self.data[i][0] for i in idx])
-        actions = np.array([self.data[i][1] for i in idx], dtype=np.int64)
-        rewards = np.array([self.data[i][2] for i in idx], dtype=np.float64)
-        next_obs = np.stack([self.data[i][3] for i in idx])
-        dones = np.array([self.data[i][4] for i in idx], dtype=np.float64)
-        return obs, actions, rewards, next_obs, dones
+        """Uniform minibatch without replacement, as (obs, actions, rewards, next_obs, dones)."""
+        if batch_size > len(self):
+            raise ValueError(f"cannot sample {batch_size} from {len(self)} items")
+        idx = rng.choice(len(self), size=batch_size, replace=False)
+        return self.obs[idx], self.action[idx], self.reward[idx], self.next_obs[idx], self.done[idx]
 
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class DqnAgent:
@@ -248,8 +256,8 @@ class DqnAgent:
         self.rng = np.random.default_rng(seed)
         self.online = QNetwork(cfg.sizes(), self.rng)
         self.target = self.online.clone()
-        self.optimizer = Adam(self.online.params, lr=cfg.lr)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
+        self.optimizer = Adam(self.online.theta, lr=cfg.lr)
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, cfg.obs_dim)
         self.schedule = EpsilonSchedule(cfg.eps0, cfg.eps_decay, cfg.eps_min)
         self.decision_count = 0
         self.last_loss: float | None = None
@@ -286,14 +294,19 @@ class DqnAgent:
         )
         max_next_q = self.target.forward(next_obs).max(axis=1)
         y = td_targets(rewards, max_next_q, dones, self.cfg.gamma)
-        loss, grads = loss_and_grads(self.online, obs, actions, y)
-        self.optimizer.step(grads)
+        loss, grad = loss_and_grads(self.online, obs, actions, y)
+        self.optimizer.step(grad)
         return loss
 
     def sync_target(self) -> None:
         self.target.copy_from(self.online)
 
     # -- checkpointing ----------------------------------------------------
+
+    def _checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """The flat vectors a checkpoint holds besides its meta JSON."""
+        return {"online": self.online.theta, "target": self.target.theta,
+                "adam_m": self.optimizer.m, "adam_v": self.optimizer.v}
 
     def save(self, path) -> None:
         """Write a self-describing checkpoint (weights, optimizer, clocks)."""
@@ -304,17 +317,8 @@ class DqnAgent:
             "decision_count": self.decision_count,
             "adam_t": self.optimizer.t,
         }
-        arrays = {"meta_json": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-        for i, (w, b) in enumerate(zip(self.online.weights, self.online.biases)):
-            arrays[f"online_w{i}"] = w
-            arrays[f"online_b{i}"] = b
-        for i, (w, b) in enumerate(zip(self.target.weights, self.target.biases)):
-            arrays[f"target_w{i}"] = w
-            arrays[f"target_b{i}"] = b
-        for i, (m, v) in enumerate(zip(self.optimizer.m, self.optimizer.v)):
-            arrays[f"adam_m{i}"] = m
-            arrays[f"adam_v{i}"] = v
-        np.savez(path, **arrays)
+        meta_json = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, meta_json=meta_json, **self._checkpoint_arrays())
 
     @classmethod
     def load(cls, path, seed: int = 0) -> "DqnAgent":
@@ -326,15 +330,12 @@ class DqnAgent:
                 )
             cfg = from_jsonable(DqnConfig, meta["cfg"], "checkpoint cfg")
             agent = cls(cfg, seed=seed)
-            n_layers = len(agent.online.weights)
-            agent.online.weights = [data[f"online_w{i}"].copy() for i in range(n_layers)]
-            agent.online.biases = [data[f"online_b{i}"].copy() for i in range(n_layers)]
-            agent.target.weights = [data[f"target_w{i}"].copy() for i in range(n_layers)]
-            agent.target.biases = [data[f"target_b{i}"].copy() for i in range(n_layers)]
-            agent.optimizer = Adam(agent.online.params, lr=cfg.lr)
-            n_params = 2 * n_layers
-            agent.optimizer.m = [data[f"adam_m{i}"].copy() for i in range(n_params)]
-            agent.optimizer.v = [data[f"adam_v{i}"].copy() for i in range(n_params)]
+            # copy into the agent's own vectors: the layer views and Adam stay bound to them
+            for name, dst in agent._checkpoint_arrays().items():
+                src = data[name]
+                if src.shape != dst.shape:
+                    raise ValueError(f"checkpoint array {name}: shape {src.shape} != {dst.shape}")
+                np.copyto(dst, src)
             agent.optimizer.t = int(meta["adam_t"])
             agent.decision_count = int(meta["decision_count"])
         return agent

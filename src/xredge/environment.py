@@ -151,7 +151,7 @@ class ActionTable:
         self.strict_upper = np.triu(np.ones((self.arrival_ms.size,) * 2), 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameRecord:
     t_capture: float
     mtp_ms: float

@@ -22,7 +22,7 @@ from .actions import N_ACTIONS
 from .config import field_types, from_jsonable, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
-from .environment import EnvConfig, XrEnvironment
+from .environment import EnvConfig, FrameRecord, XrEnvironment
 from .network import BandwidthProfile, bandwidth_at, cycle_profile, load_profile, stable_profile
 from .policies import RlPolicy, make_policy
 
@@ -95,7 +95,7 @@ class MetricsRecord:
 class RunResult:
     metrics: MetricsRecord
     decisions: list[dict]
-    frames: list[dict]
+    frames: list[FrameRecord]
 
 
 def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = None) -> RunResult:
@@ -104,7 +104,7 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
     policy = make_policy(spec.policy, spec.dqn, seed=seed + _AGENT_SEED_OFFSET)
 
     decision_rows: list[dict] = []
-    frame_rows: list[dict] = []
+    frames: list[FrameRecord] = []
     latencies_s: list[float] = []
 
     env.reset()
@@ -137,26 +137,20 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
             "epsilon": policy.epsilon if is_rl else "",
             "loss": (policy.last_loss if policy.last_loss is not None else "") if is_rl else "",
         })
-        for f in outcome.frames:
-            frame_rows.append({
-                "t_capture": f.t_capture,
-                "mtp_ms": f.mtp_ms,
-                "compliant": int(f.compliant),
-                "mode": f.mode.name,
-            })
+        frames.extend(outcome.frames)
 
-    metrics = _compute_metrics(spec, seed, env, decision_rows, frame_rows, latencies_s)
-    result = RunResult(metrics=metrics, decisions=decision_rows, frames=frame_rows)
+    metrics = _compute_metrics(spec, seed, env, decision_rows, frames, latencies_s)
+    result = RunResult(metrics=metrics, decisions=decision_rows, frames=frames)
     if out_dir is not None:
         write_run(Path(out_dir), result)
     return result
 
 
-def _compute_metrics(spec, seed, env, decision_rows, frame_rows, latencies_s) -> MetricsRecord:
+def _compute_metrics(spec, seed, env, decision_rows, frames, latencies_s) -> MetricsRecord:
     cfg = spec.env
     survived = env.survived_s
-    delivered = len(frame_rows)
-    compliant = sum(r["compliant"] for r in frame_rows)
+    delivered = len(frames)
+    compliant = sum(1 for f in frames if f.compliant)
     compliance_pct = 100.0 * compliant / delivered if delivered else 0.0
     avg_power = env.battery.energy_j / survived if survived > 0 else 0.0
     lifetime_min = (
@@ -167,7 +161,7 @@ def _compute_metrics(spec, seed, env, decision_rows, frame_rows, latencies_s) ->
     n_dec = len(decision_rows)
     local_dec = sum(1 for r in decision_rows if r["mode"] == "LOCAL")
     local_pct = 100.0 * local_dec / n_dec if n_dec else 0.0
-    per_level, per_level_n = per_bandwidth_compliance(frame_rows, cfg.profile)
+    per_level, per_level_n = per_bandwidth_compliance(frames, cfg.profile)
     histogram = [0] * N_ACTIONS
     for r in decision_rows:
         histogram[r["action"]] += 1
@@ -206,7 +200,7 @@ def _compute_metrics(spec, seed, env, decision_rows, frame_rows, latencies_s) ->
 
 
 def per_bandwidth_compliance(
-    frame_rows: list[dict], profile: BandwidthProfile
+    frames: list[FrameRecord], profile: BandwidthProfile
 ) -> tuple[dict[str, float], dict[str, int]]:
     """Compliance per bandwidth level, frames bucketed by capture-time level.
 
@@ -215,10 +209,10 @@ def per_bandwidth_compliance(
     """
     totals: dict[str, int] = {}
     good: dict[str, int] = {}
-    for r in frame_rows:
-        level = f"{bandwidth_at(profile, r['t_capture']):g}"
+    for f in frames:
+        level = f"{bandwidth_at(profile, f.t_capture):g}"
         totals[level] = totals.get(level, 0) + 1
-        good[level] = good.get(level, 0) + r["compliant"]
+        good[level] = good.get(level, 0) + int(f.compliant)
     pct = {k: 100.0 * good[k] / totals[k] for k in totals}
     return pct, totals
 
@@ -342,11 +336,12 @@ def write_decision_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def write_frame_csv(path: Path, rows: list[dict]) -> None:
+def write_frame_csv(path: Path, frames: list[FrameRecord]) -> None:
+    """One FRAME_COLUMNS row per delivered frame."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=FRAME_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(FRAME_COLUMNS)
+        writer.writerows((f.t_capture, f.mtp_ms, int(f.compliant), f.mode.name) for f in frames)
 
 
 # -- scenario files --------------------------------------------------------

@@ -1,11 +1,13 @@
 """Q-learning stack: network, gradients, optimizer, buffer, agent, checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from xredge.config import to_jsonable
 from xredge.dqn import (
     CHECKPOINT_FORMAT_VERSION,
     Adam,
@@ -26,7 +28,7 @@ from xredge.dqn import (
 def test_default_network_parameter_count():
     net = QNetwork(rng=np.random.default_rng(0))
     # 5*128+128 + 128*128+128 + 128*18+18
-    assert net.num_params() == 19602
+    assert net.theta.shape == (19602,)
 
 
 def test_forward_shapes_and_dtype():
@@ -86,25 +88,24 @@ def test_gradients_match_finite_differences(seed):
     actions = rng.integers(0, 6, size=n)
     targets = rng.normal(size=n)
 
-    _, grads = loss_and_grads(net, states, actions, targets)
+    _, grad = loss_and_grads(net, states, actions, targets)
+    assert grad.shape == net.theta.shape
 
     h = 1e-5
     worst = 0.0
-    for p, g in zip(net.params, grads):
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + h
-            lp, _ = loss_and_grads(net, states, actions, targets)
-            flat_p[idx] = orig - h
-            lm, _ = loss_and_grads(net, states, actions, targets)
-            flat_p[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            if abs(fd) < 1e-7 and abs(flat_g[idx]) < 1e-7:
-                continue   # dead ReLU path: both sides vanish
-            rel = abs(fd - flat_g[idx]) / max(abs(fd), abs(flat_g[idx]), 1e-8)
-            worst = max(worst, rel)
+    theta = net.theta
+    for idx in range(theta.size):
+        orig = theta[idx]
+        theta[idx] = orig + h
+        lp, _ = loss_and_grads(net, states, actions, targets)
+        theta[idx] = orig - h
+        lm, _ = loss_and_grads(net, states, actions, targets)
+        theta[idx] = orig
+        fd = (lp - lm) / (2 * h)
+        if abs(fd) < 1e-7 and abs(grad[idx]) < 1e-7:
+            continue   # dead ReLU path: both sides vanish
+        rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-8)
+        worst = max(worst, rel)
     assert worst < 1e-4
 
 
@@ -114,10 +115,9 @@ def test_loss_only_depends_on_taken_actions():
     states = rng.uniform(size=(5, 3))
     actions = np.zeros(5, dtype=int)
     targets = net.forward(states)[np.arange(5), actions]
-    loss, grads = loss_and_grads(net, states, actions, targets)
+    loss, grad = loss_and_grads(net, states, actions, targets)
     assert loss == pytest.approx(0.0, abs=1e-12)
-    for g in grads:
-        assert np.allclose(g, 0.0)
+    assert np.allclose(grad, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +137,11 @@ def test_td_targets_hand_values():
 
 
 def test_adam_minimizes_quadratic():
-    x = [np.array([5.0, -3.0])]
+    x = np.array([5.0, -3.0])
     opt = Adam(x, lr=0.1)
     for _ in range(500):
-        opt.step([2.0 * x[0]])     # d/dx of x^2
-    assert np.max(np.abs(x[0])) < 1e-3
+        opt.step(2.0 * x)          # d/dx of x^2
+    assert np.max(np.abs(x)) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +159,17 @@ def test_epsilon_schedule_values():
 
 
 def test_replay_buffer_ring_overwrite():
-    buf = ReplayBuffer(capacity=3)
+    buf = ReplayBuffer(capacity=3, obs_dim=1)
     for i in range(5):
         buf.push(np.array([float(i)]), i, float(i + 1), np.array([0.0]), False)
     assert len(buf) == 3
-    rewards = {t[2] for t in buf.data}
-    assert rewards == {3.0, 4.0, 5.0}
+    # transition k sits in row k % capacity: the oldest two were overwritten
+    assert buf.reward.tolist() == [4.0, 5.0, 3.0]
+    assert buf.obs[:, 0].tolist() == [3.0, 4.0, 2.0]
 
 
 def test_replay_buffer_sample_without_replacement():
-    buf = ReplayBuffer(capacity=8)
+    buf = ReplayBuffer(capacity=8, obs_dim=1)
     for i in range(8):
         buf.push(np.array([float(i)]), i, 0.0, np.array([0.0]), False)
     obs, actions, *_ = buf.sample(8, np.random.default_rng(0))
@@ -178,7 +179,7 @@ def test_replay_buffer_sample_without_replacement():
 
 
 def test_replay_buffer_sampling_is_roughly_uniform():
-    buf = ReplayBuffer(capacity=10)
+    buf = ReplayBuffer(capacity=10, obs_dim=1)
     for i in range(10):
         buf.push(np.array([0.0]), i, 0.0, np.array([0.0]), False)
     rng = np.random.default_rng(42)
@@ -291,15 +292,13 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.cfg == agent.cfg
     assert loaded.decision_count == agent.decision_count
     assert loaded.optimizer.t == agent.optimizer.t
-    for a, b in zip(agent.online.params, loaded.online.params):
-        assert np.array_equal(a, b)
-    for a, b in zip(agent.target.params, loaded.target.params):
-        assert np.array_equal(a, b)
-    for a, b in zip(agent.optimizer.m, loaded.optimizer.m):
-        assert np.array_equal(a, b)
-    for a, b in zip(agent.optimizer.v, loaded.optimizer.v):
-        assert np.array_equal(a, b)
+    assert np.array_equal(agent.online.theta, loaded.online.theta)
+    assert np.array_equal(agent.target.theta, loaded.target.theta)
+    assert np.array_equal(agent.optimizer.m, loaded.optimizer.m)
+    assert np.array_equal(agent.optimizer.v, loaded.optimizer.v)
     assert np.array_equal(agent.q_values(obs), loaded.q_values(obs))
+    with np.load(path) as data:
+        assert sorted(data.files) == ["adam_m", "adam_v", "meta_json", "online", "target"]
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
@@ -315,6 +314,39 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     np.savez(path, **arrays)
 
     with pytest.raises(ValueError):
+        DqnAgent.load(path)
+
+
+def test_checkpoint_rejects_v1_file(tmp_path):
+    # version 1 stored one array per layer and moment: online_w0, online_b0, ...
+    agent = DqnAgent(small_cfg(), seed=8)
+    meta = {"format_version": 1, "kind": "xredge-dqn-agent",
+            "cfg": to_jsonable(agent.cfg), "decision_count": 0, "adam_t": 0}
+    arrays = {"meta_json": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
+    for i, (w, b) in enumerate(zip(agent.online.weights, agent.online.biases)):
+        arrays[f"online_w{i}"], arrays[f"online_b{i}"] = w, b
+    path = tmp_path / "agent.npz"
+    np.savez(path, **arrays)
+
+    with pytest.raises(ValueError, match="unsupported checkpoint version: 1"):
+        DqnAgent.load(path)
+
+
+@pytest.mark.parametrize("name", ["online", "target", "adam_m", "adam_v"])
+@pytest.mark.parametrize("shape", [(3, 3), (50,), (51, 1)])
+def test_checkpoint_rejects_wrong_array_shape(tmp_path, name, shape):
+    agent = DqnAgent(small_cfg(), seed=8)
+    assert agent.online.theta.shape == (2 * 8 + 8 + 8 * 3 + 3,) == (51,)
+    path = tmp_path / "agent.npz"
+    agent.save(path)
+
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays[name] = np.zeros(shape)
+    np.savez(path, **arrays)
+
+    message = f"checkpoint array {name}: shape {shape} != (51,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         DqnAgent.load(path)
 
 

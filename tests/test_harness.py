@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from xredge.actions import ExecutionMode
 from xredge.config import from_jsonable, to_jsonable
+from xredge.environment import FrameRecord
 from xredge.harness import (
     DECISION_COLUMNS,
     FRAME_COLUMNS,
@@ -117,11 +119,12 @@ def test_run_scenario_layout(tmp_path):
 
 
 def test_per_bandwidth_compliance_partition():
+    local = ExecutionMode.LOCAL
     rows = [
-        {"t_capture": 0.0, "mtp_ms": 10.0, "compliant": 1, "mode": "LOCAL"},
-        {"t_capture": 59.9, "mtp_ms": 40.0, "compliant": 0, "mode": "LOCAL"},
-        {"t_capture": 60.0, "mtp_ms": 10.0, "compliant": 1, "mode": "LOCAL"},
-        {"t_capture": 125.0, "mtp_ms": 10.0, "compliant": 1, "mode": "LOCAL"},
+        FrameRecord(0.0, 10.0, True, local),
+        FrameRecord(59.9, 40.0, False, local),
+        FrameRecord(60.0, 10.0, True, local),
+        FrameRecord(125.0, 10.0, True, local),
     ]
     pct, counts = per_bandwidth_compliance(rows, cycle_profile())
     assert pct == {"1000": 50.0, "500": 100.0, "100": 100.0}
