@@ -89,19 +89,36 @@ class Battery:
         of depletion, so the returned energy covers only the powered fraction
         of dt_s.
         """
+        return self.steps(power_w, dt_s, 1)[0]
+
+    def steps(
+        self, power_w: float, dt_s: float, n: int, t0: float = 0.0
+    ) -> tuple[float, int, float | None]:
+        """Up to n consecutive steps of dt_s at power_w, the first at time t0.
+
+        Returns (energy, ticks, depleted_at): the raw energy consumed in J,
+        summed tick by tick; the number of ticks that drew power, the one
+        that ran the charge out included; and the instant the charge ran
+        out, or None if it lasted. A depleted battery draws nothing.
+        """
         if power_w < 0:
             raise ValueError(f"power must be non-negative: {power_w}")
         if dt_s < 0:
             raise ValueError(f"dt must be non-negative: {dt_s}")
-        if self.depleted or power_w == 0.0 or dt_s == 0.0:
-            return 0.0
+        if self.depleted:
+            return 0.0, 0, None
+        if power_w == 0.0 or dt_s == 0.0:
+            return 0.0, n, None
+        full = power_w * dt_s
         drop_pct = self.drain_factor * power_w * dt_s / self.capacity_j * 100.0
-        if drop_pct >= self.soc:
-            fraction = self.soc / drop_pct
-            consumed = power_w * dt_s * fraction
-            self.soc = 0.0
-        else:
-            consumed = power_w * dt_s
+        energy = 0.0
+        for k in range(n):
+            if drop_pct >= self.soc:
+                consumed = full * (self.soc / drop_pct)
+                self.soc = 0.0
+                self.energy_j += consumed
+                return energy + consumed, k + 1, t0 + k * dt_s + consumed / full * dt_s
             self.soc -= drop_pct
-        self.energy_j += consumed
-        return consumed
+            self.energy_j += full
+            energy += full
+        return energy, n, None

@@ -24,7 +24,7 @@ from .latency import (
     mtp_local,
     violation,
 )
-from .network import BandwidthProfile, RttModel, bandwidth_at, rtt_sample
+from .network import BandwidthProfile, RttModel, bandwidth_at, level_index, rtt_sample, rtt_samples
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,10 @@ class ActionTable:
             violation(m, cfg.tau_mtp_ms) if local else float("nan")
             for m, local in zip(self.mtp_local_ms, self.is_local)
         )
+        self.n_ticks = n = cfg.n_ticks()
+        # a full local interval's means, as np.mean over its n frames gives them
+        self.mtp_mean_local_ms = tuple(float(np.mean(np.full(n, m))) for m in self.mtp_local_ms)
+        self.v_mean_local = tuple(float(np.mean(np.full(n, v))) for v in self.v_local)
         self.payload_mbit = tuple(cfg.frame.payload_mbit(c.quality) for c in self.configs)
         self.jitter_mean_ms = cfg.rtt.jitter_mean_ms()
         # the reward's power term, as interval_reward computes it
@@ -147,25 +151,21 @@ class ActionTable:
             for f in map(quality_scale, _OFFLOAD_QUALITIES)
         ])
         # frame arrival times within an epoch, relative to its start
-        self.arrival_ms = np.arange(cfg.n_ticks()) * cfg.power.tau_frame_ms
+        self.arrival_ms = np.arange(n) * cfg.power.tau_frame_ms
         self.strict_upper = np.triu(np.ones((self.arrival_ms.size,) * 2), 1)
-
-
-@dataclass(frozen=True, slots=True)
-class FrameRecord:
-    t_capture: float
-    mtp_ms: float
-    compliant: bool
-    mode: ExecutionMode
 
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """One decision interval's result; the frames it delivered are arrays,
+    one entry per frame in delivery order."""
+
     state: SystemState
     obs: np.ndarray
     reward: float
     done: bool
-    frames: list[FrameRecord]
+    t_capture: np.ndarray  # capture time, s
+    mtp_ms: np.ndarray     # motion-to-photon latency, ms
     info: dict
 
 
@@ -238,19 +238,22 @@ class XrEnvironment:
         return observe(self.state, self.cfg)
 
     def step(self, action: int) -> StepOutcome:
-        """Apply an action id for one decision interval."""
+        """Apply an action id for one decision interval.
+
+        The battery is drained first, which fixes how many ticks capture a
+        frame before the charge runs out; those ticks' RTTs are then drawn
+        in one call, in the order the tick-by-tick definition draws them.
+        """
         if self.done:
             raise RuntimeError("episode is over; call reset()")
         row = int(action)
         if not 0 <= row < N_ACTIONS:
             raise ValueError(f"action id out of range [0, {N_ACTIONS}): {action}")
-        cfg = self.cfg
-        quality = self.actions.configs[row].quality
-        local = self.actions.is_local[row]
-        power = self.actions.power_w[row]
-        mtp_local_ms = self.actions.mtp_local_ms[row]
+        cfg, tab = self.cfg, self.actions
+        local = tab.is_local[row]
+        power = tab.power_w[row]
         tick_s = cfg.power.tau_frame_ms / 1000.0
-        n_ticks = cfg.n_ticks()
+        n_ticks = tab.n_ticks
 
         # a switch to local execution abandons pending uploads
         flushed = 0
@@ -258,65 +261,49 @@ class XrEnvironment:
             flushed = self.queue.flush()
 
         t0 = self.t
-        frames: list[FrameRecord] = []
-        captured = 0
-        dropped = 0
-        energy_j = 0.0
-        rtt = self.state.rtt_ms
-        depleted_at: float | None = None
-
-        for k in range(n_ticks):
-            tk = t0 + k * tick_s
-            bw = bandwidth_at(cfg.profile, tk)
-            rtt = rtt_sample(cfg.rtt, self.rng)
-
-            if local:
-                frames.append(FrameRecord(
-                    tk, mtp_local_ms, mtp_local_ms <= cfg.tau_mtp_ms, ExecutionMode.LOCAL
-                ))
-            else:
-                dropped += self.queue.enqueue(tk, quality, self.actions.payload_mbit[row])
-                for dv in self.queue.drain(bw, rtt, tick_s, tk, cfg.table):
-                    frames.append(
-                        FrameRecord(
-                            dv.t_capture,
-                            dv.mtp_ms,
-                            dv.mtp_ms <= cfg.tau_mtp_ms,
-                            ExecutionMode.OFFLOAD,
-                        )
-                    )
-            captured += 1
-
-            consumed = self.battery.step(power, tick_s)
-            energy_j += consumed
-            if self.battery.depleted:
-                # truncate the interval at the instant the charge ran out
-                fraction = consumed / (power * tick_s) if power > 0 else 1.0
-                depleted_at = tk + fraction * tick_s
-                break
-
+        # the interval is truncated at the instant the charge runs out
+        energy_j, captured, depleted_at = self.battery.steps(power, tick_s, n_ticks, t0)
         t_end = depleted_at if depleted_at is not None else t0 + n_ticks * tick_s
+        rtts = rtt_samples(cfg.rtt, self.rng, captured)
+        rtt = rtts[-1] if rtts else self.state.rtt_ms
+        ticks = t0 + np.arange(captured) * tick_s
+
+        if local:
+            dropped = pending_censored = 0
+            mtp_obs = tab.mtp_local_ms[row]
+            t_capture, mtp = ticks, np.full(captured, mtp_obs)
+            if captured == n_ticks:
+                mean_v, mtp_mean = tab.v_mean_local[row], tab.mtp_mean_local_ms[row]
+            else:
+                mean_v = float(np.mean(np.full(captured, tab.v_local[row])))
+                mtp_mean = float(np.mean(mtp))
+        else:
+            # one enqueue and one uplink drain per tick
+            quality, payload = tab.configs[row].quality, tab.payload_mbit[row]
+            levels = cfg.profile.levels_mbps
+            dropped, delivered = 0, []
+            for tk, level, rtt_k in zip(ticks.tolist(), level_index(cfg.profile, ticks).tolist(), rtts):
+                dropped += self.queue.enqueue(tk, quality, payload)
+                delivered += self.queue.drain(levels[level], rtt_k, tick_s, tk, cfg.table)
+            t_capture = np.array([f.t_capture for f in delivered])
+            mtps = [f.mtp_ms for f in delivered]
+            mtp = np.array(mtps)
+            mtp_obs = mtps[-1] if mtps else self.state.mtp_ms
+            mtp_mean = float(np.mean(mtp)) if mtps else float("nan")
+            # epoch violation: delivered frames plus a censored lower bound
+            # for frames captured this interval that are still stuck in the
+            # queue (an epoch that delivers nothing must not look compliant)
+            pending = [violation((t_end - qf.t_capture) * 1000.0, cfg.tau_mtp_ms)
+                       for qf in self.queue.frames if qf.t_capture >= t0]
+            pending_censored = len(pending)
+            v_values = [violation(m, cfg.tau_mtp_ms) for m in mtps] + pending
+            mean_v = float(np.mean(v_values)) if v_values else 0.0
+
         self.t = t_end
         self.frames_captured += captured
-        self.frames_delivered += len(frames)
-
-        # epoch violation: delivered frames plus a censored lower bound for
-        # frames captured this interval that are still stuck in the queue
-        # (an epoch that delivers nothing must not look compliant)
-        v_values = [violation(f.mtp_ms, cfg.tau_mtp_ms) for f in frames]
-        pending_censored = 0
-        for qf in self.queue.frames:
-            if qf.t_capture >= t0:
-                age_ms = (t_end - qf.t_capture) * 1000.0
-                v_values.append(violation(age_ms, cfg.tau_mtp_ms))
-                pending_censored += 1
-        mean_v = float(np.mean(v_values)) if v_values else 0.0
+        self.frames_delivered += mtp.size
         self.v_per_epoch.append(mean_v)
-
         reward = interval_reward(mean_v, power, self.battery.soc, cfg.reward)
-
-        delivered_mtps = [f.mtp_ms for f in frames]
-        mtp_obs = delivered_mtps[-1] if delivered_mtps else self.state.mtp_ms
         self.state = SystemState(
             soc=self.battery.soc,
             power_w=power,
@@ -331,9 +318,9 @@ class XrEnvironment:
 
         info = {
             "mean_v": mean_v,
-            "mtp_mean_ms": float(np.mean(delivered_mtps)) if delivered_mtps else float("nan"),
+            "mtp_mean_ms": mtp_mean,
             "frames_captured": captured,
-            "frames_delivered": len(frames),
+            "frames_delivered": mtp.size,
             "frames_dropped": dropped + flushed,
             "pending_censored": pending_censored,
             "queue_depth": self.queue.depth,
@@ -348,7 +335,8 @@ class XrEnvironment:
             obs=self.observe(),
             reward=reward,
             done=self.done,
-            frames=frames,
+            t_capture=t_capture,
+            mtp_ms=mtp,
             info=info,
         )
 

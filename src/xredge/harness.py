@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
@@ -18,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import N_ACTIONS
+from .actions import N_ACTIONS, ExecutionMode
 from .config import field_types, from_jsonable, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
-from .environment import EnvConfig, FrameRecord, XrEnvironment
-from .network import BandwidthProfile, bandwidth_at, cycle_profile, load_profile, stable_profile
+from .environment import EnvConfig, XrEnvironment
+from .network import BandwidthProfile, bandwidth_at, cycle_profile, level_index, load_profile, stable_profile
 from .policies import RlPolicy, make_policy
 
 METRICS_SCHEMA_VERSION = 1
@@ -34,6 +35,8 @@ DECISION_COLUMNS = [
     "mtp_mean_ms", "v_mean", "power_w", "soc_pct", "reward", "epsilon", "loss",
 ]
 FRAME_COLUMNS = ["t_capture", "mtp_ms", "compliant", "mode"]
+# in memory: seconds, milliseconds, mtp_ms <= tau, an ExecutionMode value
+FRAME_DTYPES = (np.float64, np.float64, np.bool_, np.int8)
 
 # keeps the learner's stream distinct from the environment's for equal seeds
 _AGENT_SEED_OFFSET = 7919
@@ -93,18 +96,27 @@ class MetricsRecord:
 
 @dataclass
 class RunResult:
+    """A run's metrics and its traces, both stored by column: `decisions`
+    maps each DECISION_COLUMNS name to a list with one value per decision,
+    `frames` each FRAME_COLUMNS name to an array (of its FRAME_DTYPES type)
+    with one value per delivered frame, in delivery order."""
+
     metrics: MetricsRecord
-    decisions: list[dict]
-    frames: list[FrameRecord]
+    decisions: dict[str, list]
+    frames: dict[str, np.ndarray]
 
 
 def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = None) -> RunResult:
     """Execute one seeded run of a scenario; optionally write its artifacts."""
     env = XrEnvironment(spec.env, seed=seed)
     policy = make_policy(spec.policy, spec.dqn, seed=seed + _AGENT_SEED_OFFSET)
+    is_rl = isinstance(policy, RlPolicy)
 
-    decision_rows: list[dict] = []
-    frames: list[FrameRecord] = []
+    decisions: dict[str, list] = {c: [] for c in DECISION_COLUMNS}
+    columns = [decisions[c] for c in DECISION_COLUMNS]
+    cap = _frame_capacity(env)
+    frames = {c: np.empty(cap, dtype) for c, dtype in zip(FRAME_COLUMNS, FRAME_DTYPES)}
+    n_frames = 0
     latencies_s: list[float] = []
 
     env.reset()
@@ -119,38 +131,52 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         toc_learn = time.perf_counter()
         latencies_s.append((toc_select - tic) + (toc_learn - tic_learn))
 
-        quality, imu, mode = env.actions.labels[action]
-        is_rl = isinstance(policy, RlPolicy)
-        decision_rows.append({
-            "t": t0,
-            "action": action,
-            "quality": quality,
-            "imu": imu,
-            "mode": mode,
-            "bandwidth_mbps": bandwidth_at(spec.env.profile, t0),
-            "rtt_ms": outcome.info["rtt_ms"],
-            "mtp_mean_ms": outcome.info["mtp_mean_ms"],
-            "v_mean": outcome.info["mean_v"],
-            "power_w": outcome.info["power_w"],
-            "soc_pct": outcome.state.soc,
-            "reward": outcome.reward,
-            "epsilon": policy.epsilon if is_rl else "",
-            "loss": (policy.last_loss if policy.last_loss is not None else "") if is_rl else "",
-        })
-        frames.extend(outcome.frames)
+        info = outcome.info
+        row = (
+            t0, action, *env.actions.labels[action],
+            bandwidth_at(spec.env.profile, t0), info["rtt_ms"], info["mtp_mean_ms"],
+            info["mean_v"], info["power_w"], outcome.state.soc, outcome.reward,
+            policy.epsilon if is_rl else "",
+            (policy.last_loss if policy.last_loss is not None else "") if is_rl else "",
+        )
+        for column, value in zip(columns, row):
+            column.append(value)
 
-    metrics = _compute_metrics(spec, seed, env, decision_rows, frames, latencies_s)
-    result = RunResult(metrics=metrics, decisions=decision_rows, frames=frames)
+        end = n_frames + outcome.mtp_ms.size
+        if end > cap:  # only if rounding stretched the run
+            cap *= 2
+            frames = {c: np.concatenate([a, np.empty_like(a)]) for c, a in frames.items()}
+        frames["t_capture"][n_frames:end] = outcome.t_capture
+        frames["mtp_ms"][n_frames:end] = outcome.mtp_ms
+        frames["mode"][n_frames:end] = env.actions.configs[action].mode
+        n_frames = end
+
+    frame_columns = {c: a[:n_frames] for c, a in frames.items()}
+    np.less_equal(frame_columns["mtp_ms"], spec.env.tau_mtp_ms, out=frame_columns["compliant"])
+    metrics = _compute_metrics(spec, seed, env, decisions, frame_columns, latencies_s)
+    result = RunResult(metrics=metrics, decisions=decisions, frames=frame_columns)
     if out_dir is not None:
         write_run(Path(out_dir), result)
     return result
 
 
-def _compute_metrics(spec, seed, env, decision_rows, frames, latencies_s) -> MetricsRecord:
+def _frame_capacity(env: XrEnvironment) -> int:
+    """The most frames a run can capture: it ends at the horizon or when the
+    battery, drawing at least the lowest action power, runs out."""
+    cfg = env.cfg
+    run_s = cfg.horizon_s
+    p_min = min(env.actions.power_w)
+    if p_min > 0:
+        life_h = lifetime_projection(cfg.soc0, cfg.capacity_wh, p_min, cfg.drain_factor)
+        run_s = min(run_s, 3600.0 * life_h)
+    return env.actions.n_ticks * (math.ceil(run_s / cfg.decision_interval_s) + 1)
+
+
+def _compute_metrics(spec, seed, env, decisions, frames, latencies_s) -> MetricsRecord:
     cfg = spec.env
     survived = env.survived_s
-    delivered = len(frames)
-    compliant = sum(1 for f in frames if f.compliant)
+    delivered = frames["mtp_ms"].size
+    compliant = int(np.count_nonzero(frames["compliant"]))
     compliance_pct = 100.0 * compliant / delivered if delivered else 0.0
     avg_power = env.battery.energy_j / survived if survived > 0 else 0.0
     lifetime_min = (
@@ -158,13 +184,11 @@ def _compute_metrics(spec, seed, env, decision_rows, frames, latencies_s) -> Met
         if avg_power > 0
         else float("inf")
     )
-    n_dec = len(decision_rows)
-    local_dec = sum(1 for r in decision_rows if r["mode"] == "LOCAL")
+    n_dec = len(decisions["action"])
+    local_dec = decisions["mode"].count("LOCAL")
     local_pct = 100.0 * local_dec / n_dec if n_dec else 0.0
-    per_level, per_level_n = per_bandwidth_compliance(frames, cfg.profile)
-    histogram = [0] * N_ACTIONS
-    for r in decision_rows:
-        histogram[r["action"]] += 1
+    per_level, per_level_n = per_bandwidth_compliance(frames["t_capture"], frames["compliant"], cfg.profile)
+    histogram = [decisions["action"].count(a) for a in range(N_ACTIONS)]
     lat_us = sorted(x * 1e6 for x in latencies_s)
     lat_median = float(np.median(lat_us)) if lat_us else 0.0
     lat_p95 = float(np.percentile(lat_us, 95)) if lat_us else 0.0
@@ -200,19 +224,25 @@ def _compute_metrics(spec, seed, env, decision_rows, frames, latencies_s) -> Met
 
 
 def per_bandwidth_compliance(
-    frames: list[FrameRecord], profile: BandwidthProfile
+    t_capture: np.ndarray, compliant: np.ndarray, profile: BandwidthProfile
 ) -> tuple[dict[str, float], dict[str, int]]:
     """Compliance per bandwidth level, frames bucketed by capture-time level.
 
-    Returns ({level: compliance_pct}, {level: frame_count}); the counts
-    partition the delivered frames.
+    Levels are keyed by their `:g` label, so levels that print alike share
+    one bucket. Returns ({level: compliance_pct}, {level: frame_count}); the
+    counts partition the frames.
     """
+    idx = level_index(profile, t_capture)
+    n_levels = len(profile.levels_mbps)
+    level_totals = np.bincount(idx, minlength=n_levels).tolist()
+    level_good = np.bincount(idx[compliant], minlength=n_levels).tolist()
     totals: dict[str, int] = {}
     good: dict[str, int] = {}
-    for f in frames:
-        level = f"{bandwidth_at(profile, f.t_capture):g}"
-        totals[level] = totals.get(level, 0) + 1
-        good[level] = good.get(level, 0) + int(f.compliant)
+    for level, n, g in zip(profile.levels_mbps, level_totals, level_good):
+        if n:
+            key = f"{level:g}"
+            totals[key] = totals.get(key, 0) + n
+            good[key] = good.get(key, 0) + g
     pct = {k: 100.0 * good[k] / totals[k] for k in totals}
     return pct, totals
 
@@ -329,19 +359,26 @@ def write_run(out_dir: Path, result: RunResult) -> None:
     )
 
 
-def write_decision_csv(path: Path, rows: list[dict]) -> None:
+def write_decision_csv(path: Path, decisions: dict[str, list]) -> None:
+    """One DECISION_COLUMNS row per decision."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=DECISION_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(DECISION_COLUMNS)
+        writer.writerows(zip(*(decisions[c] for c in DECISION_COLUMNS)))
 
 
-def write_frame_csv(path: Path, frames: list[FrameRecord]) -> None:
+def write_frame_csv(path: Path, frames: dict[str, np.ndarray]) -> None:
     """One FRAME_COLUMNS row per delivered frame."""
+    mode_names = [m.name for m in ExecutionMode]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FRAME_COLUMNS)
-        writer.writerows((f.t_capture, f.mtp_ms, int(f.compliant), f.mode.name) for f in frames)
+        writer.writerows(zip(
+            frames["t_capture"].tolist(),
+            frames["mtp_ms"].tolist(),
+            frames["compliant"].astype(np.int8).tolist(),
+            [mode_names[m] for m in frames["mode"].tolist()],
+        ))
 
 
 # -- scenario files --------------------------------------------------------

@@ -75,6 +75,13 @@ def bandwidth_at(profile: BandwidthProfile, t_s: float) -> float:
     return profile.levels_mbps[idx]
 
 
+def level_index(profile: BandwidthProfile, t_s: np.ndarray) -> np.ndarray:
+    """The index into levels_mbps that bandwidth_at reads, for each time in t_s."""
+    idx = (t_s // profile.dwell_s).astype(np.int64)
+    idx %= len(profile.levels_mbps)
+    return idx
+
+
 class RttDistribution(Enum):
     NONE = "none"
     LOGNORMAL = "lognormal"
@@ -137,10 +144,21 @@ def _phi(x: float) -> float:
 
 def rtt_sample(model: RttModel, rng: np.random.Generator) -> float:
     """Draw one RTT in ms."""
+    return rtt_samples(model, rng, 1)[0]
+
+
+def rtt_samples(model: RttModel, rng: np.random.Generator, n: int) -> list[float]:
+    """Draw n RTTs in ms with one call to the generator.
+
+    Each RTT is bit-identical to one scalar draw,
+    base_ms + jitter_scale_ms * exp(sigma * rng.standard_normal()), taken n
+    times in turn. The exponential is math.exp on each sample: np.exp
+    differs from it in the last bit on a few percent of inputs.
+    """
     if model.distribution is RttDistribution.NONE:
-        return model.base_ms
-    jitter = model.jitter_scale_ms * math.exp(model.sigma * rng.standard_normal())
-    return model.base_ms + jitter
+        return [model.base_ms] * n
+    base, scale, sigma = model.base_ms, model.jitter_scale_ms, model.sigma
+    return [base + scale * math.exp(sigma * z) for z in rng.standard_normal(n).tolist()]
 
 
 def load_profile(path: str | Path) -> BandwidthProfile:

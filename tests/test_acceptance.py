@@ -172,9 +172,8 @@ def test_c6_queue_saturation():
     delivered = compliant = 0
     while not env.done:
         out = env.step(5)                  # HIGH quality offload
-        for f in out.frames:
-            delivered += 1
-            compliant += int(f.compliant)
+        delivered += out.mtp_ms.size
+        compliant += int(np.count_nonzero(out.mtp_ms <= cfg.tau_mtp_ms))
     compliance = 100.0 * compliant / delivered if delivered else 0.0
     depth = env.queue.depth
     ok = compliance < 2.0 and depth == cfg.queue_max_depth
@@ -247,15 +246,13 @@ def test_c8_variable_profile_robustness(scenarios):
 
 def _phase_pooled_local_fraction(decisions, t_min=600.0, window=30):
     """Mean rolling LOCAL fraction in the settled half of each dwell phase."""
-    series = mode_fraction_series([row["mode"] for row in decisions], window)
+    series = mode_fraction_series(decisions["mode"], window)
     pools = {"low": [], "high": []}
-    for row, frac in zip(decisions, series):
-        t = row["t"]
+    for t, bw, frac in zip(decisions["t"], decisions["bandwidth_mbps"], series):
         if t < t_min:
             continue
         if (t % 60.0) < 30.0:
             continue                     # skip the adjustment half of the phase
-        bw = row["bandwidth_mbps"]
         if bw <= 10.0:
             pools["low"].append(frac)
         elif bw >= 500.0:
@@ -318,7 +315,7 @@ def test_c11_determinism(tmp_path, scenarios):
     )
 
     results = scenarios.results(spec_for("rl", "cycle"))
-    bw_cols = [[row["bandwidth_mbps"] for row in res.decisions] for res in results]
+    bw_cols = [res.decisions["bandwidth_mbps"] for res in results]
     n = min(len(col) for col in bw_cols)
     same_bw = all(col[:n] == bw_cols[0][:n] for col in bw_cols)
 

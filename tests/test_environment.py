@@ -157,9 +157,9 @@ def test_local_full_interval():
     out = env.step(A_LOCAL_FULL)
     # 20 frames per 1 s interval at the 50 ms frame period, each exactly at
     # the 30 ms threshold (29 ms processing + 1 ms overhead): compliant
-    assert len(out.frames) == 20
-    assert all(f.mtp_ms == pytest.approx(30.0) for f in out.frames)
-    assert all(f.compliant for f in out.frames)
+    assert out.mtp_ms.size == out.t_capture.size == 20
+    assert all(m == pytest.approx(30.0) for m in out.mtp_ms)
+    assert all(out.mtp_ms <= env.cfg.tau_mtp_ms)
     assert out.info["mean_v"] == 0.0
     assert out.info["energy_j"] == pytest.approx(20.8)
     assert out.state.power_w == pytest.approx(20.8)
@@ -318,6 +318,6 @@ def test_frame_ledger_closes_every_step_and_every_run(profile, mbps, capacity_wh
             info["frames_delivered"] + info["frames_dropped"] + info["queue_depth"] - depth0
         )
         assert info["frames_dropped"] == env.queue.dropped - dropped0
-        assert info["frames_delivered"] == len(out.frames)
+        assert info["frames_delivered"] == out.mtp_ms.size == out.t_capture.size
         assert info["queue_depth"] == env.queue.depth
     assert env.frames_captured == env.frames_delivered + env.queue.dropped + env.queue.depth

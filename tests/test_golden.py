@@ -1,7 +1,7 @@
 """Golden trajectories: pinned SHA-256 of short runs' artifacts.
 
 Each (policy, profile) pair runs 120 s at seed 1 and the bytes of its
-metrics.json and decisions.csv must hash to the values in
+metrics.json, decisions.csv and frames.csv must hash to the values in
 tests/golden/hashes.json. A change that moves a hash changes behaviour or
 the artifact schema; regenerate the file deliberately with
 
@@ -22,7 +22,7 @@ POLICIES = ("local", "offload", "threshold", "greedy", "greedy-noqueue", "rl")
 PROFILES = ("cycle", "stable")
 HORIZON_S = 120.0
 SEED = 1
-FILES = ("metrics.json", "decisions.csv")
+FILES = ("metrics.json", "decisions.csv", "frames.csv")
 
 
 def run_hashes(policy: str, profile: str, out_dir: Path) -> dict[str, str]:

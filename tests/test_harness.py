@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xredge.actions import ExecutionMode
 from xredge.config import from_jsonable, to_jsonable
-from xredge.environment import FrameRecord
 from xredge.harness import (
     DECISION_COLUMNS,
     FRAME_COLUMNS,
@@ -24,7 +25,7 @@ from xredge.harness import (
     save_spec,
     sweep,
 )
-from xredge.network import cycle_profile, stable_profile
+from xredge.network import BandwidthProfile, bandwidth_at, cycle_profile, stable_profile
 
 
 def local_spec(horizon=1200.0, mbps=1000.0, seeds=(1,)):
@@ -55,8 +56,8 @@ def test_local_run_metrics():
     assert m.per_level_compliance_pct == {"1000": 100.0}
     assert m.soc_end_pct == 0.0
     assert m.frames_captured == m.frames_delivered + m.frames_dropped
-    assert len(res.decisions) == m.decisions
-    assert len(res.frames) == m.frames_delivered
+    assert [len(res.decisions[c]) for c in DECISION_COLUMNS] == [m.decisions] * len(DECISION_COLUMNS)
+    assert [res.frames[c].size for c in FRAME_COLUMNS] == [m.frames_delivered] * len(FRAME_COLUMNS)
 
 
 def test_offload_starved_run():
@@ -97,8 +98,8 @@ def test_trace_csv_headers(tmp_path):
 def test_decision_rows_record_interval_start_bandwidth():
     spec = default_scenario("local", "cycle", horizon_s=65.0, seeds=(1,))
     res = run_experiment(spec, seed=1)
-    assert res.decisions[0]["bandwidth_mbps"] == 1000.0
-    assert res.decisions[60]["bandwidth_mbps"] == 500.0
+    assert res.decisions["bandwidth_mbps"][0] == 1000.0
+    assert res.decisions["bandwidth_mbps"][60] == 500.0
 
 
 def test_run_scenario_layout(tmp_path):
@@ -119,17 +120,40 @@ def test_run_scenario_layout(tmp_path):
 
 
 def test_per_bandwidth_compliance_partition():
-    local = ExecutionMode.LOCAL
-    rows = [
-        FrameRecord(0.0, 10.0, True, local),
-        FrameRecord(59.9, 40.0, False, local),
-        FrameRecord(60.0, 10.0, True, local),
-        FrameRecord(125.0, 10.0, True, local),
-    ]
-    pct, counts = per_bandwidth_compliance(rows, cycle_profile())
+    t_capture = np.array([0.0, 59.9, 60.0, 125.0])
+    compliant = np.array([True, False, True, True])
+    pct, counts = per_bandwidth_compliance(t_capture, compliant, cycle_profile())
     assert pct == {"1000": 50.0, "500": 100.0, "100": 100.0}
     assert counts == {"1000": 2, "500": 1, "100": 1}
-    assert sum(counts.values()) == len(rows)
+    assert sum(counts.values()) == t_capture.size
+
+
+def reference_per_bandwidth_compliance(t_capture, compliant, profile):
+    """The per-frame definition: one bandwidth_at and one :g label per frame."""
+    totals, good = {}, {}
+    for t, ok in zip(t_capture, compliant):
+        level = f"{bandwidth_at(profile, t):g}"
+        totals[level] = totals.get(level, 0) + 1
+        good[level] = good.get(level, 0) + int(ok)
+    return {k: 100.0 * good[k] / totals[k] for k in totals}, totals
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # 1000, 1000.0000001 and 999.99999999 all print as "1000" under :g
+    levels=st.lists(st.sampled_from([1.0, 10.0, 100.0, 1000.0, 1000.0000001, 999.99999999]),
+                    min_size=1, max_size=6),
+    dwell=st.sampled_from([0.05, 0.3, 1.0, 60.0]),
+    frames=st.lists(st.tuples(st.floats(min_value=0.0, max_value=2000.0), st.booleans()), max_size=60),
+    on_edge=st.lists(st.tuples(st.integers(0, 500), st.booleans()), max_size=20),
+)
+def test_per_bandwidth_compliance_matches_the_per_frame_definition(levels, dwell, frames, on_edge):
+    profile = BandwidthProfile(tuple(levels), dwell)
+    rows = frames + [(k * dwell, ok) for k, ok in on_edge]
+    t_capture = np.array([t for t, _ in rows], dtype=np.float64)
+    compliant = np.array([ok for _, ok in rows], dtype=bool)
+    expected = reference_per_bandwidth_compliance([t for t, _ in rows], [ok for _, ok in rows], profile)
+    assert per_bandwidth_compliance(t_capture, compliant, profile) == expected
 
 
 def test_mode_fraction_series_hand_values():

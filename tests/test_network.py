@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xredge.network import (
     BandwidthProfile,
@@ -12,6 +12,7 @@ from xredge.network import (
     RttModel,
     bandwidth_at,
     cycle_profile,
+    level_index,
     load_profile,
     rtt_sample,
     stable_profile,
@@ -55,6 +56,24 @@ def test_cycle_schedule_values(t, expected):
 def test_schedule_is_periodic(t):
     p = cycle_profile()
     assert bandwidth_at(p, t) == bandwidth_at(p, t + p.cycle_s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(st.floats(min_value=0.5, max_value=1e4), min_size=1, max_size=6, unique=True),
+    dwell=st.floats(min_value=0.01, max_value=1000.0),
+    times=st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=30),
+    multiples=st.lists(st.integers(0, 10_000), max_size=30),
+)
+def test_level_index_matches_bandwidth_at(levels, dwell, times, multiples):
+    p = BandwidthProfile(tuple(levels), dwell)
+    # exact multiples of the dwell and their neighbours sit on a phase boundary
+    edges = [k * dwell for k in multiples]
+    t = times + edges + [math.nextafter(x, math.inf) for x in edges] + [math.nextafter(x, 0.0) for x in edges]
+    idx = level_index(p, np.array(t))
+    assert idx.dtype == np.int64
+    # the levels are distinct, so equal levels mean equal indices
+    assert [p.levels_mbps[i] for i in idx.tolist()] == [bandwidth_at(p, x) for x in t]
 
 
 def test_stable_profile_is_constant():

@@ -1,0 +1,196 @@
+"""The one-pass decision interval against the tick-by-tick definition it replaced.
+
+`reference_step` is the loop that stepped one frame period at a time: per
+tick one bandwidth lookup, one scalar RTT draw, one enqueue/drain or local
+frame, and one battery step, stopping at the tick that runs the charge out.
+`XrEnvironment.step` drains the battery first and draws the interval's RTTs
+in one call. The arithmetic is meant to be the same operation for
+operation, so these properties demand equality, not closeness, of
+everything a step returns and of the state it leaves behind, including the
+random generator's.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xredge.actions import N_ACTIONS
+from xredge.energy import Battery, PowerParams
+from xredge.environment import SystemState, XrEnvironment, default_env_config, interval_reward, observe
+from xredge.latency import violation
+from xredge.network import RttDistribution, RttModel, bandwidth_at, cycle_profile, stable_profile
+
+
+def reference_battery_step(b: Battery, power_w: float, dt_s: float) -> float:
+    """One battery step, as `Battery.step` computed it before `Battery.steps`."""
+    if b.depleted or power_w == 0.0 or dt_s == 0.0:
+        return 0.0
+    drop_pct = b.drain_factor * power_w * dt_s / b.capacity_j * 100.0
+    if drop_pct >= b.soc:
+        fraction = b.soc / drop_pct
+        consumed = power_w * dt_s * fraction
+        b.soc = 0.0
+    else:
+        consumed = power_w * dt_s
+        b.soc -= drop_pct
+    b.energy_j += consumed
+    return consumed
+
+
+def reference_rtt(model: RttModel, rng: np.random.Generator) -> float:
+    """One scalar RTT draw."""
+    if model.distribution is RttDistribution.NONE:
+        return model.base_ms
+    return model.base_ms + model.jitter_scale_ms * math.exp(model.sigma * rng.standard_normal())
+
+
+def reference_step(env: XrEnvironment, action: int):
+    """One decision interval, one tick at a time; returns (state, obs,
+    reward, done, t_capture, mtp_ms, info) and updates env as step does."""
+    cfg = env.cfg
+    row = action
+    quality = env.actions.configs[row].quality
+    local = env.actions.is_local[row]
+    power = env.actions.power_w[row]
+    mtp_local_ms = env.actions.mtp_local_ms[row]
+    tick_s = cfg.power.tau_frame_ms / 1000.0
+    n_ticks = cfg.n_ticks()
+
+    flushed = 0
+    if local and env.queue.depth:
+        flushed = env.queue.flush()
+
+    t0 = env.t
+    t_capture, mtps = [], []
+    captured = dropped = 0
+    energy_j = 0.0
+    rtt = env.state.rtt_ms
+    depleted_at = None
+    for k in range(n_ticks):
+        tk = t0 + k * tick_s
+        bw = bandwidth_at(cfg.profile, tk)
+        rtt = reference_rtt(cfg.rtt, env.rng)
+        if local:
+            t_capture.append(tk)
+            mtps.append(mtp_local_ms)
+        else:
+            dropped += env.queue.enqueue(tk, quality, env.actions.payload_mbit[row])
+            for dv in env.queue.drain(bw, rtt, tick_s, tk, cfg.table):
+                t_capture.append(dv.t_capture)
+                mtps.append(dv.mtp_ms)
+        captured += 1
+        consumed = reference_battery_step(env.battery, power, tick_s)
+        energy_j += consumed
+        if env.battery.depleted:
+            fraction = consumed / (power * tick_s) if power > 0 else 1.0
+            depleted_at = tk + fraction * tick_s
+            break
+
+    t_end = depleted_at if depleted_at is not None else t0 + n_ticks * tick_s
+    env.t = t_end
+    env.frames_captured += captured
+    env.frames_delivered += len(mtps)
+
+    v_values = [violation(m, cfg.tau_mtp_ms) for m in mtps]
+    pending_censored = 0
+    for qf in env.queue.frames:
+        if qf.t_capture >= t0:
+            v_values.append(violation((t_end - qf.t_capture) * 1000.0, cfg.tau_mtp_ms))
+            pending_censored += 1
+    mean_v = float(np.mean(v_values)) if v_values else 0.0
+    env.v_per_epoch.append(mean_v)
+    reward = interval_reward(mean_v, power, env.battery.soc, cfg.reward)
+
+    env.state = SystemState(
+        soc=env.battery.soc,
+        power_w=power,
+        rtt_ms=rtt,
+        bandwidth_mbps=bandwidth_at(cfg.profile, min(t_end, cfg.horizon_s)),
+        mtp_ms=mtps[-1] if mtps else env.state.mtp_ms,
+        t=t_end,
+    )
+    env.decisions += 1
+    env.done = env.battery.depleted or t_end >= cfg.horizon_s - 1e-9
+    env.survived_s = t_end
+    info = {
+        "mean_v": mean_v,
+        "mtp_mean_ms": float(np.mean(mtps)) if mtps else float("nan"),
+        "frames_captured": captured,
+        "frames_delivered": len(mtps),
+        "frames_dropped": dropped + flushed,
+        "pending_censored": pending_censored,
+        "queue_depth": env.queue.depth,
+        "energy_j": energy_j,
+        "power_w": power,
+        "bandwidth_mbps": env.state.bandwidth_mbps,
+        "rtt_ms": rtt,
+        "depleted": env.battery.depleted,
+    }
+    return env.state, observe(env.state, cfg), reward, env.done, t_capture, mtps, info
+
+
+def same(a, b) -> bool:
+    """Equal values of equal type; nan equals nan."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+PROFILES = {
+    "cycle": cycle_profile(),
+    "cycle-1s": replace(cycle_profile(), dwell_s=1.0),
+    "stable-1": stable_profile(1.0),
+    "stable-100": stable_profile(100.0),
+    "stable-1000": stable_profile(1000.0),
+}
+RTTS = {
+    "lognormal": RttModel(),
+    # no base RTT to absorb a last-bit difference in the jitter's exponential
+    "jitter-only": RttModel(base_ms=0.0),
+    "none": RttModel(distribution=RttDistribution.NONE),
+    "sigma-0": RttModel(sigma=0.0),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    profile=st.sampled_from(sorted(PROFILES)),
+    rtt=st.sampled_from(sorted(RTTS)),
+    frame_ms=st.sampled_from([50.0, 25.0]),
+    capacity_wh=st.sampled_from([16.6, 0.02, 0.002]),
+    actions=st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=30),
+    seed=st.integers(0, 2**16),
+)
+def test_step_equals_the_tick_by_tick_definition(profile, rtt, frame_ms, capacity_wh, actions, seed):
+    # the small batteries run out mid-interval within a few decisions
+    cfg = default_env_config(
+        profile=PROFILES[profile], rtt=RTTS[rtt], power=PowerParams(tau_frame_ms=frame_ms),
+        capacity_wh=capacity_wh, horizon_s=float(len(actions)),
+    )
+    env, ref = XrEnvironment(cfg, seed=seed), XrEnvironment(cfg, seed=seed)
+    for a in actions:
+        if env.done:
+            break
+        out = env.step(a)
+        state, obs, reward, done, t_capture, mtps, info = reference_step(ref, a)
+        assert out.info.keys() == info.keys()
+        assert all(same(out.info[k], info[k]) for k in info), (out.info, info)
+        assert out.state == state and env.state == ref.state
+        assert np.array_equal(out.obs, obs)
+        assert same(out.reward, reward) and out.done == done
+        assert out.t_capture.dtype == out.mtp_ms.dtype == np.float64
+        assert out.t_capture.tolist() == t_capture and out.mtp_ms.tolist() == mtps
+        assert same(env.battery.soc, ref.battery.soc)
+        assert same(env.battery.energy_j, ref.battery.energy_j)
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert env.queue.frames == ref.queue.frames
+        assert (env.queue.dropped, env.queue.delivered) == (ref.queue.dropped, ref.queue.delivered)
+        assert (env.t, env.v_per_epoch, env.frames_captured, env.frames_delivered) == (
+            ref.t, ref.v_per_epoch, ref.frames_captured, ref.frames_delivered
+        )
+    assert env.done == ref.done
