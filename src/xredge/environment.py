@@ -111,8 +111,9 @@ class ActionTable:
     so a lookup is bit-identical to calling that function. Tuples serve the
     per-tick lookups of `XrEnvironment.step`; the numpy arrays serve the
     vectorised greedy predictor. Local-only values are nan on offload rows.
-    The offload arrays have one row per offload quality; `offload_row` gives
-    each action id its row (-1 for a local action).
+    The offload arrays and tuples have one row per offload quality, in
+    `offload_qualities` order; `offload_row` gives each action id its row
+    (-1 for a local action). The uplink queue keeps that row per frame.
     """
 
     # the action space itself is the same for every config
@@ -120,6 +121,7 @@ class ActionTable:
     labels = tuple((c.quality.value, c.imu.value, c.mode.name) for c in _CONFIGS)
     is_local = tuple(c.mode is ExecutionMode.LOCAL for c in _CONFIGS)
     offload_ids = np.array(_OFFLOAD)
+    offload_qualities = _OFFLOAD_QUALITIES
     offload_row = tuple(-1 if local else _OFFLOAD_QUALITIES.index(c.quality)
                         for c, local in zip(_CONFIGS, is_local))
 
@@ -144,11 +146,17 @@ class ActionTable:
         self.reward_power = -cfg.reward.alpha_power * np.array(self.power_w) / cfg.reward.p_max_w
 
         self.payload_offload_mbit = np.array([cfg.frame.payload_mbit(q) for q in _OFFLOAD_QUALITIES])
+        # an offloaded frame's server and client-encode times, one per offload
+        # row, and its decode time: the terms `UplinkQueue.drain` adds
+        phis = [quality_scale(q) for q in _OFFLOAD_QUALITIES]
+        self.server_ms = tuple(t.t_server_ms * f for f in phis)
+        self.encode_ms = tuple(t.t0_encode_ms * f for f in phis)
+        self.decode_ms = t.t_decode_ms
         # an offloaded frame's MTP minus its queueing and serialization time,
         # with the base RTT standing in for the drawn one
         self.fixed_offload_ms = np.array([
-            ((cfg.rtt.base_ms + t.t_server_ms * f) + t.t_decode_ms) + t.t0_encode_ms * f
-            for f in map(quality_scale, _OFFLOAD_QUALITIES)
+            ((cfg.rtt.base_ms + server) + self.decode_ms) + encode
+            for server, encode in zip(self.server_ms, self.encode_ms)
         ])
         # frame arrival times within an epoch, relative to its start
         self.arrival_ms = np.arange(n) * cfg.power.tau_frame_ms
@@ -199,6 +207,12 @@ def observe(state: SystemState, cfg: EnvConfig) -> np.ndarray:
     bw = min(max(np.log10(max(state.bandwidth_mbps, 1e-12)) / 3.0, 0.0), 1.0)
     mtp = min(max(state.mtp_ms / cfg.mtp_max_ms, 0.0), 1.0)
     return np.array([soc, power, rtt, bw, mtp], dtype=np.float64)
+
+
+def _mean(a: np.ndarray) -> float:
+    """np.mean of a non-empty float64 vector, bit for bit (the same pairwise
+    sum over the same count) without np.mean's Python-level dispatch."""
+    return float(np.add.reduce(a)) / a.size
 
 
 class XrEnvironment:
@@ -279,25 +293,25 @@ class XrEnvironment:
                 mtp_mean = float(np.mean(mtp))
         else:
             # one enqueue and one uplink drain per tick
-            quality, payload = tab.configs[row].quality, tab.payload_mbit[row]
+            queue, quality_row, payload = self.queue, tab.offload_row[row], tab.payload_mbit[row]
+            enqueue, drain = queue.enqueue, queue.drain
             levels = cfg.profile.levels_mbps
-            dropped, delivered = 0, []
+            dropped, t_out, mtps = 0, [], []
             for tk, level, rtt_k in zip(ticks.tolist(), level_index(cfg.profile, ticks).tolist(), rtts):
-                dropped += self.queue.enqueue(tk, quality, payload)
-                delivered += self.queue.drain(levels[level], rtt_k, tick_s, tk, cfg.table)
-            t_capture = np.array([f.t_capture for f in delivered])
-            mtps = [f.mtp_ms for f in delivered]
-            mtp = np.array(mtps)
+                dropped += enqueue(tk, quality_row, payload)
+                drain(levels[level], rtt_k, tick_s, tk, tab, t_out, mtps)
+            t_capture, mtp = np.array(t_out), np.array(mtps)
             mtp_obs = mtps[-1] if mtps else self.state.mtp_ms
-            mtp_mean = float(np.mean(mtp)) if mtps else float("nan")
+            mtp_mean = _mean(mtp) if mtps else float("nan")
             # epoch violation: delivered frames plus a censored lower bound
             # for frames captured this interval that are still stuck in the
-            # queue (an epoch that delivers nothing must not look compliant)
-            pending = [violation((t_end - qf.t_capture) * 1000.0, cfg.tau_mtp_ms)
-                       for qf in self.queue.frames if qf.t_capture >= t0]
+            # queue (an epoch that delivers nothing must not look compliant);
+            # the elementwise `violation` of both, in one array
+            pending = [(t_end - t) * 1000.0 for t in queue.t_capture if t >= t0]
             pending_censored = len(pending)
-            v_values = [violation(m, cfg.tau_mtp_ms) for m in mtps] + pending
-            mean_v = float(np.mean(v_values)) if v_values else 0.0
+            tau = cfg.tau_mtp_ms
+            v_values = np.maximum(0.0, (np.array(mtps + pending) - tau) / tau)
+            mean_v = _mean(v_values) if v_values.size else 0.0
 
         self.t = t_end
         self.frames_captured += captured

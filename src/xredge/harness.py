@@ -367,18 +367,28 @@ def write_decision_csv(path: Path, decisions: dict[str, list]) -> None:
         writer.writerows(zip(*(decisions[c] for c in DECISION_COLUMNS)))
 
 
+# rows per write of frames.csv: bounds the Python objects alive at once
+FRAME_CSV_CHUNK_ROWS = 1000
+# one frames.csv row as csv.writer writes it: floats by repr, the flag as 0/1
+_FRAME_ROW = "{!r},{!r},{:d},{}\r\n".format
+
+
 def write_frame_csv(path: Path, frames: dict[str, np.ndarray]) -> None:
-    """One FRAME_COLUMNS row per delivered frame."""
+    """One FRAME_COLUMNS row per delivered frame, in csv.writer's bytes,
+    written a chunk of rows at a time."""
     mode_names = [m.name for m in ExecutionMode]
+    t_capture, mtp, compliant, mode = (frames[c] for c in FRAME_COLUMNS)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRAME_COLUMNS)
-        writer.writerows(zip(
-            frames["t_capture"].tolist(),
-            frames["mtp_ms"].tolist(),
-            frames["compliant"].astype(np.int8).tolist(),
-            [mode_names[m] for m in frames["mode"].tolist()],
-        ))
+        fh.write(",".join(FRAME_COLUMNS) + "\r\n")
+        for i in range(0, mtp.size, FRAME_CSV_CHUNK_ROWS):
+            j = i + FRAME_CSV_CHUNK_ROWS
+            fh.write("".join(map(
+                _FRAME_ROW,
+                t_capture[i:j].tolist(),
+                mtp[i:j].tolist(),
+                compliant[i:j].tolist(),
+                [mode_names[m] for m in mode[i:j].tolist()],
+            )))
 
 
 # -- scenario files --------------------------------------------------------

@@ -12,7 +12,9 @@ payloads are negligible next to image payloads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import deque
+from dataclasses import dataclass, field, fields
 
 from .actions import ExecutionConfig, ExecutionMode, ImuRate, QualityLevel, quality_scale
 
@@ -44,12 +46,24 @@ class ProcTimeTable:
     overhead_ms: float = 1.0
     rho: dict[ImuRate, float] = field(default_factory=lambda: dict(DEFAULT_RHO))
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_ms") and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and non-negative: {value}")
+        if set(self.rho) != set(ImuRate) or not all(0 < r < math.inf for r in self.rho.values()):
+            raise ValueError(f"rho needs a positive, finite multiplier per IMU rate: {self.rho}")
+
 
 @dataclass(frozen=True)
 class FrameSizeModel:
     """Uplink payload per frame: d_base_mbit at HIGH quality, pixel-scaled below."""
 
     d_base_mbit: float = 5.8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.d_base_mbit) and self.d_base_mbit > 0):
+            raise ValueError(f"frame payload must be positive and finite: {self.d_base_mbit}")
 
     def payload_mbit(self, quality: QualityLevel) -> float:
         return self.d_base_mbit * quality_scale(quality)
@@ -98,64 +112,61 @@ def violation(mtp_ms: float, tau_ms: float) -> float:
     return max(0.0, (mtp_ms - tau_ms) / tau_ms)
 
 
-@dataclass
-class QueuedFrame:
-    t_capture: float
-    quality: QualityLevel
-    remaining_mbit: float
-
-
-@dataclass(frozen=True)
-class DeliveredFrame:
-    t_capture: float
-    t_deliver: float
-    quality: QualityLevel
-    mtp_ms: float
-
-
 class UplinkQueue:
     """Bounded FIFO of frames awaiting uplink transmission.
 
-    When a frame arrives at a full queue the oldest queued frame is dropped
-    (newest data is the most valuable for pose estimation). Partial
-    transmissions carry over between drain calls, which is what produces
-    stale, high-MTP deliveries right after a congested period.
+    The queue is three columns, one entry per frame, oldest first: capture
+    time, the Mbit still to send, and the frame's offload quality row (an
+    index into the per-quality terms `drain` is given). When a frame arrives
+    at a full queue the oldest queued frame is dropped (newest data is the
+    most valuable for pose estimation). Partial transmissions carry over
+    between drain calls, which is what produces stale, high-MTP deliveries
+    right after a congested period.
     """
 
     def __init__(self, max_depth: int = 20):
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1: {max_depth}")
-        self.max_depth = max_depth
-        self.frames: list[QueuedFrame] = []
+        # a full deque drops its oldest entry on append
+        self.t_capture: deque[float] = deque(maxlen=max_depth)
+        self.remaining_mbit: deque[float] = deque(maxlen=max_depth)
+        self.quality_row: deque[int] = deque(maxlen=max_depth)
         self.enqueued = 0
         self.delivered = 0
         self.dropped = 0
 
     @property
+    def max_depth(self) -> int:
+        return self.t_capture.maxlen
+
+    @property
     def depth(self) -> int:
-        return len(self.frames)
+        return len(self.t_capture)
 
     @property
     def backlog_mbit(self) -> float:
-        return sum(f.remaining_mbit for f in self.frames)
+        return sum(self.remaining_mbit)
 
-    def enqueue(self, t_capture: float, quality: QualityLevel, payload_mbit: float) -> int:
+    def enqueue(self, t_capture: float, quality_row: int, payload_mbit: float) -> int:
         """Add a frame; returns the number of frames dropped to make room."""
         if payload_mbit <= 0:
             raise ValueError(f"payload must be positive: {payload_mbit}")
-        self.frames.append(QueuedFrame(t_capture, quality, payload_mbit))
+        if quality_row < 0:
+            raise ValueError(f"quality row must be non-negative: {quality_row}")
+        drops = 1 if len(self.t_capture) == self.max_depth else 0
+        self.t_capture.append(t_capture)
+        self.remaining_mbit.append(payload_mbit)
+        self.quality_row.append(quality_row)
         self.enqueued += 1
-        drops = 0
-        while len(self.frames) > self.max_depth:
-            self.frames.pop(0)
-            drops += 1
         self.dropped += drops
         return drops
 
     def flush(self) -> int:
         """Drop everything pending; returns the number of frames dropped."""
-        n = len(self.frames)
-        self.frames.clear()
+        n = len(self.t_capture)
+        self.t_capture.clear()
+        self.remaining_mbit.clear()
+        self.quality_row.clear()
         self.dropped += n
         return n
 
@@ -165,41 +176,44 @@ class UplinkQueue:
         rtt_ms: float,
         dt_s: float,
         t_start: float,
-        table: ProcTimeTable,
-    ) -> list[DeliveredFrame]:
+        terms,
+        t_out: list[float],
+        mtp_out: list[float],
+    ) -> range:
         """Transmit at bandwidth_mbps for dt_s seconds starting at t_start.
 
-        Frames that finish serializing are delivered; a delivered frame's MTP
-        is queueing+transmission age plus RTT, server inference, decode, and
-        the client encode cost (the last three scale with the frame's pixel
-        count). The head frame's partial progress is kept if the budget runs
-        out mid-frame.
+        Frames that finish serializing are delivered: each one's capture time
+        is appended to t_out and its MTP to mtp_out, and the returned range
+        holds their indices there. A delivered frame's MTP is
+        queueing+transmission age plus RTT, server inference, decode, and the
+        client encode cost. `terms` holds those per-frame costs in ms:
+        `server_ms` and `encode_ms` indexed by quality row (they scale with
+        the frame's pixel count) and the scalar `decode_ms`, as
+        `environment.ActionTable` does. The head frame's partial progress is
+        kept if the budget runs out mid-frame.
         """
         if bandwidth_mbps <= 0:
             raise ValueError(f"bandwidth must be positive: {bandwidth_mbps}")
         if dt_s < 0:
             raise ValueError(f"dt must be non-negative: {dt_s}")
+        n0 = len(mtp_out)
         budget_mbit = bandwidth_mbps * dt_s
+        remaining = self.remaining_mbit
         elapsed_s = 0.0
-        out: list[DeliveredFrame] = []
-        while self.frames and budget_mbit > 0.0:
-            head = self.frames[0]
-            if head.remaining_mbit <= budget_mbit:
-                elapsed_s += head.remaining_mbit / bandwidth_mbps
-                budget_mbit -= head.remaining_mbit
-                t_deliver = t_start + elapsed_s
-                phi = quality_scale(head.quality)
-                mtp = (
-                    (t_deliver - head.t_capture) * 1000.0
-                    + rtt_ms
-                    + table.t_server_ms * phi
-                    + table.t_decode_ms
-                    + table.t0_encode_ms * phi
-                )
-                out.append(DeliveredFrame(head.t_capture, t_deliver, head.quality, mtp))
-                self.frames.pop(0)
-                self.delivered += 1
+        while remaining and budget_mbit > 0.0:
+            head = remaining[0]
+            if head <= budget_mbit:
+                elapsed_s += head / bandwidth_mbps
+                budget_mbit -= head
+                remaining.popleft()
+                t_capture = self.t_capture.popleft()
+                row = self.quality_row.popleft()
+                t_out.append(t_capture)
+                mtp_out.append((t_start + elapsed_s - t_capture) * 1000.0 + rtt_ms
+                               + terms.server_ms[row] + terms.decode_ms + terms.encode_ms[row])
             else:
-                head.remaining_mbit -= budget_mbit
+                remaining[0] = head - budget_mbit
                 budget_mbit = 0.0
-        return out
+        n = len(mtp_out)
+        self.delivered += n - n0
+        return range(n0, n)

@@ -135,6 +135,38 @@ def test_bad_scenario_file_fails_cleanly(tmp_path, capsys, edit, fragment):
     assert not (tmp_path / "o").exists()
 
 
+def _zero_payload(d):
+    d["env"]["frame"]["d_base_mbit"] = 0
+
+
+def _negative_server_time(d):
+    d["env"]["table"]["t_server_ms"] = -5
+
+
+def _missing_rho_rate(d):
+    del d["env"]["table"]["rho"]["low"]
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (_zero_payload, "frame payload must be positive and finite: 0"),
+    (_negative_server_time, "t_server_ms must be finite and non-negative: -5"),
+    (_missing_rho_rate, "rho needs a positive, finite multiplier per IMU rate"),
+])
+def test_bad_model_constant_fails_at_construction(tmp_path, capsys, edit, fragment):
+    # without the checks, a zero payload failed at the first offloaded frame
+    # and a negative server time ran and reported inflated compliance
+    from xredge.config import to_jsonable
+    from xredge.harness import default_scenario
+
+    data = to_jsonable(default_scenario("offload", "stable", horizon_s=3.0, seeds=(1,)))
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, fragment)
+    assert not (tmp_path / "o").exists()
+
+
 def test_negative_horizon_fails_cleanly(tmp_path, capsys):
     rc = main(["run", "--policy", "local", "--horizon", "-5", "--out", str(tmp_path)])
     assert_clean_error(rc, capsys, "horizon")

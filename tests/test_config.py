@@ -28,8 +28,9 @@ def test_partial_object_takes_defaults_and_widens_ints():
     assert spec.env.rtt.distribution is RttDistribution.NONE
     assert spec.env.rtt.base_ms == 5.0
     assert spec.dqn == DqnConfig()
-    table = from_jsonable(ProcTimeTable, {"rho": {"low": 1}})
-    assert table.rho == {ImuRate.LOW: 1.0}
+    table = from_jsonable(ProcTimeTable, {"rho": {"low": 1, "medium": 1, "high": 2}})
+    assert table.rho == {ImuRate.LOW: 1.0, ImuRate.MEDIUM: 1.0, ImuRate.HIGH: 2.0}
+    assert all(type(r) is float for r in table.rho.values())
 
 
 @pytest.mark.parametrize("tp, data, message", [

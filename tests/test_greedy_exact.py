@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from xredge.actions import N_ACTIONS, ExecutionMode, QualityLevel, decode_action, quality_scale
 from xredge.energy import PowerParams, client_power
 from xredge.environment import XrEnvironment, default_env_config, interval_reward
-from xredge.latency import QueuedFrame, mtp_local, violation
+from xredge.latency import UplinkQueue, mtp_local, violation
 from xredge.network import RttDistribution, RttModel, cycle_profile, stable_profile
 from xredge.policies import greedy_select, predicted_epoch
 
@@ -114,10 +114,11 @@ queued = st.tuples(
 def test_vectorised_prediction_equals_per_action_loop(name, bw, queue, soc, include_queue):
     env = XrEnvironment(CONFIGS[name], seed=0)
     env.state = replace(env.state, bandwidth_mbps=bw, soc=soc)
-    env.queue.frames = [
-        QueuedFrame(-0.05 * (len(queue) - j), q, env.cfg.frame.payload_mbit(q) * share)
-        for j, (q, share) in enumerate(queue)
-    ]
+    # up to 20 frames whatever the config's depth: only the backlog is read
+    env.queue = UplinkQueue(max_depth=20)
+    for j, (q, share) in enumerate(queue):
+        row = env.actions.offload_qualities.index(q)
+        env.queue.enqueue(-0.05 * (len(queue) - j), row, env.cfg.frame.payload_mbit(q) * share)
     assert_exact(env, include_queue)
 
 
@@ -153,6 +154,7 @@ def test_prediction_exact_where_service_time_meets_frame_period(frame_ms, qualit
     for _ in range(abs(ulps)):
         bw = np.nextafter(bw, np.inf if ulps > 0 else -np.inf)
     env.state = replace(env.state, bandwidth_mbps=float(bw))
-    env.queue.frames = [QueuedFrame(0.0, quality, payload * 0.37) for _ in range(depth)]
+    for _ in range(depth):
+        env.queue.enqueue(0.0, env.actions.offload_qualities.index(quality), payload * 0.37)
     for include_queue in (True, False):
         assert_exact(env, include_queue)

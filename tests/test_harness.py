@@ -1,5 +1,7 @@
 """Experiment harness: runs, metrics, artifacts, aggregation, sweeps."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -7,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xredge.actions import ExecutionMode
 from xredge.config import from_jsonable, to_jsonable
 from xredge.harness import (
     DECISION_COLUMNS,
     FRAME_COLUMNS,
+    FRAME_CSV_CHUNK_ROWS,
     METRICS_SCHEMA_VERSION,
     MetricsRecord,
     ScenarioSpec,
@@ -76,6 +80,41 @@ def test_rerun_is_byte_identical(tmp_path):
     run_experiment(spec, seed=1, out_dir=b)
     for name in ("metrics.json", "decisions.csv", "frames.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def reference_frame_csv(frames) -> bytes:
+    """frames.csv as csv.writer writes the frame columns."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(FRAME_COLUMNS)
+    writer.writerows(zip(
+        frames["t_capture"].tolist(),
+        frames["mtp_ms"].tolist(),
+        frames["compliant"].astype(np.int8).tolist(),
+        [ExecutionMode(m).name for m in frames["mode"].tolist()],
+    ))
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("policy, profile, horizon_s, mbps, case", [
+    # mixed modes and verdicts, a partial last chunk
+    ("threshold", "cycle", 300.0, 1000.0, "partial"),
+    # 20 frames per second, so exactly two chunks
+    ("local", "stable", 2 * FRAME_CSV_CHUNK_ROWS / 20, 1000.0, "two chunks"),
+    # nothing gets through the uplink: the header alone
+    ("offload", "stable", 3.0, 0.001, "empty"),
+])
+def test_frame_csv_is_csv_writer_bytes(tmp_path, policy, profile, horizon_s, mbps, case):
+    spec = default_scenario(policy, profile, horizon_s=horizon_s, seeds=(1,), stable_mbps=mbps)
+    res = run_experiment(spec, seed=1, out_dir=tmp_path)
+    n = res.metrics.frames_delivered
+    if case == "partial":
+        assert n > FRAME_CSV_CHUNK_ROWS and n % FRAME_CSV_CHUNK_ROWS
+        assert set(res.frames["mode"].tolist()) == {0, 1}
+        assert set(res.frames["compliant"].tolist()) == {False, True}
+    else:
+        assert n == {"two chunks": 2 * FRAME_CSV_CHUNK_ROWS, "empty": 0}[case]
+    assert (tmp_path / "frames.csv").read_bytes() == reference_frame_csv(res.frames)
 
 
 def test_metrics_file_excludes_timing(tmp_path):

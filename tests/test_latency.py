@@ -2,7 +2,15 @@
 
 import pytest
 
-from xredge.actions import ExecutionConfig, ExecutionMode, ImuRate, QualityLevel, decode_action
+from xredge.actions import (
+    ExecutionConfig,
+    ExecutionMode,
+    ImuRate,
+    QualityLevel,
+    decode_action,
+    quality_scale,
+)
+from xredge.environment import ActionTable, default_env_config
 from xredge.latency import (
     FrameSizeModel,
     ProcTimeTable,
@@ -15,6 +23,10 @@ from xredge.latency import (
 
 TABLE = ProcTimeTable()
 FRAME = FrameSizeModel()
+# the per-quality MTP terms the uplink queue reads, and its quality rows
+TERMS = ActionTable(default_env_config(table=TABLE))
+LOW, MEDIUM, HIGH = (TERMS.offload_qualities.index(q)
+                     for q in (QualityLevel.LOW, QualityLevel.MEDIUM, QualityLevel.HIGH))
 
 LOCAL_FULL = decode_action(4)     # HIGH imu, HIGH quality, LOCAL
 LOCAL_MIN = decode_action(12)     # LOW imu, LOW quality, LOCAL
@@ -79,61 +91,85 @@ def test_violation():
         violation(10.0, 0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FrameSizeModel(d_base_mbit=0.0),
+    lambda: FrameSizeModel(d_base_mbit=float("inf")),
+    lambda: ProcTimeTable(t_server_ms=-5.0),
+    lambda: ProcTimeTable(t_decode_ms=float("nan")),
+    lambda: ProcTimeTable(overhead_ms=float("inf")),
+    lambda: ProcTimeTable(rho={ImuRate.HIGH: 1.0, ImuRate.MEDIUM: 0.85}),
+    lambda: ProcTimeTable(rho={ImuRate.HIGH: 1.0, ImuRate.MEDIUM: 0.85, ImuRate.LOW: 0.0}),
+])
+def test_bad_model_constants_fail_at_construction(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # uplink queue
 # ---------------------------------------------------------------------------
 
 
+def drain(q, bw, rtt, dt, t_start):
+    """One drain call; returns its deliveries as (t_capture, mtp_ms) pairs."""
+    t_out, mtp_out = [], []
+    got = q.drain(bw, rtt, dt, t_start, TERMS, t_out, mtp_out)
+    assert got == range(len(mtp_out))
+    return list(zip(t_out, mtp_out))
+
+
 def test_single_frame_delivery_mtp():
     q = UplinkQueue(max_depth=20)
-    q.enqueue(0.0, QualityLevel.HIGH, 5.8)
-    out = q.drain(1000.0, 5.0, 1.0, 0.0, TABLE)
+    q.enqueue(0.0, HIGH, 5.8)
+    out = drain(q, 1000.0, 5.0, 1.0, 0.0)
     assert len(out) == 1
-    f = out[0]
-    # 5.8 Mbit at 1000 Mbps = 5.8 ms of serialization
-    assert f.t_deliver == pytest.approx(0.0058)
-    # age + rtt + server inference + decode + encode = 5.8 + 5 + 8 + 1 + 10
-    assert f.mtp_ms == pytest.approx(29.8)
+    t_capture, mtp = out[0]
+    assert t_capture == 0.0
+    # age + rtt + server inference + decode + encode = 5.8 + 5 + 8 + 1 + 10,
+    # the age being 5.8 Mbit at 1000 Mbps = 5.8 ms of serialization
+    assert mtp == pytest.approx(29.8)
     assert q.depth == 0 and q.delivered == 1
 
 
 def test_partial_transmission_carries_over():
     q = UplinkQueue()
-    q.enqueue(0.0, QualityLevel.HIGH, 5.8)
-    assert q.drain(1.0, 5.0, 1.0, 0.0, TABLE) == []     # 1 Mbit of 5.8 sent
+    q.enqueue(0.0, HIGH, 5.8)
+    assert drain(q, 1.0, 5.0, 1.0, 0.0) == []     # 1 Mbit of 5.8 sent
     assert q.depth == 1
     assert q.backlog_mbit == pytest.approx(4.8)
+    assert list(q.remaining_mbit) == [5.8 - 1.0]
     # second half-window at 5.8 Mbps finishes at exactly t=1.0 + 4.8/5.8 s
-    out = q.drain(5.8, 5.0, 1.0, 1.0, TABLE)
+    out = drain(q, 5.8, 5.0, 1.0, 1.0)
     assert len(out) == 1
-    assert out[0].t_deliver == pytest.approx(1.0 + 4.8 / 5.8)
+    assert out[0][1] == pytest.approx((1.0 + 4.8 / 5.8) * 1000.0 + 5.0 + 8.0 + 1.0 + 10.0)
 
 
 def test_stale_backlog_produces_high_mtp():
     # frames stuck through congestion come out with multi-second MTP
     q = UplinkQueue()
-    q.enqueue(0.0, QualityLevel.HIGH, 5.8)
-    q.drain(0.001, 5.0, 1.0, 0.0, TABLE)                # effectively stalled
-    out = q.drain(1000.0, 5.0, 1.0, 3.0, TABLE)
+    q.enqueue(0.0, HIGH, 5.8)
+    drain(q, 0.001, 5.0, 1.0, 0.0)                  # effectively stalled
+    out = drain(q, 1000.0, 5.0, 1.0, 3.0)
     assert len(out) == 1
-    assert out[0].mtp_ms > 3000.0
+    assert out[0][1] > 3000.0
 
 
 def test_drop_oldest_when_full():
     q = UplinkQueue(max_depth=3)
     drops = 0
     for i in range(5):
-        drops += q.enqueue(float(i), QualityLevel.LOW, 1.45)
+        drops += q.enqueue(float(i), LOW, 1.45)
     assert drops == 2
     assert q.depth == 3
-    assert [f.t_capture for f in q.frames] == [2.0, 3.0, 4.0]
+    assert list(q.t_capture) == [2.0, 3.0, 4.0]
+    assert len(q.remaining_mbit) == len(q.quality_row) == 3
     assert q.dropped == 2
 
 
 def test_flush_counts_as_drops():
     q = UplinkQueue()
     for i in range(4):
-        q.enqueue(float(i), QualityLevel.LOW, 1.45)
+        q.enqueue(float(i), LOW, 1.45)
     assert q.flush() == 4
     assert q.depth == 0
     assert q.dropped == 4
@@ -143,9 +179,9 @@ def test_frame_conservation():
     # enqueued == delivered + dropped + still queued, whatever the traffic
     q = UplinkQueue(max_depth=5)
     for i in range(12):
-        q.enqueue(i * 0.05, QualityLevel.MEDIUM, 3.2625)
+        q.enqueue(i * 0.05, MEDIUM, 3.2625)
         if i % 3 == 0:
-            q.drain(50.0, 5.0, 0.05, i * 0.05, TABLE)
+            drain(q, 50.0, 5.0, 0.05, i * 0.05)
     q.flush()
     assert q.enqueued == 12
     assert q.enqueued == q.delivered + q.dropped + q.depth
@@ -154,10 +190,20 @@ def test_frame_conservation():
 def test_fifo_order():
     q = UplinkQueue()
     for i in range(3):
-        q.enqueue(float(i), QualityLevel.LOW, 1.45)
-    out = q.drain(1000.0, 5.0, 1.0, 3.0, TABLE)
-    assert [f.t_capture for f in out] == [0.0, 1.0, 2.0]
-    assert out[0].mtp_ms > out[-1].mtp_ms              # oldest is stalest
+        q.enqueue(float(i), LOW, 1.45)
+    out = drain(q, 1000.0, 5.0, 1.0, 3.0)
+    assert [t for t, _ in out] == [0.0, 1.0, 2.0]
+    assert out[0][1] > out[-1][1]                   # oldest is stalest
+
+
+def test_mtp_terms_scale_with_quality():
+    # server and encode scale with the pixel count, decode does not
+    for row, quality in enumerate(TERMS.offload_qualities):
+        q = UplinkQueue()
+        q.enqueue(0.0, row, 1.0)
+        ((_, mtp),) = drain(q, 1000.0, 5.0, 1.0, 0.0)
+        phi = quality_scale(quality)
+        assert mtp == pytest.approx(1.0 + 5.0 + 8.0 * phi + 1.0 + 10.0 * phi)
 
 
 def test_queue_validation():
@@ -165,8 +211,11 @@ def test_queue_validation():
         UplinkQueue(max_depth=0)
     q = UplinkQueue()
     with pytest.raises(ValueError):
-        q.enqueue(0.0, QualityLevel.LOW, 0.0)
+        q.enqueue(0.0, LOW, 0.0)
     with pytest.raises(ValueError):
-        q.drain(0.0, 5.0, 1.0, 0.0, TABLE)
+        q.enqueue(0.0, -1, 1.45)   # a local action's offload_row
+    assert q.depth == q.enqueued == 0
     with pytest.raises(ValueError):
-        q.drain(10.0, 5.0, -1.0, 0.0, TABLE)
+        drain(q, 0.0, 5.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        drain(q, 10.0, 5.0, -1.0, 0.0)

@@ -1,0 +1,196 @@
+"""The column-backed uplink queue against the list-of-frames queue it replaced.
+
+`ReferenceUplinkQueue` is the earlier `UplinkQueue`, kept verbatim but for
+its name: one `QueuedFrame` object per queued frame, `pop(0)` to drop the
+oldest, and one frozen `DeliveredFrame` per delivery with its MTP terms
+scaled by `quality_scale`. `UplinkQueue` keeps the same queue as three
+columns and reads the scaled terms from the action table. The arithmetic is
+meant to be the same operation for operation, so the property here demands
+equality, not closeness, of every delivery and of the state left behind.
+"""
+
+from dataclasses import dataclass
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xredge.actions import QualityLevel, quality_scale
+from xredge.environment import ActionTable, default_env_config
+from xredge.latency import ProcTimeTable, UplinkQueue
+
+
+@dataclass
+class QueuedFrame:
+    t_capture: float
+    quality: QualityLevel
+    remaining_mbit: float
+
+
+@dataclass(frozen=True)
+class DeliveredFrame:
+    t_capture: float
+    t_deliver: float
+    quality: QualityLevel
+    mtp_ms: float
+
+
+class ReferenceUplinkQueue:
+    """Bounded FIFO of frames awaiting uplink transmission.
+
+    When a frame arrives at a full queue the oldest queued frame is dropped
+    (newest data is the most valuable for pose estimation). Partial
+    transmissions carry over between drain calls, which is what produces
+    stale, high-MTP deliveries right after a congested period.
+    """
+
+    def __init__(self, max_depth: int = 20):
+        if max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1: {max_depth}")
+        self.max_depth = max_depth
+        self.frames: list[QueuedFrame] = []
+        self.enqueued = 0
+        self.delivered = 0
+        self.dropped = 0
+
+    @property
+    def depth(self) -> int:
+        return len(self.frames)
+
+    @property
+    def backlog_mbit(self) -> float:
+        return sum(f.remaining_mbit for f in self.frames)
+
+    def enqueue(self, t_capture: float, quality: QualityLevel, payload_mbit: float) -> int:
+        """Add a frame; returns the number of frames dropped to make room."""
+        if payload_mbit <= 0:
+            raise ValueError(f"payload must be positive: {payload_mbit}")
+        self.frames.append(QueuedFrame(t_capture, quality, payload_mbit))
+        self.enqueued += 1
+        drops = 0
+        while len(self.frames) > self.max_depth:
+            self.frames.pop(0)
+            drops += 1
+        self.dropped += drops
+        return drops
+
+    def flush(self) -> int:
+        """Drop everything pending; returns the number of frames dropped."""
+        n = len(self.frames)
+        self.frames.clear()
+        self.dropped += n
+        return n
+
+    def drain(
+        self,
+        bandwidth_mbps: float,
+        rtt_ms: float,
+        dt_s: float,
+        t_start: float,
+        table: ProcTimeTable,
+    ) -> list[DeliveredFrame]:
+        """Transmit at bandwidth_mbps for dt_s seconds starting at t_start.
+
+        Frames that finish serializing are delivered; a delivered frame's MTP
+        is queueing+transmission age plus RTT, server inference, decode, and
+        the client encode cost (the last three scale with the frame's pixel
+        count). The head frame's partial progress is kept if the budget runs
+        out mid-frame.
+        """
+        if bandwidth_mbps <= 0:
+            raise ValueError(f"bandwidth must be positive: {bandwidth_mbps}")
+        if dt_s < 0:
+            raise ValueError(f"dt must be non-negative: {dt_s}")
+        budget_mbit = bandwidth_mbps * dt_s
+        elapsed_s = 0.0
+        out: list[DeliveredFrame] = []
+        while self.frames and budget_mbit > 0.0:
+            head = self.frames[0]
+            if head.remaining_mbit <= budget_mbit:
+                elapsed_s += head.remaining_mbit / bandwidth_mbps
+                budget_mbit -= head.remaining_mbit
+                t_deliver = t_start + elapsed_s
+                phi = quality_scale(head.quality)
+                mtp = (
+                    (t_deliver - head.t_capture) * 1000.0
+                    + rtt_ms
+                    + table.t_server_ms * phi
+                    + table.t_decode_ms
+                    + table.t0_encode_ms * phi
+                )
+                out.append(DeliveredFrame(head.t_capture, t_deliver, head.quality, mtp))
+                self.frames.pop(0)
+                self.delivered += 1
+            else:
+                head.remaining_mbit -= budget_mbit
+                budget_mbit = 0.0
+        return out
+
+
+def same_queue(q: UplinkQueue, ref: ReferenceUplinkQueue, qualities) -> bool:
+    """Equal frames, in order, and equal counters."""
+    frames = [(f.t_capture, qualities.index(f.quality), f.remaining_mbit) for f in ref.frames]
+    return (
+        list(zip(q.t_capture, q.quality_row, q.remaining_mbit)) == frames
+        and q.depth == ref.depth
+        and (q.enqueued, q.delivered, q.dropped) == (ref.enqueued, ref.delivered, ref.dropped)
+    )
+
+
+# ProcTimeTable constants under which the MTP terms are not round numbers
+TABLES = {
+    "default": ProcTimeTable(),
+    "uneven": ProcTimeTable(t0_encode_ms=10.1, t_server_ms=8.3, t_decode_ms=0.3),
+}
+
+enqueue_op = st.tuples(
+    st.just("enqueue"),
+    st.integers(0, 2),                                    # quality row
+    st.floats(0.0, 1.0, exclude_min=True),                # share of the full payload
+)
+drain_op = st.tuples(
+    st.just("drain"),
+    st.one_of(st.just(0.001), st.floats(0.01, 2000.0)),   # bandwidth, with stalls
+    st.floats(0.0, 40.0),                                 # rtt
+    st.sampled_from([0.05, 0.025, 0.0, 1.0, 1 / 30]),     # dt
+)
+# a drain whose budget is the head frame's remaining Mbit exactly: the
+# bandwidth is remaining / dt with dt a power of two, so both products are exact
+exact_fit_op = st.tuples(st.just("exact"), st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 40.0))
+flush_op = st.tuples(st.just("flush"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    max_depth=st.integers(1, 5),
+    table=st.sampled_from(sorted(TABLES)),
+    t0=st.floats(0.0, 1200.0),
+    ops=st.lists(st.one_of(enqueue_op, drain_op, exact_fit_op, flush_op), max_size=60),
+)
+def test_column_queue_equals_the_list_of_frames_queue(max_depth, table, t0, ops):
+    cfg = default_env_config(table=TABLES[table])
+    terms = ActionTable(cfg)
+    qualities = terms.offload_qualities
+    q, ref = UplinkQueue(max_depth), ReferenceUplinkQueue(max_depth)
+    t = t0
+    for op in ops:
+        if op[0] == "enqueue":
+            _, row, share = op
+            payload = cfg.frame.payload_mbit(qualities[row]) * share
+            assert q.enqueue(t, row, payload) == ref.enqueue(t, qualities[row], payload)
+        elif op[0] == "flush":
+            assert q.flush() == ref.flush()
+        else:
+            if op[0] == "drain":
+                _, bw, rtt, dt = op
+            else:
+                _, dt, rtt = op
+                bw = q.remaining_mbit[0] / dt if q.depth else 1.0
+            t_out, mtp_out = [0.5], [0.5]  # drain appends to what is there
+            got = q.drain(bw, rtt, dt, t, terms, t_out, mtp_out)
+            want = ref.drain(bw, rtt, dt, t, cfg.table)
+            assert got == range(1, 1 + len(want))
+            assert t_out[1:] == [f.t_capture for f in want]
+            assert mtp_out[1:] == [f.mtp_ms for f in want]
+            t += dt
+        assert same_queue(q, ref, qualities)
+        assert q.backlog_mbit == ref.backlog_mbit

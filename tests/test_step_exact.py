@@ -4,10 +4,11 @@
 tick one bandwidth lookup, one scalar RTT draw, one enqueue/drain or local
 frame, and one battery step, stopping at the tick that runs the charge out.
 `XrEnvironment.step` drains the battery first and draws the interval's RTTs
-in one call. The arithmetic is meant to be the same operation for
-operation, so these properties demand equality, not closeness, of
-everything a step returns and of the state it leaves behind, including the
-random generator's.
+in one call. The reference environment's queue is the list-of-frames
+`ReferenceUplinkQueue` of test_queue_exact.py. The arithmetic is meant to be
+the same operation for operation, so these properties demand equality, not
+closeness, of everything a step returns and of the state it leaves behind,
+including the random generator's.
 """
 
 import math
@@ -22,6 +23,8 @@ from xredge.energy import Battery, PowerParams
 from xredge.environment import SystemState, XrEnvironment, default_env_config, interval_reward, observe
 from xredge.latency import violation
 from xredge.network import RttDistribution, RttModel, bandwidth_at, cycle_profile, stable_profile
+
+from test_queue_exact import ReferenceUplinkQueue, same_queue
 
 
 def reference_battery_step(b: Battery, power_w: float, dt_s: float) -> float:
@@ -49,7 +52,8 @@ def reference_rtt(model: RttModel, rng: np.random.Generator) -> float:
 
 def reference_step(env: XrEnvironment, action: int):
     """One decision interval, one tick at a time; returns (state, obs,
-    reward, done, t_capture, mtp_ms, info) and updates env as step does."""
+    reward, done, t_capture, mtp_ms, info) and updates env as step does.
+    env.queue must be a ReferenceUplinkQueue."""
     cfg = env.cfg
     row = action
     quality = env.actions.configs[row].quality
@@ -173,6 +177,7 @@ def test_step_equals_the_tick_by_tick_definition(profile, rtt, frame_ms, capacit
         capacity_wh=capacity_wh, horizon_s=float(len(actions)),
     )
     env, ref = XrEnvironment(cfg, seed=seed), XrEnvironment(cfg, seed=seed)
+    ref.queue = ReferenceUplinkQueue(cfg.queue_max_depth)
     for a in actions:
         if env.done:
             break
@@ -188,8 +193,7 @@ def test_step_equals_the_tick_by_tick_definition(profile, rtt, frame_ms, capacit
         assert same(env.battery.soc, ref.battery.soc)
         assert same(env.battery.energy_j, ref.battery.energy_j)
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
-        assert env.queue.frames == ref.queue.frames
-        assert (env.queue.dropped, env.queue.delivered) == (ref.queue.dropped, ref.queue.delivered)
+        assert same_queue(env.queue, ref.queue, env.actions.offload_qualities)
         assert (env.t, env.v_per_epoch, env.frames_captured, env.frames_delivered) == (
             ref.t, ref.v_per_epoch, ref.frames_captured, ref.frames_delivered
         )
