@@ -10,11 +10,11 @@ on slow ones.
 
 import numpy as np
 
-from xredge.environment import XrEnvironment, default_env_config
+from xredge.environment import EnvConfig, XrEnvironment
 from xredge.network import cycle_profile
 from xredge.policies import RlPolicy
 
-env = XrEnvironment(default_env_config(profile=cycle_profile(), horizon_s=1200.0), seed=1)
+env = XrEnvironment(EnvConfig(profile=cycle_profile(), horizon_s=1200.0), seed=1)
 policy = RlPolicy(seed=1 + 7919)
 
 window_viol = []

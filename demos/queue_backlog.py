@@ -7,11 +7,11 @@ fills, older frames go stale, and new captures start getting dropped. A
 single switch back to local execution flushes the backlog.
 """
 
-from xredge.environment import XrEnvironment, default_env_config
+from xredge.environment import EnvConfig, XrEnvironment
 from xredge.network import stable_profile
 
 env = XrEnvironment(
-    default_env_config(profile=stable_profile(1.0), horizon_s=10.0),
+    EnvConfig(profile=stable_profile(1.0), horizon_s=10.0),
     seed=0,
 )
 

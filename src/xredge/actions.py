@@ -1,11 +1,11 @@
 """Discrete execution-configuration space of the XR client.
 
-Three knobs: camera image quality (3 levels), IMU sampling rate (3 levels),
-execution mode (local or offloaded VIO). Their cross product gives 18
-configurations. Action ids iterate IMU rate outermost (HIGH, MEDIUM, LOW),
-image quality next (LOW, MEDIUM, HIGH) and execution mode innermost
-(LOCAL, OFFLOAD), so id 0 is (HIGH imu, LOW quality, LOCAL) and id 17 is
-(LOW imu, HIGH quality, OFFLOAD).
+Three knobs: camera image quality (3 levels), IMU sampling rate (LOW,
+MEDIUM, HIGH: 100, 150, 200 Hz), execution mode (local or offloaded VIO).
+Their cross product gives 18 configurations. Action ids iterate IMU rate
+outermost (HIGH, MEDIUM, LOW), image quality next (LOW, MEDIUM, HIGH) and
+execution mode innermost (LOCAL, OFFLOAD), so id 0 is (HIGH imu, LOW
+quality, LOCAL) and id 17 is (LOW imu, HIGH quality, OFFLOAD).
 """
 
 from __future__ import annotations
@@ -38,17 +38,9 @@ RESOLUTION = {
     QualityLevel.HIGH: (752, 480),
 }
 
-# IMU sampling frequency per rate level
-IMU_RATE_HZ = {
-    ImuRate.LOW: 100,
-    ImuRate.MEDIUM: 150,
-    ImuRate.HIGH: 200,
-}
-
 N_ACTIONS = 18
 
-# id layout: imu outermost (HIGH, MEDIUM, LOW), quality next (LOW, MEDIUM,
-# HIGH), mode innermost (LOCAL, OFFLOAD)
+# the id layout of the module docstring
 _IMU_ORDER = (ImuRate.HIGH, ImuRate.MEDIUM, ImuRate.LOW)
 _QUALITY_ORDER = (QualityLevel.LOW, QualityLevel.MEDIUM, QualityLevel.HIGH)
 
@@ -83,15 +75,6 @@ def decode_action(action_id: int) -> ExecutionConfig:
     quality = _QUALITY_ORDER[(action_id % 6) // 2]
     mode = ExecutionMode(action_id % 2)
     return ExecutionConfig(quality=quality, imu=imu, mode=mode)
-
-
-def encode_action(cfg: ExecutionConfig) -> int:
-    """Inverse of decode_action."""
-    return (
-        _IMU_ORDER.index(cfg.imu) * 6
-        + _QUALITY_ORDER.index(cfg.quality) * 2
-        + int(cfg.mode)
-    )
 
 
 def all_configs() -> list[ExecutionConfig]:

@@ -1,12 +1,15 @@
 """Type-driven JSON conversion of the config and record dataclasses.
 
 Both directions walk `dataclasses.fields` and the type hints, so a new field
-needs no serializer edit. Enums travel by value, tuples as lists.
+needs no serializer edit. Enums travel by value, tuples as lists. Range
+checks belong to each config's `__post_init__`, not to the conversion:
+a metrics file may hold an infinite lifetime.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from enum import Enum
 
@@ -30,6 +33,14 @@ def field_types(cls) -> dict:
         return {}
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+def check_non_negative(obj) -> None:
+    """Raise ValueError unless every numeric field of dataclass `obj` is finite and >= 0."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (int, float)) and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{f.name} must be finite and non-negative: {value}")
 
 
 def from_jsonable(tp, data, path: str = "value"):

@@ -70,7 +70,7 @@ class QNetwork:
     (Adam, `copy_from`, checkpoint loading) updates every layer.
     """
 
-    def __init__(self, sizes: tuple[int, ...] = (5, 128, 128, 18), rng=None):
+    def __init__(self, sizes: tuple[int, ...], rng=None):
         if len(sizes) < 2:
             raise ValueError(f"need at least input and output sizes: {sizes}")
         if rng is None:
@@ -168,7 +168,7 @@ def td_targets(
 class Adam:
     """Adam over one flat parameter vector, which it updates in place."""
 
-    def __init__(self, theta: np.ndarray, lr: float = 1e-3,
+    def __init__(self, theta: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.theta = theta
@@ -193,19 +193,6 @@ class Adam:
         s += self.eps
         np.multiply(self.lr, np.divide(m, 1 - b1**self.t, out=u), out=u)
         self.theta -= np.divide(u, s, out=u)
-
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    eps0: float = 1.0
-    decay: float = 0.9975
-    eps_min: float = 0.05
-
-    def value(self, t: int) -> float:
-        """Exploration rate after t decisions."""
-        if t < 0:
-            raise ValueError(f"decision count must be non-negative: {t}")
-        return max(self.eps_min, self.eps0 * self.decay**t)
 
 
 class ReplayBuffer:
@@ -258,13 +245,14 @@ class DqnAgent:
         self.target = self.online.clone()
         self.optimizer = Adam(self.online.theta, lr=cfg.lr)
         self.buffer = ReplayBuffer(cfg.buffer_capacity, cfg.obs_dim)
-        self.schedule = EpsilonSchedule(cfg.eps0, cfg.eps_decay, cfg.eps_min)
         self.decision_count = 0
         self.last_loss: float | None = None
 
     @property
     def epsilon(self) -> float:
-        return self.schedule.value(self.decision_count)
+        """Exploration rate after `decision_count` decisions."""
+        cfg = self.cfg
+        return max(cfg.eps_min, cfg.eps0 * cfg.eps_decay**self.decision_count)
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         return self.online.forward(obs)[0]

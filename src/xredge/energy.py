@@ -12,9 +12,11 @@ everywhere, including lifetime projections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .actions import ExecutionConfig
+from .config import check_non_negative
 from .latency import ProcTimeTable, proc_time
 
 
@@ -26,7 +28,8 @@ class PowerParams:
     tau_frame_ms: float = 50.0     # frame period at 20 Hz
 
     def __post_init__(self):
-        if self.tau_frame_ms <= 0:
+        check_non_negative(self)
+        if self.tau_frame_ms == 0:
             raise ValueError(f"frame period must be positive: {self.tau_frame_ms}")
 
 
@@ -44,7 +47,7 @@ def lifetime_projection(
     soc: float,
     capacity_wh: float,
     power_w: float,
-    drain_factor: float = 1.0,
+    drain_factor: float,
 ) -> float:
     """Remaining runtime in hours at constant power from the given SoC."""
     if power_w <= 0:
@@ -62,13 +65,13 @@ class Battery:
     k * energy_j == (soc0 - soc) / 100 * capacity_j.
     """
 
-    def __init__(self, capacity_wh: float = 16.6, soc: float = 100.0, drain_factor: float = 3.0):
-        if capacity_wh <= 0:
-            raise ValueError(f"capacity must be positive: {capacity_wh}")
+    def __init__(self, capacity_wh: float, soc: float, drain_factor: float):
+        if not 0.0 < capacity_wh < math.inf:
+            raise ValueError(f"capacity must be positive and finite: {capacity_wh}")
         if not 0.0 <= soc <= 100.0:
             raise ValueError(f"SoC must be within [0, 100]: {soc}")
-        if drain_factor <= 0:
-            raise ValueError(f"drain factor must be positive: {drain_factor}")
+        if not 0.0 < drain_factor < math.inf:
+            raise ValueError(f"drain factor must be positive and finite: {drain_factor}")
         self.capacity_wh = capacity_wh
         self.drain_factor = drain_factor
         self.soc = float(soc)

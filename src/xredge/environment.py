@@ -11,7 +11,8 @@ bandwidth, and the most recent motion-to-photon latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +57,12 @@ class RewardParams:
     lam: float = 1.0
     p_max_w: float = 20.8
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.bonus, self.alpha_power, self.beta_battery, self.lam))):
+            raise ValueError(f"reward weights must be finite: {self}")
+        if not 0 < self.p_max_w < math.inf:
+            raise ValueError(f"p_max_w must be positive and finite: {self.p_max_w}")
+
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -76,32 +83,36 @@ class EnvConfig:
     mtp_max_ms: float = 100.0      # observation clamp
 
     def __post_init__(self):
-        # Battery and UplinkQueue check capacity, SoC, drain factor and depth
-        if self.horizon_s < 0:
+        # the battery and the uplink queue check their own arguments
+        Battery(self.capacity_wh, self.soc0, self.drain_factor)
+        UplinkQueue(self.queue_max_depth)
+        # negated comparisons, so that a NaN fails them too
+        if not self.horizon_s >= 0:
             raise ValueError(f"horizon must be non-negative: {self.horizon_s}")
-        if self.tau_mtp_ms <= 0:
-            raise ValueError(f"MTP threshold must be positive: {self.tau_mtp_ms}")
-        if self.rtt_max_ms <= 0 or self.mtp_max_ms <= 0:
+        if not 0 < self.tau_mtp_ms < math.inf:
+            raise ValueError(f"MTP threshold must be positive and finite: {self.tau_mtp_ms}")
+        if not (self.rtt_max_ms > 0 and self.mtp_max_ms > 0):
             raise ValueError(f"observation clamps must be positive: "
                              f"{self.rtt_max_ms}, {self.mtp_max_ms}")
         self.n_ticks()
 
     def n_ticks(self) -> int:
         tick_s = self.power.tau_frame_ms / 1000.0
-        n = round(self.decision_interval_s / tick_s)
-        if n < 1 or abs(n * tick_s - self.decision_interval_s) > 1e-9:
+        interval = self.decision_interval_s
+        n = round(interval / tick_s) if math.isfinite(interval) else 0
+        if n < 1 or abs(n * tick_s - interval) > 1e-9:
             raise ValueError(
                 "decision interval must be a positive integer multiple of the "
-                f"frame period: {self.decision_interval_s} s vs {tick_s} s"
+                f"frame period: {interval} s vs {tick_s} s"
             )
         return n
 
 
 _CONFIGS = tuple(all_configs())
-_OFFLOAD = tuple(a for a, c in enumerate(_CONFIGS) if c.mode is ExecutionMode.OFFLOAD)
 # an offload prediction depends on the image quality alone, so the greedy
 # predictor prices one row per quality and shares it across IMU rates
-_OFFLOAD_QUALITIES = tuple(dict.fromkeys(_CONFIGS[a].quality for a in _OFFLOAD))
+_OFFLOAD_QUALITIES = tuple(dict.fromkeys(
+    c.quality for c in _CONFIGS if c.mode is ExecutionMode.OFFLOAD))
 
 
 class ActionTable:
@@ -120,7 +131,6 @@ class ActionTable:
     configs = _CONFIGS
     labels = tuple((c.quality.value, c.imu.value, c.mode.name) for c in _CONFIGS)
     is_local = tuple(c.mode is ExecutionMode.LOCAL for c in _CONFIGS)
-    offload_ids = np.array(_OFFLOAD)
     offload_qualities = _OFFLOAD_QUALITIES
     offload_row = tuple(-1 if local else _OFFLOAD_QUALITIES.index(c.quality)
                         for c, local in zip(_CONFIGS, is_local))
@@ -354,15 +364,5 @@ class XrEnvironment:
             info=info,
         )
 
-    # conveniences used by model-based policies and the harness
-
-    def queue_backlog_mbit(self) -> float:
-        return self.queue.backlog_mbit
-
     def objective(self) -> float:
         return objective_value(self.survived_s, self.v_per_epoch, self.cfg.reward.lam)
-
-
-def default_env_config(**overrides) -> EnvConfig:
-    """EnvConfig with defaults, with dataclass-field overrides applied."""
-    return replace(EnvConfig(), **overrides)

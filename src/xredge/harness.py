@@ -24,7 +24,7 @@ from .config import field_types, from_jsonable, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
 from .environment import EnvConfig, XrEnvironment
-from .network import BandwidthProfile, bandwidth_at, cycle_profile, level_index, load_profile, stable_profile
+from .network import BandwidthProfile, cycle_profile, level_index, load_profile, stable_profile
 from .policies import RlPolicy, make_policy
 
 METRICS_SCHEMA_VERSION = 1
@@ -121,7 +121,8 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
 
     env.reset()
     while not env.done:
-        t0 = env.t
+        # the bandwidth this decision observes, the profile's level at env.t
+        t0, bandwidth = env.t, env.state.bandwidth_mbps
         tic = time.perf_counter()
         action = policy.select(env)
         toc_select = time.perf_counter()
@@ -134,7 +135,7 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         info = outcome.info
         row = (
             t0, action, *env.actions.labels[action],
-            bandwidth_at(spec.env.profile, t0), info["rtt_ms"], info["mtp_mean_ms"],
+            bandwidth, info["rtt_ms"], info["mtp_mean_ms"],
             info["mean_v"], info["power_w"], outcome.state.soc, outcome.reward,
             policy.epsilon if is_rl else "",
             (policy.last_loss if policy.last_loss is not None else "") if is_rl else "",

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .actions import ExecutionConfig, ExecutionMode, ImuRate, QualityLevel, quality_scale
+from .config import check_non_negative
 
 # VIO pipeline pressure multiplier per IMU rate: higher inertial rates mean
 # more filter updates per frame
@@ -47,10 +48,7 @@ class ProcTimeTable:
     rho: dict[ImuRate, float] = field(default_factory=lambda: dict(DEFAULT_RHO))
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith("_ms") and not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{f.name} must be finite and non-negative: {value}")
+        check_non_negative(self)
         if set(self.rho) != set(ImuRate) or not all(0 < r < math.inf for r in self.rho.values()):
             raise ValueError(f"rho needs a positive, finite multiplier per IMU rate: {self.rho}")
 
@@ -88,23 +86,6 @@ def mtp_local(cfg: ExecutionConfig, table: ProcTimeTable) -> float:
     return proc_time(cfg, table) + table.overhead_ms
 
 
-def net_delay(
-    quality: QualityLevel,
-    bandwidth_mbps: float,
-    rtt_ms: float,
-    frame: FrameSizeModel,
-) -> float:
-    """Uplink serialization plus RTT for one frame, in ms.
-
-    The downlink pose return is not separately modeled; it is covered by the
-    round-trip term.
-    """
-    if bandwidth_mbps <= 0:
-        raise ValueError(f"bandwidth must be positive: {bandwidth_mbps}")
-    serialization_ms = frame.payload_mbit(quality) / bandwidth_mbps * 1000.0
-    return serialization_ms + rtt_ms
-
-
 def violation(mtp_ms: float, tau_ms: float) -> float:
     """Relative threshold excess: max(0, (MTP - tau) / tau)."""
     if tau_ms <= 0:
@@ -124,7 +105,7 @@ class UplinkQueue:
     right after a congested period.
     """
 
-    def __init__(self, max_depth: int = 20):
+    def __init__(self, max_depth: int):
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1: {max_depth}")
         # a full deque drops its oldest entry on append

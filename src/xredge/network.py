@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_non_negative
+
 # default variable schedule: five levels, 60 s each, 300 s cycle
 DEFAULT_LEVELS_MBPS = (1000.0, 500.0, 100.0, 10.0, 1.0)
 DEFAULT_DWELL_S = 60.0
@@ -38,10 +40,10 @@ class BandwidthProfile:
             )
         if not self.levels_mbps:
             raise ValueError("profile needs at least one bandwidth level")
-        if any(b <= 0 for b in self.levels_mbps):
-            raise ValueError(f"bandwidth levels must be positive: {self.levels_mbps}")
-        if self.dwell_s <= 0:
-            raise ValueError(f"dwell must be positive: {self.dwell_s}")
+        if not all(0 < b < math.inf for b in self.levels_mbps):
+            raise ValueError(f"bandwidth levels must be positive and finite: {self.levels_mbps}")
+        if not 0 < self.dwell_s < math.inf:
+            raise ValueError(f"dwell must be positive and finite: {self.dwell_s}")
 
     @property
     def cycle_s(self) -> float:
@@ -105,20 +107,13 @@ class RttModel:
     distribution: RttDistribution = RttDistribution.LOGNORMAL
 
     def __post_init__(self):
-        if self.base_ms < 0:
-            raise ValueError(f"base RTT must be non-negative: {self.base_ms}")
-        if self.jitter_scale_ms < 0 or self.sigma < 0:
-            raise ValueError("jitter parameters must be non-negative")
+        check_non_negative(self)
 
     def jitter_mean_ms(self) -> float:
         """Analytic mean of the jitter distribution."""
         if self.distribution is RttDistribution.NONE:
             return 0.0
         return self.jitter_scale_ms * math.exp(self.sigma**2 / 2.0)
-
-    def mean_ms(self) -> float:
-        """Analytic mean RTT."""
-        return self.base_ms + self.jitter_mean_ms()
 
     def jitter_excess_mean_ms(self, threshold_ms: float) -> float:
         """E[(jitter - threshold)+], the expected exceedance above a threshold.

@@ -27,18 +27,19 @@ from .actions import N_ACTIONS
 from .dqn import DqnAgent, DqnConfig
 from .environment import XrEnvironment
 
+# full-quality on-device execution, the latency-safe reference
 ACTION_LOCAL_FULL = 4      # HIGH imu, HIGH quality, LOCAL
+# full-quality offloaded execution, the power-saving reference
 ACTION_OFFLOAD_FULL = 5    # HIGH imu, HIGH quality, OFFLOAD
 
 
 class StaticPolicy:
     """Always the same configuration."""
 
-    def __init__(self, action_id: int, name: str):
+    def __init__(self, action_id: int):
         if not 0 <= action_id < N_ACTIONS:
             raise ValueError(f"action id out of range: {action_id}")
         self.action_id = action_id
-        self.name = name
 
     def select(self, env: XrEnvironment) -> int:
         return self.action_id
@@ -47,17 +48,7 @@ class StaticPolicy:
         pass
 
 
-def static_local() -> StaticPolicy:
-    """Full-quality on-device execution, the latency-safe reference."""
-    return StaticPolicy(ACTION_LOCAL_FULL, "local")
-
-
-def static_offload() -> StaticPolicy:
-    """Full-quality offloaded execution, the power-saving reference."""
-    return StaticPolicy(ACTION_OFFLOAD_FULL, "offload")
-
-
-def threshold_select(bandwidth_mbps: float, threshold_mbps: float = 15.0) -> int:
+def threshold_select(bandwidth_mbps: float, threshold_mbps: float) -> int:
     """Offload at full quality when observed bandwidth exceeds the threshold."""
     return ACTION_OFFLOAD_FULL if bandwidth_mbps > threshold_mbps else ACTION_LOCAL_FULL
 
@@ -67,7 +58,6 @@ class ThresholdPolicy:
 
     def __init__(self, threshold_mbps: float = 15.0):
         self.threshold_mbps = threshold_mbps
-        self.name = "threshold"
 
     def select(self, env: XrEnvironment) -> int:
         return threshold_select(env.state.bandwidth_mbps, self.threshold_mbps)
@@ -103,7 +93,7 @@ def offload_epoch_violation(env: XrEnvironment, include_queue: bool = True) -> l
     # zeros before frame k, then start_k + s, then one more s per frame
     serial = tab.payload_offload_mbit / bw * 1000.0
     start = arrival.copy()
-    start[0] = env.queue_backlog_mbit() / bw * 1000.0 if include_queue else 0.0
+    start[0] = env.queue.backlog_mbit / bw * 1000.0 if include_queue else 0.0
     steps = tab.strict_upper * serial[:, None, None]
     steps.reshape(serial.size, n * n)[:, :: n + 1] = start + serial[:, None]
     finish = np.cumsum(steps, axis=2).max(axis=1)
@@ -154,11 +144,6 @@ def predicted_epoch(env: XrEnvironment, include_queue: bool = True) -> tuple[np.
     return v, r
 
 
-def predicted_epoch_reward(action_id: int, env: XrEnvironment, include_queue: bool = True) -> float:
-    """Expected one-epoch reward of one action under the simulator's models."""
-    return float(predicted_epoch(env, include_queue)[1][action_id])
-
-
 def greedy_select(env: XrEnvironment, include_queue: bool = True) -> int:
     """Argmax of predicted one-epoch reward over all actions, ties to lowest id."""
     return int(np.argmax(predicted_epoch(env, include_queue)[1]))
@@ -169,7 +154,6 @@ class GreedyPolicy:
 
     def __init__(self, include_queue: bool = True):
         self.include_queue = include_queue
-        self.name = "greedy"
 
     def select(self, env: XrEnvironment) -> int:
         return greedy_select(env, self.include_queue)
@@ -183,7 +167,6 @@ class RlPolicy:
 
     def __init__(self, dqn_cfg: DqnConfig = DqnConfig(), seed: int = 0):
         self.agent = DqnAgent(dqn_cfg, seed=seed)
-        self.name = "rl"
         self._pending: tuple[np.ndarray, int] | None = None
 
     def select(self, env: XrEnvironment) -> int:
@@ -210,8 +193,8 @@ class RlPolicy:
 
 # name -> factory(dqn_cfg, seed); the CLI's --policy choices come from here
 POLICIES = {
-    "local": lambda dqn_cfg, seed: static_local(),
-    "offload": lambda dqn_cfg, seed: static_offload(),
+    "local": lambda dqn_cfg, seed: StaticPolicy(ACTION_LOCAL_FULL),
+    "offload": lambda dqn_cfg, seed: StaticPolicy(ACTION_OFFLOAD_FULL),
     "greedy": lambda dqn_cfg, seed: GreedyPolicy(),
     "greedy-noqueue": lambda dqn_cfg, seed: GreedyPolicy(include_queue=False),
     "threshold": lambda dqn_cfg, seed: ThresholdPolicy(),

@@ -10,7 +10,7 @@ import pytest
 
 from xredge.dqn import DqnAgent, DqnConfig, QNetwork, loss_and_grads
 from xredge.energy import Battery, lifetime_projection
-from xredge.environment import XrEnvironment, default_env_config
+from xredge.environment import EnvConfig, XrEnvironment
 from xredge.harness import (
     default_scenario,
     mode_fraction_series,
@@ -46,7 +46,7 @@ def test_c1_battery_identities():
     exact = hours == PACK_WH / 20.8
     approx = abs(hours - 0.798) < 5e-4
 
-    batt = Battery(capacity_wh=PACK_WH, drain_factor=K_DRAIN)
+    batt = Battery(capacity_wh=PACK_WH, soc=100.0, drain_factor=K_DRAIN)
     t, dt = 0.0, 0.05
     while not batt.depleted:
         batt.step(20.8, dt)
@@ -167,7 +167,7 @@ def test_c5_two_state_fixed_point():
 
 
 def test_c6_queue_saturation():
-    cfg = default_env_config(profile=stable_profile(1.0), horizon_s=60.0)
+    cfg = EnvConfig(profile=stable_profile(1.0), horizon_s=60.0)
     env = XrEnvironment(cfg, seed=1)
     delivered = compliant = 0
     while not env.done:

@@ -3,7 +3,6 @@
 import pytest
 
 from xredge.actions import (
-    IMU_RATE_HZ,
     N_ACTIONS,
     RESOLUTION,
     ExecutionConfig,
@@ -12,7 +11,6 @@ from xredge.actions import (
     QualityLevel,
     all_configs,
     decode_action,
-    encode_action,
     quality_scale,
 )
 
@@ -21,11 +19,6 @@ def test_eighteen_actions():
     assert N_ACTIONS == 18
     assert len(all_configs()) == 18
     assert len(set(map(repr, all_configs()))) == 18
-
-
-def test_encode_decode_roundtrip():
-    for i in range(N_ACTIONS):
-        assert encode_action(decode_action(i)) == i
 
 
 # spot rows computed by hand from the id layout (imu outermost in the order
@@ -62,13 +55,10 @@ def test_quality_scale_exact():
     assert quality_scale(QualityLevel.HIGH) == 1.0
 
 
-def test_resolution_and_imu_tables():
+def test_resolution_table():
     assert RESOLUTION[QualityLevel.LOW] == (376, 240)
     assert RESOLUTION[QualityLevel.MEDIUM] == (564, 360)
     assert RESOLUTION[QualityLevel.HIGH] == (752, 480)
-    assert IMU_RATE_HZ[ImuRate.LOW] == 100
-    assert IMU_RATE_HZ[ImuRate.MEDIUM] == 150
-    assert IMU_RATE_HZ[ImuRate.HIGH] == 200
 
 
 @pytest.mark.parametrize("bad", [-1, 18, 100, 2.0, "5", None, True])

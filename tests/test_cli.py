@@ -117,10 +117,36 @@ def _bad_enum(d):
     d["env"]["rtt"]["distribution"] = "gaussian"
 
 
+def _set(path, value):
+    """An edit that sets the dotted `path` of a scenario's JSON form to `value`."""
+    *parents, key = path.split(".")
+
+    def edit(d):
+        for p in parents:
+            d = d[p]
+        d[key] = value
+    return edit
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# the model-constant cases ran before they were checked: the NaNs reported
+# 100% compliance or wrote NaN power, a NaN dwell failed at the first step,
+# and the zero p_max_w and infinite interval escaped as tracebacks
 @pytest.mark.parametrize("edit, fragment", [
     (_bad_key, "scenario.env: unknown field horzion_s"),
     (_str_for_int, "scenario.env.queue_max_depth: expected int"),
     (_bad_enum, "scenario.env.rtt.distribution: 'gaussian' is not one of"),
+    (_set("env.profile.levels_mbps", [NAN]), "bandwidth levels must be positive and finite"),
+    (_set("env.profile.dwell_s", NAN), "dwell must be positive and finite: nan"),
+    (_set("env.rtt.base_ms", NAN), "base_ms must be finite and non-negative: nan"),
+    (_set("env.rtt.sigma", INF), "sigma must be finite and non-negative: inf"),
+    (_set("env.capacity_wh", NAN), "capacity must be positive and finite: nan"),
+    (_set("env.drain_factor", INF), "drain factor must be positive and finite: inf"),
+    (_set("env.power.p_base_w", NAN), "p_base_w must be finite and non-negative: nan"),
+    (_set("env.reward.p_max_w", 0), "p_max_w must be positive and finite: 0.0"),
+    (_set("env.decision_interval_s", INF), "decision interval must be a positive integer multiple"),
 ])
 def test_bad_scenario_file_fails_cleanly(tmp_path, capsys, edit, fragment):
     from xredge.config import to_jsonable
@@ -164,6 +190,15 @@ def test_bad_model_constant_fails_at_construction(tmp_path, capsys, edit, fragme
     path.write_text(json.dumps(data))
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
     assert_clean_error(rc, capsys, fragment)
+    assert not (tmp_path / "o").exists()
+
+
+def test_nan_level_in_profile_file_fails_cleanly(tmp_path, capsys):
+    profile = tmp_path / "steps.txt"
+    profile.write_text("1000 60\nnan 60\n")
+    rc = main(["run", "--policy", "local", "--profile", str(profile), "--horizon", "3",
+               "--seeds", "1", "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, "bandwidth levels must be positive and finite")
     assert not (tmp_path / "o").exists()
 
 

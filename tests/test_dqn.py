@@ -13,7 +13,6 @@ from xredge.dqn import (
     Adam,
     DqnAgent,
     DqnConfig,
-    EpsilonSchedule,
     QNetwork,
     ReplayBuffer,
     loss_and_grads,
@@ -25,14 +24,17 @@ from xredge.dqn import (
 # ---------------------------------------------------------------------------
 
 
+SIZES = DqnConfig().sizes()
+
+
 def test_default_network_parameter_count():
-    net = QNetwork(rng=np.random.default_rng(0))
+    net = QNetwork(SIZES, rng=np.random.default_rng(0))
     # 5*128+128 + 128*128+128 + 128*18+18
     assert net.theta.shape == (19602,)
 
 
 def test_forward_shapes_and_dtype():
-    net = QNetwork(rng=np.random.default_rng(1))
+    net = QNetwork(SIZES, rng=np.random.default_rng(1))
     single = net.forward(np.zeros(5))
     batch = net.forward(np.zeros((7, 5)))
     assert single.shape == (1, 18)
@@ -41,7 +43,7 @@ def test_forward_shapes_and_dtype():
 
 
 def test_forward_is_deterministic():
-    net = QNetwork(rng=np.random.default_rng(2))
+    net = QNetwork(SIZES, rng=np.random.default_rng(2))
     x = np.random.default_rng(3).uniform(0, 1, size=(4, 5))
     assert np.array_equal(net.forward(x), net.forward(x))
 
@@ -149,13 +151,13 @@ def test_adam_minimizes_quadratic():
 # ---------------------------------------------------------------------------
 
 
-def test_epsilon_schedule_values():
-    sched = EpsilonSchedule()
-    assert sched.value(0) == 1.0
-    assert sched.value(600) == pytest.approx(0.22271148579206992)
-    assert sched.value(10_000) == 0.05
-    with pytest.raises(ValueError):
-        sched.value(-1)
+def test_epsilon_decays_by_the_config():
+    agent = DqnAgent(DqnConfig(), seed=0)
+    assert agent.epsilon == 1.0
+    agent.decision_count = 600
+    assert agent.epsilon == pytest.approx(0.22271148579206992)
+    agent.decision_count = 10_000
+    assert agent.epsilon == 0.05
 
 
 def test_replay_buffer_ring_overwrite():

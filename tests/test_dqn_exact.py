@@ -11,7 +11,7 @@ of the parameters, moments, losses and actions at every decision.
 import numpy as np
 import pytest
 
-from xredge.dqn import DqnAgent, DqnConfig, EpsilonSchedule, td_targets
+from xredge.dqn import DqnAgent, DqnConfig, td_targets
 
 
 class RefNet:
@@ -137,11 +137,11 @@ class RefAgent:
         self.target = self.online.clone()
         self.optimizer = RefAdam(self.online.params, lr=cfg.lr)
         self.buffer = RefReplayBuffer(cfg.buffer_capacity)
-        self.schedule = EpsilonSchedule(cfg.eps0, cfg.eps_decay, cfg.eps_min)
         self.decision_count = 0
 
     def select_action(self, obs):
-        if self.rng.random() < self.schedule.value(self.decision_count):
+        cfg = self.cfg
+        if self.rng.random() < max(cfg.eps_min, cfg.eps0 * cfg.eps_decay**self.decision_count):
             return int(self.rng.integers(self.cfg.n_actions))
         return int(np.argmax(self.online.forward(obs)[0]))
 

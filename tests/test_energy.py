@@ -57,25 +57,25 @@ def test_soc_step_clamps_at_zero():
 
 def test_soc_step_validation():
     with pytest.raises(ValueError):
-        Battery(0.0, 50.0)
+        Battery(0.0, 50.0, 3.0)
     with pytest.raises(ValueError):
-        Battery(16.6, 50.0).step(-1.0, 1.0)
+        Battery(16.6, 50.0, 3.0).step(-1.0, 1.0)
     with pytest.raises(ValueError):
-        Battery(16.6, 50.0).step(10.0, -1.0)
+        Battery(16.6, 50.0, 3.0).step(10.0, -1.0)
 
 
 def test_lifetime_projection_identity():
     # full charge, 16.6 Wh at 20.8 W: 0.798 h
-    assert lifetime_projection(100.0, 16.6, 20.8) == 16.6 / 20.8
-    assert lifetime_projection(100.0, 16.6, 20.8) == pytest.approx(0.7981, abs=5e-4)
+    assert lifetime_projection(100.0, 16.6, 20.8, drain_factor=1.0) == 16.6 / 20.8
+    assert lifetime_projection(100.0, 16.6, 20.8, drain_factor=1.0) == pytest.approx(0.7981, abs=5e-4)
     # accelerated drain shortens it proportionally: 957.69 s at k=3
     assert lifetime_projection(100.0, 16.6, 20.8, drain_factor=3.0) * 3600 == pytest.approx(
         957.6923, abs=1e-3
     )
     # half charge halves it
-    assert lifetime_projection(50.0, 16.6, 20.8) == pytest.approx(0.5 * 16.6 / 20.8)
+    assert lifetime_projection(50.0, 16.6, 20.8, drain_factor=1.0) == pytest.approx(0.5 * 16.6 / 20.8)
     with pytest.raises(ValueError):
-        lifetime_projection(100.0, 16.6, 0.0)
+        lifetime_projection(100.0, 16.6, 0.0, drain_factor=1.0)
 
 
 def test_battery_conservation_identity():
@@ -108,25 +108,39 @@ def test_battery_stops_when_empty():
 
 
 def test_battery_zero_power_free():
-    bat = Battery()
+    bat = Battery(16.6, 100.0, 3.0)
     assert bat.step(0.0, 100.0) == 0.0
     assert bat.soc == 100.0
 
 
+@pytest.mark.parametrize("capacity_wh, soc, drain_factor", [
+    (0.0, 100.0, 3.0),
+    (float("nan"), 100.0, 3.0),
+    (float("inf"), 100.0, 3.0),
+    (16.6, 101.0, 3.0),
+    (16.6, float("nan"), 3.0),
+    (16.6, 100.0, 0.0),
+    (16.6, 100.0, float("nan")),
+])
+def test_battery_rejects_bad_constants(capacity_wh, soc, drain_factor):
+    with pytest.raises(ValueError):
+        Battery(capacity_wh, soc, drain_factor)
+
+
 def test_battery_validation():
-    with pytest.raises(ValueError):
-        Battery(capacity_wh=0.0)
-    with pytest.raises(ValueError):
-        Battery(soc=101.0)
-    with pytest.raises(ValueError):
-        Battery(drain_factor=0.0)
-    bat = Battery()
+    bat = Battery(16.6, 100.0, 3.0)
     with pytest.raises(ValueError):
         bat.step(-1.0, 1.0)
     with pytest.raises(ValueError):
         bat.step(1.0, -1.0)
 
 
-def test_power_params_reject_nonpositive_frame_period():
+@pytest.mark.parametrize("bad", [
+    {"tau_frame_ms": 0.0},
+    {"tau_frame_ms": float("inf")},
+    {"p_base_w": float("nan")},
+    {"tdp_proc_w": -1.0},
+])
+def test_power_params_reject_bad_constants(bad):
     with pytest.raises(ValueError):
-        PowerParams(tau_frame_ms=0.0)
+        PowerParams(**bad)

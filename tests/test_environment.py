@@ -14,7 +14,6 @@ from xredge.environment import (
     RewardParams,
     SystemState,
     XrEnvironment,
-    default_env_config,
     interval_reward,
     objective_value,
     observe,
@@ -28,7 +27,7 @@ A_LOCAL_MIN = 12
 
 
 def make_env(seed=0, **overrides):
-    return XrEnvironment(default_env_config(**overrides), seed=seed)
+    return XrEnvironment(EnvConfig(**overrides), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +87,7 @@ def test_objective_value():
 
 
 def test_observe_normalization_endpoints():
-    cfg = default_env_config()
+    cfg = EnvConfig()
 
     def obs_for(**kw):
         base = dict(soc=100.0, power_w=20.8, rtt_ms=5.0, bandwidth_mbps=1000.0,
@@ -251,24 +250,32 @@ def test_mtp_observation_sticky_under_starvation():
 
 def test_decision_interval_must_align_with_frame_period():
     with pytest.raises(ValueError):
-        XrEnvironment(default_env_config(decision_interval_s=0.07))
+        XrEnvironment(EnvConfig(decision_interval_s=0.07))
     # an exact multiple is fine
-    XrEnvironment(default_env_config(decision_interval_s=0.05, horizon_s=1.0))
+    XrEnvironment(EnvConfig(decision_interval_s=0.05, horizon_s=1.0))
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("overrides", [
-    dict(horizon_s=-5.0), dict(tau_mtp_ms=0.0), dict(rtt_max_ms=0.0), dict(mtp_max_ms=0.0),
+    dict(horizon_s=-5.0), dict(horizon_s=NAN), dict(tau_mtp_ms=0.0), dict(tau_mtp_ms=NAN),
+    dict(rtt_max_ms=0.0), dict(mtp_max_ms=0.0), dict(queue_max_depth=0),
+    dict(capacity_wh=NAN), dict(capacity_wh=INF), dict(soc0=NAN), dict(soc0=101.0),
+    dict(drain_factor=0.0), dict(drain_factor=INF),
+    dict(decision_interval_s=INF), dict(decision_interval_s=NAN), dict(decision_interval_s=0.0),
 ])
 def test_env_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
-        default_env_config(**overrides)
+        EnvConfig(**overrides)
 
 
-def test_env_config_override_helper():
-    cfg = default_env_config(horizon_s=60.0)
-    assert cfg.horizon_s == 60.0
-    assert isinstance(cfg, EnvConfig)
-    assert default_env_config().horizon_s == 1200.0
+@pytest.mark.parametrize("overrides", [
+    dict(p_max_w=0.0), dict(p_max_w=INF), dict(p_max_w=NAN), dict(bonus=NAN), dict(lam=INF),
+])
+def test_reward_params_reject_bad_values(overrides):
+    with pytest.raises(ValueError):
+        RewardParams(**overrides)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"tau_mtp_ms": 20.0}, {"power": PowerParams(p_base_w=1.5)}])
@@ -285,7 +292,7 @@ def test_action_table_rows_equal_the_scalar_models(overrides):
         if tab.is_local[a]:
             assert tab.mtp_local_ms[a] == mtp_local(c, cfg.table)
             assert tab.v_local[a] == violation(mtp_local(c, cfg.table), cfg.tau_mtp_ms)
-    assert sorted(tab.offload_ids) == [a for a in range(N_ACTIONS) if not tab.is_local[a]]
+    assert [row >= 0 for row in tab.offload_row] == [not local for local in tab.is_local]
     assert tab.jitter_mean_ms == cfg.rtt.jitter_mean_ms()
 
 

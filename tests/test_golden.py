@@ -2,8 +2,12 @@
 
 Each (policy, profile) pair runs 120 s at seed 1 and the bytes of its
 metrics.json, decisions.csv and frames.csv must hash to the values in
-tests/golden/hashes.json. A change that moves a hash changes behaviour or
-the artifact schema; regenerate the file deliberately with
+tests/golden/hashes.json. Offload and greedy on the cycle profile run once
+more with an uneven processing-time table: under the default constants the
+offload MTP terms are short binary fractions that sum alike in any order,
+so only non-default ones pin the order of that sum. A change that moves a
+hash changes behaviour or the artifact schema; regenerate the file
+deliberately with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,11 +15,13 @@ the artifact schema; regenerate the file deliberately with
 import hashlib
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from xredge.harness import default_scenario, run_experiment
+from xredge.latency import ProcTimeTable
 
 HASHES = Path(__file__).parent / "golden" / "hashes.json"
 POLICIES = ("local", "offload", "threshold", "greedy", "greedy-noqueue", "rl")
@@ -23,10 +29,13 @@ PROFILES = ("cycle", "stable")
 HORIZON_S = 120.0
 SEED = 1
 FILES = ("metrics.json", "decisions.csv", "frames.csv")
+UNEVEN_TABLE = ProcTimeTable(t0_encode_ms=10.1, t_server_ms=8.3, t_decode_ms=0.3)
+UNEVEN_POLICIES = ("offload", "greedy")
 
 
-def run_hashes(policy: str, profile: str, out_dir: Path) -> dict[str, str]:
+def run_hashes(policy: str, profile: str, table: ProcTimeTable, out_dir: Path) -> dict[str, str]:
     spec = default_scenario(policy, profile, horizon_s=HORIZON_S, seeds=(SEED,))
+    spec = replace(spec, env=replace(spec.env, table=table))
     run_experiment(spec, SEED, out_dir)
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in FILES}
 
@@ -35,15 +44,24 @@ def run_hashes(policy: str, profile: str, out_dir: Path) -> dict[str, str]:
 @pytest.mark.parametrize("policy", POLICIES)
 def test_golden_trajectory(policy, profile, tmp_path):
     expected = json.loads(HASHES.read_text())[f"{policy}-{profile}"]
-    assert run_hashes(policy, profile, tmp_path) == expected
+    assert run_hashes(policy, profile, ProcTimeTable(), tmp_path) == expected
+
+
+@pytest.mark.parametrize("policy", UNEVEN_POLICIES)
+def test_golden_trajectory_uneven_table(policy, tmp_path):
+    expected = json.loads(HASHES.read_text())[f"{policy}-cycle-uneven"]
+    assert run_hashes(policy, "cycle", UNEVEN_TABLE, tmp_path) == expected
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        table = {
-            f"{p}-{q}": run_hashes(p, q, Path(tmp) / f"{p}-{q}")
+        hashes = {
+            f"{p}-{q}": run_hashes(p, q, ProcTimeTable(), Path(tmp) / f"{p}-{q}")
             for p in POLICIES
             for q in PROFILES
         }
-    HASHES.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
+        for p in UNEVEN_POLICIES:
+            out = Path(tmp) / f"{p}-cycle-uneven"
+            hashes[f"{p}-cycle-uneven"] = run_hashes(p, "cycle", UNEVEN_TABLE, out)
+    HASHES.write_text(json.dumps(hashes, sort_keys=True, indent=2) + "\n")
     print(f"wrote {HASHES}")

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from xredge.actions import N_ACTIONS, ExecutionMode, QualityLevel, decode_action, quality_scale
 from xredge.energy import PowerParams, client_power
-from xredge.environment import XrEnvironment, default_env_config, interval_reward
-from xredge.latency import UplinkQueue, mtp_local, violation
+from xredge.environment import EnvConfig, XrEnvironment, interval_reward
+from xredge.latency import ProcTimeTable, UplinkQueue, mtp_local, violation
 from xredge.network import RttDistribution, RttModel, cycle_profile, stable_profile
 from xredge.policies import greedy_select, predicted_epoch
 
@@ -40,7 +40,7 @@ def reference_violation(action_id, env, include_queue=True):
         + cfg.table.t_decode_ms
         + cfg.table.t0_encode_ms * phi
     )
-    backlog_ms = env.queue_backlog_mbit() / bw * 1000.0 if include_queue else 0.0
+    backlog_ms = env.queue.backlog_mbit / bw * 1000.0 if include_queue else 0.0
     frame_period_ms = cfg.power.tau_frame_ms
 
     total_v = 0.0
@@ -84,17 +84,19 @@ def assert_exact(env, include_queue):
 
 
 CONFIGS = {
-    "default": default_env_config(),
-    "rtt-none": default_env_config(rtt=RttModel(distribution=RttDistribution.NONE)),
-    "sigma-0": default_env_config(rtt=RttModel(sigma=0.0)),
-    "jitter-0": default_env_config(rtt=RttModel(jitter_scale_ms=0.0)),
-    "sigma-0.5": default_env_config(rtt=RttModel(sigma=0.5)),
-    "tau-20": default_env_config(tau_mtp_ms=20.0),
-    "tau-45": default_env_config(tau_mtp_ms=45.0),
-    "depth-1": default_env_config(queue_max_depth=1),
-    "frame-25ms": default_env_config(power=PowerParams(tau_frame_ms=25.0), decision_interval_s=1.0),
+    "default": EnvConfig(),
+    "rtt-none": EnvConfig(rtt=RttModel(distribution=RttDistribution.NONE)),
+    "sigma-0": EnvConfig(rtt=RttModel(sigma=0.0)),
+    "jitter-0": EnvConfig(rtt=RttModel(jitter_scale_ms=0.0)),
+    "sigma-0.5": EnvConfig(rtt=RttModel(sigma=0.5)),
+    "tau-20": EnvConfig(tau_mtp_ms=20.0),
+    "tau-45": EnvConfig(tau_mtp_ms=45.0),
+    "depth-1": EnvConfig(queue_max_depth=1),
+    "frame-25ms": EnvConfig(power=PowerParams(tau_frame_ms=25.0), decision_interval_s=1.0),
     # k*T is inexact here, so rounding can make the link idle and busy again
-    "frame-30hz": default_env_config(power=PowerParams(tau_frame_ms=1000.0 / 30.0)),
+    "frame-30hz": EnvConfig(power=PowerParams(tau_frame_ms=1000.0 / 30.0)),
+    # under the default table the offload terms sum alike in any order
+    "uneven-table": EnvConfig(table=ProcTimeTable(t0_encode_ms=10.1, t_server_ms=8.3, t_decode_ms=0.3)),
 }
 
 queued = st.tuples(
@@ -147,7 +149,7 @@ def test_prediction_exact_where_service_time_meets_frame_period(frame_ms, qualit
     # at bw = 1000 * payload / T the serialization time is within ulps of the
     # frame period T, where rounding alone decides whether the link idles;
     # at T = 1000/30 ms it idles, works and idles again within one epoch
-    cfg = default_env_config(profile=stable_profile(1.0), power=PowerParams(tau_frame_ms=frame_ms))
+    cfg = EnvConfig(profile=stable_profile(1.0), power=PowerParams(tau_frame_ms=frame_ms))
     env = XrEnvironment(cfg, seed=0)
     payload = cfg.frame.payload_mbit(quality)
     bw = payload / frame_ms * 1000.0

@@ -1,4 +1,4 @@
-"""Motion-to-photon latency: processing times, network delay, uplink queue."""
+"""Motion-to-photon latency: processing times, frame payloads, uplink queue."""
 
 import pytest
 
@@ -10,13 +10,12 @@ from xredge.actions import (
     decode_action,
     quality_scale,
 )
-from xredge.environment import ActionTable, default_env_config
+from xredge.environment import ActionTable, EnvConfig
 from xredge.latency import (
     FrameSizeModel,
     ProcTimeTable,
     UplinkQueue,
     mtp_local,
-    net_delay,
     proc_time,
     violation,
 )
@@ -24,7 +23,7 @@ from xredge.latency import (
 TABLE = ProcTimeTable()
 FRAME = FrameSizeModel()
 # the per-quality MTP terms the uplink queue reads, and its quality rows
-TERMS = ActionTable(default_env_config(table=TABLE))
+TERMS = ActionTable(EnvConfig(table=TABLE))
 LOW, MEDIUM, HIGH = (TERMS.offload_qualities.index(q)
                      for q in (QualityLevel.LOW, QualityLevel.MEDIUM, QualityLevel.HIGH))
 
@@ -60,7 +59,7 @@ def test_mtp_local():
 
 
 # ---------------------------------------------------------------------------
-# network delay
+# frame payload and violation
 # ---------------------------------------------------------------------------
 
 
@@ -68,18 +67,6 @@ def test_payload_scales_with_pixels():
     assert FRAME.payload_mbit(QualityLevel.HIGH) == pytest.approx(5.8)
     assert FRAME.payload_mbit(QualityLevel.MEDIUM) == pytest.approx(3.2625)
     assert FRAME.payload_mbit(QualityLevel.LOW) == pytest.approx(1.45)
-
-
-def test_net_delay_hand_values():
-    # serialization = payload / bandwidth, then add the RTT
-    assert net_delay(QualityLevel.HIGH, 58.0, 10.0, FRAME) == pytest.approx(110.0)
-    assert net_delay(QualityLevel.MEDIUM, 217.5, 5.0, FRAME) == pytest.approx(20.0)
-    assert net_delay(QualityLevel.LOW, 10.0, 5.0, FRAME) == pytest.approx(150.0)
-
-
-def test_net_delay_requires_positive_bandwidth():
-    with pytest.raises(ValueError):
-        net_delay(QualityLevel.HIGH, 0.0, 5.0, FRAME)
 
 
 def test_violation():
@@ -132,7 +119,7 @@ def test_single_frame_delivery_mtp():
 
 
 def test_partial_transmission_carries_over():
-    q = UplinkQueue()
+    q = UplinkQueue(max_depth=20)
     q.enqueue(0.0, HIGH, 5.8)
     assert drain(q, 1.0, 5.0, 1.0, 0.0) == []     # 1 Mbit of 5.8 sent
     assert q.depth == 1
@@ -146,7 +133,7 @@ def test_partial_transmission_carries_over():
 
 def test_stale_backlog_produces_high_mtp():
     # frames stuck through congestion come out with multi-second MTP
-    q = UplinkQueue()
+    q = UplinkQueue(max_depth=20)
     q.enqueue(0.0, HIGH, 5.8)
     drain(q, 0.001, 5.0, 1.0, 0.0)                  # effectively stalled
     out = drain(q, 1000.0, 5.0, 1.0, 3.0)
@@ -167,7 +154,7 @@ def test_drop_oldest_when_full():
 
 
 def test_flush_counts_as_drops():
-    q = UplinkQueue()
+    q = UplinkQueue(max_depth=20)
     for i in range(4):
         q.enqueue(float(i), LOW, 1.45)
     assert q.flush() == 4
@@ -188,7 +175,7 @@ def test_frame_conservation():
 
 
 def test_fifo_order():
-    q = UplinkQueue()
+    q = UplinkQueue(max_depth=20)
     for i in range(3):
         q.enqueue(float(i), LOW, 1.45)
     out = drain(q, 1000.0, 5.0, 1.0, 3.0)
@@ -199,7 +186,7 @@ def test_fifo_order():
 def test_mtp_terms_scale_with_quality():
     # server and encode scale with the pixel count, decode does not
     for row, quality in enumerate(TERMS.offload_qualities):
-        q = UplinkQueue()
+        q = UplinkQueue(max_depth=20)
         q.enqueue(0.0, row, 1.0)
         ((_, mtp),) = drain(q, 1000.0, 5.0, 1.0, 0.0)
         phi = quality_scale(quality)
@@ -209,7 +196,7 @@ def test_mtp_terms_scale_with_quality():
 def test_queue_validation():
     with pytest.raises(ValueError):
         UplinkQueue(max_depth=0)
-    q = UplinkQueue()
+    q = UplinkQueue(max_depth=20)
     with pytest.raises(ValueError):
         q.enqueue(0.0, LOW, 0.0)
     with pytest.raises(ValueError):

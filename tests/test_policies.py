@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xredge.dqn import DqnConfig
-from xredge.environment import XrEnvironment, default_env_config, interval_reward
+from xredge.environment import EnvConfig, XrEnvironment, interval_reward
 from xredge.network import RttModel, stable_profile
 from xredge.policies import (
     ACTION_LOCAL_FULL,
@@ -14,16 +14,15 @@ from xredge.policies import (
     ThresholdPolicy,
     greedy_select,
     make_policy,
-    predicted_epoch_reward,
+    StaticPolicy,
+    predicted_epoch,
     predicted_epoch_violation,
-    static_local,
-    static_offload,
     threshold_select,
 )
 
 
 def make_env(mbps=1000.0, seed=0, **overrides):
-    cfg = default_env_config(profile=stable_profile(mbps), **overrides)
+    cfg = EnvConfig(profile=stable_profile(mbps), **overrides)
     return XrEnvironment(cfg, seed=seed)
 
 
@@ -34,15 +33,15 @@ def make_env(mbps=1000.0, seed=0, **overrides):
 
 def test_static_policies_pick_full_fidelity_actions():
     env = make_env()
-    assert static_local().select(env) == ACTION_LOCAL_FULL == 4
-    assert static_offload().select(env) == ACTION_OFFLOAD_FULL == 5
+    assert make_policy("local").select(env) == ACTION_LOCAL_FULL == 4
+    assert make_policy("offload").select(env) == ACTION_OFFLOAD_FULL == 5
 
 
 def test_threshold_select_boundary():
-    assert threshold_select(100.0) == ACTION_OFFLOAD_FULL
-    assert threshold_select(15.0001) == ACTION_OFFLOAD_FULL
-    assert threshold_select(15.0) == ACTION_LOCAL_FULL   # strict inequality
-    assert threshold_select(10.0) == ACTION_LOCAL_FULL
+    assert threshold_select(100.0, 15.0) == ACTION_OFFLOAD_FULL
+    assert threshold_select(15.0001, 15.0) == ACTION_OFFLOAD_FULL
+    assert threshold_select(15.0, 15.0) == ACTION_LOCAL_FULL   # strict inequality
+    assert threshold_select(10.0, 15.0) == ACTION_LOCAL_FULL
 
 
 def test_threshold_policy_reads_env_bandwidth():
@@ -94,7 +93,7 @@ def test_predicted_reward_identity():
         from xredge.actions import decode_action
         from xredge.energy import client_power
         p = client_power(decode_action(action), env.cfg.table, env.cfg.power)
-        assert predicted_epoch_reward(action, env) == pytest.approx(
+        assert predicted_epoch(env)[1][action] == pytest.approx(
             interval_reward(v, p, env.state.soc, env.cfg.reward)
         )
 
@@ -156,13 +155,13 @@ def test_rl_policy_requires_select_before_outcome():
 
 
 def test_make_policy_kinds():
-    assert make_policy("local").name == "local"
-    assert make_policy("offload").name == "offload"
+    assert make_policy("local").action_id == ACTION_LOCAL_FULL
+    assert make_policy("offload").action_id == ACTION_OFFLOAD_FULL
     assert make_policy("greedy").include_queue is True
     assert make_policy("greedy-noqueue").include_queue is False
-    assert make_policy("threshold").name == "threshold"
+    assert make_policy("threshold").threshold_mbps == 15.0
     assert isinstance(make_policy("rl", seed=3), RlPolicy)
-    assert make_policy("LOCAL").name == "local"    # case-insensitive
+    assert isinstance(make_policy("LOCAL"), StaticPolicy)    # case-insensitive
     with pytest.raises(ValueError):
         make_policy("dagger")
 

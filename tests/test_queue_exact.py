@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xredge.actions import QualityLevel, quality_scale
-from xredge.environment import ActionTable, default_env_config
+from xredge.environment import ActionTable, EnvConfig
 from xredge.latency import ProcTimeTable, UplinkQueue
 
 
@@ -167,7 +167,7 @@ flush_op = st.tuples(st.just("flush"))
     ops=st.lists(st.one_of(enqueue_op, drain_op, exact_fit_op, flush_op), max_size=60),
 )
 def test_column_queue_equals_the_list_of_frames_queue(max_depth, table, t0, ops):
-    cfg = default_env_config(table=TABLES[table])
+    cfg = EnvConfig(table=TABLES[table])
     terms = ActionTable(cfg)
     qualities = terms.offload_qualities
     q, ref = UplinkQueue(max_depth), ReferenceUplinkQueue(max_depth)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from xredge.actions import N_ACTIONS
 from xredge.energy import Battery, PowerParams
-from xredge.environment import SystemState, XrEnvironment, default_env_config, interval_reward, observe
+from xredge.environment import EnvConfig, SystemState, XrEnvironment, interval_reward, observe
 from xredge.latency import violation
 from xredge.network import RttDistribution, RttModel, bandwidth_at, cycle_profile, stable_profile
 
@@ -172,7 +172,7 @@ RTTS = {
 )
 def test_step_equals_the_tick_by_tick_definition(profile, rtt, frame_ms, capacity_wh, actions, seed):
     # the small batteries run out mid-interval within a few decisions
-    cfg = default_env_config(
+    cfg = EnvConfig(
         profile=PROFILES[profile], rtt=RTTS[rtt], power=PowerParams(tau_frame_ms=frame_ms),
         capacity_wh=capacity_wh, horizon_s=float(len(actions)),
     )
