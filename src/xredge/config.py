@@ -1,15 +1,19 @@
-"""Type-driven JSON conversion of the config and record dataclasses.
+"""Type-driven JSON conversion of the config and record dataclasses, and
+the one range check several configs share.
 
 Both directions walk `dataclasses.fields` and the type hints, so a new field
-needs no serializer edit. Enums travel by value, tuples as lists. Range
-checks belong to each config's `__post_init__`, not to the conversion:
-a metrics file may hold an infinite lifetime.
+needs no serializer edit. Enums travel by value, tuples as lists. The
+conversion checks types only: range checks run in each config's
+`__post_init__` (through `check_non_negative` where every number must be
+finite and non-negative), because a metrics file may hold an infinite
+lifetime.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import typing
 from enum import Enum
 
@@ -39,7 +43,7 @@ def check_non_negative(obj) -> None:
     """Raise ValueError unless every numeric field of dataclass `obj` is finite and >= 0."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, (int, float)) and not (math.isfinite(value) and value >= 0):
+        if isinstance(value, numbers.Real) and not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{f.name} must be finite and non-negative: {value}")
 
 

@@ -99,7 +99,8 @@ class EnvConfig:
     def n_ticks(self) -> int:
         tick_s = self.power.tau_frame_ms / 1000.0
         interval = self.decision_interval_s
-        n = round(interval / tick_s) if math.isfinite(interval) else 0
+        ratio = interval / tick_s
+        n = round(ratio) if math.isfinite(ratio) else 0
         if n < 1 or abs(n * tick_s - interval) > 1e-9:
             raise ValueError(
                 "decision interval must be a positive integer multiple of the "

@@ -66,7 +66,7 @@ class ThresholdPolicy:
         pass
 
 
-def offload_epoch_violation(env: XrEnvironment, include_queue: bool = True) -> list[float]:
+def offload_epoch_violation(env: XrEnvironment, include_queue: bool) -> list[float]:
     """Model-predicted mean violation of one offloaded epoch, per offload quality.
 
     Returns one value per row of the action table's offload arrays; an
@@ -111,7 +111,7 @@ def offload_epoch_violation(env: XrEnvironment, include_queue: bool = True) -> l
     return (np.cumsum(ev, axis=1)[:, -1] / n).tolist()
 
 
-def predicted_epoch_violation(action_id: int, env: XrEnvironment, include_queue: bool = True,
+def predicted_epoch_violation(action_id: int, env: XrEnvironment, include_queue: bool,
                               offload_v: list[float] | None = None) -> float:
     """Model-predicted mean violation of one epoch under one action.
 
@@ -127,7 +127,7 @@ def predicted_epoch_violation(action_id: int, env: XrEnvironment, include_queue:
     return offload_v[tab.offload_row[action_id]]
 
 
-def predicted_epoch(env: XrEnvironment, include_queue: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def predicted_epoch(env: XrEnvironment, include_queue: bool) -> tuple[np.ndarray, np.ndarray]:
     """Model-predicted mean violation and reward of one epoch, for every action.
 
     Returns two length-18 arrays indexed by action id. The offload sweep runs
@@ -144,7 +144,7 @@ def predicted_epoch(env: XrEnvironment, include_queue: bool = True) -> tuple[np.
     return v, r
 
 
-def greedy_select(env: XrEnvironment, include_queue: bool = True) -> int:
+def greedy_select(env: XrEnvironment, include_queue: bool) -> int:
     """Argmax of predicted one-epoch reward over all actions, ties to lowest id."""
     return int(np.argmax(predicted_epoch(env, include_queue)[1]))
 

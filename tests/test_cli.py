@@ -147,6 +147,7 @@ NAN, INF = float("nan"), float("inf")
     (_set("env.power.p_base_w", NAN), "p_base_w must be finite and non-negative: nan"),
     (_set("env.reward.p_max_w", 0), "p_max_w must be positive and finite: 0.0"),
     (_set("env.decision_interval_s", INF), "decision interval must be a positive integer multiple"),
+    (_set("env.decision_interval_s", 1e308), "decision interval must be a positive integer multiple"),
 ])
 def test_bad_scenario_file_fails_cleanly(tmp_path, capsys, edit, fragment):
     from xredge.config import to_jsonable

@@ -264,6 +264,7 @@ NAN, INF = float("nan"), float("inf")
     dict(capacity_wh=NAN), dict(capacity_wh=INF), dict(soc0=NAN), dict(soc0=101.0),
     dict(drain_factor=0.0), dict(drain_factor=INF),
     dict(decision_interval_s=INF), dict(decision_interval_s=NAN), dict(decision_interval_s=0.0),
+    dict(decision_interval_s=1e308),
 ])
 def test_env_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):

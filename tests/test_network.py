@@ -165,7 +165,8 @@ def test_jitter_excess_edge_cases():
 
 @pytest.mark.parametrize("bad", [
     {"base_ms": -1.0}, {"base_ms": math.nan}, {"jitter_scale_ms": math.inf},
-    {"sigma": -0.5}, {"sigma": math.nan},
+    {"sigma": -0.5}, {"sigma": math.nan}, {"base_ms": np.float64(math.nan)},
+    {"base_ms": np.int64(-1)},
 ])
 def test_rtt_validation(bad):
     with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from xredge.policies import (
     ThresholdPolicy,
     greedy_select,
     make_policy,
-    StaticPolicy,
     predicted_epoch,
     predicted_epoch_violation,
     threshold_select,
@@ -58,8 +57,8 @@ def test_threshold_policy_reads_env_bandwidth():
 def test_predicted_violation_local_is_exact():
     env = make_env()
     # full local pipeline lands exactly on the threshold: zero violation
-    assert predicted_epoch_violation(4, env) == 0.0
-    assert predicted_epoch_violation(12, env) == 0.0
+    assert predicted_epoch_violation(4, env, include_queue=True) == 0.0
+    assert predicted_epoch_violation(12, env, include_queue=True) == 0.0
 
 
 def test_predicted_violation_offload_fast_link():
@@ -67,15 +66,15 @@ def test_predicted_violation_offload_fast_link():
     # deterministic part: 5.8 ms serialization + 24 ms fixed = 29.8 ms,
     # leaving 0.2 ms of slack that only RTT jitter can breach
     expected = env.cfg.rtt.jitter_excess_mean_ms(0.2) / 30.0
-    assert predicted_epoch_violation(5, env) == pytest.approx(expected)
-    assert 0.0 < predicted_epoch_violation(5, env) < 0.01
+    assert predicted_epoch_violation(5, env, include_queue=True) == pytest.approx(expected)
+    assert 0.0 < predicted_epoch_violation(5, env, include_queue=True) < 0.01
 
 
 def test_predicted_violation_offload_starved_link():
     env = make_env(1.0)
     # 5.8 s of air time per frame versus a 50 ms period: the queue model
     # predicts blowup
-    assert predicted_epoch_violation(5, env) > 10.0
+    assert predicted_epoch_violation(5, env, include_queue=True) > 10.0
 
 
 def test_predicted_violation_accounts_for_backlog():
@@ -89,11 +88,11 @@ def test_predicted_violation_accounts_for_backlog():
 def test_predicted_reward_identity():
     env = make_env(1000.0)
     for action in (4, 5, 12, 17):
-        v = predicted_epoch_violation(action, env)
+        v = predicted_epoch_violation(action, env, include_queue=True)
         from xredge.actions import decode_action
         from xredge.energy import client_power
         p = client_power(decode_action(action), env.cfg.table, env.cfg.power)
-        assert predicted_epoch(env)[1][action] == pytest.approx(
+        assert predicted_epoch(env, include_queue=True)[1][action] == pytest.approx(
             interval_reward(v, p, env.state.soc, env.cfg.reward)
         )
 
@@ -109,7 +108,7 @@ def test_greedy_degenerates_to_cheapest_compliant_action(mbps):
     # predicted compliant (earning the bonus) at the lowest power, while any
     # offload action carries a nonzero predicted jitter violation
     env = make_env(mbps)
-    assert greedy_select(env) == 12
+    assert greedy_select(env, include_queue=True) == 12
 
 
 def test_greedy_policy_objects():
@@ -161,7 +160,7 @@ def test_make_policy_kinds():
     assert make_policy("greedy-noqueue").include_queue is False
     assert make_policy("threshold").threshold_mbps == 15.0
     assert isinstance(make_policy("rl", seed=3), RlPolicy)
-    assert isinstance(make_policy("LOCAL"), StaticPolicy)    # case-insensitive
+    assert make_policy("LOCAL").action_id == ACTION_LOCAL_FULL    # case-insensitive
     with pytest.raises(ValueError):
         make_policy("dagger")
 
@@ -171,5 +170,5 @@ def test_greedy_prices_offload_jitter_under_a_light_tail():
     # slack, so its jitter exceedance is tiny but not zero: offloading can
     # never be predicted fully compliant, and the cheapest local action wins
     env = make_env(1000.0, rtt=RttModel(sigma=0.5))
-    assert 0.0 < predicted_epoch_violation(1, env) < 1e-20
-    assert greedy_select(env) == 12
+    assert 0.0 < predicted_epoch_violation(1, env, include_queue=True) < 1e-20
+    assert greedy_select(env, include_queue=True) == 12
