@@ -23,6 +23,7 @@ from .harness import (
     run_scenario,
     save_spec,
     sweep,
+    write_json,
 )
 from .policies import POLICIES
 
@@ -49,14 +50,11 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 def _build_spec(args) -> ScenarioSpec:
     if args.scenario:
         return load_spec(args.scenario)
-    return default_scenario(
-        policy=args.policy,
-        profile=args.profile,
-        horizon_s=args.horizon,
-        seeds=_parse_seeds(args.seeds),
-        stable_mbps=args.stable_mbps,
-        name=args.name,
-    )
+    # an omitted flag is not passed, so default_scenario's default applies
+    given = {"horizon_s": args.horizon, "stable_mbps": args.stable_mbps,
+             "seeds": None if args.seeds is None else _parse_seeds(args.seeds)}
+    return default_scenario(args.policy, args.profile, name=args.name,
+                            **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_run(args) -> int:
@@ -109,28 +107,28 @@ def _cmd_sweep(args) -> int:
     ]
     summary_path = out / f"sweep_{args.param.replace('.', '_')}.json"
     summary_path.parent.mkdir(parents=True, exist_ok=True)
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(summary_path, summary)
     print(f"  wrote {summary_path}")
     return 0
 
 
 def _load_metrics_under(root: Path) -> list[MetricsRecord]:
-    records = []
-    for path in sorted(root.rglob("metrics.json")):
-        records.append(from_jsonable(MetricsRecord, json.loads(path.read_text()), str(path)))
+    """Every metrics.json under root, in path order; at least one."""
+    if not root.exists():
+        raise ValueError(f"directory not found: {root}")
+    records = [from_jsonable(MetricsRecord, json.loads(path.read_text()), str(path))
+               for path in sorted(root.rglob("metrics.json"))]
+    if not records:
+        raise ValueError(f"no metrics.json files under {root}")
     return records
 
 
 def _cmd_aggregate(args) -> int:
     root = Path(args.runs)
-    if not root.exists():
-        raise ValueError(f"run directory not found: {root}")
     records = _load_metrics_under(root)
-    if not records:
-        raise ValueError(f"no metrics.json files under {root}")
     agg = aggregate_seeds(records)
     out_path = root / "aggregate.json"
-    out_path.write_text(json.dumps(agg, sort_keys=True, indent=2) + "\n")
+    write_json(out_path, agg)
     c = agg["compliance_pct"]
     print(
         f"{agg['scenario']}: {len(records)} runs, compliance median "
@@ -142,11 +140,7 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_report(args) -> int:
     root = _out_dir(args)
-    if not root.exists():
-        raise ValueError(f"output directory not found: {root}")
     records = _load_metrics_under(root)
-    if not records:
-        raise ValueError(f"no metrics.json files under {root}")
     records.sort(key=lambda m: (m.scenario, m.seed))
     header = (
         f"{'scenario':28s} {'policy':10s} {'seed':>4s} {'compl%':>7s} "
@@ -171,13 +165,12 @@ def _cmd_report(args) -> int:
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="scenario JSON file (overrides the flags below)")
-    p.add_argument("--policy", default="rl", choices=tuple(POLICIES))
+    p.add_argument("--policy", default=ScenarioSpec.policy, choices=tuple(POLICIES))
     p.add_argument("--profile", default="cycle",
                    help="'cycle', 'stable', or a profile text file path")
-    p.add_argument("--stable-mbps", type=float, default=1000.0,
-                   help="bandwidth for --profile stable")
-    p.add_argument("--horizon", type=float, default=1200.0, help="episode length in seconds")
-    p.add_argument("--seeds", default="1,2,3", help="comma-separated seed list")
+    p.add_argument("--stable-mbps", type=float, help="bandwidth for --profile stable")
+    p.add_argument("--horizon", type=float, help="episode length in seconds")
+    p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--name", default=None, help="scenario name (defaults to policy-profile)")
     p.add_argument("--out", default=None, help="output directory (default $XREDGE_OUT or ./runs)")
 

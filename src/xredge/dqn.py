@@ -70,11 +70,9 @@ class QNetwork:
     (Adam, `copy_from`, checkpoint loading) updates every layer.
     """
 
-    def __init__(self, sizes: tuple[int, ...], rng=None):
+    def __init__(self, sizes: tuple[int, ...], rng: np.random.Generator):
         if len(sizes) < 2:
             raise ValueError(f"need at least input and output sizes: {sizes}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.sizes = tuple(int(s) for s in sizes)
         self._bind(np.empty(sum(i * o + o for i, o in zip(self.sizes[:-1], self.sizes[1:]))))
         for w, b in zip(self.weights, self.biases):
@@ -86,14 +84,21 @@ class QNetwork:
         self.theta = theta
         self.weights, self.biases = layer_views(theta, self.sizes)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Q-values, shape (batch, n_actions). Accepts a single obs or a batch."""
+    def activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """Each layer's input, then the Q-values of shape (batch, n_actions).
+        Accepts a single obs or a batch."""
         a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        acts = [a]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w + b
             a = z if i == last else np.maximum(z, 0.0)
-        return a
+            acts.append(a)
+        return acts
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Q-values, shape (batch, n_actions). Accepts a single obs or a batch."""
+        return self.activations(x)[-1]
 
     def copy_from(self, other: "QNetwork") -> None:
         if other.sizes != self.sizes:
@@ -118,23 +123,11 @@ def loss_and_grads(
     Only the output unit of each sample's taken action receives error signal.
     The gradient is one flat vector laid out like net.theta.
     """
-    x = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.asarray(actions, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.float64)
-    n = x.shape[0]
-    last = len(net.weights) - 1
-
-    pre: list[np.ndarray] = []       # pre-activations per layer
-    acts: list[np.ndarray] = [x]     # inputs per layer
-    a = x
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-        if i != last:
-            acts.append(a)
-
-    q_all = pre[-1]
+    acts = net.activations(states)
+    q_all = acts[-1]
+    n = q_all.shape[0]
     q_taken = q_all[np.arange(n), actions]
     err = q_taken - targets
     loss = float(np.mean(err**2))
@@ -143,12 +136,13 @@ def loss_and_grads(
     dz[np.arange(n), actions] = 2.0 * err / n
     grad = np.empty_like(net.theta)
     grad_w, grad_b = layer_views(grad, net.sizes)
-    for i in range(last, -1, -1):
+    for i in range(len(grad_w) - 1, -1, -1):
         np.matmul(acts[i].T, dz, out=grad_w[i])
         dz.sum(axis=0, out=grad_b[i])
         if i > 0:
+            # a ReLU output is positive exactly where its input was
             da = dz @ net.weights[i].T
-            dz = da * (pre[i - 1] > 0.0)
+            dz = da * (acts[i] > 0.0)
     return loss, grad
 
 
@@ -159,10 +153,7 @@ def td_targets(
     gamma: float,
 ) -> np.ndarray:
     """One-step bootstrapped targets: r + gamma * max_a' Q'(s', a'), cut at terminals."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    max_next_q = np.asarray(max_next_q, dtype=np.float64)
-    cont = 1.0 - np.asarray(dones, dtype=np.float64)
-    return rewards + gamma * cont * max_next_q
+    return rewards + gamma * (1.0 - dones) * max_next_q
 
 
 class Adam:

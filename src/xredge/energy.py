@@ -110,8 +110,6 @@ class Battery:
             raise ValueError(f"dt must be non-negative: {dt_s}")
         if self.depleted:
             return 0.0, 0, None
-        if power_w == 0.0 or dt_s == 0.0:
-            return 0.0, n, None
         full = power_w * dt_s
         drop_pct = self.drain_factor * power_w * dt_s / self.capacity_j * 100.0
         energy = 0.0

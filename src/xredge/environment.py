@@ -87,8 +87,8 @@ class EnvConfig:
         Battery(self.capacity_wh, self.soc0, self.drain_factor)
         UplinkQueue(self.queue_max_depth)
         # negated comparisons, so that a NaN fails them too
-        if not self.horizon_s >= 0:
-            raise ValueError(f"horizon must be non-negative: {self.horizon_s}")
+        if not 0 <= self.horizon_s < math.inf:
+            raise ValueError(f"horizon must be non-negative and finite: {self.horizon_s}")
         if not 0 < self.tau_mtp_ms < math.inf:
             raise ValueError(f"MTP threshold must be positive and finite: {self.tau_mtp_ms}")
         if not (self.rtt_max_ms > 0 and self.mtp_max_ms > 0):
@@ -107,6 +107,12 @@ class EnvConfig:
                 f"frame period: {interval} s vs {tick_s} s"
             )
         return n
+
+
+def _mean(a: np.ndarray) -> float:
+    """np.mean of a non-empty float64 vector, bit for bit (the same pairwise
+    sum over the same count) without np.mean's Python-level dispatch."""
+    return float(np.add.reduce(a)) / a.size
 
 
 _CONFIGS = tuple(all_configs())
@@ -148,9 +154,9 @@ class ActionTable:
             for m, local in zip(self.mtp_local_ms, self.is_local)
         )
         self.n_ticks = n = cfg.n_ticks()
-        # a full local interval's means, as np.mean over its n frames gives them
-        self.mtp_mean_local_ms = tuple(float(np.mean(np.full(n, m))) for m in self.mtp_local_ms)
-        self.v_mean_local = tuple(float(np.mean(np.full(n, v))) for v in self.v_local)
+        # a full local interval's means over its n frames
+        self.mtp_mean_local_ms = tuple(_mean(np.full(n, m)) for m in self.mtp_local_ms)
+        self.v_mean_local = tuple(_mean(np.full(n, v)) for v in self.v_local)
         self.payload_mbit = tuple(cfg.frame.payload_mbit(c.quality) for c in self.configs)
         self.jitter_mean_ms = cfg.rtt.jitter_mean_ms()
         # the reward's power term, as interval_reward computes it
@@ -218,12 +224,6 @@ def observe(state: SystemState, cfg: EnvConfig) -> np.ndarray:
     bw = min(max(np.log10(max(state.bandwidth_mbps, 1e-12)) / 3.0, 0.0), 1.0)
     mtp = min(max(state.mtp_ms / cfg.mtp_max_ms, 0.0), 1.0)
     return np.array([soc, power, rtt, bw, mtp], dtype=np.float64)
-
-
-def _mean(a: np.ndarray) -> float:
-    """np.mean of a non-empty float64 vector, bit for bit (the same pairwise
-    sum over the same count) without np.mean's Python-level dispatch."""
-    return float(np.add.reduce(a)) / a.size
 
 
 class XrEnvironment:
@@ -300,8 +300,8 @@ class XrEnvironment:
             if captured == n_ticks:
                 mean_v, mtp_mean = tab.v_mean_local[row], tab.mtp_mean_local_ms[row]
             else:
-                mean_v = float(np.mean(np.full(captured, tab.v_local[row])))
-                mtp_mean = float(np.mean(mtp))
+                mean_v = _mean(np.full(captured, tab.v_local[row]))
+                mtp_mean = _mean(mtp)
         else:
             # one enqueue and one uplink drain per tick
             queue, quality_row, payload = self.queue, tab.offload_row[row], tab.payload_mbit[row]

@@ -77,33 +77,24 @@ class MetricsRecord:
     per_level_compliance_pct: dict[str, float]
     per_level_frames: dict[str, int]
     action_histogram: list[int]
-    # wall-clock controller cost; excluded from the deterministic metrics file
-    latency_median_us: float = 0.0
-    latency_p95_us: float = 0.0
 
     def to_metrics_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("latency_median_us")
-        d.pop("latency_p95_us")
-        return d
-
-    def to_timing_dict(self) -> dict:
-        return {
-            "latency_median_us": self.latency_median_us,
-            "latency_p95_us": self.latency_p95_us,
-        }
+        return asdict(self)
 
 
 @dataclass
 class RunResult:
-    """A run's metrics and its traces, both stored by column: `decisions`
-    maps each DECISION_COLUMNS name to a list with one value per decision,
-    `frames` each FRAME_COLUMNS name to an array (of its FRAME_DTYPES type)
-    with one value per delivered frame, in delivery order."""
+    """A run's metrics, traces and wall-clock controller cost. The traces are
+    stored by column: `decisions` maps each DECISION_COLUMNS name to a list
+    with one value per decision, `frames` each FRAME_COLUMNS name to an array
+    (of its FRAME_DTYPES type) with one value per delivered frame, in delivery
+    order. `timing` is what timing.json holds: controller latency that varies
+    between reruns, so it is kept out of `metrics`."""
 
     metrics: MetricsRecord
     decisions: dict[str, list]
     frames: dict[str, np.ndarray]
+    timing: dict[str, float]
 
 
 def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = None) -> RunResult:
@@ -154,8 +145,13 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
 
     frame_columns = {c: a[:n_frames] for c, a in frames.items()}
     np.less_equal(frame_columns["mtp_ms"], spec.env.tau_mtp_ms, out=frame_columns["compliant"])
-    metrics = _compute_metrics(spec, seed, env, decisions, frame_columns, latencies_s)
-    result = RunResult(metrics=metrics, decisions=decisions, frames=frame_columns)
+    metrics = _compute_metrics(spec, seed, env, decisions, frame_columns)
+    lat_us = sorted(x * 1e6 for x in latencies_s)
+    timing = {
+        "latency_median_us": float(np.median(lat_us)) if lat_us else 0.0,
+        "latency_p95_us": float(np.percentile(lat_us, 95)) if lat_us else 0.0,
+    }
+    result = RunResult(metrics=metrics, decisions=decisions, frames=frame_columns, timing=timing)
     if out_dir is not None:
         write_run(Path(out_dir), result)
     return result
@@ -173,7 +169,7 @@ def _frame_capacity(env: XrEnvironment) -> int:
     return env.actions.n_ticks * (math.ceil(run_s / cfg.decision_interval_s) + 1)
 
 
-def _compute_metrics(spec, seed, env, decisions, frames, latencies_s) -> MetricsRecord:
+def _compute_metrics(spec, seed, env, decisions, frames) -> MetricsRecord:
     cfg = spec.env
     survived = env.survived_s
     delivered = frames["mtp_ms"].size
@@ -190,9 +186,6 @@ def _compute_metrics(spec, seed, env, decisions, frames, latencies_s) -> Metrics
     local_pct = 100.0 * local_dec / n_dec if n_dec else 0.0
     per_level, per_level_n = per_bandwidth_compliance(frames["t_capture"], frames["compliant"], cfg.profile)
     histogram = [decisions["action"].count(a) for a in range(N_ACTIONS)]
-    lat_us = sorted(x * 1e6 for x in latencies_s)
-    lat_median = float(np.median(lat_us)) if lat_us else 0.0
-    lat_p95 = float(np.percentile(lat_us, 95)) if lat_us else 0.0
 
     return MetricsRecord(
         schema_version=METRICS_SCHEMA_VERSION,
@@ -219,8 +212,6 @@ def _compute_metrics(spec, seed, env, decisions, frames, latencies_s) -> Metrics
         per_level_compliance_pct=per_level,
         per_level_frames=per_level_n,
         action_histogram=histogram,
-        latency_median_us=lat_median,
-        latency_p95_us=lat_p95,
     )
 
 
@@ -305,7 +296,7 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path | None = None) -> tuple
     if out_dir is not None:
         agg_path = Path(out_dir) / spec.name / "aggregate.json"
         agg_path.parent.mkdir(parents=True, exist_ok=True)
-        agg_path.write_text(json.dumps(agg, sort_keys=True, indent=2) + "\n")
+        write_json(agg_path, agg)
     return results, agg
 
 
@@ -348,16 +339,17 @@ def sweep(
 # -- artifact writers ------------------------------------------------------
 
 
+def write_json(path: Path, obj) -> None:
+    """The one JSON layout of every artifact: sorted keys, two-space indent."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def write_run(out_dir: Path, result: RunResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_decision_csv(out_dir / "decisions.csv", result.decisions)
     write_frame_csv(out_dir / "frames.csv", result.frames)
-    (out_dir / "metrics.json").write_text(
-        json.dumps(result.metrics.to_metrics_dict(), sort_keys=True, indent=2) + "\n"
-    )
-    (out_dir / "timing.json").write_text(
-        json.dumps(result.metrics.to_timing_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    write_json(out_dir / "metrics.json", result.metrics.to_metrics_dict())
+    write_json(out_dir / "timing.json", result.timing)
 
 
 def write_decision_csv(path: Path, decisions: dict[str, list]) -> None:
@@ -396,7 +388,7 @@ def write_frame_csv(path: Path, frames: dict[str, np.ndarray]) -> None:
 
 
 def save_spec(spec: ScenarioSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_jsonable(spec), sort_keys=True, indent=2) + "\n")
+    write_json(Path(path), to_jsonable(spec))
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
@@ -405,10 +397,10 @@ def load_spec(path: str | Path) -> ScenarioSpec:
 
 
 def default_scenario(
-    policy: str = "rl",
-    profile: str = "cycle",
-    horizon_s: float = 1200.0,
-    seeds: tuple[int, ...] = (1, 2, 3),
+    policy: str,
+    profile: str,
+    horizon_s: float = EnvConfig.horizon_s,
+    seeds: tuple[int, ...] = ScenarioSpec.seeds,
     stable_mbps: float = 1000.0,
     name: str | None = None,
 ) -> ScenarioSpec:

@@ -56,7 +56,7 @@ class BandwidthProfile:
         return f"cycle([{levels}]Mbps,dwell={self.dwell_s:g}s)"
 
 
-def stable_profile(mbps: float = 1000.0) -> BandwidthProfile:
+def stable_profile(mbps: float) -> BandwidthProfile:
     """Constant-bandwidth profile."""
     return BandwidthProfile(levels_mbps=(float(mbps),), dwell_s=DEFAULT_DWELL_S)
 
@@ -108,6 +108,12 @@ class RttModel:
 
     def __post_init__(self):
         check_non_negative(self)
+        try:
+            finite = math.isfinite(self.jitter_mean_ms())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"jitter mean must be finite: scale {self.jitter_scale_ms}, sigma {self.sigma}")
 
     def jitter_mean_ms(self) -> float:
         """Analytic mean of the jitter distribution."""

@@ -111,19 +111,16 @@ def offload_epoch_violation(env: XrEnvironment, include_queue: bool) -> list[flo
     return (np.cumsum(ev, axis=1)[:, -1] / n).tolist()
 
 
-def predicted_epoch_violation(action_id: int, env: XrEnvironment, include_queue: bool,
-                              offload_v: list[float] | None = None) -> float:
+def predicted_epoch_violation(action_id: int, env: XrEnvironment, offload_v: list[float]) -> float:
     """Model-predicted mean violation of one epoch under one action.
 
     LOCAL: deterministic pipeline, exact violation from the action table.
     OFFLOAD: the action's quality row of `offload_v`, the result of
-    `offload_epoch_violation` for the current state, computed here if not given.
+    `offload_epoch_violation` for the current state.
     """
     tab = env.actions
     if tab.is_local[action_id]:
         return tab.v_local[action_id]
-    if offload_v is None:
-        offload_v = offload_epoch_violation(env, include_queue)
     return offload_v[tab.offload_row[action_id]]
 
 
@@ -137,7 +134,7 @@ def predicted_epoch(env: XrEnvironment, include_queue: bool) -> tuple[np.ndarray
     """
     cfg, tab = env.cfg, env.actions
     offload_v = offload_epoch_violation(env, include_queue)
-    v = np.array([predicted_epoch_violation(a, env, include_queue, offload_v) for a in range(N_ACTIONS)])
+    v = np.array([predicted_epoch_violation(a, env, offload_v) for a in range(N_ACTIONS)])
     rp = cfg.reward
     r_mtp = np.where(v == 0.0, rp.bonus, -rp.lam * v)
     r = (r_mtp + tab.reward_power) + rp.beta_battery * env.state.soc / 100.0

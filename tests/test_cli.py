@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from xredge.cli import build_parser, main
+from xredge.cli import _build_spec, build_parser, main
+from xredge.environment import EnvConfig
+from xredge.harness import ScenarioSpec, default_scenario
 
 
 def test_run_writes_artifacts(tmp_path, capsys):
@@ -31,7 +33,7 @@ def test_run_respects_out_env(tmp_path, monkeypatch, capsys):
 
 
 def test_run_accepts_scenario_file(tmp_path):
-    from xredge.harness import default_scenario, save_spec
+    from xredge.harness import save_spec
 
     spec = default_scenario("local", "stable", horizon_s=4.0, seeds=(7,),
                             name="filecase")
@@ -81,6 +83,15 @@ def test_aggregate_missing_dir_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_omitted_flags_take_the_default_scenario():
+    spec = _build_spec(build_parser().parse_args(["run"]))
+    assert spec == default_scenario("rl", "cycle")
+    assert spec.env.horizon_s == EnvConfig().horizon_s
+    assert spec.seeds == ScenarioSpec().seeds
+    stable = _build_spec(build_parser().parse_args(["run", "--profile", "stable"]))
+    assert stable.env.profile.describe() == "stable(1000Mbps)"
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -117,6 +128,12 @@ def _bad_enum(d):
     d["env"]["rtt"]["distribution"] = "gaussian"
 
 
+def _infinite_horizon_at_zero_power(d):
+    # the battery never runs out, so only the horizon could end the run
+    d["env"]["horizon_s"] = INF
+    d["env"]["power"]["p_base_w"] = d["env"]["power"]["tdp_proc_w"] = 0
+
+
 def _set(path, value):
     """An edit that sets the dotted `path` of a scenario's JSON form to `value`."""
     *parents, key = path.split(".")
@@ -133,7 +150,8 @@ NAN, INF = float("nan"), float("inf")
 
 # the model-constant cases ran before they were checked: the NaNs reported
 # 100% compliance or wrote NaN power, a NaN dwell failed at the first step,
-# and the zero p_max_w and infinite interval escaped as tracebacks
+# and the zero p_max_w, infinite interval, overflowing jitter mean and
+# infinite horizon escaped as tracebacks
 @pytest.mark.parametrize("edit, fragment", [
     (_bad_key, "scenario.env: unknown field horzion_s"),
     (_str_for_int, "scenario.env.queue_max_depth: expected int"),
@@ -142,6 +160,8 @@ NAN, INF = float("nan"), float("inf")
     (_set("env.profile.dwell_s", NAN), "dwell must be positive and finite: nan"),
     (_set("env.rtt.base_ms", NAN), "base_ms must be finite and non-negative: nan"),
     (_set("env.rtt.sigma", INF), "sigma must be finite and non-negative: inf"),
+    (_set("env.rtt.sigma", 1000), "jitter mean must be finite"),
+    (_infinite_horizon_at_zero_power, "horizon must be non-negative and finite: inf"),
     (_set("env.capacity_wh", NAN), "capacity must be positive and finite: nan"),
     (_set("env.drain_factor", INF), "drain factor must be positive and finite: inf"),
     (_set("env.power.p_base_w", NAN), "p_base_w must be finite and non-negative: nan"),
@@ -151,7 +171,6 @@ NAN, INF = float("nan"), float("inf")
 ])
 def test_bad_scenario_file_fails_cleanly(tmp_path, capsys, edit, fragment):
     from xredge.config import to_jsonable
-    from xredge.harness import default_scenario
 
     data = to_jsonable(default_scenario("local", "stable", horizon_s=3.0, seeds=(1,)))
     edit(data)
@@ -183,7 +202,6 @@ def test_bad_model_constant_fails_at_construction(tmp_path, capsys, edit, fragme
     # without the checks, a zero payload failed at the first offloaded frame
     # and a negative server time ran and reported inflated compliance
     from xredge.config import to_jsonable
-    from xredge.harness import default_scenario
 
     data = to_jsonable(default_scenario("offload", "stable", horizon_s=3.0, seeds=(1,)))
     edit(data)

@@ -111,6 +111,9 @@ def test_battery_zero_power_free():
     bat = Battery(16.6, 100.0, 3.0)
     assert bat.step(0.0, 100.0) == 0.0
     assert bat.soc == 100.0
+    # zero power or a zero-length tick: every tick counts, nothing is drawn
+    assert bat.steps(0.0, 0.05, 20) == bat.steps(2.0, 0.0, 20) == (0.0, 20, None)
+    assert (bat.soc, bat.energy_j) == (100.0, 0.0)
 
 
 @pytest.mark.parametrize("capacity_wh, soc, drain_factor", [

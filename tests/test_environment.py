@@ -259,8 +259,8 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("overrides", [
-    dict(horizon_s=-5.0), dict(horizon_s=NAN), dict(tau_mtp_ms=0.0), dict(tau_mtp_ms=NAN),
-    dict(rtt_max_ms=0.0), dict(mtp_max_ms=0.0), dict(queue_max_depth=0),
+    dict(horizon_s=-5.0), dict(horizon_s=NAN), dict(horizon_s=INF),
+    dict(tau_mtp_ms=0.0), dict(tau_mtp_ms=NAN), dict(rtt_max_ms=0.0), dict(mtp_max_ms=0.0), dict(queue_max_depth=0),
     dict(capacity_wh=NAN), dict(capacity_wh=INF), dict(soc0=NAN), dict(soc0=101.0),
     dict(drain_factor=0.0), dict(drain_factor=INF),
     dict(decision_interval_s=INF), dict(decision_interval_s=NAN), dict(decision_interval_s=0.0),

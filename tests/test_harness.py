@@ -118,12 +118,19 @@ def test_frame_csv_is_csv_writer_bytes(tmp_path, policy, profile, horizon_s, mbp
 
 
 def test_metrics_file_excludes_timing(tmp_path):
-    run_experiment(local_spec(horizon=10.0), seed=1, out_dir=tmp_path)
+    result = run_experiment(local_spec(horizon=10.0), seed=1, out_dir=tmp_path)
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     timing = json.loads((tmp_path / "timing.json").read_text())
     assert "latency_median_us" not in metrics
     assert set(timing) == {"latency_median_us", "latency_p95_us"}
     assert timing["latency_median_us"] >= 0.0
+    assert timing == result.timing
+
+
+def test_metrics_file_reads_back_as_the_run_record(tmp_path):
+    result = run_experiment(default_scenario("threshold", "cycle", horizon_s=70.0), 1, tmp_path)
+    record = from_jsonable(MetricsRecord, json.loads((tmp_path / "metrics.json").read_text()))
+    assert record == result.metrics
 
 
 def test_trace_csv_headers(tmp_path):

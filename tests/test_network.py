@@ -167,6 +167,8 @@ def test_jitter_excess_edge_cases():
     {"base_ms": -1.0}, {"base_ms": math.nan}, {"jitter_scale_ms": math.inf},
     {"sigma": -0.5}, {"sigma": math.nan}, {"base_ms": np.float64(math.nan)},
     {"base_ms": np.int64(-1)},
+    # a jitter mean that overflows (exp of 500000) or is infinite
+    {"sigma": 1000.0}, {"jitter_scale_ms": 1e308, "sigma": 2.0},
 ])
 def test_rtt_validation(bad):
     with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from xredge.policies import (
     greedy_select,
     make_policy,
     predicted_epoch,
-    predicted_epoch_violation,
     threshold_select,
 )
 
@@ -57,8 +56,8 @@ def test_threshold_policy_reads_env_bandwidth():
 def test_predicted_violation_local_is_exact():
     env = make_env()
     # full local pipeline lands exactly on the threshold: zero violation
-    assert predicted_epoch_violation(4, env, include_queue=True) == 0.0
-    assert predicted_epoch_violation(12, env, include_queue=True) == 0.0
+    assert predicted_epoch(env, include_queue=True)[0][4] == 0.0
+    assert predicted_epoch(env, include_queue=True)[0][12] == 0.0
 
 
 def test_predicted_violation_offload_fast_link():
@@ -66,29 +65,29 @@ def test_predicted_violation_offload_fast_link():
     # deterministic part: 5.8 ms serialization + 24 ms fixed = 29.8 ms,
     # leaving 0.2 ms of slack that only RTT jitter can breach
     expected = env.cfg.rtt.jitter_excess_mean_ms(0.2) / 30.0
-    assert predicted_epoch_violation(5, env, include_queue=True) == pytest.approx(expected)
-    assert 0.0 < predicted_epoch_violation(5, env, include_queue=True) < 0.01
+    assert predicted_epoch(env, include_queue=True)[0][5] == pytest.approx(expected)
+    assert 0.0 < predicted_epoch(env, include_queue=True)[0][5] < 0.01
 
 
 def test_predicted_violation_offload_starved_link():
     env = make_env(1.0)
     # 5.8 s of air time per frame versus a 50 ms period: the queue model
     # predicts blowup
-    assert predicted_epoch_violation(5, env, include_queue=True) > 10.0
+    assert predicted_epoch(env, include_queue=True)[0][5] > 10.0
 
 
 def test_predicted_violation_accounts_for_backlog():
     env = make_env(1.0)
     env.step(ACTION_OFFLOAD_FULL)           # leave 20 frames queued
-    with_queue = predicted_epoch_violation(5, env, include_queue=True)
-    without = predicted_epoch_violation(5, env, include_queue=False)
+    with_queue = predicted_epoch(env, include_queue=True)[0][5]
+    without = predicted_epoch(env, include_queue=False)[0][5]
     assert with_queue > without
 
 
 def test_predicted_reward_identity():
     env = make_env(1000.0)
     for action in (4, 5, 12, 17):
-        v = predicted_epoch_violation(action, env, include_queue=True)
+        v = predicted_epoch(env, include_queue=True)[0][action]
         from xredge.actions import decode_action
         from xredge.energy import client_power
         p = client_power(decode_action(action), env.cfg.table, env.cfg.power)
@@ -170,5 +169,5 @@ def test_greedy_prices_offload_jitter_under_a_light_tail():
     # slack, so its jitter exceedance is tiny but not zero: offloading can
     # never be predicted fully compliant, and the cheapest local action wins
     env = make_env(1000.0, rtt=RttModel(sigma=0.5))
-    assert 0.0 < predicted_epoch_violation(1, env, include_queue=True) < 1e-20
+    assert 0.0 < predicted_epoch(env, include_queue=True)[0][1] < 1e-20
     assert greedy_select(env, include_queue=True) == 12
