@@ -164,7 +164,7 @@ class ActionTable:
 
         self.payload_offload_mbit = np.array([cfg.frame.payload_mbit(q) for q in _OFFLOAD_QUALITIES])
         # an offloaded frame's server and client-encode times, one per offload
-        # row, and its decode time: the terms `UplinkQueue.drain` adds
+        # row, and its decode time: the `terms` of `latency.offload_mtp_ms`
         phis = [quality_scale(q) for q in _OFFLOAD_QUALITIES]
         self.server_ms = tuple(t.t_server_ms * f for f in phis)
         self.encode_ms = tuple(t.t0_encode_ms * f for f in phis)
@@ -303,25 +303,19 @@ class XrEnvironment:
                 mean_v = _mean(np.full(captured, tab.v_local[row]))
                 mtp_mean = _mean(mtp)
         else:
-            # one enqueue and one uplink drain per tick
-            queue, quality_row, payload = self.queue, tab.offload_row[row], tab.payload_mbit[row]
-            enqueue, drain = queue.enqueue, queue.drain
-            levels = cfg.profile.levels_mbps
-            dropped, t_out, mtps = 0, [], []
-            for tk, level, rtt_k in zip(ticks.tolist(), level_index(cfg.profile, ticks).tolist(), rtts):
-                dropped += enqueue(tk, quality_row, payload)
-                drain(levels[level], rtt_k, tick_s, tk, tab, t_out, mtps)
-            t_capture, mtp = np.array(t_out), np.array(mtps)
-            mtp_obs = mtps[-1] if mtps else self.state.mtp_ms
-            mtp_mean = _mean(mtp) if mtps else float("nan")
+            bandwidths = np.array(cfg.profile.levels_mbps)[level_index(cfg.profile, ticks)]
+            t_capture, mtp, dropped = self.queue.transmit(
+                ticks, bandwidths, rtts, tick_s, tab.offload_row[row], tab.payload_mbit[row], tab)
+            mtp_obs = mtp[-1].item() if mtp.size else self.state.mtp_ms
+            mtp_mean = _mean(mtp) if mtp.size else float("nan")
             # epoch violation: delivered frames plus a censored lower bound
             # for frames captured this interval that are still stuck in the
             # queue (an epoch that delivers nothing must not look compliant);
             # the elementwise `violation` of both, in one array
-            pending = [(t_end - t) * 1000.0 for t in queue.t_capture if t >= t0]
+            pending = [(t_end - t) * 1000.0 for t in self.queue.t_capture if t >= t0]
             pending_censored = len(pending)
             tau = cfg.tau_mtp_ms
-            v_values = np.maximum(0.0, (np.array(mtps + pending) - tau) / tau)
+            v_values = np.maximum(0.0, (np.concatenate((mtp, pending)) - tau) / tau)
             mean_v = _mean(v_values) if v_values.size else 0.0
 
         self.t = t_end

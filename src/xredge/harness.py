@@ -15,6 +15,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -362,26 +363,26 @@ def write_decision_csv(path: Path, decisions: dict[str, list]) -> None:
 
 # rows per write of frames.csv: bounds the Python objects alive at once
 FRAME_CSV_CHUNK_ROWS = 1000
-# one frames.csv row as csv.writer writes it: floats by repr, the flag as 0/1
-_FRAME_ROW = "{!r},{!r},{:d},{}\r\n".format
+# the end of a frames.csv row as csv.writer writes it, after the two floats
+# (written by repr): indexed [compliant][mode], the flag written as 0/1
+_FRAME_TAILS = [[f",{flag:d},{m.name}\r\n" for m in ExecutionMode] for flag in (False, True)]
 
 
 def write_frame_csv(path: Path, frames: dict[str, np.ndarray]) -> None:
     """One FRAME_COLUMNS row per delivered frame, in csv.writer's bytes,
-    written a chunk of rows at a time."""
-    mode_names = [m.name for m in ExecutionMode]
+    formatted a column and written a chunk of rows at a time."""
     t_capture, mtp, compliant, mode = (frames[c] for c in FRAME_COLUMNS)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(FRAME_COLUMNS) + "\r\n")
         for i in range(0, mtp.size, FRAME_CSV_CHUNK_ROWS):
             j = i + FRAME_CSV_CHUNK_ROWS
-            fh.write("".join(map(
-                _FRAME_ROW,
-                t_capture[i:j].tolist(),
-                mtp[i:j].tolist(),
-                compliant[i:j].tolist(),
-                [mode_names[m] for m in mode[i:j].tolist()],
-            )))
+            tails = [_FRAME_TAILS[c][m] for c, m in zip(compliant[i:j].tolist(), mode[i:j].tolist())]
+            fh.write("".join(map("".join, zip(
+                map(repr, t_capture[i:j].tolist()),
+                repeat(","),
+                map(repr, mtp[i:j].tolist()),
+                tails,
+            ))))
 
 
 # -- scenario files --------------------------------------------------------

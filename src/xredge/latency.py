@@ -16,6 +16,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .actions import ExecutionConfig, ExecutionMode, ImuRate, QualityLevel, quality_scale
 from .config import check_non_negative
 
@@ -93,6 +95,19 @@ def violation(mtp_ms: float, tau_ms: float) -> float:
     return max(0.0, (mtp_ms - tau_ms) / tau_ms)
 
 
+def offload_mtp_ms(t_done, t_capture, rtt_ms, terms, row):
+    """Motion-to-photon latency in ms of an offloaded frame captured at
+    t_capture and done serializing at t_done (seconds): its queueing and
+    transmission age plus RTT, server inference, decode, and the client
+    encode cost. `terms` holds the per-frame costs in ms, `server_ms` and
+    `encode_ms` indexed by offload quality row (they scale with the frame's
+    pixel count) and the scalar `decode_ms`, as `environment.ActionTable`
+    does. Takes floats or, elementwise with one row, numpy arrays.
+    """
+    return ((t_done - t_capture) * 1000.0 + rtt_ms
+            + terms.server_ms[row] + terms.decode_ms + terms.encode_ms[row])
+
+
 class UplinkQueue:
     """Bounded FIFO of frames awaiting uplink transmission.
 
@@ -166,12 +181,8 @@ class UplinkQueue:
         Frames that finish serializing are delivered: each one's capture time
         is appended to t_out and its MTP to mtp_out, and the returned range
         holds their indices there. A delivered frame's MTP is
-        queueing+transmission age plus RTT, server inference, decode, and the
-        client encode cost. `terms` holds those per-frame costs in ms:
-        `server_ms` and `encode_ms` indexed by quality row (they scale with
-        the frame's pixel count) and the scalar `decode_ms`, as
-        `environment.ActionTable` does. The head frame's partial progress is
-        kept if the budget runs out mid-frame.
+        `offload_mtp_ms` of its per-frame `terms`. The head frame's partial
+        progress is kept if the budget runs out mid-frame.
         """
         if bandwidth_mbps <= 0:
             raise ValueError(f"bandwidth must be positive: {bandwidth_mbps}")
@@ -190,11 +201,34 @@ class UplinkQueue:
                 t_capture = self.t_capture.popleft()
                 row = self.quality_row.popleft()
                 t_out.append(t_capture)
-                mtp_out.append((t_start + elapsed_s - t_capture) * 1000.0 + rtt_ms
-                               + terms.server_ms[row] + terms.decode_ms + terms.encode_ms[row])
+                mtp_out.append(offload_mtp_ms(t_start + elapsed_s, t_capture, rtt_ms, terms, row))
             else:
                 remaining[0] = head - budget_mbit
                 budget_mbit = 0.0
         n = len(mtp_out)
         self.delivered += n - n0
         return range(n0, n)
+
+    def transmit(self, ticks, bandwidths, rtts, dt_s, quality_row, payload_mbit, terms):
+        """Capture one frame at each tick and drain the uplink for dt_s from it.
+
+        Returns the delivered frames' capture times and MTPs as arrays, and
+        the number dropped, leaving the queue as one `enqueue` and `drain`
+        per tick would. If the queue starts empty and each frame fits its
+        own tick's budget, no frame waits (the Lindley waiting is zero) and
+        each is done `payload / bandwidth` after its tick, which is drain's
+        `0.0 + payload / bandwidth`: one elementwise pass prices them all.
+        """
+        n = len(ticks)
+        # a bad payload or row takes the loop, where enqueue rejects it
+        if (not self.t_capture and payload_mbit > 0 and quality_row >= 0
+                and (payload_mbit <= bandwidths * dt_s).all()):
+            self.enqueued += n
+            self.delivered += n
+            t_done = ticks + payload_mbit / bandwidths
+            return ticks, offload_mtp_ms(t_done, ticks, np.array(rtts), terms, quality_row), 0
+        dropped, t_out, mtp_out = 0, [], []
+        for tk, bw, rtt in zip(ticks.tolist(), bandwidths.tolist(), rtts):
+            dropped += self.enqueue(tk, quality_row, payload_mbit)
+            self.drain(bw, rtt, dt_s, tk, terms, t_out, mtp_out)
+        return np.array(t_out), np.array(mtp_out), dropped

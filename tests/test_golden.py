@@ -6,7 +6,10 @@ tests/golden/hashes.json. Offload on the cycle profile runs once more with
 an uneven processing-time table: under the default constants the offload
 MTP terms are short binary fractions that sum alike in any order, so only
 non-default ones pin the order of that sum. (The greedy predictor's sum is
-pinned by the same table in tests/test_greedy_exact.py.) A change that moves a
+pinned by the same table in tests/test_greedy_exact.py.) A 120 s cycle run
+never leaves the 1000/500 Mbps levels, so offload and threshold on the cycle
+profile also run one full 300 s cycle, with either table, which drives the
+uplink queue through its congested phases. A change that moves a
 hash changes behaviour or the artifact schema; regenerate the file
 deliberately with
 
@@ -28,13 +31,17 @@ HASHES = Path(__file__).parent / "golden" / "hashes.json"
 POLICIES = ("local", "offload", "threshold", "greedy", "greedy-noqueue", "rl")
 PROFILES = ("cycle", "stable")
 HORIZON_S = 120.0
+CYCLE_S = 300.0  # one full period of the cycle profile
+CONGESTED = ("offload", "threshold")
 SEED = 1
 FILES = ("metrics.json", "decisions.csv", "frames.csv")
 UNEVEN_TABLE = ProcTimeTable(t0_encode_ms=10.1, t_server_ms=8.3, t_decode_ms=0.3)
+TABLES = {"": ProcTimeTable(), "-uneven": UNEVEN_TABLE}  # by hash-key suffix
 
 
-def run_hashes(policy: str, profile: str, table: ProcTimeTable, out_dir: Path) -> dict[str, str]:
-    spec = default_scenario(policy, profile, horizon_s=HORIZON_S, seeds=(SEED,))
+def run_hashes(policy: str, profile: str, table: ProcTimeTable, out_dir: Path,
+               horizon_s: float = HORIZON_S) -> dict[str, str]:
+    spec = default_scenario(policy, profile, horizon_s=horizon_s, seeds=(SEED,))
     spec = replace(spec, env=replace(spec.env, table=table))
     run_experiment(spec, SEED, out_dir)
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in FILES}
@@ -52,6 +59,13 @@ def test_golden_trajectory_uneven_table(tmp_path):
     assert run_hashes("offload", "cycle", UNEVEN_TABLE, tmp_path) == expected
 
 
+@pytest.mark.parametrize("table", TABLES)
+@pytest.mark.parametrize("policy", CONGESTED)
+def test_golden_trajectory_full_cycle(policy, table, tmp_path):
+    expected = json.loads(HASHES.read_text())[f"{policy}-cycle{table}-300"]
+    assert run_hashes(policy, "cycle", TABLES[table], tmp_path, CYCLE_S) == expected
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = {
@@ -61,5 +75,9 @@ if __name__ == "__main__":
         }
         out = Path(tmp) / "offload-cycle-uneven"
         hashes["offload-cycle-uneven"] = run_hashes("offload", "cycle", UNEVEN_TABLE, out)
+        for p in CONGESTED:
+            for suffix, table in TABLES.items():
+                key = f"{p}-cycle{suffix}-300"
+                hashes[key] = run_hashes(p, "cycle", table, Path(tmp) / key, CYCLE_S)
     HASHES.write_text(json.dumps(hashes, sort_keys=True, indent=2) + "\n")
     print(f"wrote {HASHES}")

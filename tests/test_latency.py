@@ -1,5 +1,6 @@
 """Motion-to-photon latency: processing times, frame payloads, uplink queue."""
 
+import numpy as np
 import pytest
 
 from xredge.actions import (
@@ -206,3 +207,17 @@ def test_queue_validation():
         drain(q, 0.0, 5.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         drain(q, 10.0, 5.0, -1.0, 0.0)
+
+
+def test_transmit_rejects_what_enqueue_and_drain_reject():
+    # the arguments of the elementwise pass are checked as the per-tick ones are
+    ticks, free = np.array([0.0, 0.05]), np.array([1000.0, 1000.0])
+    q = UplinkQueue(max_depth=20)
+    for bandwidths, dt, row, payload in [
+        (free, 0.05, LOW, 0.0),
+        (free, 0.05, -1, 1.45),
+        (np.array([1000.0, 0.0]), 0.05, LOW, 1.45),
+        (free, -0.05, LOW, 1.45),
+    ]:
+        with pytest.raises(ValueError):
+            q.transmit(ticks, bandwidths, [5.0, 5.0], dt, row, payload, TERMS)

@@ -7,10 +7,12 @@ scaled by `quality_scale`. `UplinkQueue` keeps the same queue as three
 columns and reads the scaled terms from the action table. The arithmetic is
 meant to be the same operation for operation, so the property here demands
 equality, not closeness, of every delivery and of the state left behind.
+`UplinkQueue.transmit` is held to one `enqueue` and one `drain` per tick.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,3 +196,49 @@ def test_column_queue_equals_the_list_of_frames_queue(max_depth, table, t0, ops)
             t += dt
         assert same_queue(q, ref, qualities)
         assert q.backlog_mbit == ref.backlog_mbit
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    max_depth=st.integers(1, 5),
+    table=st.sampled_from(sorted(TABLES)),
+    t0=st.floats(0.0, 1200.0),
+    start=st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 1.0, exclude_min=True)), max_size=4),
+    start_bw=st.floats(0.001, 2000.0),
+    row=st.integers(0, 2),
+    dt=st.sampled_from([0.05, 0.025, 0.25, 1 / 30]),
+    # a tick's bandwidth over the one that just fits the frame in it: free
+    # above 1, congested below, and either side of the fit at 1.0
+    fits=st.lists(st.one_of(st.just(1.0), st.floats(1.0, 400.0), st.floats(0.001, 1.0)), max_size=25),
+    data=st.data(),
+)
+def test_transmit_equals_one_enqueue_and_drain_per_tick(
+        max_depth, table, t0, start, start_bw, row, dt, fits, data):
+    cfg = EnvConfig(table=TABLES[table])
+    terms = ActionTable(cfg)
+    qualities = terms.offload_qualities
+    q, ref = UplinkQueue(max_depth), ReferenceUplinkQueue(max_depth)
+    # a start queue, left with partial progress or emptied by one drain
+    for k, (r, share) in enumerate(start):
+        payload = cfg.frame.payload_mbit(qualities[r]) * share
+        q.enqueue(t0 - (len(start) - k) * dt, r, payload)
+        ref.enqueue(t0 - (len(start) - k) * dt, qualities[r], payload)
+    q.drain(start_bw, 0.0, dt, t0 - dt, terms, [], [])
+    ref.drain(start_bw, 0.0, dt, t0 - dt, cfg.table)
+    assert same_queue(q, ref, qualities)
+
+    payload = float(terms.payload_offload_mbit[row])
+    ticks = t0 + np.arange(len(fits)) * dt
+    bandwidths = payload / dt * np.array(fits)
+    rtts = data.draw(st.lists(st.floats(0.0, 40.0), min_size=len(fits), max_size=len(fits)))
+    t_capture, mtp, dropped = q.transmit(ticks, bandwidths, rtts, dt, row, payload, terms)
+
+    want_dropped, want = 0, []
+    for tk, bw, rtt in zip(ticks.tolist(), bandwidths.tolist(), rtts):
+        want_dropped += ref.enqueue(tk, qualities[row], payload)
+        want += ref.drain(bw, rtt, dt, tk, cfg.table)
+    assert t_capture.dtype == mtp.dtype == np.float64
+    assert t_capture.tolist() == [f.t_capture for f in want]
+    assert mtp.tolist() == [f.mtp_ms for f in want]
+    assert dropped == want_dropped
+    assert same_queue(q, ref, qualities)

@@ -145,8 +145,15 @@ def same(a, b) -> bool:
     return a == b
 
 
+# the largest level whose 50 ms budget is exactly a HIGH frame's 5.8 Mbit:
+# at it each frame leaves in its own tick, one ulp below it frames queue
+EXACT_FIT_MBPS = math.nextafter(116.0, 0.0)
+assert EXACT_FIT_MBPS * 0.05 == 5.8 and math.nextafter(EXACT_FIT_MBPS, 0.0) * 0.05 < 5.8
+
 PROFILES = {
     "cycle": cycle_profile(),
+    "exact-fit": stable_profile(EXACT_FIT_MBPS),
+    "below-fit": stable_profile(math.nextafter(EXACT_FIT_MBPS, 0.0)),
     "cycle-1s": replace(cycle_profile(), dwell_s=1.0),
     "stable-1": stable_profile(1.0),
     "stable-100": stable_profile(100.0),
