@@ -1,5 +1,5 @@
-"""Type-driven JSON conversion of the config and record dataclasses, and
-the one range check several configs share.
+"""Type-driven JSON conversion of the config and record dataclasses, the
+one range check several configs share, and the one float sum.
 
 Both directions walk `dataclasses.fields` and the type hints, so a new field
 needs no serializer edit. Enums travel by value, tuples as lists. The
@@ -14,8 +14,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import operator
 import typing
 from enum import Enum
+from functools import reduce
 
 
 def to_jsonable(obj):
@@ -45,6 +47,12 @@ def check_non_negative(obj) -> None:
         value = getattr(obj, f.name)
         if isinstance(value, numbers.Real) and not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{f.name} must be finite and non-negative: {value}")
+
+
+def fold_sum(values) -> float:
+    """Left-to-right float sum from 0.0, what `sum` returns before Python
+    3.12 (whose `sum` compensates rounding), on every Python version."""
+    return reduce(operator.add, values, 0.0)
 
 
 def from_jsonable(tp, data, path: str = "value"):

@@ -12,6 +12,7 @@ the backward pass can be checked against finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ class DqnConfig:
     train_per_decision: int = 1
 
     def __post_init__(self):
+        if min(self.obs_dim, self.n_actions, *self.hidden) < 1:
+            raise ValueError(f"layer sizes must be >= 1: {self.sizes()}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite: {self.lr}")
         if not 1 <= self.batch_size <= self.buffer_capacity:
             raise ValueError(f"batch_size must be within [1, buffer_capacity]: {self.batch_size}")
         if min(self.target_sync_every, self.train_per_decision) < 1:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ExecutionMode, N_ACTIONS, all_configs, quality_scale
+from .config import fold_sum
 from .energy import Battery, PowerParams, client_power
 from .latency import (
     FrameSizeModel,
@@ -177,7 +178,6 @@ class ActionTable:
         ])
         # frame arrival times within an epoch, relative to its start
         self.arrival_ms = np.arange(n) * cfg.power.tau_frame_ms
-        self.strict_upper = np.triu(np.ones((self.arrival_ms.size,) * 2), 1)
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,11 @@ def interval_reward(mean_v: float, power_w: float, soc: float, params: RewardPar
 
 def objective_value(survived_s: float, v_per_epoch: list[float], lam: float) -> float:
     """Session objective: battery lifetime minus the accumulated violations."""
-    return survived_s - lam * float(sum(v_per_epoch))
+    return survived_s - lam * fold_sum(v_per_epoch)
+
+
+# the length of `observe`'s vector, the learner's input size
+OBS_DIM = 5
 
 
 def observe(state: SystemState, cfg: EnvConfig) -> np.ndarray:

@@ -21,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .actions import N_ACTIONS, ExecutionMode
-from .config import field_types, from_jsonable, to_jsonable
+from .config import field_types, fold_sum, from_jsonable, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
-from .environment import EnvConfig, XrEnvironment
+from .environment import OBS_DIM, EnvConfig, XrEnvironment
 from .network import BandwidthProfile, cycle_profile, level_index, load_profile, stable_profile
 from .policies import RlPolicy, make_policy
 
@@ -50,6 +50,16 @@ class ScenarioSpec:
     env: EnvConfig = field(default_factory=EnvConfig)
     dqn: DqnConfig = field(default_factory=DqnConfig)
     seeds: tuple[int, ...] = (1, 2, 3)
+
+    def __post_init__(self):
+        # the learner reads the environment's observation and picks an action
+        if (self.dqn.obs_dim, self.dqn.n_actions) != (OBS_DIM, N_ACTIONS):
+            raise ValueError(f"dqn.obs_dim and dqn.n_actions must be {OBS_DIM} and {N_ACTIONS}: "
+                             f"{self.dqn.obs_dim}, {self.dqn.n_actions}")
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct and non-negative: {list(self.seeds)}")
 
 
 @dataclass
@@ -204,7 +214,7 @@ def _compute_metrics(spec, seed, env, decisions, frames) -> MetricsRecord:
         offload_fraction_pct=100.0 - local_pct,
         compliance_per_watt=compliance_pct / avg_power if avg_power > 0 else 0.0,
         objective=env.objective(),
-        violation_sum=float(sum(env.v_per_epoch)),
+        violation_sum=fold_sum(env.v_per_epoch),
         frames_captured=env.frames_captured,
         frames_delivered=delivered,
         frames_dropped=env.queue.dropped,
@@ -323,13 +333,19 @@ def sweep(
     values: list,
     out_dir: str | Path | None = None,
 ) -> list[tuple[object, dict]]:
-    """One-factor-at-a-time sweep: vary one dotted parameter, rerun all seeds."""
-    rows = []
+    """One-factor-at-a-time sweep: vary one dotted parameter, rerun all seeds.
+
+    Every value's scenario is built before the first run, so a bad value
+    fails before any artifact is written.
+    """
+    specs = []
     for v in values:
         spec = replace_path(base, param_path, v)
         # names and rows carry the coerced value: 2 for a float field is 2.0
         v = to_jsonable(reduce(getattr, param_path.split("."), spec))
-        spec = replace(spec, name=f"{base.name}__{param_path.replace('.', '_')}_{v}")
+        specs.append((v, replace(spec, name=f"{base.name}__{param_path.replace('.', '_')}_{v}")))
+    rows = []
+    for v, spec in specs:
         _, agg = run_scenario(spec, out_dir)
         agg["swept_param"] = param_path
         agg["swept_value"] = v

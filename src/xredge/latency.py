@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ExecutionConfig, ExecutionMode, ImuRate, QualityLevel, quality_scale
-from .config import check_non_negative
+from .config import check_non_negative, fold_sum
 
 # VIO pipeline pressure multiplier per IMU rate: higher inertial rates mean
 # more filter updates per frame
@@ -141,7 +141,7 @@ class UplinkQueue:
 
     @property
     def backlog_mbit(self) -> float:
-        return sum(self.remaining_mbit)
+        return fold_sum(self.remaining_mbit)
 
     def enqueue(self, t_capture: float, quality_row: int, payload_mbit: float) -> int:
         """Add a frame; returns the number of frames dropped to make room."""

@@ -11,12 +11,11 @@ double precision, far below any default setting) and therefore never earns
 the full compliance bonus, which is what collapses GREEDY onto the cheapest
 local configuration.
 
-How GREEDY scores actions: `predicted_epoch` prices all 18 actions with one
-vectorised uplink sweep over the environment's action table, one row per
-offload quality, computed as the Lindley recursion in closed form (no loop
-over frames); each action reads its violation from that sweep or, if local,
-from the table. Every value is bit-identical to the per-action,
-frame-by-frame definition that the tests keep as their reference.
+How GREEDY scores actions: `predicted_epoch` runs the uplink's Lindley
+recursion frame by frame, once per offload quality of the environment's
+action table; each action reads its violation from that sweep or, if local,
+from the table. Every value is bit-identical to the per-action definition
+that the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -76,12 +75,10 @@ def offload_epoch_violation(env: XrEnvironment, include_queue: bool) -> list[flo
     backlog), plus the closed-form expected RTT-jitter exceedance above each
     frame's remaining threshold slack.
 
-    The sweep is the Lindley recursion finish_i = max(a_i, finish_{i-1}) + s,
-    with a_0 the backlog and a_k = k*T, in closed form: because rounding
-    x + s is monotone in x, finish_i is, bit for bit, the largest over k <= i
-    of the sequential sum a_k + s + ... + s with i - k + 1 terms s. Frame
-    exceedances add up in frame order, so every value equals the one of the
-    frame-by-frame definition.
+    The sweep runs the Lindley recursion finish_i = max(a_i, finish_{i-1}) + s,
+    with a_k = k*T and finish_0 = backlog + s, frame by frame on Python
+    floats. With the exceedances added in frame order, every value is, bit for
+    bit, the one of the frame-by-frame definition.
     """
     cfg, tab = env.cfg, env.actions
     tau = cfg.tau_mtp_ms
@@ -89,14 +86,18 @@ def offload_epoch_violation(env: XrEnvironment, include_queue: bool) -> list[flo
     arrival = tab.arrival_ms
     n = arrival.size
 
-    # rows are the offload qualities; along the last axis, candidate k sums
-    # zeros before frame k, then start_k + s, then one more s per frame
-    serial = tab.payload_offload_mbit / bw * 1000.0
-    start = arrival.copy()
-    start[0] = env.queue.backlog_mbit / bw * 1000.0 if include_queue else 0.0
-    steps = tab.strict_upper * serial[:, None, None]
-    steps.reshape(serial.size, n * n)[:, :: n + 1] = start + serial[:, None]
-    finish = np.cumsum(steps, axis=2).max(axis=1)
+    # one row per offload quality, one finish time per frame
+    backlog_ms = env.queue.backlog_mbit / bw * 1000.0 if include_queue else 0.0
+    later = arrival[1:].tolist()
+    rows = []
+    for s in (tab.payload_offload_mbit / bw * 1000.0).tolist():
+        f = backlog_ms + s
+        row = [f]
+        for a in later:
+            f = (a if a > f else f) + s
+            row.append(f)
+        rows.append(row)
+    finish = np.array(rows)
 
     det_mtp = (finish - arrival) + tab.fixed_offload_ms[:, None]
     slack = tau - det_mtp

@@ -151,7 +151,9 @@ NAN, INF = float("nan"), float("inf")
 # the model-constant cases ran before they were checked: the NaNs reported
 # 100% compliance or wrote NaN power, a NaN dwell failed at the first step,
 # and the zero p_max_w, infinite interval, overflowing jitter mean and
-# infinite horizon escaped as tracebacks
+# infinite horizon escaped as tracebacks; of the learner's, n_actions 5 and
+# a negative or NaN lr ran, obs_dim 3 and n_actions 30 failed in an rl run,
+# and a zero hidden width escaped as an OverflowError
 @pytest.mark.parametrize("edit, fragment", [
     (_bad_key, "scenario.env: unknown field horzion_s"),
     (_str_for_int, "scenario.env.queue_max_depth: expected int"),
@@ -168,6 +170,12 @@ NAN, INF = float("nan"), float("inf")
     (_set("env.reward.p_max_w", 0), "p_max_w must be positive and finite: 0.0"),
     (_set("env.decision_interval_s", INF), "decision interval must be a positive integer multiple"),
     (_set("env.decision_interval_s", 1e308), "decision interval must be a positive integer multiple"),
+    (_set("dqn.n_actions", 5), "dqn.obs_dim and dqn.n_actions must be 5 and 18: 5, 5"),
+    (_set("dqn.n_actions", 30), "dqn.obs_dim and dqn.n_actions must be 5 and 18: 5, 30"),
+    (_set("dqn.obs_dim", 3), "dqn.obs_dim and dqn.n_actions must be 5 and 18: 3, 18"),
+    (_set("dqn.hidden", [0]), "layer sizes must be >= 1: (5, 0, 18)"),
+    (_set("dqn.lr", -1), "lr must be positive and finite: -1.0"),
+    (_set("dqn.lr", NAN), "lr must be positive and finite: nan"),
 ])
 def test_bad_scenario_file_fails_cleanly(tmp_path, capsys, edit, fragment):
     from xredge.config import to_jsonable
@@ -261,3 +269,26 @@ def test_sweep_enum_field(tmp_path):
     assert rc == 0
     (row,) = json.loads((tmp_path / "sweep_env_rtt_distribution.json").read_text())
     assert row["value"] == "none"
+
+
+# a seed list wrote seed 1's artifacts and then failed (-2) or aggregated
+# one run twice (1, 1)
+@pytest.mark.parametrize("seeds, fragment", [
+    ("1,-2", "seeds must be distinct and non-negative: [1, -2]"),
+    ("1,1", "seeds must be distinct and non-negative: [1, 1]"),
+    (",", "seeds must not be empty"),
+])
+def test_bad_seeds_flag_fails_before_any_run(tmp_path, capsys, seeds, fragment):
+    rc = main(["run", "--policy", "local", "--profile", "stable", "--horizon", "3",
+               "--seeds", seeds, "--out", str(tmp_path)])
+    assert_clean_error(rc, capsys, fragment)
+    assert not list(tmp_path.rglob("metrics.json"))
+
+
+def test_sweep_with_a_bad_value_fails_before_any_run(tmp_path, capsys):
+    # the good first value used to run and write its artifacts first
+    rc = main(["sweep", "--policy", "rl", "--profile", "stable", "--horizon", "3",
+               "--seeds", "1", "--param", "dqn.lr", "--values", "0.001,-1",
+               "--out", str(tmp_path)])
+    assert_clean_error(rc, capsys, "lr must be positive and finite: -1.0")
+    assert not list(tmp_path.rglob("metrics.json"))

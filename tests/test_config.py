@@ -5,7 +5,7 @@ import json
 import pytest
 
 from xredge.actions import ImuRate
-from xredge.config import from_jsonable, to_jsonable
+from xredge.config import fold_sum, from_jsonable, to_jsonable
 from xredge.dqn import DqnConfig
 from xredge.environment import EnvConfig
 from xredge.harness import ScenarioSpec
@@ -53,3 +53,11 @@ def test_missing_required_field():
 
     with pytest.raises(ValueError, match="m.json: missing field"):
         from_jsonable(MetricsRecord, {"schema_version": 1}, "m.json")
+
+
+def test_fold_sum_adds_left_to_right_from_zero():
+    # Python 3.12's compensated sum() gives 65.0 here; the metrics and the
+    # greedy backlog pin the left fold that 3.10 and 3.11 compute
+    assert fold_sum([0.1, 0.2, 0.3, 1e-17, 0.7] * 50) == 65.0000000000001
+    assert fold_sum([]) == 0.0 and type(fold_sum([])) is float
+    assert fold_sum(iter([1e16, 1.0, -1e16])) == 0.0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from xredge.actions import N_ACTIONS, ExecutionMode, decode_action
 from xredge.energy import PowerParams, client_power
 from xredge.environment import (
+    OBS_DIM,
     EnvConfig,
     RewardParams,
     SystemState,
@@ -96,7 +97,7 @@ def test_observe_normalization_endpoints():
         return observe(SystemState(**base), cfg)
 
     full = obs_for()
-    assert full.shape == (5,) and full.dtype == np.float64
+    assert full.shape == (OBS_DIM,) == (5,) and full.dtype == np.float64
     assert full[0] == 1.0                                  # soc 100%
     assert full[1] == 1.0                                  # power at Pmax
     assert full[3] == 1.0                                  # 1000 Mbps -> log ceiling

@@ -1,7 +1,8 @@
 """The column-backed uplink queue against the list-of-frames queue it replaced.
 
 `ReferenceUplinkQueue` is the earlier `UplinkQueue`, kept verbatim but for
-its name: one `QueuedFrame` object per queued frame, `pop(0)` to drop the
+its name and its backlog, written as the left fold from 0.0 that its `sum`
+computed before Python 3.12: one `QueuedFrame` object per queued frame, `pop(0)` to drop the
 oldest, and one frozen `DeliveredFrame` per delivery with its MTP terms
 scaled by `quality_scale`. `UplinkQueue` keeps the same queue as three
 columns and reads the scaled terms from the action table. The arithmetic is
@@ -60,7 +61,10 @@ class ReferenceUplinkQueue:
 
     @property
     def backlog_mbit(self) -> float:
-        return sum(f.remaining_mbit for f in self.frames)
+        total = 0.0
+        for f in self.frames:
+            total += f.remaining_mbit
+        return total
 
     def enqueue(self, t_capture: float, quality: QualityLevel, payload_mbit: float) -> int:
         """Add a frame; returns the number of frames dropped to make room."""
