@@ -10,7 +10,7 @@ baseline uses, so we sanity-check it against a Monte Carlo estimate here.
 
 import numpy as np
 
-from xredge.network import RttModel, bandwidth_at, cycle_profile, rtt_sample
+from xredge.network import RttModel, bandwidth_at, cycle_profile, rtt_samples
 
 profile = cycle_profile()
 print("bandwidth schedule, first full cycle:")
@@ -23,7 +23,7 @@ print()
 
 rtt = RttModel()
 rng = np.random.default_rng(0)
-samples = np.array([rtt_sample(rtt, rng) for _ in range(100_000)])
+samples = np.array(rtt_samples(rtt, rng, 100_000))
 
 print(f"RTT: base {rtt.base_ms:g} ms + lognormal jitter "
       f"(scale {rtt.jitter_scale_ms:g} ms, sigma {rtt.sigma:g})")

@@ -11,13 +11,10 @@ the backward pass can be checked against finite differences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .config import from_jsonable, to_jsonable
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ class QNetwork:
 
     All parameters live in one float64 vector `theta` (W0, b0, W1, b1, ...);
     `weights` and `biases` are views into it, so writing to `theta` in place
-    (Adam, `copy_from`, checkpoint loading) updates every layer.
+    (Adam, `copy_from`) updates every layer.
     """
 
     def __init__(self, sizes: tuple[int, ...], rng: np.random.Generator):
@@ -228,9 +225,6 @@ class ReplayBuffer:
         return self.obs[idx], self.action[idx], self.reward[idx], self.next_obs[idx], self.done[idx]
 
 
-CHECKPOINT_FORMAT_VERSION = 2
-
-
 class DqnAgent:
     """Online from-scratch DQN controller."""
 
@@ -284,42 +278,3 @@ class DqnAgent:
 
     def sync_target(self) -> None:
         self.target.copy_from(self.online)
-
-    # -- checkpointing ----------------------------------------------------
-
-    def _checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        """The flat vectors a checkpoint holds besides its meta JSON."""
-        return {"online": self.online.theta, "target": self.target.theta,
-                "adam_m": self.optimizer.m, "adam_v": self.optimizer.v}
-
-    def save(self, path) -> None:
-        """Write a self-describing checkpoint (weights, optimizer, clocks)."""
-        meta = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "kind": "xredge-dqn-agent",
-            "cfg": to_jsonable(self.cfg),
-            "decision_count": self.decision_count,
-            "adam_t": self.optimizer.t,
-        }
-        meta_json = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, meta_json=meta_json, **self._checkpoint_arrays())
-
-    @classmethod
-    def load(cls, path, seed: int = 0) -> "DqnAgent":
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta_json"]).decode())
-            if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported checkpoint version: {meta.get('format_version')}"
-                )
-            cfg = from_jsonable(DqnConfig, meta["cfg"], "checkpoint cfg")
-            agent = cls(cfg, seed=seed)
-            # copy into the agent's own vectors: the layer views and Adam stay bound to them
-            for name, dst in agent._checkpoint_arrays().items():
-                src = data[name]
-                if src.shape != dst.shape:
-                    raise ValueError(f"checkpoint array {name}: shape {src.shape} != {dst.shape}")
-                np.copyto(dst, src)
-            agent.optimizer.t = int(meta["adam_t"])
-            agent.decision_count = int(meta["decision_count"])
-        return agent

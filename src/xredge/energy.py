@@ -85,15 +85,6 @@ class Battery:
     def depleted(self) -> bool:
         return self.soc <= 0.0
 
-    def step(self, power_w: float, dt_s: float) -> float:
-        """Drain for dt_s at power_w; returns the raw energy consumed in J.
-
-        If the charge runs out mid-step the draw is truncated at the instant
-        of depletion, so the returned energy covers only the powered fraction
-        of dt_s.
-        """
-        return self.steps(power_w, dt_s, 1)[0]
-
     def steps(
         self, power_w: float, dt_s: float, n: int, t0: float = 0.0
     ) -> tuple[float, int, float | None]:

@@ -4,9 +4,10 @@ One decision epoch applies an execution configuration for a fixed interval
 (default 1 s) simulated at frame granularity (default 50 ms ticks, 20 frames
 per epoch). Each tick captures a frame, moves it through the local or
 offloaded pipeline, and drains the battery. The epoch ends with a scalar
-reward that ranks latency compliance above power draw above battery credit,
-and a five-dimensional observation: state of charge, client power, RTT,
-bandwidth, and the most recent motion-to-photon latency.
+reward that ranks latency compliance above power draw above battery credit.
+`observe` gives the learner a five-dimensional observation of the state:
+state of charge, client power, RTT, bandwidth, and the most recent
+motion-to-photon latency.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .latency import (
     mtp_local,
     violation,
 )
-from .network import BandwidthProfile, RttModel, bandwidth_at, level_index, rtt_sample, rtt_samples
+from .network import BandwidthProfile, RttModel, bandwidth_at, level_index, rtt_samples
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,14 @@ class EnvConfig:
             raise ValueError(f"observation clamps must be positive: "
                              f"{self.rtt_max_ms}, {self.mtp_max_ms}")
         self.n_ticks()
+        # every step builds arrays of n_ticks entries; a zero horizon never steps
+        if 0 < self.horizon_s < self.decision_interval_s:
+            raise ValueError(f"decision interval must not exceed the horizon: "
+                             f"{self.decision_interval_s} s vs {self.horizon_s} s")
+        # the last tick's dwell index must stay an exact integer in level_index
+        if not (self.horizon_s + self.decision_interval_s) / self.profile.dwell_s < 2**53:
+            raise ValueError(f"the horizon spans too many dwells: dwell {self.profile.dwell_s} s "
+                             f"vs horizon {self.horizon_s} s")
 
     def n_ticks(self) -> int:
         tick_s = self.power.tau_frame_ms / 1000.0
@@ -150,10 +159,7 @@ class ActionTable:
             mtp_local(c, t) if local else float("nan")
             for c, local in zip(self.configs, self.is_local)
         )
-        self.v_local = tuple(
-            violation(m, cfg.tau_mtp_ms) if local else float("nan")
-            for m, local in zip(self.mtp_local_ms, self.is_local)
-        )
+        self.v_local = tuple(violation(np.array(self.mtp_local_ms), cfg.tau_mtp_ms).tolist())
         self.n_ticks = n = cfg.n_ticks()
         # a full local interval's means over its n frames
         self.mtp_mean_local_ms = tuple(_mean(np.full(n, m)) for m in self.mtp_local_ms)
@@ -186,7 +192,6 @@ class StepOutcome:
     one entry per frame in delivery order."""
 
     state: SystemState
-    obs: np.ndarray
     reward: float
     done: bool
     t_capture: np.ndarray  # capture time, s
@@ -251,7 +256,7 @@ class XrEnvironment:
         self.frames_captured = 0
         self.frames_delivered = 0
         self.survived_s = 0.0
-        rtt0 = rtt_sample(cfg.rtt, self.rng)
+        rtt0 = rtt_samples(cfg.rtt, self.rng, 1)[0]
         self.state = SystemState(
             soc=self.battery.soc,
             power_w=cfg.power.p_base_w,
@@ -314,12 +319,10 @@ class XrEnvironment:
             mtp_mean = _mean(mtp) if mtp.size else float("nan")
             # epoch violation: delivered frames plus a censored lower bound
             # for frames captured this interval that are still stuck in the
-            # queue (an epoch that delivers nothing must not look compliant);
-            # the elementwise `violation` of both, in one array
+            # queue (an epoch that delivers nothing must not look compliant)
             pending = [(t_end - t) * 1000.0 for t in self.queue.t_capture if t >= t0]
             pending_censored = len(pending)
-            tau = cfg.tau_mtp_ms
-            v_values = np.maximum(0.0, (np.concatenate((mtp, pending)) - tau) / tau)
+            v_values = violation(np.concatenate((mtp, pending)), cfg.tau_mtp_ms)
             mean_v = _mean(v_values) if v_values.size else 0.0
 
         self.t = t_end
@@ -355,7 +358,6 @@ class XrEnvironment:
         }
         return StepOutcome(
             state=self.state,
-            obs=self.observe(),
             reward=reward,
             done=self.done,
             t_capture=t_capture,

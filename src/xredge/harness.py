@@ -250,19 +250,6 @@ def per_bandwidth_compliance(
     return pct, totals
 
 
-def mode_fraction_series(modes: list[str], window: int = 30) -> np.ndarray:
-    """Rolling fraction of LOCAL decisions over a trailing window."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1: {window}")
-    is_local = np.array([1.0 if m == "LOCAL" else 0.0 for m in modes])
-    out = np.empty(len(is_local))
-    csum = np.concatenate([[0.0], np.cumsum(is_local)])
-    for i in range(len(is_local)):
-        lo = max(0, i - window + 1)
-        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
-    return out
-
-
 def aggregate_seeds(records: list[MetricsRecord]) -> dict:
     """Median/min/max across seeds for every scalar metric; medians for maps."""
     if not records:

@@ -88,11 +88,12 @@ def mtp_local(cfg: ExecutionConfig, table: ProcTimeTable) -> float:
     return proc_time(cfg, table) + table.overhead_ms
 
 
-def violation(mtp_ms: float, tau_ms: float) -> float:
-    """Relative threshold excess: max(0, (MTP - tau) / tau)."""
+def violation(mtp_ms, tau_ms: float):
+    """Relative threshold excess max(0, (MTP - tau) / tau), elementwise on a
+    float or a numpy array of MTPs; a nan MTP stays nan."""
     if tau_ms <= 0:
         raise ValueError(f"threshold must be positive: {tau_ms}")
-    return max(0.0, (mtp_ms - tau_ms) / tau_ms)
+    return np.maximum(0.0, (mtp_ms - tau_ms) / tau_ms)
 
 
 def offload_mtp_ms(t_done, t_capture, rtt_ms, terms, row):

@@ -143,11 +143,6 @@ def _phi(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def rtt_sample(model: RttModel, rng: np.random.Generator) -> float:
-    """Draw one RTT in ms."""
-    return rtt_samples(model, rng, 1)[0]
-
-
 def rtt_samples(model: RttModel, rng: np.random.Generator, n: int) -> list[float]:
     """Draw n RTTs in ms with one call to the generator.
 

@@ -65,15 +65,15 @@ class ThresholdPolicy:
         pass
 
 
-def offload_epoch_violation(env: XrEnvironment, include_queue: bool) -> list[float]:
+def offload_epoch_violation(env: XrEnvironment) -> list[float]:
     """Model-predicted mean violation of one offloaded epoch, per offload quality.
 
     Returns one value per row of the action table's offload arrays; an
     offload prediction does not depend on the IMU rate. Per-frame
     deterministic delay comes from a first-in-first-out service sweep at the
-    currently observed bandwidth (optionally seeded with the real queue
-    backlog), plus the closed-form expected RTT-jitter exceedance above each
-    frame's remaining threshold slack.
+    currently observed bandwidth, seeded with the real queue backlog, plus
+    the closed-form expected RTT-jitter exceedance above each frame's
+    remaining threshold slack.
 
     The sweep runs the Lindley recursion finish_i = max(a_i, finish_{i-1}) + s,
     with a_k = k*T and finish_0 = backlog + s, frame by frame on Python
@@ -87,7 +87,7 @@ def offload_epoch_violation(env: XrEnvironment, include_queue: bool) -> list[flo
     n = arrival.size
 
     # one row per offload quality, one finish time per frame
-    backlog_ms = env.queue.backlog_mbit / bw * 1000.0 if include_queue else 0.0
+    backlog_ms = env.queue.backlog_mbit / bw * 1000.0
     later = arrival[1:].tolist()
     rows = []
     for s in (tab.payload_offload_mbit / bw * 1000.0).tolist():
@@ -125,7 +125,7 @@ def predicted_epoch_violation(action_id: int, env: XrEnvironment, offload_v: lis
     return offload_v[tab.offload_row[action_id]]
 
 
-def predicted_epoch(env: XrEnvironment, include_queue: bool) -> tuple[np.ndarray, np.ndarray]:
+def predicted_epoch(env: XrEnvironment) -> tuple[np.ndarray, np.ndarray]:
     """Model-predicted mean violation and reward of one epoch, for every action.
 
     Returns two length-18 arrays indexed by action id. The offload sweep runs
@@ -134,7 +134,7 @@ def predicted_epoch(env: XrEnvironment, include_queue: bool) -> tuple[np.ndarray
     violation, the action's power draw and the current charge.
     """
     cfg, tab = env.cfg, env.actions
-    offload_v = offload_epoch_violation(env, include_queue)
+    offload_v = offload_epoch_violation(env)
     v = np.array([predicted_epoch_violation(a, env, offload_v) for a in range(N_ACTIONS)])
     rp = cfg.reward
     r_mtp = np.where(v == 0.0, rp.bonus, -rp.lam * v)
@@ -142,19 +142,16 @@ def predicted_epoch(env: XrEnvironment, include_queue: bool) -> tuple[np.ndarray
     return v, r
 
 
-def greedy_select(env: XrEnvironment, include_queue: bool) -> int:
+def greedy_select(env: XrEnvironment) -> int:
     """Argmax of predicted one-epoch reward over all actions, ties to lowest id."""
-    return int(np.argmax(predicted_epoch(env, include_queue)[1]))
+    return int(np.argmax(predicted_epoch(env)[1]))
 
 
 class GreedyPolicy:
     """Myopic argmax of model-predicted immediate reward."""
 
-    def __init__(self, include_queue: bool = True):
-        self.include_queue = include_queue
-
     def select(self, env: XrEnvironment) -> int:
-        return greedy_select(env, self.include_queue)
+        return greedy_select(env)
 
     def observe_outcome(self, outcome, env) -> None:
         pass
@@ -178,7 +175,8 @@ class RlPolicy:
             raise RuntimeError("observe_outcome called before select")
         obs, action = self._pending
         self._pending = None
-        self.agent.record_and_train(obs, action, outcome.reward, outcome.obs, outcome.done)
+        # the environment has not moved since step returned the outcome
+        self.agent.record_and_train(obs, action, outcome.reward, env.observe(), outcome.done)
 
     @property
     def epsilon(self) -> float:
@@ -194,7 +192,6 @@ POLICIES = {
     "local": lambda dqn_cfg, seed: StaticPolicy(ACTION_LOCAL_FULL),
     "offload": lambda dqn_cfg, seed: StaticPolicy(ACTION_OFFLOAD_FULL),
     "greedy": lambda dqn_cfg, seed: GreedyPolicy(),
-    "greedy-noqueue": lambda dqn_cfg, seed: GreedyPolicy(include_queue=False),
     "threshold": lambda dqn_cfg, seed: ThresholdPolicy(),
     "rl": lambda dqn_cfg, seed: RlPolicy(dqn_cfg, seed=seed),
 }

@@ -11,12 +11,7 @@ import pytest
 from xredge.dqn import DqnAgent, DqnConfig, QNetwork, loss_and_grads
 from xredge.energy import Battery, lifetime_projection
 from xredge.environment import EnvConfig, XrEnvironment
-from xredge.harness import (
-    default_scenario,
-    mode_fraction_series,
-    replace_path,
-    run_experiment,
-)
+from xredge.harness import default_scenario, replace_path, run_experiment
 from xredge.network import stable_profile
 
 SEEDS = (1, 2, 3)
@@ -49,7 +44,7 @@ def test_c1_battery_identities():
     batt = Battery(capacity_wh=PACK_WH, soc=100.0, drain_factor=K_DRAIN)
     t, dt = 0.0, 0.05
     while not batt.depleted:
-        batt.step(20.8, dt)
+        batt.steps(20.8, dt, 1)
         t += dt
     within = abs(t - 960.0) / 960.0 <= 0.02
 
@@ -242,6 +237,26 @@ def test_c8_variable_profile_robustness(scenarios):
 # ---------------------------------------------------------------------------
 # C9: learned bandwidth-mode anticorrelation
 # ---------------------------------------------------------------------------
+
+
+def mode_fraction_series(modes: list[str], window: int = 30) -> np.ndarray:
+    """Rolling fraction of LOCAL decisions over a trailing window."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1: {window}")
+    is_local = np.array([1.0 if m == "LOCAL" else 0.0 for m in modes])
+    out = np.empty(len(is_local))
+    csum = np.concatenate([[0.0], np.cumsum(is_local)])
+    for i in range(len(is_local)):
+        lo = max(0, i - window + 1)
+        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
+    return out
+
+
+def test_mode_fraction_series_hand_values():
+    series = mode_fraction_series(["LOCAL", "OFFLOAD", "LOCAL"], window=2)
+    assert series.tolist() == [1.0, 0.5, 0.5]
+    with pytest.raises(ValueError):
+        mode_fraction_series(["LOCAL"], window=0)
 
 
 def _phase_pooled_local_fraction(decisions, t_min=600.0, window=30):

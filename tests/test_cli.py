@@ -106,6 +106,13 @@ def test_parser_lists_policies():
         parser.parse_args(["run", "--policy", "bogus"])
 
 
+def test_greedy_noqueue_is_not_a_policy(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", "greedy-noqueue"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'greedy-noqueue'" in capsys.readouterr().err
+
+
 def assert_clean_error(rc, capsys, *fragments):
     err = capsys.readouterr().err
     assert rc == 1
@@ -160,6 +167,7 @@ NAN, INF = float("nan"), float("inf")
     (_bad_enum, "scenario.env.rtt.distribution: 'gaussian' is not one of"),
     (_set("env.profile.levels_mbps", [NAN]), "bandwidth levels must be positive and finite"),
     (_set("env.profile.dwell_s", NAN), "dwell must be positive and finite: nan"),
+    (_set("env.profile.dwell_s", 1e-308), "the horizon spans too many dwells: dwell 1e-308 s"),
     (_set("env.rtt.base_ms", NAN), "base_ms must be finite and non-negative: nan"),
     (_set("env.rtt.sigma", INF), "sigma must be finite and non-negative: inf"),
     (_set("env.rtt.sigma", 1000), "jitter mean must be finite"),

@@ -1,15 +1,10 @@
-"""Q-learning stack: network, gradients, optimizer, buffer, agent, checkpoints."""
-
-import json
-import re
+"""Q-learning stack: network, gradients, optimizer, buffer, agent."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from xredge.config import to_jsonable
 from xredge.dqn import (
-    CHECKPOINT_FORMAT_VERSION,
     Adam,
     DqnAgent,
     DqnConfig,
@@ -273,96 +268,3 @@ def test_epsilon_property_tracks_decisions():
         agent.record_and_train(obs, 0, 0.0, obs, False)
     assert agent.epsilon == pytest.approx(0.9975**10)
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-def test_checkpoint_round_trip(tmp_path):
-    agent = DqnAgent(small_cfg(eps0=0.5), seed=6)
-    obs = np.array([0.2, 0.8])
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        a = agent.select_action(rng.uniform(size=2))
-        agent.record_and_train(rng.uniform(size=2), a, rng.normal(), rng.uniform(size=2), False)
-
-    path = tmp_path / "agent.npz"
-    agent.save(path)
-    loaded = DqnAgent.load(path)
-
-    assert loaded.cfg == agent.cfg
-    assert loaded.decision_count == agent.decision_count
-    assert loaded.optimizer.t == agent.optimizer.t
-    assert np.array_equal(agent.online.theta, loaded.online.theta)
-    assert np.array_equal(agent.target.theta, loaded.target.theta)
-    assert np.array_equal(agent.optimizer.m, loaded.optimizer.m)
-    assert np.array_equal(agent.optimizer.v, loaded.optimizer.v)
-    assert np.array_equal(agent.q_values(obs), loaded.q_values(obs))
-    with np.load(path) as data:
-        assert sorted(data.files) == ["adam_m", "adam_v", "meta_json", "online", "target"]
-
-
-def test_checkpoint_rejects_unknown_version(tmp_path):
-    agent = DqnAgent(small_cfg(), seed=8)
-    path = tmp_path / "agent.npz"
-    agent.save(path)
-
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["meta_json"]).decode())
-    meta["format_version"] = CHECKPOINT_FORMAT_VERSION + 99
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
-
-    with pytest.raises(ValueError):
-        DqnAgent.load(path)
-
-
-def test_checkpoint_rejects_v1_file(tmp_path):
-    # version 1 stored one array per layer and moment: online_w0, online_b0, ...
-    agent = DqnAgent(small_cfg(), seed=8)
-    meta = {"format_version": 1, "kind": "xredge-dqn-agent",
-            "cfg": to_jsonable(agent.cfg), "decision_count": 0, "adam_t": 0}
-    arrays = {"meta_json": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for i, (w, b) in enumerate(zip(agent.online.weights, agent.online.biases)):
-        arrays[f"online_w{i}"], arrays[f"online_b{i}"] = w, b
-    path = tmp_path / "agent.npz"
-    np.savez(path, **arrays)
-
-    with pytest.raises(ValueError, match="unsupported checkpoint version: 1"):
-        DqnAgent.load(path)
-
-
-@pytest.mark.parametrize("name", ["online", "target", "adam_m", "adam_v"])
-@pytest.mark.parametrize("shape", [(3, 3), (50,), (51, 1)])
-def test_checkpoint_rejects_wrong_array_shape(tmp_path, name, shape):
-    agent = DqnAgent(small_cfg(), seed=8)
-    assert agent.online.theta.shape == (2 * 8 + 8 + 8 * 3 + 3,) == (51,)
-    path = tmp_path / "agent.npz"
-    agent.save(path)
-
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    arrays[name] = np.zeros(shape)
-    np.savez(path, **arrays)
-
-    message = f"checkpoint array {name}: shape {shape} != (51,)"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        DqnAgent.load(path)
-
-
-def test_checkpoint_rejects_unknown_cfg_key(tmp_path):
-    agent = DqnAgent(small_cfg(), seed=8)
-    path = tmp_path / "agent.npz"
-    agent.save(path)
-
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["meta_json"]).decode())
-    meta["cfg"]["dueling"] = True
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
-
-    with pytest.raises(ValueError, match="checkpoint cfg: unknown field dueling"):
-        DqnAgent.load(path)

@@ -207,24 +207,21 @@ def test_flat_learner_matches_per_tensor_learner(cfg):
     assert_shares_theta(agent)
 
 
-def test_loaded_agent_views_share_theta(tmp_path):
-    cfg = DqnConfig(obs_dim=2, n_actions=3, hidden=(8,), batch_size=4,
+
+@pytest.mark.parametrize("hidden", [(8,), (8, 8)])
+def test_training_moves_the_theta_the_layers_read(hidden):
+    cfg = DqnConfig(obs_dim=2, n_actions=3, hidden=hidden, batch_size=4,
                     buffer_capacity=50, target_sync_every=5)
     agent = DqnAgent(cfg, seed=6)
     stream = np.random.default_rng(7)
-    for _ in range(12):
+    for _ in range(cfg.batch_size + 8):
+        before = [w.copy() for w in agent.online.weights]
         obs = stream.uniform(size=2)
-        agent.record_and_train(obs, agent.select_action(obs), stream.normal(),
-                               stream.uniform(size=2), False)
-    agent.save(tmp_path / "agent.npz")
-    loaded = DqnAgent.load(tmp_path / "agent.npz")
-    assert_shares_theta(loaded)
-
-    # training after loading (the replay buffer is not saved, so it refills
-    # to a batch first) moves the very vector the layers read
-    before = [w.copy() for w in loaded.online.weights]
-    for _ in range(cfg.batch_size + 1):
-        obs = stream.uniform(size=2)
-        loaded.record_and_train(obs, 0, 1.0, obs, False)
-    assert not all(np.array_equal(a, b) for a, b in zip(before, loaded.online.weights))
-    assert_shares_theta(loaded)
+        loss = agent.record_and_train(obs, agent.select_action(obs), stream.normal(),
+                                      stream.uniform(size=2), False)
+        # once the buffer holds a batch, every decision moves the very
+        # vector the layers read, and the target syncs keep their own copy
+        moved = not all(np.array_equal(a, b) for a, b in zip(before, agent.online.weights))
+        assert moved is (loss is not None)
+        assert_shares_theta(agent)
+    assert agent.decision_count == cfg.batch_size + 8

@@ -41,17 +41,17 @@ def test_soc_step_decrement():
     # 20.8 W for 1 s against 16.6 Wh: 2080 / (16.6*3600) percent
     drop = 20.8 * 1.0 / (16.6 * 3600.0) * 100.0
     b = Battery(16.6, 100.0, drain_factor=1.0)
-    assert b.step(20.8, 1.0) == pytest.approx(20.8)
+    assert b.steps(20.8, 1.0, 1)[0] == pytest.approx(20.8)
     assert b.soc == pytest.approx(100.0 - drop)
     b = Battery(16.6, 100.0, drain_factor=3.0)
-    b.step(20.8, 1.0)
+    b.steps(20.8, 1.0, 1)
     assert b.soc == pytest.approx(100.0 - 3.0 * drop)
     assert drop == pytest.approx(0.0348059, abs=1e-6)
 
 
 def test_soc_step_clamps_at_zero():
     b = Battery(16.6, 0.01, drain_factor=3.0)
-    b.step(100.0, 3600.0)
+    b.steps(100.0, 3600.0, 1)
     assert b.soc == 0.0
 
 
@@ -59,9 +59,9 @@ def test_soc_step_validation():
     with pytest.raises(ValueError):
         Battery(0.0, 50.0, 3.0)
     with pytest.raises(ValueError):
-        Battery(16.6, 50.0, 3.0).step(-1.0, 1.0)
+        Battery(16.6, 50.0, 3.0).steps(-1.0, 1.0, 1)
     with pytest.raises(ValueError):
-        Battery(16.6, 50.0, 3.0).step(10.0, -1.0)
+        Battery(16.6, 50.0, 3.0).steps(10.0, -1.0, 1)
 
 
 def test_lifetime_projection_identity():
@@ -81,7 +81,7 @@ def test_lifetime_projection_identity():
 def test_battery_conservation_identity():
     bat = Battery(capacity_wh=16.6, soc=100.0, drain_factor=3.0)
     for i in range(500):
-        bat.step(2.0 + (i % 7), 0.05)
+        bat.steps(2.0 + (i % 7), 0.05, 1)
     spent_pct = 100.0 - bat.soc
     assert bat.drain_factor * bat.energy_j == pytest.approx(
         spent_pct / 100.0 * bat.capacity_j, rel=1e-12
@@ -91,7 +91,7 @@ def test_battery_conservation_identity():
 def test_battery_depletes_mid_step():
     bat = Battery(capacity_wh=16.6, soc=100.0, drain_factor=3.0)
     # one huge step: only the powered fraction of dt is billed
-    consumed = bat.step(20.8, 10_000.0)
+    consumed = bat.steps(20.8, 10_000.0, 1)[0]
     assert bat.depleted
     assert bat.soc == 0.0
     # energy for a full discharge at k=3 is capacity/3
@@ -102,14 +102,14 @@ def test_battery_depletes_mid_step():
 
 def test_battery_stops_when_empty():
     bat = Battery(capacity_wh=1.0, soc=0.0001, drain_factor=1.0)
-    bat.step(1000.0, 3600.0)
+    bat.steps(1000.0, 3600.0, 1)
     assert bat.depleted
-    assert bat.step(1000.0, 1.0) == 0.0
+    assert bat.steps(1000.0, 1.0, 1)[0] == 0.0
 
 
 def test_battery_zero_power_free():
     bat = Battery(16.6, 100.0, 3.0)
-    assert bat.step(0.0, 100.0) == 0.0
+    assert bat.steps(0.0, 100.0, 1)[0] == 0.0
     assert bat.soc == 100.0
     # zero power or a zero-length tick: every tick counts, nothing is drawn
     assert bat.steps(0.0, 0.05, 20) == bat.steps(2.0, 0.0, 20) == (0.0, 20, None)
@@ -130,12 +130,35 @@ def test_battery_rejects_bad_constants(capacity_wh, soc, drain_factor):
         Battery(capacity_wh, soc, drain_factor)
 
 
+@pytest.mark.parametrize("power_w, dt_s, n, soc", [
+    (2.0, 0.05, 20, 100.0),
+    (20.8, 0.05, 20, 100.0),
+    # each tick drops 6.27 %, so the charge runs out on the 3rd of 20 ticks
+    (20.8, 60.0, 20, 15.0),
+])
+def test_battery_steps_equal_single_ticks(power_w, dt_s, n, soc):
+    whole = Battery(16.6, soc, drain_factor=3.0)
+    energy, ticks, depleted_at = whole.steps(power_w, dt_s, n)
+
+    single = Battery(16.6, soc, drain_factor=3.0)
+    total, count, at = 0.0, 0, None
+    for k in range(n):
+        e, t, d = single.steps(power_w, dt_s, 1, t0=k * dt_s)
+        total += e
+        count += t
+        at = d if d is not None else at
+    assert (energy, ticks, depleted_at) == (total, count, at)
+    assert (whole.soc, whole.energy_j, whole.depleted) == (single.soc, single.energy_j, single.depleted)
+    assert whole.depleted is (soc == 15.0)
+    assert ticks == (3 if soc == 15.0 else n)
+
+
 def test_battery_validation():
     bat = Battery(16.6, 100.0, 3.0)
     with pytest.raises(ValueError):
-        bat.step(-1.0, 1.0)
+        bat.steps(-1.0, 1.0, 1)
     with pytest.raises(ValueError):
-        bat.step(1.0, -1.0)
+        bat.steps(1.0, -1.0, 1)
 
 
 @pytest.mark.parametrize("bad", [

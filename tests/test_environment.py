@@ -266,10 +266,33 @@ NAN, INF = float("nan"), float("inf")
     dict(drain_factor=0.0), dict(drain_factor=INF),
     dict(decision_interval_s=INF), dict(decision_interval_s=NAN), dict(decision_interval_s=0.0),
     dict(decision_interval_s=1e308),
+    # 20,000,000 ticks per decision, each step building arrays that long
+    dict(decision_interval_s=1e6, horizon_s=3.0),
+    # a dwell index that overflows bandwidth_at, or leaves the integers floats hold
+    dict(profile=replace(cycle_profile(), dwell_s=1e-308), horizon_s=3.0),
+    dict(profile=replace(cycle_profile(), dwell_s=1200.0 / 2**53)),
 ])
 def test_env_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
         EnvConfig(**overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    # one decision fills the horizon
+    dict(decision_interval_s=3.0, horizon_s=3.0),
+    # a zero horizon never steps, so any whole interval is allowed
+    dict(decision_interval_s=5.0, horizon_s=0.0),
+    # 2**52 dwells over the horizon and one interval: every index is still exact
+    dict(profile=replace(cycle_profile(), dwell_s=1201.0 / 2**52)),
+])
+def test_env_config_accepts_edge_values(overrides):
+    env = XrEnvironment(EnvConfig(**overrides), seed=0)
+    if env.cfg.horizon_s == 0.0:
+        assert env.done
+        return
+    out = env.step(A_LOCAL_FULL)
+    assert out.done is (env.cfg.decision_interval_s == env.cfg.horizon_s)
+    assert len(out.t_capture) == env.actions.n_ticks
 
 
 @pytest.mark.parametrize("overrides", [

@@ -28,7 +28,7 @@ from xredge.harness import default_scenario, run_experiment
 from xredge.latency import ProcTimeTable
 
 HASHES = Path(__file__).parent / "golden" / "hashes.json"
-POLICIES = ("local", "offload", "threshold", "greedy", "greedy-noqueue", "rl")
+POLICIES = ("local", "offload", "threshold", "greedy", "rl")
 PROFILES = ("cycle", "stable")
 HORIZON_S = 120.0
 CYCLE_S = 300.0  # one full period of the cycle profile
@@ -38,46 +38,34 @@ FILES = ("metrics.json", "decisions.csv", "frames.csv")
 UNEVEN_TABLE = ProcTimeTable(t0_encode_ms=10.1, t_server_ms=8.3, t_decode_ms=0.3)
 TABLES = {"": ProcTimeTable(), "-uneven": UNEVEN_TABLE}  # by hash-key suffix
 
+# every golden run by its key in hashes.json: (policy, profile, table, horizon_s)
+RUNS = {f"{p}-{q}": (p, q, ProcTimeTable(), HORIZON_S) for p in POLICIES for q in PROFILES}
+RUNS["offload-cycle-uneven"] = ("offload", "cycle", UNEVEN_TABLE, HORIZON_S)
+RUNS.update({f"{p}-cycle{suffix}-300": (p, "cycle", table, CYCLE_S)
+             for p in CONGESTED for suffix, table in TABLES.items()})
 
-def run_hashes(policy: str, profile: str, table: ProcTimeTable, out_dir: Path,
-               horizon_s: float = HORIZON_S) -> dict[str, str]:
+
+def run_hashes(policy: str, profile: str, table: ProcTimeTable, horizon_s: float,
+               out_dir: Path) -> dict[str, str]:
     spec = default_scenario(policy, profile, horizon_s=horizon_s, seeds=(SEED,))
     spec = replace(spec, env=replace(spec.env, table=table))
     run_experiment(spec, SEED, out_dir)
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in FILES}
 
 
-@pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("policy", POLICIES)
-def test_golden_trajectory(policy, profile, tmp_path):
-    expected = json.loads(HASHES.read_text())[f"{policy}-{profile}"]
-    assert run_hashes(policy, profile, ProcTimeTable(), tmp_path) == expected
+@pytest.mark.parametrize("key", RUNS)
+def test_golden_trajectory(key, tmp_path):
+    expected = json.loads(HASHES.read_text())[key]
+    assert run_hashes(*RUNS[key], tmp_path) == expected
 
 
-def test_golden_trajectory_uneven_table(tmp_path):
-    expected = json.loads(HASHES.read_text())["offload-cycle-uneven"]
-    assert run_hashes("offload", "cycle", UNEVEN_TABLE, tmp_path) == expected
-
-
-@pytest.mark.parametrize("table", TABLES)
-@pytest.mark.parametrize("policy", CONGESTED)
-def test_golden_trajectory_full_cycle(policy, table, tmp_path):
-    expected = json.loads(HASHES.read_text())[f"{policy}-cycle{table}-300"]
-    assert run_hashes(policy, "cycle", TABLES[table], tmp_path, CYCLE_S) == expected
+def test_every_pinned_key_is_run():
+    # a key no test runs would outlive the policy or run it was pinned for
+    assert sorted(json.loads(HASHES.read_text())) == sorted(RUNS)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        hashes = {
-            f"{p}-{q}": run_hashes(p, q, ProcTimeTable(), Path(tmp) / f"{p}-{q}")
-            for p in POLICIES
-            for q in PROFILES
-        }
-        out = Path(tmp) / "offload-cycle-uneven"
-        hashes["offload-cycle-uneven"] = run_hashes("offload", "cycle", UNEVEN_TABLE, out)
-        for p in CONGESTED:
-            for suffix, table in TABLES.items():
-                key = f"{p}-cycle{suffix}-300"
-                hashes[key] = run_hashes(p, "cycle", table, Path(tmp) / key, CYCLE_S)
+        hashes = {key: run_hashes(*run, Path(tmp) / key) for key, run in RUNS.items()}
     HASHES.write_text(json.dumps(hashes, sort_keys=True, indent=2) + "\n")
     print(f"wrote {HASHES}")

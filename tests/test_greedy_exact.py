@@ -21,7 +21,7 @@ from xredge.network import RttDistribution, RttModel, cycle_profile, stable_prof
 from xredge.policies import greedy_select, predicted_epoch
 
 
-def reference_violation(action_id, env, include_queue=True):
+def reference_violation(action_id, env):
     """Mean violation of one epoch under one action, one frame at a time."""
     cfg = env.cfg
     exec_cfg = decode_action(action_id)
@@ -40,7 +40,7 @@ def reference_violation(action_id, env, include_queue=True):
         + cfg.table.t_decode_ms
         + cfg.table.t0_encode_ms * phi
     )
-    backlog_ms = env.queue.backlog_mbit / bw * 1000.0 if include_queue else 0.0
+    backlog_ms = env.queue.backlog_mbit / bw * 1000.0
     frame_period_ms = cfg.power.tau_frame_ms
 
     total_v = 0.0
@@ -59,28 +59,28 @@ def reference_violation(action_id, env, include_queue=True):
     return total_v / n_frames
 
 
-def reference_reward(action_id, env, include_queue=True):
+def reference_reward(action_id, env):
     power = client_power(decode_action(action_id), env.cfg.table, env.cfg.power)
-    mean_v = reference_violation(action_id, env, include_queue)
+    mean_v = reference_violation(action_id, env)
     return interval_reward(mean_v, power, env.state.soc, env.cfg.reward)
 
 
-def reference_greedy(env, include_queue=True):
+def reference_greedy(env):
     best_id, best_r = 0, -np.inf
     for a in range(N_ACTIONS):
-        r = reference_reward(a, env, include_queue)
+        r = reference_reward(a, env)
         if r > best_r:
             best_id, best_r = a, r
     return best_id
 
 
-def assert_exact(env, include_queue):
-    v, r = predicted_epoch(env, include_queue)
-    assert v.tolist() == [reference_violation(a, env, include_queue) for a in range(N_ACTIONS)]
-    assert r.tolist() == [reference_reward(a, env, include_queue) for a in range(N_ACTIONS)]
-    chosen = greedy_select(env, include_queue)
+def assert_exact(env):
+    v, r = predicted_epoch(env)
+    assert v.tolist() == [reference_violation(a, env) for a in range(N_ACTIONS)]
+    assert r.tolist() == [reference_reward(a, env) for a in range(N_ACTIONS)]
+    chosen = greedy_select(env)
     assert type(chosen) is int
-    assert chosen == reference_greedy(env, include_queue)
+    assert chosen == reference_greedy(env)
 
 
 CONFIGS = {
@@ -111,9 +111,8 @@ queued = st.tuples(
     bw=st.floats(0.5, 1e5),
     queue=st.lists(queued, max_size=20),
     soc=st.floats(0.0, 100.0),
-    include_queue=st.booleans(),
 )
-def test_vectorised_prediction_equals_per_action_loop(name, bw, queue, soc, include_queue):
+def test_vectorised_prediction_equals_per_action_loop(name, bw, queue, soc):
     env = XrEnvironment(CONFIGS[name], seed=0)
     env.state = replace(env.state, bandwidth_mbps=bw, soc=soc)
     # up to 20 frames whatever the config's depth: only the backlog is read
@@ -121,7 +120,7 @@ def test_vectorised_prediction_equals_per_action_loop(name, bw, queue, soc, incl
     for j, (q, share) in enumerate(queue):
         row = env.actions.offload_qualities.index(q)
         env.queue.enqueue(-0.05 * (len(queue) - j), row, env.cfg.frame.payload_mbit(q) * share)
-    assert_exact(env, include_queue)
+    assert_exact(env)
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,8 +135,7 @@ def test_prediction_exact_along_cycle_trajectories(name, actions):
                   horizon_s=float(len(actions)))
     env = XrEnvironment(cfg, seed=3)
     for a in actions:
-        for include_queue in (True, False):
-            assert_exact(env, include_queue)
+        assert_exact(env)
         env.step(a)
 
 
@@ -158,5 +156,4 @@ def test_prediction_exact_where_service_time_meets_frame_period(frame_ms, qualit
     env.state = replace(env.state, bandwidth_mbps=float(bw))
     for _ in range(depth):
         env.queue.enqueue(0.0, env.actions.offload_qualities.index(quality), payload * 0.37)
-    for include_queue in (True, False):
-        assert_exact(env, include_queue)
+    assert_exact(env)

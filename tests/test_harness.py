@@ -21,7 +21,6 @@ from xredge.harness import (
     aggregate_seeds,
     default_scenario,
     load_spec,
-    mode_fraction_series,
     per_bandwidth_compliance,
     replace_path,
     run_experiment,
@@ -200,13 +199,6 @@ def test_per_bandwidth_compliance_matches_the_per_frame_definition(levels, dwell
     compliant = np.array([ok for _, ok in rows], dtype=bool)
     expected = reference_per_bandwidth_compliance([t for t, _ in rows], [ok for _, ok in rows], profile)
     assert per_bandwidth_compliance(t_capture, compliant, profile) == expected
-
-
-def test_mode_fraction_series_hand_values():
-    series = mode_fraction_series(["LOCAL", "OFFLOAD", "LOCAL"], window=2)
-    assert series.tolist() == [1.0, 0.5, 0.5]
-    with pytest.raises(ValueError):
-        mode_fraction_series(["LOCAL"], window=0)
 
 
 def make_record(seed, compliance, power, per_level=None):

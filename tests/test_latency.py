@@ -77,6 +77,17 @@ def test_violation():
     assert violation(60.0, 30.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         violation(10.0, 0.0)
+    with pytest.raises(ValueError):
+        violation(np.array([10.0]), -1.0)
+
+
+def test_violation_is_elementwise():
+    mtp = np.array([20.0, 30.0, 45.0, 31.7, float("nan")])
+    v = violation(mtp, 30.0)
+    # each entry is the scalar formula, bit for bit; a nan MTP stays nan
+    assert v[:-1].tolist() == [max(0.0, (m - 30.0) / 30.0) for m in mtp[:-1].tolist()]
+    assert np.isnan(v[-1])
+    assert violation(np.array([]), 30.0).size == 0
 
 
 @pytest.mark.parametrize("make", [

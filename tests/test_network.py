@@ -14,7 +14,7 @@ from xredge.network import (
     cycle_profile,
     level_index,
     load_profile,
-    rtt_sample,
+    rtt_samples,
     stable_profile,
 )
 
@@ -123,14 +123,33 @@ def test_describe():
 def test_rtt_none_is_deterministic():
     model = RttModel(base_ms=5.0, distribution=RttDistribution.NONE)
     rng = np.random.default_rng(0)
-    assert all(rtt_sample(model, rng) == 5.0 for _ in range(10))
+    assert rtt_samples(model, rng, 10) == [5.0] * 10
     assert model.jitter_mean_ms() == 0.0
+    # no draw is taken, so the generator's stream is untouched
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("model", [
+    RttModel(base_ms=5.0, distribution=RttDistribution.NONE),
+    RttModel(),
+    RttModel(sigma=1.6),
+])
+def test_rtt_samples_equal_one_draw_at_a_time(model):
+    # a reset draws its first RTT with n=1: the scalar lognormal formula, bit for bit
+    batch = rtt_samples(model, np.random.default_rng(4), 50)
+    rng = np.random.default_rng(4)
+    assert [rtt_samples(model, rng, 1)[0] for _ in range(50)] == batch
+    if model.distribution is RttDistribution.LOGNORMAL:
+        rng = np.random.default_rng(4)
+        scalar = [model.base_ms + model.jitter_scale_ms * math.exp(model.sigma * rng.standard_normal())
+                  for _ in range(50)]
+        assert scalar == batch
 
 
 def test_lognormal_samples_bounded_below_by_base():
     model = RttModel()
     rng = np.random.default_rng(1)
-    draws = [rtt_sample(model, rng) for _ in range(1000)]
+    draws = rtt_samples(model, rng, 1000)
     assert min(draws) > model.base_ms
 
 

@@ -28,7 +28,7 @@ from test_queue_exact import ReferenceUplinkQueue, same_queue
 
 
 def reference_battery_step(b: Battery, power_w: float, dt_s: float) -> float:
-    """One battery step, as `Battery.step` computed it before `Battery.steps`."""
+    """One battery tick, as the per-tick loop computed it before `Battery.steps`."""
     if b.depleted or power_w == 0.0 or dt_s == 0.0:
         return 0.0
     drop_pct = b.drain_factor * power_w * dt_s / b.capacity_j * 100.0
@@ -193,7 +193,8 @@ def test_step_equals_the_tick_by_tick_definition(profile, rtt, frame_ms, capacit
         assert out.info.keys() == info.keys()
         assert all(same(out.info[k], info[k]) for k in info), (out.info, info)
         assert out.state == state and env.state == ref.state
-        assert np.array_equal(out.obs, obs)
+        # the learner observes the environment once step has returned
+        assert np.array_equal(env.observe(), obs)
         assert same(out.reward, reward) and out.done == done
         assert out.t_capture.dtype == out.mtp_ms.dtype == np.float64
         assert out.t_capture.tolist() == t_capture and out.mtp_ms.tolist() == mtps
