@@ -86,21 +86,26 @@ class QNetwork:
         self.theta = theta
         self.weights, self.biases = layer_views(theta, self.sizes)
 
-    def activations(self, x: np.ndarray) -> list[np.ndarray]:
+    def activations(self, x: np.ndarray, ws: Workspace | None = None) -> list[np.ndarray]:
         """Each layer's input, then the Q-values of shape (batch, n_actions).
-        Accepts a single obs or a batch."""
+        Accepts a single obs or a batch. Layer outputs go into `ws.outs`
+        when a workspace is given, else into fresh arrays."""
         a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        outs = ws.outs if ws is not None else [np.empty((a.shape[0], n)) for n in self.sizes[1:]]
         acts = [a]
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            a = z if i == last else np.maximum(z, 0.0)
+        for i, (w, b, z) in enumerate(zip(self.weights, self.biases, outs)):
+            np.matmul(a, w, out=z)
+            z += b
+            if i != last:
+                np.maximum(z, 0.0, out=z)
+            a = z
             acts.append(a)
         return acts
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
         """Q-values, shape (batch, n_actions). Accepts a single obs or a batch."""
-        return self.activations(x)[-1]
+        return self.activations(x, ws)[-1]
 
     def copy_from(self, other: "QNetwork") -> None:
         if other.sizes != self.sizes:
@@ -114,38 +119,60 @@ class QNetwork:
         return dup
 
 
+class Workspace:
+    """Training buffers for one network shape and one batch size, allocated once.
+
+    Per layer: its output, the error signal at its output and, for hidden
+    layers, its ReLU mask; then one flat gradient laid out like theta, with
+    per-layer views, and the batch's row index. A target forward and the
+    online forward of the same step share `outs`: the target's Q-values are
+    reduced to max_next_q before the online pass overwrites them.
+    """
+
+    def __init__(self, net: QNetwork, batch: int):
+        widths = net.sizes[1:]
+        self.outs = [np.empty((batch, n)) for n in widths]
+        self.deltas = [np.empty((batch, n)) for n in widths]
+        self.masks = [np.empty((batch, n), dtype=bool) for n in widths[:-1]]
+        self.grad = np.empty_like(net.theta)
+        self.grad_w, self.grad_b = layer_views(self.grad, net.sizes)
+        self.rows = np.arange(batch)
+
+
 def loss_and_grads(
     net: QNetwork,
     states: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
+    ws: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean-squared TD loss and its gradient w.r.t. net.theta.
 
     Only the output unit of each sample's taken action receives error signal.
-    The gradient is one flat vector laid out like net.theta.
+    The gradient is one flat vector laid out like net.theta: `ws.grad` when a
+    workspace is given, else a fresh array.
     """
     actions = np.asarray(actions, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.float64)
-    acts = net.activations(states)
-    q_all = acts[-1]
-    n = q_all.shape[0]
-    q_taken = q_all[np.arange(n), actions]
-    err = q_taken - targets
-    loss = float(np.mean(err**2))
+    if ws is None:
+        ws = Workspace(net, len(np.atleast_2d(states)))
+    acts = net.activations(states, ws)
+    rows = ws.rows
+    n = len(rows)
+    err = acts[-1][rows, actions] - targets
+    loss = float(np.add.reduce(err**2) / n)
 
-    dz = np.zeros_like(q_all)
-    dz[np.arange(n), actions] = 2.0 * err / n
-    grad = np.empty_like(net.theta)
-    grad_w, grad_b = layer_views(grad, net.sizes)
-    for i in range(len(grad_w) - 1, -1, -1):
-        np.matmul(acts[i].T, dz, out=grad_w[i])
-        dz.sum(axis=0, out=grad_b[i])
+    dz = ws.deltas[-1]
+    dz.fill(0.0)
+    dz[rows, actions] = 2.0 * err / n
+    for i in range(len(ws.grad_w) - 1, -1, -1):
+        np.matmul(acts[i].T, dz, out=ws.grad_w[i])
+        dz.sum(axis=0, out=ws.grad_b[i])
         if i > 0:
             # a ReLU output is positive exactly where its input was
-            da = dz @ net.weights[i].T
-            dz = da * (acts[i] > 0.0)
-    return loss, grad
+            da = np.matmul(dz, net.weights[i].T, out=ws.deltas[i - 1])
+            dz = np.multiply(da, np.greater(acts[i], 0.0, out=ws.masks[i - 1]), out=da)
+    return loss, ws.grad
 
 
 def td_targets(
@@ -174,7 +201,11 @@ class Adam:
 
     def step(self, grad: np.ndarray) -> None:
         """m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-        theta -= (lr*m_hat) / (sqrt(v_hat) + eps), one operation at a time."""
+        theta -= (lr*m_hat) / (sqrt(v_hat) + eps), one operation at a time.
+
+        A bias correction whose denominator has rounded to exactly 1.0 is
+        skipped, since x / 1.0 == x for every float64: for beta1 = 0.9 from
+        t = 356 on, for beta2 = 0.999 from t = 37412 on."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         m, v, s, u = self.m, self.v, self._s, self._u
@@ -182,9 +213,10 @@ class Adam:
         m += np.multiply(1 - b1, grad, out=s)
         v *= b2
         v += np.multiply(np.multiply(1 - b2, grad, out=s), grad, out=s)
-        np.sqrt(np.divide(v, 1 - b2**self.t, out=s), out=s)
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=s), out=s)
         s += self.eps
-        np.multiply(self.lr, np.divide(m, 1 - b1**self.t, out=u), out=u)
+        np.multiply(self.lr, m if c1 == 1.0 else np.divide(m, c1, out=u), out=u)
         self.theta -= np.divide(u, s, out=u)
 
 
@@ -209,6 +241,10 @@ class ReplayBuffer:
         return min(self.count, self.capacity)
 
     def push(self, obs, action, reward, next_obs, done) -> None:
+        want = self.obs.shape[1:]
+        if np.shape(obs) != want or np.shape(next_obs) != want:
+            raise ValueError(f"obs and next_obs must have shape {want}, "
+                             f"got {np.shape(obs)} and {np.shape(next_obs)}")
         slot = self.count % self.capacity
         self.obs[slot] = obs
         self.action[slot] = action
@@ -235,6 +271,7 @@ class DqnAgent:
         self.target = self.online.clone()
         self.optimizer = Adam(self.online.theta, lr=cfg.lr)
         self.buffer = ReplayBuffer(cfg.buffer_capacity, cfg.obs_dim)
+        self.workspace = Workspace(self.online, cfg.batch_size)
         self.decision_count = 0
         self.last_loss: float | None = None
 
@@ -270,9 +307,10 @@ class DqnAgent:
         obs, actions, rewards, next_obs, dones = self.buffer.sample(
             self.cfg.batch_size, self.rng
         )
-        max_next_q = self.target.forward(next_obs).max(axis=1)
+        ws = self.workspace
+        max_next_q = self.target.forward(next_obs, ws).max(axis=1)
         y = td_targets(rewards, max_next_q, dones, self.cfg.gamma)
-        loss, grad = loss_and_grads(self.online, obs, actions, y)
+        loss, grad = loss_and_grads(self.online, obs, actions, y, ws)
         self.optimizer.step(grad)
         return loss
 

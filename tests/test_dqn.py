@@ -141,6 +141,30 @@ def test_adam_minimizes_quadratic():
     assert np.max(np.abs(x)) < 1e-3
 
 
+@pytest.mark.parametrize("t", [355, 356, 357, 37411, 37412])
+def test_adam_skipping_a_unit_bias_correction_is_exact(t):
+    # 1 - 0.9**t rounds to exactly 1.0 from t = 356 on, 1 - 0.999**t from
+    # t = 37412 on, and Adam then skips that divide; the step must still
+    # equal the one with every divide written out
+    assert (1 - 0.9**t == 1.0) is (t >= 356)
+    assert (1 - 0.999**t == 1.0) is (t >= 37412)
+    rng = np.random.default_rng(t)
+    theta, grad = rng.normal(size=40), rng.normal(size=40)
+    opt = Adam(theta.copy(), lr=1e-3)
+    opt.m[...] = rng.normal(size=40)
+    opt.v[...] = rng.uniform(size=40)
+    opt.t = t - 1
+    b1, b2, lr, eps = opt.beta1, opt.beta2, opt.lr, opt.eps
+    m = opt.m * b1 + (1 - b1) * grad
+    v = opt.v * b2 + ((1 - b2) * grad) * grad
+    want = theta - (lr * (m / (1 - b1**t))) / (np.sqrt(v / (1 - b2**t)) + eps)
+    opt.step(grad)
+    assert opt.t == t
+    assert np.array_equal(opt.m, m)
+    assert np.array_equal(opt.v, v)
+    assert np.array_equal(opt.theta, want)
+
+
 # ---------------------------------------------------------------------------
 # schedule and buffer
 # ---------------------------------------------------------------------------
@@ -163,6 +187,19 @@ def test_replay_buffer_ring_overwrite():
     # transition k sits in row k % capacity: the oldest two were overwritten
     assert buf.reward.tolist() == [4.0, 5.0, 3.0]
     assert buf.obs[:, 0].tolist() == [3.0, 4.0, 2.0]
+
+
+@pytest.mark.parametrize("bad", [0.5, np.array([0.5]), np.zeros(4), np.zeros((1, 5))])
+def test_replay_buffer_push_rejects_misshapen_obs(bad):
+    # a scalar or a length-1 array would otherwise broadcast across the row
+    buf = ReplayBuffer(capacity=4, obs_dim=5)
+    with pytest.raises(ValueError, match=r"shape \(5,\)"):
+        buf.push(bad, 0, 0.0, np.zeros(5), False)
+    with pytest.raises(ValueError, match=r"shape \(5,\)"):
+        buf.push(np.zeros(5), 0, 0.0, bad, False)
+    assert len(buf) == 0 and buf.count == 0
+    buf.push([0.1] * 5, 0, 0.0, np.zeros(5), False)
+    assert buf.obs[0].tolist() == [0.1] * 5
 
 
 def test_replay_buffer_sample_without_replacement():
@@ -268,3 +305,45 @@ def test_epsilon_property_tracks_decisions():
         agent.record_and_train(obs, 0, 0.0, obs, False)
     assert agent.epsilon == pytest.approx(0.9975**10)
 
+
+def test_training_reuses_its_workspace_and_spares_returned_arrays():
+    cfg = small_cfg(hidden=(16, 16), batch_size=6)
+    agent = DqnAgent(cfg, seed=8)
+    stream = np.random.default_rng(9)
+    for i in range(cfg.batch_size):
+        agent.buffer.push(stream.uniform(size=2), i % 3, stream.normal(),
+                          stream.uniform(size=2), False)
+    x = stream.uniform(size=(cfg.batch_size, 2))
+    handed = {
+        "forward": agent.online.forward(x),
+        "target forward": agent.target.forward(x),
+        "q_values": agent.q_values(x[0]),
+        "grad": loss_and_grads(agent.online, x, np.zeros(cfg.batch_size, dtype=int),
+                               np.ones(cfg.batch_size))[1],
+    }
+    kept = {name: a.copy() for name, a in handed.items()}
+    ws = agent.workspace
+    arrays = workspace_arrays(ws)
+    agent.train_step()
+    theta, grad = agent.online.theta.copy(), ws.grad.copy()
+    for _ in range(50):
+        agent.train_step()
+        agent.sync_target()
+        # and later calls without a workspace hand out arrays of their own
+        loss_and_grads(agent.online, x, np.ones(cfg.batch_size, dtype=int),
+                       np.zeros(cfg.batch_size))
+        agent.online.forward(x + 1.0)
+    # the steps wrote their gradients into the workspace, not elsewhere
+    assert not np.array_equal(agent.online.theta, theta)
+    assert not np.array_equal(ws.grad, grad, equal_nan=True)
+    for name, a in handed.items():
+        assert np.array_equal(a, kept[name]), name
+        assert not any(np.shares_memory(a, w) for w in arrays), name
+    # nothing was reallocated: the same objects, the views still on ws.grad
+    assert agent.workspace is ws
+    assert all(a is b for a, b in zip(workspace_arrays(ws), arrays, strict=True))
+    assert all(np.shares_memory(g, ws.grad) for g in (*ws.grad_w, *ws.grad_b))
+
+
+def workspace_arrays(ws):
+    return [ws.rows, ws.grad, *ws.grad_w, *ws.grad_b, *ws.outs, *ws.deltas, *ws.masks]

@@ -175,12 +175,16 @@ def assert_shares_theta(agent):
 
 
 @pytest.mark.parametrize("cfg", [
-    # default 5-128-128-18 network; 300 decisions wrap the 40-slot ring and sync 6 times
+    # default 5-128-128-18 network; 420 decisions wrap the 40-slot ring, sync
+    # 8 times and take Adam past t = 356, where 1 - 0.9**t rounds to 1.0
     DqnConfig(buffer_capacity=40, target_sync_every=50),
     # several updates per decision, a deeper net and a batch as large as the ring
     DqnConfig(obs_dim=3, n_actions=4, hidden=(16, 8, 8), batch_size=12,
               buffer_capacity=12, target_sync_every=7, train_per_decision=3,
               gamma=0.9, lr=1e-2, eps_decay=0.99),
+    # one-row batches, so every workspace buffer is a single row
+    DqnConfig(obs_dim=4, n_actions=6, hidden=(10,), batch_size=1,
+              buffer_capacity=30, target_sync_every=11, lr=1e-2, eps_decay=0.99),
 ])
 def test_flat_learner_matches_per_tensor_learner(cfg):
     agent, ref = DqnAgent(cfg, seed=3), RefAgent(cfg, seed=3)
@@ -188,7 +192,7 @@ def test_flat_learner_matches_per_tensor_learner(cfg):
     stream = np.random.default_rng(11)
     obs = stream.uniform(size=cfg.obs_dim)
     syncs = 0
-    for _ in range(300):
+    for _ in range(420):
         action = agent.select_action(obs)
         assert action == ref.select_action(obs)
         next_obs = stream.uniform(size=cfg.obs_dim)
@@ -202,6 +206,7 @@ def test_flat_learner_matches_per_tensor_learner(cfg):
         assert np.array_equal(agent.optimizer.v, flat(ref.optimizer.v))
         syncs += agent.decision_count % cfg.target_sync_every == 0
         obs = stream.uniform(size=cfg.obs_dim) if done else next_obs
+    assert agent.optimizer.t > 356
     assert agent.buffer.count > 2 * cfg.buffer_capacity
     assert syncs >= 6
     assert_shares_theta(agent)
