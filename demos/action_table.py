@@ -27,8 +27,9 @@ for action, cfg in enumerate(tab.configs):
     if tab.is_local[action]:
         mtp = tab.mtp_local_ms[action]
     else:
-        serialization_ms = tab.payload_mbit[action] / BW_MBPS * 1000.0
-        mtp = serialization_ms + tab.fixed_offload_ms[tab.offload_row[action]]
+        row = tab.offload_row[action]
+        serialization_ms = tab.payload_offload_mbit[row] / BW_MBPS * 1000.0
+        mtp = serialization_ms + tab.fixed_offload_ms[row]
     w, h = RESOLUTION[cfg.quality]
     print(
         f"{action:>2}  {cfg.quality.name:8} {cfg.imu.name:7} {cfg.mode.name:8} "

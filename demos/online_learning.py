@@ -29,16 +29,15 @@ while not env.done:
 
     window_viol.append(out.info["mean_v"])
     window_local.append(1.0 if action % 2 == 0 else 0.0)
-    t = out.state.t
-    if t % 100 == 0:
+    if env.t % 100 == 0:
         compl = 100.0 * np.mean([v == 0.0 for v in window_viol])
         loss = policy.last_loss if policy.last_loss is not None else float("nan")
-        print(f"{t:5.0f} {policy.epsilon:6.3f} {out.info['bandwidth_mbps']:8g} "
+        print(f"{env.t:5.0f} {policy.epsilon:6.3f} {out.state.bandwidth_mbps:8g} "
               f"{100 * np.mean(window_local):7.1f} {compl:7.1f} "
               f"{out.state.soc:6.1f} {loss:9.5f}")
         window_viol.clear()
         window_local.clear()
 
 print()
-print(f"survived {env.survived_s:g} s of {env.cfg.horizon_s:g}; "
+print(f"survived {env.t:g} s of {env.cfg.horizon_s:g}; "
       f"delivered {env.frames_delivered} of {env.frames_captured} frames")

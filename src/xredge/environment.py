@@ -29,6 +29,9 @@ from .latency import (
 )
 from .network import BandwidthProfile, RttModel, bandwidth_at, level_index, rtt_samples
 
+# the most frames an interval may hold: the action table and each step build arrays that long
+MAX_INTERVAL_FRAMES = 100_000
+
 
 @dataclass(frozen=True)
 class SystemState:
@@ -39,7 +42,6 @@ class SystemState:
     rtt_ms: float
     bandwidth_mbps: float
     mtp_ms: float
-    t: float
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class EnvConfig:
             raise ValueError(f"observation clamps must be positive: "
                              f"{self.rtt_max_ms}, {self.mtp_max_ms}")
         self.n_ticks()
-        # every step builds arrays of n_ticks entries; a zero horizon never steps
+        # one decision must fit the horizon; a zero horizon never steps
         if 0 < self.horizon_s < self.decision_interval_s:
             raise ValueError(f"decision interval must not exceed the horizon: "
                              f"{self.decision_interval_s} s vs {self.horizon_s} s")
@@ -111,10 +113,10 @@ class EnvConfig:
         interval = self.decision_interval_s
         ratio = interval / tick_s
         n = round(ratio) if math.isfinite(ratio) else 0
-        if n < 1 or abs(n * tick_s - interval) > 1e-9:
+        if not 1 <= n <= MAX_INTERVAL_FRAMES or abs(n * tick_s - interval) > 1e-9:
             raise ValueError(
-                "decision interval must be a positive integer multiple of the "
-                f"frame period: {interval} s vs {tick_s} s"
+                "decision interval must be a positive integer multiple of the frame "
+                f"period, at most {MAX_INTERVAL_FRAMES} of them: {interval} s vs {tick_s} s"
             )
         return n
 
@@ -164,12 +166,11 @@ class ActionTable:
         # a full local interval's means over its n frames
         self.mtp_mean_local_ms = tuple(_mean(np.full(n, m)) for m in self.mtp_local_ms)
         self.v_mean_local = tuple(_mean(np.full(n, v)) for v in self.v_local)
-        self.payload_mbit = tuple(cfg.frame.payload_mbit(c.quality) for c in self.configs)
         self.jitter_mean_ms = cfg.rtt.jitter_mean_ms()
         # the reward's power term, as interval_reward computes it
         self.reward_power = -cfg.reward.alpha_power * np.array(self.power_w) / cfg.reward.p_max_w
 
-        self.payload_offload_mbit = np.array([cfg.frame.payload_mbit(q) for q in _OFFLOAD_QUALITIES])
+        self.payload_offload_mbit = tuple(cfg.frame.payload_mbit(q) for q in _OFFLOAD_QUALITIES)
         # an offloaded frame's server and client-encode times, one per offload
         # row, and its decode time: the `terms` of `latency.offload_mtp_ms`
         phis = [quality_scale(q) for q in _OFFLOAD_QUALITIES]
@@ -252,10 +253,8 @@ class XrEnvironment:
         self.battery = Battery(cfg.capacity_wh, cfg.soc0, cfg.drain_factor)
         self.queue = UplinkQueue(cfg.queue_max_depth)
         self.v_per_epoch: list[float] = []
-        self.decisions = 0
         self.frames_captured = 0
         self.frames_delivered = 0
-        self.survived_s = 0.0
         rtt0 = rtt_samples(cfg.rtt, self.rng, 1)[0]
         self.state = SystemState(
             soc=self.battery.soc,
@@ -263,7 +262,6 @@ class XrEnvironment:
             rtt_ms=rtt0,
             bandwidth_mbps=bandwidth_at(cfg.profile, 0.0),
             mtp_ms=0.0,
-            t=0.0,
         )
         self.done = self.battery.depleted or cfg.horizon_s <= 0.0
         return self.state
@@ -313,8 +311,9 @@ class XrEnvironment:
                 mtp_mean = _mean(mtp)
         else:
             bandwidths = np.array(cfg.profile.levels_mbps)[level_index(cfg.profile, ticks)]
+            offload = tab.offload_row[row]
             t_capture, mtp, dropped = self.queue.transmit(
-                ticks, bandwidths, rtts, tick_s, tab.offload_row[row], tab.payload_mbit[row], tab)
+                ticks, bandwidths, rtts, tick_s, offload, tab.payload_offload_mbit[offload], tab)
             mtp_obs = mtp[-1].item() if mtp.size else self.state.mtp_ms
             mtp_mean = _mean(mtp) if mtp.size else float("nan")
             # epoch violation: delivered frames plus a censored lower bound
@@ -336,11 +335,8 @@ class XrEnvironment:
             rtt_ms=rtt,
             bandwidth_mbps=bandwidth_at(cfg.profile, min(t_end, cfg.horizon_s)),
             mtp_ms=mtp_obs,
-            t=t_end,
         )
-        self.decisions += 1
         self.done = self.battery.depleted or t_end >= cfg.horizon_s - 1e-9
-        self.survived_s = t_end
 
         info = {
             "mean_v": mean_v,
@@ -351,9 +347,6 @@ class XrEnvironment:
             "pending_censored": pending_censored,
             "queue_depth": self.queue.depth,
             "energy_j": energy_j,
-            "power_w": power,
-            "bandwidth_mbps": self.state.bandwidth_mbps,
-            "rtt_ms": rtt,
             "depleted": self.battery.depleted,
         }
         return StepOutcome(
@@ -366,4 +359,4 @@ class XrEnvironment:
         )
 
     def objective(self) -> float:
-        return objective_value(self.survived_s, self.v_per_epoch, self.cfg.reward.lam)
+        return objective_value(self.t, self.v_per_epoch, self.cfg.reward.lam)

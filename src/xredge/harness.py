@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
@@ -36,8 +35,6 @@ DECISION_COLUMNS = [
     "mtp_mean_ms", "v_mean", "power_w", "soc_pct", "reward", "epsilon", "loss",
 ]
 FRAME_COLUMNS = ["t_capture", "mtp_ms", "compliant", "mode"]
-# in memory: seconds, milliseconds, mtp_ms <= tau, an ExecutionMode value
-FRAME_DTYPES = (np.float64, np.float64, np.bool_, np.int8)
 
 # keeps the learner's stream distinct from the environment's for equal seeds
 _AGENT_SEED_OFFSET = 7919
@@ -98,9 +95,10 @@ class RunResult:
     """A run's metrics, traces and wall-clock controller cost. The traces are
     stored by column: `decisions` maps each DECISION_COLUMNS name to a list
     with one value per decision, `frames` each FRAME_COLUMNS name to an array
-    (of its FRAME_DTYPES type) with one value per delivered frame, in delivery
-    order. `timing` is what timing.json holds: controller latency that varies
-    between reruns, so it is kept out of `metrics`."""
+    with one value per delivered frame, in delivery order: float64 seconds,
+    float64 milliseconds, bool `mtp_ms <= tau_mtp_ms` and the int8
+    ExecutionMode value. `timing` is what timing.json holds: controller
+    latency that varies between reruns, so it is kept out of `metrics`."""
 
     metrics: MetricsRecord
     decisions: dict[str, list]
@@ -116,12 +114,11 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
 
     decisions: dict[str, list] = {c: [] for c in DECISION_COLUMNS}
     columns = [decisions[c] for c in DECISION_COLUMNS]
-    cap = _frame_capacity(env)
-    frames = {c: np.empty(cap, dtype) for c, dtype in zip(FRAME_COLUMNS, FRAME_DTYPES)}
-    n_frames = 0
+    # each step's delivered frames, concatenated once the run is over
+    t_parts: list[np.ndarray] = []
+    mtp_parts: list[np.ndarray] = []
     latencies_s: list[float] = []
 
-    env.reset()
     while not env.done:
         # the bandwidth this decision observes, the profile's level at env.t
         t0, bandwidth = env.t, env.state.bandwidth_mbps
@@ -134,55 +131,44 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         toc_learn = time.perf_counter()
         latencies_s.append((toc_select - tic) + (toc_learn - tic_learn))
 
-        info = outcome.info
+        info, state = outcome.info, outcome.state
         row = (
             t0, action, *env.actions.labels[action],
-            bandwidth, info["rtt_ms"], info["mtp_mean_ms"],
-            info["mean_v"], info["power_w"], outcome.state.soc, outcome.reward,
+            bandwidth, state.rtt_ms, info["mtp_mean_ms"],
+            info["mean_v"], state.power_w, state.soc, outcome.reward,
             policy.epsilon if is_rl else "",
             (policy.last_loss if policy.last_loss is not None else "") if is_rl else "",
         )
         for column, value in zip(columns, row):
             column.append(value)
+        t_parts.append(outcome.t_capture)
+        mtp_parts.append(outcome.mtp_ms)
 
-        end = n_frames + outcome.mtp_ms.size
-        if end > cap:  # only if rounding stretched the run
-            cap *= 2
-            frames = {c: np.concatenate([a, np.empty_like(a)]) for c, a in frames.items()}
-        frames["t_capture"][n_frames:end] = outcome.t_capture
-        frames["mtp_ms"][n_frames:end] = outcome.mtp_ms
-        frames["mode"][n_frames:end] = env.actions.configs[action].mode
-        n_frames = end
-
-    frame_columns = {c: a[:n_frames] for c, a in frames.items()}
-    np.less_equal(frame_columns["mtp_ms"], spec.env.tau_mtp_ms, out=frame_columns["compliant"])
-    metrics = _compute_metrics(spec, seed, env, decisions, frame_columns)
+    # a run that never steps still gets four typed, empty columns
+    mtp = np.concatenate(mtp_parts or [np.empty(0)])
+    modes = np.array([c.mode for c in env.actions.configs], np.int8)
+    frames = {
+        "t_capture": np.concatenate(t_parts or [np.empty(0)]),
+        "mtp_ms": mtp,
+        "compliant": mtp <= spec.env.tau_mtp_ms,
+        # each decision's mode, repeated over the frames its step delivered
+        "mode": np.repeat(modes[decisions["action"]], [m.size for m in mtp_parts]),
+    }
+    metrics = _compute_metrics(spec, seed, env, decisions, frames)
     lat_us = sorted(x * 1e6 for x in latencies_s)
     timing = {
         "latency_median_us": float(np.median(lat_us)) if lat_us else 0.0,
         "latency_p95_us": float(np.percentile(lat_us, 95)) if lat_us else 0.0,
     }
-    result = RunResult(metrics=metrics, decisions=decisions, frames=frame_columns, timing=timing)
+    result = RunResult(metrics=metrics, decisions=decisions, frames=frames, timing=timing)
     if out_dir is not None:
         write_run(Path(out_dir), result)
     return result
 
 
-def _frame_capacity(env: XrEnvironment) -> int:
-    """The most frames a run can capture: it ends at the horizon or when the
-    battery, drawing at least the lowest action power, runs out."""
-    cfg = env.cfg
-    run_s = cfg.horizon_s
-    p_min = min(env.actions.power_w)
-    if p_min > 0:
-        life_h = lifetime_projection(cfg.soc0, cfg.capacity_wh, p_min, cfg.drain_factor)
-        run_s = min(run_s, 3600.0 * life_h)
-    return env.actions.n_ticks * (math.ceil(run_s / cfg.decision_interval_s) + 1)
-
-
 def _compute_metrics(spec, seed, env, decisions, frames) -> MetricsRecord:
     cfg = spec.env
-    survived = env.survived_s
+    survived = env.t
     delivered = frames["mtp_ms"].size
     compliant = int(np.count_nonzero(frames["compliant"]))
     compliance_pct = 100.0 * compliant / delivered if delivered else 0.0

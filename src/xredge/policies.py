@@ -90,7 +90,7 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
     backlog_ms = env.queue.backlog_mbit / bw * 1000.0
     later = arrival[1:].tolist()
     rows = []
-    for s in (tab.payload_offload_mbit / bw * 1000.0).tolist():
+    for s in [p / bw * 1000.0 for p in tab.payload_offload_mbit]:
         f = backlog_ms + s
         row = [f]
         for a in later:

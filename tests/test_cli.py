@@ -228,6 +228,19 @@ def test_bad_model_constant_fails_at_construction(tmp_path, capsys, edit, fragme
     assert not (tmp_path / "o").exists()
 
 
+def test_zero_horizon_with_a_huge_interval_fails_cleanly(tmp_path, capsys):
+    # a zero horizon never steps, but the action table holds one interval's frames
+    from xredge.config import to_jsonable
+
+    data = to_jsonable(default_scenario("local", "stable", horizon_s=0.0, seeds=(1,)))
+    data["env"]["decision_interval_s"] = 1e8
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, "at most 100000 of them: 100000000.0 s vs 0.05 s")
+    assert not (tmp_path / "o").exists()
+
+
 def test_nan_level_in_profile_file_fails_cleanly(tmp_path, capsys):
     profile = tmp_path / "steps.txt"
     profile.write_text("1000 60\nnan 60\n")

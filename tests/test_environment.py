@@ -92,7 +92,7 @@ def test_observe_normalization_endpoints():
 
     def obs_for(**kw):
         base = dict(soc=100.0, power_w=20.8, rtt_ms=5.0, bandwidth_mbps=1000.0,
-                    mtp_ms=0.0, t=0.0)
+                    mtp_ms=0.0)
         base.update(kw)
         return observe(SystemState(**base), cfg)
 
@@ -125,7 +125,7 @@ def test_reset_state():
     assert s.soc == 100.0
     assert s.power_w == 0.5        # idle baseline before the first decision
     assert s.mtp_ms == 0.0
-    assert s.t == 0.0
+    assert env.t == 0.0
     assert s.bandwidth_mbps == 1000.0
     assert not env.done
 
@@ -163,7 +163,7 @@ def test_local_full_interval():
     assert out.info["mean_v"] == 0.0
     assert out.info["energy_j"] == pytest.approx(20.8)
     assert out.state.power_w == pytest.approx(20.8)
-    assert out.state.t == pytest.approx(1.0)
+    assert env.t == pytest.approx(1.0)
     soc_expected = 100.0 - 3.0 * 20.8 / (16.6 * 3600.0) * 100.0
     assert out.state.soc == pytest.approx(soc_expected)
     assert out.reward == pytest.approx(0.2 - 0.05 + 0.05 * soc_expected / 100.0)
@@ -205,8 +205,8 @@ def test_battery_depletion_ends_episode_early():
     assert env.battery.depleted
     assert out.info["depleted"]
     # constant 20.8 W at k=3 empties 16.6 Wh in 957.69 s, inside the horizon
-    assert env.survived_s == pytest.approx(957.6923, abs=1e-3)
-    assert env.survived_s < 1200.0
+    assert env.t == pytest.approx(957.6923, abs=1e-3)
+    assert env.t < 1200.0
     with pytest.raises(RuntimeError):
         env.step(A_LOCAL_FULL)
 
@@ -218,7 +218,7 @@ def test_horizon_termination():
         env.step(A_OFFLOAD_FULL)
         steps += 1
     assert steps == 3
-    assert env.survived_s == pytest.approx(3.0)
+    assert env.t == pytest.approx(3.0)
     assert not env.battery.depleted
 
 
@@ -268,6 +268,8 @@ NAN, INF = float("nan"), float("inf")
     dict(decision_interval_s=1e308),
     # 20,000,000 ticks per decision, each step building arrays that long
     dict(decision_interval_s=1e6, horizon_s=3.0),
+    # a zero horizon never steps, but the action table is built per interval
+    dict(horizon_s=0.0, decision_interval_s=1e8),
     # a dwell index that overflows bandwidth_at, or leaves the integers floats hold
     dict(profile=replace(cycle_profile(), dwell_s=1e-308), horizon_s=3.0),
     dict(profile=replace(cycle_profile(), dwell_s=1200.0 / 2**53)),
@@ -280,7 +282,7 @@ def test_env_config_rejects_bad_values(overrides):
 @pytest.mark.parametrize("overrides", [
     # one decision fills the horizon
     dict(decision_interval_s=3.0, horizon_s=3.0),
-    # a zero horizon never steps, so any whole interval is allowed
+    # a zero horizon never steps, so the interval may exceed it
     dict(decision_interval_s=5.0, horizon_s=0.0),
     # 2**52 dwells over the horizon and one interval: every index is still exact
     dict(profile=replace(cycle_profile(), dwell_s=1201.0 / 2**52)),
@@ -313,10 +315,11 @@ def test_action_table_rows_equal_the_scalar_models(overrides):
         assert tab.labels[a] == (c.quality.value, c.imu.value, c.mode.name)
         assert tab.is_local[a] is (c.mode is ExecutionMode.LOCAL)
         assert tab.power_w[a] == client_power(c, cfg.table, cfg.power)
-        assert tab.payload_mbit[a] == cfg.frame.payload_mbit(c.quality)
         if tab.is_local[a]:
             assert tab.mtp_local_ms[a] == mtp_local(c, cfg.table)
             assert tab.v_local[a] == violation(mtp_local(c, cfg.table), cfg.tau_mtp_ms)
+        else:
+            assert tab.payload_offload_mbit[tab.offload_row[a]] == cfg.frame.payload_mbit(c.quality)
     assert [row >= 0 for row in tab.offload_row] == [not local for local in tab.is_local]
     assert tab.jitter_mean_ms == cfg.rtt.jitter_mean_ms()
 

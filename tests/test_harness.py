@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xredge.actions import ExecutionMode
+from xredge.actions import ExecutionMode, decode_action
 from xredge.config import from_jsonable, to_jsonable
+from xredge.environment import XrEnvironment
 from xredge.harness import (
     DECISION_COLUMNS,
     FRAME_COLUMNS,
@@ -114,6 +115,38 @@ def test_frame_csv_is_csv_writer_bytes(tmp_path, policy, profile, horizon_s, mbp
     else:
         assert n == {"two chunks": 2 * FRAME_CSV_CHUNK_ROWS, "empty": 0}[case]
     assert (tmp_path / "frames.csv").read_bytes() == reference_frame_csv(res.frames)
+
+
+def test_zero_horizon_run_has_typed_empty_frame_columns(tmp_path):
+    res = run_experiment(local_spec(horizon=0.0), seed=1, out_dir=tmp_path)
+    assert res.metrics.decisions == 0
+    assert list(res.frames) == FRAME_COLUMNS
+    assert [(a.dtype, a.size) for a in res.frames.values()] == [
+        (np.float64, 0), (np.float64, 0), (np.bool_, 0), (np.int8, 0)]
+    assert (tmp_path / "frames.csv").read_bytes() == b"t_capture,mtp_ms,compliant,mode\r\n"
+
+
+def test_frame_modes_repeat_each_decisions_mode_over_its_frames(monkeypatch):
+    steps = []
+    step = XrEnvironment.step
+
+    def recording_step(env, action):
+        out = step(env, action)
+        steps.append((action, out.mtp_ms.size))
+        return out
+
+    monkeypatch.setattr(XrEnvironment, "step", recording_step)
+    res = run_experiment(default_scenario("threshold", "cycle", horizon_s=300.0), seed=1)
+    assert [action for action, _ in steps] == res.decisions["action"]
+    # both modes, and congested intervals that deliver other than 20 frames
+    assert {action for action, _ in steps} == {4, 5}
+    assert {n for _, n in steps} - {20}
+    modes = res.frames["mode"].tolist()
+    start = 0
+    for action, n in steps:
+        assert modes[start:start + n] == [decode_action(action).mode] * n
+        start += n
+    assert start == len(modes) == res.metrics.frames_delivered
 
 
 def test_metrics_file_excludes_timing(tmp_path):

@@ -81,7 +81,8 @@ def reference_step(env: XrEnvironment, action: int):
             t_capture.append(tk)
             mtps.append(mtp_local_ms)
         else:
-            dropped += env.queue.enqueue(tk, quality, env.actions.payload_mbit[row])
+            payload = env.actions.payload_offload_mbit[env.actions.offload_row[row]]
+            dropped += env.queue.enqueue(tk, quality, payload)
             for dv in env.queue.drain(bw, rtt, tick_s, tk, cfg.table):
                 t_capture.append(dv.t_capture)
                 mtps.append(dv.mtp_ms)
@@ -114,11 +115,8 @@ def reference_step(env: XrEnvironment, action: int):
         rtt_ms=rtt,
         bandwidth_mbps=bandwidth_at(cfg.profile, min(t_end, cfg.horizon_s)),
         mtp_ms=mtps[-1] if mtps else env.state.mtp_ms,
-        t=t_end,
     )
-    env.decisions += 1
     env.done = env.battery.depleted or t_end >= cfg.horizon_s - 1e-9
-    env.survived_s = t_end
     info = {
         "mean_v": mean_v,
         "mtp_mean_ms": float(np.mean(mtps)) if mtps else float("nan"),
@@ -128,9 +126,6 @@ def reference_step(env: XrEnvironment, action: int):
         "pending_censored": pending_censored,
         "queue_depth": env.queue.depth,
         "energy_j": energy_j,
-        "power_w": power,
-        "bandwidth_mbps": env.state.bandwidth_mbps,
-        "rtt_ms": rtt,
         "depleted": env.battery.depleted,
     }
     return env.state, observe(env.state, cfg), reward, env.done, t_capture, mtps, info
