@@ -21,16 +21,16 @@ print(f"{'t_end':>5} {'delivered':>9} {'dropped':>8} {'depth':>6} "
 for _ in range(8):
     out = env.step(5)                      # HIGH imu, HIGH quality, OFFLOAD
     i = out.info
-    print(f"{env.t:5.0f} {i['frames_delivered']:9d} "
-          f"{i['frames_dropped']:8d} {i['queue_depth']:6d} "
+    print(f"{env.t:5.0f} {out.mtp_ms.size:9d} "
+          f"{i['frames_dropped']:8d} {env.queue.depth:6d} "
           f"{i['mean_v']:10.2f} {out.reward:8.3f}")
 
 print()
 print("switching to local execution flushes the queue:")
 out = env.step(4)                          # HIGH imu, HIGH quality, LOCAL
 i = out.info
-print(f"{env.t:5.0f} {i['frames_delivered']:9d} {i['frames_dropped']:8d} "
-      f"{i['queue_depth']:6d} {i['mean_v']:10.2f} {out.reward:8.3f}")
+print(f"{env.t:5.0f} {out.mtp_ms.size:9d} {i['frames_dropped']:8d} "
+      f"{env.queue.depth:6d} {i['mean_v']:10.2f} {out.reward:8.3f}")
 print()
 print(f"episode totals: captured {env.frames_captured}, "
       f"delivered {env.frames_delivered}, dropped {env.queue.dropped}")

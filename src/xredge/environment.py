@@ -178,13 +178,16 @@ class ActionTable:
         self.encode_ms = tuple(t.t0_encode_ms * f for f in phis)
         self.decode_ms = t.t_decode_ms
         # an offloaded frame's MTP minus its queueing and serialization time,
-        # with the base RTT standing in for the drawn one
+        # with the base RTT standing in for the drawn one; a column, one row
+        # per offload quality, to broadcast over an epoch's frames
         self.fixed_offload_ms = np.array([
-            ((cfg.rtt.base_ms + server) + self.decode_ms) + encode
+            [((cfg.rtt.base_ms + server) + self.decode_ms) + encode]
             for server, encode in zip(self.server_ms, self.encode_ms)
         ])
-        # frame arrival times within an epoch, relative to its start
+        # frame arrival times within an epoch, relative to its start; the
+        # greedy predictor's scalar sweep reads all but the first as floats
         self.arrival_ms = np.arange(n) * cfg.power.tau_frame_ms
+        self.later_arrival_ms = tuple(self.arrival_ms[1:].tolist())
 
 
 @dataclass(frozen=True)
@@ -240,15 +243,13 @@ class XrEnvironment:
     """Frame-granular simulator of the managed XR client."""
 
     def __init__(self, cfg: EnvConfig, seed: int = 0):
+        """Start the episode; same config and seed, same trajectory."""
         self.cfg = cfg
-        self.seed = seed
         self.actions = ActionTable(cfg)
-        self.reset()
-
-    def reset(self) -> SystemState:
-        """Restart the episode; same seed, same trajectory."""
-        cfg = self.cfg
-        self.rng = np.random.default_rng(self.seed)
+        # slack -> cfg.rtt.jitter_excess_mean_ms(slack) / tau, filled by the
+        # greedy predictor while the uplink queue is empty
+        self.excess_per_tau: dict[float, float] = {}
+        self.rng = np.random.default_rng(seed)
         self.t = 0.0
         self.battery = Battery(cfg.capacity_wh, cfg.soc0, cfg.drain_factor)
         self.queue = UplinkQueue(cfg.queue_max_depth)
@@ -264,7 +265,6 @@ class XrEnvironment:
             mtp_ms=0.0,
         )
         self.done = self.battery.depleted or cfg.horizon_s <= 0.0
-        return self.state
 
     def observe(self) -> np.ndarray:
         return observe(self.state, self.cfg)
@@ -277,7 +277,7 @@ class XrEnvironment:
         in one call, in the order the tick-by-tick definition draws them.
         """
         if self.done:
-            raise RuntimeError("episode is over; call reset()")
+            raise RuntimeError("episode is over")
         row = int(action)
         if not 0 <= row < N_ACTIONS:
             raise ValueError(f"action id out of range [0, {N_ACTIONS}): {action}")
@@ -342,12 +342,9 @@ class XrEnvironment:
             "mean_v": mean_v,
             "mtp_mean_ms": mtp_mean,
             "frames_captured": captured,
-            "frames_delivered": mtp.size,
             "frames_dropped": dropped + flushed,
             "pending_censored": pending_censored,
-            "queue_depth": self.queue.depth,
             "energy_j": energy_j,
-            "depleted": self.battery.depleted,
         }
         return StepOutcome(
             state=self.state,

@@ -73,7 +73,9 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
     deterministic delay comes from a first-in-first-out service sweep at the
     currently observed bandwidth, seeded with the real queue backlog, plus
     the closed-form expected RTT-jitter exceedance above each frame's
-    remaining threshold slack.
+    remaining threshold slack. That exceedance is computed once per distinct
+    slack: per environment (`env.excess_per_tau`) while the queue is empty,
+    per call under a backlog.
 
     The sweep runs the Lindley recursion finish_i = max(a_i, finish_{i-1}) + s,
     with a_k = k*T and finish_0 = backlog + s, frame by frame on Python
@@ -86,28 +88,39 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
     arrival = tab.arrival_ms
     n = arrival.size
 
+    # with the queue empty the slacks depend on the bandwidth alone, so the
+    # environment keeps their exceedances; a backlog's are priced afresh
+    if env.queue.depth:
+        backlog_ms = env.queue.backlog_mbit / bw * 1000.0
+        excess = {}
+    else:
+        backlog_ms = 0.0
+        excess = env.excess_per_tau
+
     # one row per offload quality, one finish time per frame
-    backlog_ms = env.queue.backlog_mbit / bw * 1000.0
-    later = arrival[1:].tolist()
     rows = []
     for s in [p / bw * 1000.0 for p in tab.payload_offload_mbit]:
         f = backlog_ms + s
         row = [f]
-        for a in later:
+        for a in tab.later_arrival_ms:
             f = (a if a > f else f) + s
             row.append(f)
         rows.append(row)
     finish = np.array(rows)
 
-    det_mtp = (finish - arrival) + tab.fixed_offload_ms[:, None]
+    det_mtp = (finish - arrival) + tab.fixed_offload_ms
     slack = tau - det_mtp
     # already violating before jitter: the mean jitter adds on top
     ev = (det_mtp + tab.jitter_mean_ms - tau) / tau
     pos = slack > 0.0
     if pos.any():
-        slacks = slack[pos].tolist()
-        excess = {x: cfg.rtt.jitter_excess_mean_ms(x) / tau for x in set(slacks)}
-        ev[pos] = [excess[x] for x in slacks]
+        values = []
+        for x in slack[pos].tolist():
+            e = excess.get(x)
+            if e is None:
+                e = excess[x] = cfg.rtt.jitter_excess_mean_ms(x) / tau
+            values.append(e)
+        ev[pos] = values
     # cumsum adds in frame order, as the definition does; np.sum adds pairwise
     return (np.cumsum(ev, axis=1)[:, -1] / n).tolist()
 

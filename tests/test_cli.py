@@ -1,8 +1,14 @@
 """Command-line entry points exercised in-process."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xredge.cli import _build_spec, build_parser, main
 from xredge.environment import EnvConfig
@@ -239,6 +245,38 @@ def test_zero_horizon_with_a_huge_interval_fails_cleanly(tmp_path, capsys):
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
     assert_clean_error(rc, capsys, "at most 100000 of them: 100000000.0 s vs 0.05 s")
     assert not (tmp_path / "o").exists()
+
+
+# edge values of the fields that set how many frames a run and an interval hold
+HORIZONS = [0, 1e-308, 0.05, 1, 3, INF, NAN, -1]
+SPANS = [0, 1e-308, 0.05, 1, 1e6, 1e308, INF, NAN, -1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(horizon=st.sampled_from(HORIZONS), interval=st.sampled_from(SPANS),
+       dwell=st.sampled_from(SPANS))
+def test_time_fields_either_run_or_fail_cleanly(horizon, interval, dwell):
+    # every threshold run either finishes with its metrics or stops at
+    # construction with one error line and writes no metrics
+    from xredge.config import to_jsonable
+
+    data = to_jsonable(default_scenario("threshold", "cycle", seeds=(1,)))
+    data["env"]["horizon_s"] = horizon
+    data["env"]["decision_interval_s"] = interval
+    data["env"]["profile"]["dwell_s"] = dwell
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "o"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--scenario", str(path), "--out", str(out)])
+        metrics = list(out.rglob("metrics.json"))
+        if rc == 0:
+            assert len(metrics) == 1
+        else:
+            lines = err.getvalue().splitlines()
+            assert rc == 1 and not metrics
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_nan_level_in_profile_file_fails_cleanly(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_observe_normalization_endpoints():
 # ---------------------------------------------------------------------------
 
 
-def test_reset_state():
+def test_initial_state():
     env = make_env(seed=3)
     s = env.state
     assert s.soc == 100.0
@@ -130,7 +130,7 @@ def test_reset_state():
     assert not env.done
 
 
-def test_reset_is_deterministic():
+def test_initial_state_is_deterministic():
     a = make_env(seed=5)
     b = make_env(seed=5)
     assert a.state == b.state
@@ -174,9 +174,9 @@ def test_offload_starvation_is_penalized():
     # delivered in the first interval and the pending frames are censored in
     env = make_env(profile=stable_profile(1.0))
     out = env.step(A_OFFLOAD_FULL)
-    assert out.info["frames_delivered"] == 0
+    assert out.mtp_ms.size == 0
     assert out.info["pending_censored"] == 20
-    assert out.info["queue_depth"] == 20
+    assert env.queue.depth == 20
     assert out.info["mean_v"] > 1.0
     assert out.reward < -1.0
 
@@ -184,8 +184,8 @@ def test_offload_starvation_is_penalized():
 def test_queue_saturates_at_max_depth():
     env = make_env(profile=stable_profile(1.0))
     for _ in range(5):
-        out = env.step(A_OFFLOAD_FULL)
-    assert out.info["queue_depth"] == 20
+        env.step(A_OFFLOAD_FULL)
+    assert env.queue.depth == 20
     assert env.queue.dropped > 0
 
 
@@ -203,7 +203,7 @@ def test_battery_depletion_ends_episode_early():
     while not env.done:
         out = env.step(A_LOCAL_FULL)
     assert env.battery.depleted
-    assert out.info["depleted"]
+    assert out.done
     # constant 20.8 W at k=3 empties 16.6 Wh in 957.69 s, inside the horizon
     assert env.t == pytest.approx(957.6923, abs=1e-3)
     assert env.t < 1200.0
@@ -244,7 +244,7 @@ def test_rtt_stream_is_action_independent():
 def test_mtp_observation_sticky_under_starvation():
     env = make_env(profile=stable_profile(1.0))
     out1 = env.step(A_OFFLOAD_FULL)      # nothing delivered
-    assert out1.state.mtp_ms == 0.0      # unchanged from reset
+    assert out1.state.mtp_ms == 0.0      # unchanged from the initial state
     out2 = env.step(A_LOCAL_FULL)
     assert out2.state.mtp_ms == pytest.approx(30.0)
 
@@ -350,9 +350,9 @@ def test_frame_ledger_closes_every_step_and_every_run(profile, mbps, capacity_wh
         info = out.info
         # captured = delivered + overflow drops + flushed + change in queue depth
         assert info["frames_captured"] == (
-            info["frames_delivered"] + info["frames_dropped"] + info["queue_depth"] - depth0
+            out.mtp_ms.size + info["frames_dropped"] + env.queue.depth - depth0
         )
         assert info["frames_dropped"] == env.queue.dropped - dropped0
-        assert info["frames_delivered"] == out.mtp_ms.size == out.t_capture.size
-        assert info["queue_depth"] == env.queue.depth
+        assert out.mtp_ms.size == out.t_capture.size
+        assert 0 <= env.queue.depth <= env.queue.max_depth
     assert env.frames_captured == env.frames_delivered + env.queue.dropped + env.queue.depth

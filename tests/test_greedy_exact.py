@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from xredge.actions import N_ACTIONS, ExecutionMode, QualityLevel, decode_action, quality_scale
 from xredge.energy import PowerParams, client_power
 from xredge.environment import EnvConfig, XrEnvironment, interval_reward
+from xredge.harness import default_scenario
 from xredge.latency import ProcTimeTable, UplinkQueue, mtp_local, violation
 from xredge.network import RttDistribution, RttModel, cycle_profile, stable_profile
 from xredge.policies import greedy_select, predicted_epoch
@@ -157,3 +158,24 @@ def test_prediction_exact_where_service_time_meets_frame_period(frame_ms, qualit
     for _ in range(depth):
         env.queue.enqueue(0.0, env.actions.offload_qualities.index(quality), payload * 0.37)
     assert_exact(env)
+
+
+def test_exceedances_kept_per_environment_stay_few_and_skip_a_backlog():
+    # greedy stays local on the cycle, so the queue is empty at every decision
+    # and the slacks depend on the observed bandwidth alone
+    env = XrEnvironment(default_scenario("greedy", "cycle").env, seed=1)
+    while not env.done:
+        env.step(greedy_select(env))
+    kept = dict(env.excess_per_tau)
+    levels = len(env.cfg.profile.levels_mbps)
+    assert 0 < len(kept) <= levels * len(env.actions.offload_qualities) * env.actions.n_ticks
+    tau = env.cfg.tau_mtp_ms
+    assert all(e == env.cfg.rtt.jitter_excess_mean_ms(x) / tau for x, e in kept.items())
+
+    # a backlog's slacks are priced afresh and leave the kept ones as they
+    # were; a short one at the top level leaves the early frames some slack
+    env.state = replace(env.state, bandwidth_mbps=1000.0)
+    row = env.actions.offload_qualities.index(QualityLevel.HIGH)
+    env.queue.enqueue(env.t - 0.05, row, env.cfg.frame.payload_mbit(QualityLevel.HIGH) * 0.3)
+    assert_exact(env)
+    assert env.excess_per_tau == kept

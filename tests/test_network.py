@@ -135,7 +135,7 @@ def test_rtt_none_is_deterministic():
     RttModel(sigma=1.6),
 ])
 def test_rtt_samples_equal_one_draw_at_a_time(model):
-    # a reset draws its first RTT with n=1: the scalar lognormal formula, bit for bit
+    # a new environment draws its first RTT with n=1: the scalar lognormal formula, bit for bit
     batch = rtt_samples(model, np.random.default_rng(4), 50)
     rng = np.random.default_rng(4)
     assert [rtt_samples(model, rng, 1)[0] for _ in range(50)] == batch

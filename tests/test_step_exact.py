@@ -121,12 +121,9 @@ def reference_step(env: XrEnvironment, action: int):
         "mean_v": mean_v,
         "mtp_mean_ms": float(np.mean(mtps)) if mtps else float("nan"),
         "frames_captured": captured,
-        "frames_delivered": len(mtps),
         "frames_dropped": dropped + flushed,
         "pending_censored": pending_censored,
-        "queue_depth": env.queue.depth,
         "energy_j": energy_j,
-        "depleted": env.battery.depleted,
     }
     return env.state, observe(env.state, cfg), reward, env.done, t_capture, mtps, info
 
@@ -193,10 +190,13 @@ def test_step_equals_the_tick_by_tick_definition(profile, rtt, frame_ms, capacit
         assert same(out.reward, reward) and out.done == done
         assert out.t_capture.dtype == out.mtp_ms.dtype == np.float64
         assert out.t_capture.tolist() == t_capture and out.mtp_ms.tolist() == mtps
+        assert out.mtp_ms.size == len(mtps)
         assert same(env.battery.soc, ref.battery.soc)
         assert same(env.battery.energy_j, ref.battery.energy_j)
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
         assert same_queue(env.queue, ref.queue, env.actions.offload_qualities)
+        assert env.queue.depth == ref.queue.depth
+        assert env.battery.depleted is ref.battery.depleted
         assert (env.t, env.v_per_epoch, env.frames_captured, env.frames_delivered) == (
             ref.t, ref.v_per_epoch, ref.frames_captured, ref.frames_delivered
         )
