@@ -31,6 +31,9 @@ from .network import BandwidthProfile, RttModel, bandwidth_at, level_index, rtt_
 
 # the most frames an interval may hold: the action table and each step build arrays that long
 MAX_INTERVAL_FRAMES = 100_000
+# the smallest MTP threshold, 1 us: below it a frame's relative excess
+# (mtp - tau) / tau can overflow to inf (a 30 ms frame at tau 1e-308 does)
+MIN_TAU_MTP_MS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,9 @@ class EnvConfig:
         # negated comparisons, so that a NaN fails them too
         if not 0 <= self.horizon_s < math.inf:
             raise ValueError(f"horizon must be non-negative and finite: {self.horizon_s}")
-        if not 0 < self.tau_mtp_ms < math.inf:
-            raise ValueError(f"MTP threshold must be positive and finite: {self.tau_mtp_ms}")
+        if not MIN_TAU_MTP_MS <= self.tau_mtp_ms < math.inf:
+            raise ValueError(f"MTP threshold must be finite and at least {MIN_TAU_MTP_MS} ms: "
+                             f"{self.tau_mtp_ms}")
         if not (self.rtt_max_ms > 0 and self.mtp_max_ms > 0):
             raise ValueError(f"observation clamps must be positive: "
                              f"{self.rtt_max_ms}, {self.mtp_max_ms}")

@@ -25,7 +25,7 @@ from .dqn import DqnConfig
 from .energy import lifetime_projection
 from .environment import OBS_DIM, EnvConfig, XrEnvironment
 from .network import BandwidthProfile, cycle_profile, level_index, load_profile, stable_profile
-from .policies import RlPolicy, make_policy
+from .policies import POLICIES, RlPolicy, make_policy
 
 METRICS_SCHEMA_VERSION = 1
 
@@ -49,6 +49,9 @@ class ScenarioSpec:
     seeds: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self):
+        # make_policy's own rule, checked before a run writes anything
+        if self.policy.lower() not in POLICIES:
+            raise ValueError(f"unknown policy kind: {self.policy.lower()!r}")
         # the learner reads the environment's observation and picks an action
         if (self.dqn.obs_dim, self.dqn.n_actions) != (OBS_DIM, N_ACTIONS):
             raise ValueError(f"dqn.obs_dim and dqn.n_actions must be {OBS_DIM} and {N_ACTIONS}: "
@@ -236,16 +239,15 @@ def per_bandwidth_compliance(
     return pct, totals
 
 
+# every int or float metric but the ones that name the run
+_AGGREGATED = [name for name, tp in field_types(MetricsRecord).items()
+               if tp in (int, float) and name not in ("schema_version", "seed", "horizon_s")]
+
+
 def aggregate_seeds(records: list[MetricsRecord]) -> dict:
     """Median/min/max across seeds for every scalar metric; medians for maps."""
     if not records:
         raise ValueError("no records to aggregate")
-    scalars = [
-        "survived_s", "decisions", "compliance_pct", "avg_power_w",
-        "projected_lifetime_min", "local_fraction_pct", "offload_fraction_pct",
-        "compliance_per_watt", "objective", "violation_sum", "frames_captured",
-        "frames_delivered", "frames_dropped", "energy_j", "soc_end_pct",
-    ]
     out: dict = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "scenario": records[0].scenario,
@@ -253,7 +255,7 @@ def aggregate_seeds(records: list[MetricsRecord]) -> dict:
         "profile": records[0].profile,
         "seeds": [r.seed for r in records],
     }
-    for name in scalars:
+    for name in _AGGREGATED:
         values = [getattr(r, name) for r in records]
         out[name] = {
             "median": float(np.median(values)),

@@ -114,11 +114,11 @@ class UplinkQueue:
 
     The queue is three columns, one entry per frame, oldest first: capture
     time, the Mbit still to send, and the frame's offload quality row (an
-    index into the per-quality terms `drain` is given). When a frame arrives
-    at a full queue the oldest queued frame is dropped (newest data is the
-    most valuable for pose estimation). Partial transmissions carry over
-    between drain calls, which is what produces stale, high-MTP deliveries
-    right after a congested period.
+    index into the per-quality terms `transmit` is given). When a frame
+    arrives at a full queue the oldest queued frame is dropped (newest data
+    is the most valuable for pose estimation). Partial transmissions carry
+    over between ticks and between `transmit` calls, which is what produces
+    stale, high-MTP deliveries right after a congested period.
     """
 
     def __init__(self, max_depth: int):
@@ -128,8 +128,6 @@ class UplinkQueue:
         self.t_capture: deque[float] = deque(maxlen=max_depth)
         self.remaining_mbit: deque[float] = deque(maxlen=max_depth)
         self.quality_row: deque[int] = deque(maxlen=max_depth)
-        self.enqueued = 0
-        self.delivered = 0
         self.dropped = 0
 
     @property
@@ -154,7 +152,6 @@ class UplinkQueue:
         self.t_capture.append(t_capture)
         self.remaining_mbit.append(payload_mbit)
         self.quality_row.append(quality_row)
-        self.enqueued += 1
         self.dropped += drops
         return drops
 
@@ -167,69 +164,46 @@ class UplinkQueue:
         self.dropped += n
         return n
 
-    def drain(
-        self,
-        bandwidth_mbps: float,
-        rtt_ms: float,
-        dt_s: float,
-        t_start: float,
-        terms,
-        t_out: list[float],
-        mtp_out: list[float],
-    ) -> range:
-        """Transmit at bandwidth_mbps for dt_s seconds starting at t_start.
-
-        Frames that finish serializing are delivered: each one's capture time
-        is appended to t_out and its MTP to mtp_out, and the returned range
-        holds their indices there. A delivered frame's MTP is
-        `offload_mtp_ms` of its per-frame `terms`. The head frame's partial
-        progress is kept if the budget runs out mid-frame.
-        """
-        if bandwidth_mbps <= 0:
-            raise ValueError(f"bandwidth must be positive: {bandwidth_mbps}")
-        if dt_s < 0:
-            raise ValueError(f"dt must be non-negative: {dt_s}")
-        n0 = len(mtp_out)
-        budget_mbit = bandwidth_mbps * dt_s
-        remaining = self.remaining_mbit
-        elapsed_s = 0.0
-        while remaining and budget_mbit > 0.0:
-            head = remaining[0]
-            if head <= budget_mbit:
-                elapsed_s += head / bandwidth_mbps
-                budget_mbit -= head
-                remaining.popleft()
-                t_capture = self.t_capture.popleft()
-                row = self.quality_row.popleft()
-                t_out.append(t_capture)
-                mtp_out.append(offload_mtp_ms(t_start + elapsed_s, t_capture, rtt_ms, terms, row))
-            else:
-                remaining[0] = head - budget_mbit
-                budget_mbit = 0.0
-        n = len(mtp_out)
-        self.delivered += n - n0
-        return range(n0, n)
-
     def transmit(self, ticks, bandwidths, rtts, dt_s, quality_row, payload_mbit, terms):
-        """Capture one frame at each tick and drain the uplink for dt_s from it.
+        """Capture one frame at each tick and serialize the uplink for dt_s from it.
 
         Returns the delivered frames' capture times and MTPs as arrays, and
-        the number dropped, leaving the queue as one `enqueue` and `drain`
-        per tick would. If the queue starts empty and each frame fits its
-        own tick's budget, no frame waits (the Lindley waiting is zero) and
-        each is done `payload / bandwidth` after its tick, which is drain's
-        `0.0 + payload / bandwidth`: one elementwise pass prices them all.
+        the number dropped. Each tick enqueues its frame, then spends the
+        tick's Mbit budget `bandwidth * dt_s` on the queue, oldest first: a
+        frame that fits is delivered `elapsed + remaining / bandwidth` after
+        the tick, with the MTP `offload_mtp_ms` of its per-frame `terms`, and
+        the head frame keeps its partial progress if the budget runs out
+        mid-frame. If the queue starts empty and each frame fits its own
+        tick's budget, no frame waits (the Lindley waiting is zero) and each
+        is done `payload / bandwidth` after its tick, the loop's `0.0 +
+        payload / bandwidth`: one elementwise pass prices them all.
         """
-        n = len(ticks)
-        # a bad payload or row takes the loop, where enqueue rejects it
+        # a bad payload, row, bandwidth or dt takes the loop, which rejects it
         if (not self.t_capture and payload_mbit > 0 and quality_row >= 0
                 and (payload_mbit <= bandwidths * dt_s).all()):
-            self.enqueued += n
-            self.delivered += n
             t_done = ticks + payload_mbit / bandwidths
             return ticks, offload_mtp_ms(t_done, ticks, np.array(rtts), terms, quality_row), 0
+        t_capture, remaining, rows = self.t_capture, self.remaining_mbit, self.quality_row
+        mtp_ms = offload_mtp_ms
         dropped, t_out, mtp_out = 0, [], []
         for tk, bw, rtt in zip(ticks.tolist(), bandwidths.tolist(), rtts):
             dropped += self.enqueue(tk, quality_row, payload_mbit)
-            self.drain(bw, rtt, dt_s, tk, terms, t_out, mtp_out)
+            if bw <= 0:
+                raise ValueError(f"bandwidth must be positive: {bw}")
+            if dt_s < 0:
+                raise ValueError(f"dt must be non-negative: {dt_s}")
+            budget_mbit = bw * dt_s
+            elapsed_s = 0.0
+            while remaining and budget_mbit > 0.0:
+                head = remaining[0]
+                if head <= budget_mbit:
+                    elapsed_s += head / bw
+                    budget_mbit -= head
+                    remaining.popleft()
+                    t = t_capture.popleft()
+                    t_out.append(t)
+                    mtp_out.append(mtp_ms(tk + elapsed_s, t, rtt, terms, rows.popleft()))
+                else:
+                    remaining[0] = head - budget_mbit
+                    budget_mbit = 0.0
         return np.array(t_out), np.array(mtp_out), dropped

@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xredge.cli import _build_spec, build_parser, main
@@ -351,3 +351,53 @@ def test_sweep_with_a_bad_value_fails_before_any_run(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert_clean_error(rc, capsys, "lr must be positive and finite: -1.0")
     assert not list(tmp_path.rglob("metrics.json"))
+
+
+def test_sweep_to_an_unknown_policy_fails_before_any_run(tmp_path, capsys):
+    # the known first value used to run and write its five files first
+    rc = main(["sweep", "--policy", "threshold", "--horizon", "5", "--seeds", "1",
+               "--param", "policy", "--values", "local,foo", "--out", str(tmp_path)])
+    assert_clean_error(rc, capsys, "unknown policy kind: 'foo'")
+    assert not list(tmp_path.iterdir())
+
+
+def test_unknown_policy_in_scenario_file_fails_before_any_run(tmp_path, capsys):
+    # a sweep that replaced the bad policy used to run the file's scenario
+    from xredge.config import to_jsonable
+
+    data = to_jsonable(default_scenario("threshold", "cycle", horizon_s=5.0, seeds=(1,)))
+    data["policy"] = "foo"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    for command in (["run"], ["sweep", "--param", "policy", "--values", "local"]):
+        rc = main([*command, "--scenario", str(path), "--out", str(out)])
+        assert_clean_error(rc, capsys, "unknown policy kind: 'foo'")
+        assert not out.exists()
+
+
+# the misuse edge values, as `--values` spells them, and strings
+EDGE_VALUES = ["NaN", "Infinity", "-Infinity", "0", "-1", "1e308", "1e-308", "1e6", "0.5"]
+STRING_VALUES = ["foo", "local", "LOCAL", "rl", "x/y", "[]", "[0]", "[-1]", "[1]", "[8]", "[0.5]"]
+SWEPT = ["policy", "name", "env.horizon_s", "env.tau_mtp_ms", "seeds", "dqn.hidden"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(param=st.sampled_from(SWEPT),
+       values=st.lists(st.sampled_from(EDGE_VALUES + STRING_VALUES), min_size=1, max_size=3))
+def test_sweep_values_either_run_or_fail_cleanly(param, values):
+    # a 1e6 s horizon is a request for a long run, not a bad value
+    assume(not (param == "env.horizon_s" and "1e6" in values))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["sweep", "--policy", "threshold", "--horizon", "5", "--seeds", "1",
+                       "--param", param, "--values=" + ",".join(values), "--out", str(out)])
+        if rc == 0:
+            summary = json.loads((out / f"sweep_{param.replace('.', '_')}.json").read_text())
+            assert len(summary) == len(values)
+        else:
+            lines = err.getvalue().splitlines()
+            assert rc == 1 and not out.exists()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -273,6 +273,8 @@ NAN, INF = float("nan"), float("inf")
     # a dwell index that overflows bandwidth_at, or leaves the integers floats hold
     dict(profile=replace(cycle_profile(), dwell_s=1e-308), horizon_s=3.0),
     dict(profile=replace(cycle_profile(), dwell_s=1200.0 / 2**53)),
+    # a 30 ms frame's relative excess over it overflows to inf
+    dict(tau_mtp_ms=1e-308),
 ])
 def test_env_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
@@ -286,6 +288,7 @@ def test_env_config_rejects_bad_values(overrides):
     dict(decision_interval_s=5.0, horizon_s=0.0),
     # 2**52 dwells over the horizon and one interval: every index is still exact
     dict(profile=replace(cycle_profile(), dwell_s=1201.0 / 2**52)),
+    dict(tau_mtp_ms=1e-3),
 ])
 def test_env_config_accepts_edge_values(overrides):
     env = XrEnvironment(EnvConfig(**overrides), seed=0)

@@ -1,6 +1,8 @@
 """Experiment harness: runs, metrics, artifacts, aggregation, sweeps."""
 
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 
@@ -190,6 +192,25 @@ def test_run_scenario_layout(tmp_path):
             assert (root / f"seed_{seed}" / name).exists()
     saved = json.loads((root / "aggregate.json").read_text())
     assert saved == agg
+
+
+# aggregate.json of two 120 s threshold/cycle seeds, generated when
+# aggregate_seeds named its 15 metrics by hand: the list it now derives
+# from MetricsRecord must write the same bytes
+AGGREGATE_SHA256 = "9f265c327e809c77675b1e80bd6179d38f1b7f2abba881ece9ad20a6273e14ea"
+
+
+def test_aggregate_file_bytes_are_pinned(tmp_path):
+    spec = default_scenario("threshold", "cycle", horizon_s=120.0, seeds=(1, 2))
+    results, agg = run_scenario(spec, out_dir=tmp_path)
+    data = (tmp_path / spec.name / "aggregate.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == AGGREGATE_SHA256
+    # every number of a run record is aggregated, but those that name the run
+    record = results[0].metrics
+    numbers = {f.name for f in dataclasses.fields(record)
+               if type(getattr(record, f.name)) in (int, float)}
+    aggregated = {name for name in numbers if isinstance(agg.get(name), dict)}
+    assert numbers - aggregated == {"schema_version", "seed", "horizon_s"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Motion-to-photon latency: processing times, frame payloads, uplink queue."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -109,48 +111,60 @@ def test_bad_model_constants_fail_at_construction(make):
 # ---------------------------------------------------------------------------
 
 
-def drain(q, bw, rtt, dt, t_start):
-    """One drain call; returns its deliveries as (t_capture, mtp_ms) pairs."""
-    t_out, mtp_out = [], []
-    got = q.drain(bw, rtt, dt, t_start, TERMS, t_out, mtp_out)
-    assert got == range(len(mtp_out))
-    return list(zip(t_out, mtp_out))
+def transmit(q, row, payload, bandwidths, rtt, dt, t_start):
+    """One `transmit` call: a frame of `payload` Mbit at each of the ticks
+    t_start, t_start + dt, ..., one per bandwidth; returns its deliveries as
+    (t_capture, mtp_ms) pairs and the number of frames it dropped."""
+    ticks = t_start + np.arange(len(bandwidths)) * dt
+    rtts = [rtt] * len(bandwidths)
+    t_capture, mtp, dropped = q.transmit(
+        ticks, np.array(bandwidths, dtype=float), rtts, dt, row, payload, TERMS)
+    assert t_capture.size == mtp.size
+    return list(zip(t_capture.tolist(), mtp.tolist())), dropped
+
+
+# no second tick, so one frame that fits its tick takes the elementwise
+# pass, or a stalled second tick whose frame stays queued, so the loop
+STALLS = ([], [0.001])
 
 
 def test_single_frame_delivery_mtp():
-    q = UplinkQueue(max_depth=20)
-    q.enqueue(0.0, HIGH, 5.8)
-    out = drain(q, 1000.0, 5.0, 1.0, 0.0)
-    assert len(out) == 1
-    t_capture, mtp = out[0]
-    assert t_capture == 0.0
-    # age + rtt + server inference + decode + encode = 5.8 + 5 + 8 + 1 + 10,
-    # the age being 5.8 Mbit at 1000 Mbps = 5.8 ms of serialization
-    assert mtp == pytest.approx(29.8)
-    assert q.depth == 0 and q.delivered == 1
+    for stall in STALLS:
+        q = UplinkQueue(max_depth=20)
+        out, dropped = transmit(q, HIGH, 5.8, [1000.0, *stall], 5.0, 1.0, 0.0)
+        assert len(out) == 1 and dropped == 0
+        t_capture, mtp = out[0]
+        assert t_capture == 0.0
+        # age + rtt + server inference + decode + encode = 5.8 + 5 + 8 + 1 + 10,
+        # the age being 5.8 Mbit at 1000 Mbps = 5.8 ms of serialization
+        assert mtp == pytest.approx(29.8)
+        assert q.depth == len(stall)
 
 
 def test_partial_transmission_carries_over():
     q = UplinkQueue(max_depth=20)
-    q.enqueue(0.0, HIGH, 5.8)
-    assert drain(q, 1.0, 5.0, 1.0, 0.0) == []     # 1 Mbit of 5.8 sent
+    assert transmit(q, HIGH, 5.8, [1.0], 5.0, 1.0, 0.0) == ([], 0)  # 1 Mbit of 5.8 sent
     assert q.depth == 1
     assert q.backlog_mbit == pytest.approx(4.8)
     assert list(q.remaining_mbit) == [5.8 - 1.0]
-    # second half-window at 5.8 Mbps finishes at exactly t=1.0 + 4.8/5.8 s
-    out = drain(q, 5.8, 5.0, 1.0, 1.0)
-    assert len(out) == 1
+    # the next tick at 5.8 Mbps finishes it at exactly t=1.0 + 4.8/5.8 s,
+    # and that tick's own frame takes the 1 Mbit left of the budget
+    out, _ = transmit(q, HIGH, 5.8, [5.8], 5.0, 1.0, 1.0)
+    assert len(out) == 1 and out[0][0] == 0.0
     assert out[0][1] == pytest.approx((1.0 + 4.8 / 5.8) * 1000.0 + 5.0 + 8.0 + 1.0 + 10.0)
+    assert list(q.t_capture) == [1.0]
+    assert q.backlog_mbit == pytest.approx(4.8)
 
 
 def test_stale_backlog_produces_high_mtp():
     # frames stuck through congestion come out with multi-second MTP
     q = UplinkQueue(max_depth=20)
-    q.enqueue(0.0, HIGH, 5.8)
-    drain(q, 0.001, 5.0, 1.0, 0.0)                  # effectively stalled
-    out = drain(q, 1000.0, 5.0, 1.0, 3.0)
-    assert len(out) == 1
+    transmit(q, HIGH, 5.8, [0.001], 5.0, 1.0, 0.0)      # effectively stalled
+    out, _ = transmit(q, HIGH, 5.8, [1000.0], 5.0, 1.0, 3.0)
+    assert [t for t, _ in out] == [0.0, 3.0]
     assert out[0][1] > 3000.0
+    # the tick's own frame waits behind the 5.799 Mbit left of the first
+    assert out[1][1] == pytest.approx((5.8 - 0.001) + 5.8 + 5.0 + 8.0 + 1.0 + 10.0)
 
 
 def test_drop_oldest_when_full():
@@ -175,32 +189,34 @@ def test_flush_counts_as_drops():
 
 
 def test_frame_conservation():
-    # enqueued == delivered + dropped + still queued, whatever the traffic
+    # frames in == returned + dropped + still queued, whatever the traffic:
+    # 50 Mbps every third tick of 50 ms, stalled otherwise
     q = UplinkQueue(max_depth=5)
-    for i in range(12):
-        q.enqueue(i * 0.05, MEDIUM, 3.2625)
-        if i % 3 == 0:
-            drain(q, 50.0, 5.0, 0.05, i * 0.05)
+    bandwidths = [50.0 if i % 3 == 0 else 0.001 for i in range(12)]
+    delivered = dropped = 0
+    for i in range(0, 12, 2):
+        out, drops = transmit(q, MEDIUM, 3.2625, bandwidths[i:i + 2], 5.0, 0.05, i * 0.05)
+        delivered, dropped = delivered + len(out), dropped + drops
+    assert delivered > 0 and dropped > 0 and q.depth > 0
+    assert q.dropped == dropped
+    assert 12 == delivered + q.dropped + q.depth
     q.flush()
-    assert q.enqueued == 12
-    assert q.enqueued == q.delivered + q.dropped + q.depth
+    assert 12 == delivered + q.dropped + q.depth
 
 
 def test_fifo_order():
     q = UplinkQueue(max_depth=20)
-    for i in range(3):
-        q.enqueue(float(i), LOW, 1.45)
-    out = drain(q, 1000.0, 5.0, 1.0, 3.0)
-    assert [t for t, _ in out] == [0.0, 1.0, 2.0]
+    transmit(q, LOW, 1.45, [0.001, 0.001], 5.0, 1.0, 0.0)
+    out, _ = transmit(q, LOW, 1.45, [0.001, 1000.0], 5.0, 1.0, 2.0)
+    assert [t for t, _ in out] == [0.0, 1.0, 2.0, 3.0]
     assert out[0][1] > out[-1][1]                   # oldest is stalest
 
 
 def test_mtp_terms_scale_with_quality():
     # server and encode scale with the pixel count, decode does not
-    for row, quality in enumerate(TERMS.offload_qualities):
+    for stall, (row, quality) in itertools.product(STALLS, enumerate(TERMS.offload_qualities)):
         q = UplinkQueue(max_depth=20)
-        q.enqueue(0.0, row, 1.0)
-        ((_, mtp),) = drain(q, 1000.0, 5.0, 1.0, 0.0)
+        ((_, mtp),), _ = transmit(q, row, 1.0, [1000.0, *stall], 5.0, 1.0, 0.0)
         phi = quality_scale(quality)
         assert mtp == pytest.approx(1.0 + 5.0 + 8.0 * phi + 1.0 + 10.0 * phi)
 
@@ -213,11 +229,11 @@ def test_queue_validation():
         q.enqueue(0.0, LOW, 0.0)
     with pytest.raises(ValueError):
         q.enqueue(0.0, -1, 1.45)   # a local action's offload_row
-    assert q.depth == q.enqueued == 0
-    with pytest.raises(ValueError):
-        drain(q, 0.0, 5.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        drain(q, 10.0, 5.0, -1.0, 0.0)
+    assert q.depth == q.dropped == 0
+    with pytest.raises(ValueError, match="bandwidth must be positive: 0.0"):
+        transmit(UplinkQueue(max_depth=20), LOW, 1.45, [0.0], 5.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="dt must be non-negative: -1.0"):
+        transmit(UplinkQueue(max_depth=20), LOW, 1.45, [10.0], 5.0, -1.0, 0.0)
 
 
 def test_transmit_rejects_what_enqueue_and_drain_reject():

@@ -8,7 +8,8 @@ scaled by `quality_scale`. `UplinkQueue` keeps the same queue as three
 columns and reads the scaled terms from the action table. The arithmetic is
 meant to be the same operation for operation, so the property here demands
 equality, not closeness, of every delivery and of the state left behind.
-`UplinkQueue.transmit` is held to one `enqueue` and one `drain` per tick.
+`UplinkQueue.transmit` is held to one reference `enqueue` and one `drain`
+per tick, and the frames it was given to its deliveries, drops and depth.
 """
 
 from dataclasses import dataclass
@@ -133,13 +134,22 @@ class ReferenceUplinkQueue:
 
 
 def same_queue(q: UplinkQueue, ref: ReferenceUplinkQueue, qualities) -> bool:
-    """Equal frames, in order, and equal counters."""
+    """Equal frames, in order, and equal drop counts."""
     frames = [(f.t_capture, qualities.index(f.quality), f.remaining_mbit) for f in ref.frames]
     return (
         list(zip(q.t_capture, q.quality_row, q.remaining_mbit)) == frames
         and q.depth == ref.depth
-        and (q.enqueued, q.delivered, q.dropped) == (ref.enqueued, ref.delivered, ref.dropped)
+        and q.dropped == ref.dropped
     )
+
+
+def reference_transmit(ref: ReferenceUplinkQueue, ticks, bandwidths, rtts, dt, quality, payload, table):
+    """One reference enqueue and drain per tick; returns the deliveries and drops."""
+    dropped, delivered = 0, []
+    for tk, bw, rtt in zip(ticks.tolist(), bandwidths.tolist(), rtts):
+        dropped += ref.enqueue(tk, quality, payload)
+        delivered += ref.drain(bw, rtt, dt, tk, table)
+    return delivered, dropped
 
 
 # ProcTimeTable constants under which the MTP terms are not round numbers
@@ -148,20 +158,26 @@ TABLES = {
     "uneven": ProcTimeTable(t0_encode_ms=10.1, t_server_ms=8.3, t_decode_ms=0.3),
 }
 
-enqueue_op = st.tuples(
-    st.just("enqueue"),
-    st.integers(0, 2),                                    # quality row
-    st.floats(0.0, 1.0, exclude_min=True),                # share of the full payload
+# one transmit call: its frames' quality row and share of the full payload,
+# then each tick's bandwidth (with stalls) and rtt, and the tick length
+transmit_op = st.tuples(
+    st.just("transmit"),
+    st.integers(0, 2),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.lists(st.tuples(st.one_of(st.just(0.001), st.floats(0.01, 2000.0)), st.floats(0.0, 40.0)),
+             max_size=3),
+    st.sampled_from([0.05, 0.025, 0.0, 1.0, 1 / 30]),
 )
-drain_op = st.tuples(
-    st.just("drain"),
-    st.one_of(st.just(0.001), st.floats(0.01, 2000.0)),   # bandwidth, with stalls
-    st.floats(0.0, 40.0),                                 # rtt
-    st.sampled_from([0.05, 0.025, 0.0, 1.0, 1 / 30]),     # dt
+# a one-tick transmit whose budget is the head frame's remaining Mbit exactly,
+# the tick's own frame when the queue is empty: the bandwidth is remaining / dt
+# with dt a power of two, so both products are exact
+exact_fit_op = st.tuples(
+    st.just("exact"),
+    st.integers(0, 2),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from([0.25, 0.5, 1.0]),
+    st.floats(0.0, 40.0),
 )
-# a drain whose budget is the head frame's remaining Mbit exactly: the
-# bandwidth is remaining / dt with dt a power of two, so both products are exact
-exact_fit_op = st.tuples(st.just("exact"), st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 40.0))
 flush_op = st.tuples(st.just("flush"))
 
 
@@ -170,36 +186,44 @@ flush_op = st.tuples(st.just("flush"))
     max_depth=st.integers(1, 5),
     table=st.sampled_from(sorted(TABLES)),
     t0=st.floats(0.0, 1200.0),
-    ops=st.lists(st.one_of(enqueue_op, drain_op, exact_fit_op, flush_op), max_size=60),
+    ops=st.lists(st.one_of(transmit_op, exact_fit_op, flush_op), max_size=30),
 )
 def test_column_queue_equals_the_list_of_frames_queue(max_depth, table, t0, ops):
     cfg = EnvConfig(table=TABLES[table])
     terms = ActionTable(cfg)
     qualities = terms.offload_qualities
     q, ref = UplinkQueue(max_depth), ReferenceUplinkQueue(max_depth)
-    t = t0
+    t, frames_in, frames_out = t0, 0, 0
     for op in ops:
-        if op[0] == "enqueue":
-            _, row, share = op
-            payload = cfg.frame.payload_mbit(qualities[row]) * share
-            assert q.enqueue(t, row, payload) == ref.enqueue(t, qualities[row], payload)
-        elif op[0] == "flush":
+        if op[0] == "flush":
             assert q.flush() == ref.flush()
         else:
-            if op[0] == "drain":
-                _, bw, rtt, dt = op
+            _, row, share, *rest = op
+            payload = cfg.frame.payload_mbit(qualities[row]) * share
+            if op[0] == "transmit":
+                per_tick, dt = rest
+                bandwidths, rtts = [bw for bw, _ in per_tick], [rtt for _, rtt in per_tick]
             else:
-                _, dt, rtt = op
-                bw = q.remaining_mbit[0] / dt if q.depth else 1.0
-            t_out, mtp_out = [0.5], [0.5]  # drain appends to what is there
-            got = q.drain(bw, rtt, dt, t, terms, t_out, mtp_out)
-            want = ref.drain(bw, rtt, dt, t, cfg.table)
-            assert got == range(1, 1 + len(want))
-            assert t_out[1:] == [f.t_capture for f in want]
-            assert mtp_out[1:] == [f.mtp_ms for f in want]
-            t += dt
+                dt, rtt = rest
+                # the head once the tick's frame is in, the oldest dropped if full
+                head = [*q.remaining_mbit, payload][-max_depth:][0]
+                bandwidths, rtts = [head / dt], [rtt]
+            ticks = t + np.arange(len(rtts)) * dt
+            bandwidths = np.array(bandwidths, dtype=float)
+            t_capture, mtp, dropped = q.transmit(ticks, bandwidths, rtts, dt, row, payload, terms)
+            want, want_dropped = reference_transmit(
+                ref, ticks, bandwidths, rtts, dt, qualities[row], payload, cfg.table)
+            assert t_capture.dtype == mtp.dtype == np.float64
+            assert t_capture.tolist() == [f.t_capture for f in want]
+            assert mtp.tolist() == [f.mtp_ms for f in want]
+            assert dropped == want_dropped
+            frames_in, frames_out = frames_in + len(rtts), frames_out + mtp.size
+            t += len(rtts) * dt
         assert same_queue(q, ref, qualities)
         assert q.backlog_mbit == ref.backlog_mbit
+        # the frame ledger closes, and both queues keep the same one
+        assert frames_in == frames_out + q.dropped + q.depth
+        assert (ref.enqueued, ref.delivered) == (frames_in, frames_out)
 
 
 @settings(max_examples=400, deadline=None)
@@ -222,13 +246,13 @@ def test_transmit_equals_one_enqueue_and_drain_per_tick(
     terms = ActionTable(cfg)
     qualities = terms.offload_qualities
     q, ref = UplinkQueue(max_depth), ReferenceUplinkQueue(max_depth)
-    # a start queue, left with partial progress or emptied by one drain
+    # a start queue of one-tick intervals at start_bw, left with partial
+    # progress, drops or nothing
     for k, (r, share) in enumerate(start):
         payload = cfg.frame.payload_mbit(qualities[r]) * share
-        q.enqueue(t0 - (len(start) - k) * dt, r, payload)
-        ref.enqueue(t0 - (len(start) - k) * dt, qualities[r], payload)
-    q.drain(start_bw, 0.0, dt, t0 - dt, terms, [], [])
-    ref.drain(start_bw, 0.0, dt, t0 - dt, cfg.table)
+        tick, bandwidth = np.array([t0 - (len(start) - k) * dt]), np.array([start_bw])
+        q.transmit(tick, bandwidth, [0.0], dt, r, payload, terms)
+        reference_transmit(ref, tick, bandwidth, [0.0], dt, qualities[r], payload, cfg.table)
     assert same_queue(q, ref, qualities)
 
     payload = float(terms.payload_offload_mbit[row])
@@ -237,10 +261,8 @@ def test_transmit_equals_one_enqueue_and_drain_per_tick(
     rtts = data.draw(st.lists(st.floats(0.0, 40.0), min_size=len(fits), max_size=len(fits)))
     t_capture, mtp, dropped = q.transmit(ticks, bandwidths, rtts, dt, row, payload, terms)
 
-    want_dropped, want = 0, []
-    for tk, bw, rtt in zip(ticks.tolist(), bandwidths.tolist(), rtts):
-        want_dropped += ref.enqueue(tk, qualities[row], payload)
-        want += ref.drain(bw, rtt, dt, tk, cfg.table)
+    want, want_dropped = reference_transmit(
+        ref, ticks, bandwidths, rtts, dt, qualities[row], payload, cfg.table)
     assert t_capture.dtype == mtp.dtype == np.float64
     assert t_capture.tolist() == [f.t_capture for f in want]
     assert mtp.tolist() == [f.mtp_ms for f in want]
