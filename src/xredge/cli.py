@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True,
                          help="dotted parameter path, e.g. dqn.eps_decay or env.reward.lam")
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated values, each parsed as JSON, else as a string")
+                         help="comma-separated values, each parsed as JSON, else as a string; "
+                              "a list that starts with '-' is written --values=-Infinity")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_agg = sub.add_parser("aggregate", help="aggregate metrics.json files under a directory")

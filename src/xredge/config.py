@@ -1,23 +1,22 @@
-"""Type-driven JSON conversion of the config and record dataclasses, the
-one range check several configs share, and the one float sum.
+"""Type-driven JSON conversion of the config and record dataclasses, their
+declared ranges, and the one float sum.
 
 Both directions walk `dataclasses.fields` and the type hints, so a new field
 needs no serializer edit. Enums travel by value, tuples as lists. The
-conversion checks types only: range checks run in each config's
-`__post_init__` (through `check_non_negative` where every number must be
-finite and non-negative), because a metrics file may hold an infinite
-lifetime.
+conversion checks types only, because a metrics file may hold an infinite
+lifetime. A config declares each field's range next to the field with
+`ranged("[0, inf)", default)`, and its `__post_init__` tests them all with
+`check_ranges`; only rules between fields stay as code there.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 import operator
 import typing
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 
 
 def to_jsonable(obj):
@@ -41,12 +40,36 @@ def field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
 
-def check_non_negative(obj) -> None:
-    """Raise ValueError unless every numeric field of dataclass `obj` is finite and >= 0."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, numbers.Real) and not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{f.name} must be finite and non-negative: {value}")
+def ranged(interval: str, default=dataclasses.MISSING, *, default_factory=dataclasses.MISSING):
+    """A dataclass field whose value lies within `interval`, such as "[0, 1]"
+    or "(0, inf)" (a bracket includes its end): each element of a tuple
+    field, each value of a dict field. `check_ranges` tests it."""
+    return dataclasses.field(default=default, default_factory=default_factory,
+                             metadata={"range": interval})
+
+
+@cache
+def _declared_ranges(cls) -> tuple:
+    """(name, interval, low end, high end, type origin) of each `ranged` field of cls."""
+    types = field_types(cls)
+    return tuple((f.name, r, *map(float, r[1:-1].split(",")), typing.get_origin(types[f.name]))
+                 for f in dataclasses.fields(cls) if (r := f.metadata.get("range")))
+
+
+def check_ranges(obj) -> None:
+    """Raise ValueError naming the first `ranged` field of dataclass `obj`
+    whose value lies outside its interval; a NaN lies outside every one."""
+    for name, interval, lo, hi, origin in _declared_ranges(type(obj)):
+        value = getattr(obj, name)
+        if origin is tuple:
+            values = value if isinstance(value, (tuple, list)) else [None]   # None fails
+        elif origin is dict:
+            values = value.values() if isinstance(value, dict) else [None]
+        else:
+            values = [value]
+        if not all(isinstance(v, numbers.Real) and (lo <= v if interval[0] == "[" else lo < v)
+                   and (v <= hi if interval[-1] == "]" else v < hi) for v in values):
+            raise ValueError(f"{type(obj).__name__}.{name} must be within {interval}: {value!r}")
 
 
 def fold_sum(values) -> float:

@@ -11,43 +11,35 @@ the backward pass can be checked against finite differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_ranges, ranged
+
 
 @dataclass(frozen=True)
 class DqnConfig:
-    obs_dim: int = 5
-    n_actions: int = 18
-    hidden: tuple[int, ...] = (128, 128)
-    lr: float = 5e-4
-    gamma: float = 0.99
-    batch_size: int = 32
-    buffer_capacity: int = 5000
-    target_sync_every: int = 100   # decisions between target-network copies
-    eps0: float = 1.0
-    eps_decay: float = 0.9975      # per-decision multiplicative decay
-    eps_min: float = 0.05
-    train_per_decision: int = 1
+    obs_dim: int = ranged("[1, inf)", 5)
+    n_actions: int = ranged("[1, inf)", 18)
+    hidden: tuple[int, ...] = ranged("[1, inf)", (128, 128))
+    lr: float = ranged("(0, inf)", 5e-4)
+    gamma: float = ranged("[0, 1]", 0.99)
+    batch_size: int = ranged("[1, inf)", 32)
+    buffer_capacity: int = ranged("[1, inf)", 5000)
+    target_sync_every: int = ranged("[1, inf)", 100)   # decisions between target-network copies
+    eps0: float = ranged("[0, 1]", 1.0)
+    eps_decay: float = ranged("(0, 1]", 0.9975)        # per-decision multiplicative decay
+    eps_min: float = ranged("[0, 1]", 0.05)
+    train_per_decision: int = ranged("[1, inf)", 1)
 
     def __post_init__(self):
-        if min(self.obs_dim, self.n_actions, *self.hidden) < 1:
-            raise ValueError(f"layer sizes must be >= 1: {self.sizes()}")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be positive and finite: {self.lr}")
-        if not 1 <= self.batch_size <= self.buffer_capacity:
-            raise ValueError(f"batch_size must be within [1, buffer_capacity]: {self.batch_size}")
-        if min(self.target_sync_every, self.train_per_decision) < 1:
-            raise ValueError(f"sync and train counts must be >= 1: {self.target_sync_every}, "
-                             f"{self.train_per_decision}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be within [0, 1]: {self.gamma}")
-        if not 0.0 < self.eps_decay <= 1.0:
-            raise ValueError(f"eps_decay must be within (0, 1]: {self.eps_decay}")
-        if not 0.0 <= self.eps_min <= self.eps0 <= 1.0:
-            raise ValueError(f"need 0 <= eps_min {self.eps_min} <= eps0 {self.eps0} <= 1")
+        check_ranges(self)
+        if self.batch_size > self.buffer_capacity:
+            raise ValueError(f"batch_size must not exceed buffer_capacity: "
+                             f"{self.batch_size} vs {self.buffer_capacity}")
+        if self.eps_min > self.eps0:
+            raise ValueError(f"eps_min must not exceed eps0: {self.eps_min} vs {self.eps0}")
 
     def sizes(self) -> tuple[int, ...]:
         return (self.obs_dim, *self.hidden, self.n_actions)
@@ -223,12 +215,11 @@ class Adam:
 class ReplayBuffer:
     """Bounded ring buffer of transitions; overwrites oldest-first when full.
 
-    Transition k lands in row k % capacity of preallocated arrays.
+    Transition k lands in row k % capacity of preallocated arrays. The
+    capacity is taken as given: `DqnConfig.buffer_capacity` declares its range.
     """
 
     def __init__(self, capacity: int, obs_dim: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self.obs = np.zeros((capacity, obs_dim))
         self.action = np.zeros(capacity, dtype=np.int64)

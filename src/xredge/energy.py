@@ -12,25 +12,22 @@ everywhere, including lifetime projections.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .actions import ExecutionConfig
-from .config import check_non_negative
+from .config import check_ranges, ranged
 from .latency import ProcTimeTable, proc_time
 
 
 @dataclass(frozen=True)
 class PowerParams:
-    p_base_w: float = 0.5          # idle baseline: sensors, display path
-    tdp_proc_w: float = 35.0       # processor thermal design power
-    w_proc: float = 1.0            # weight of the processing-duty term
-    tau_frame_ms: float = 50.0     # frame period at 20 Hz
+    p_base_w: float = ranged("[0, inf)", 0.5)        # idle baseline: sensors, display path
+    tdp_proc_w: float = ranged("[0, inf)", 35.0)     # processor thermal design power
+    w_proc: float = ranged("[0, inf)", 1.0)          # weight of the processing-duty term
+    tau_frame_ms: float = ranged("(0, inf)", 50.0)   # frame period at 20 Hz
 
     def __post_init__(self):
-        check_non_negative(self)
-        if self.tau_frame_ms == 0:
-            raise ValueError(f"frame period must be positive: {self.tau_frame_ms}")
+        check_ranges(self)
 
 
 def proc_power(cfg: ExecutionConfig, table: ProcTimeTable, params: PowerParams) -> float:
@@ -62,16 +59,11 @@ class Battery:
 
     energy_j accumulates the raw electrical energy actually drawn (before the
     drain-acceleration factor); the conservation identity is
-    k * energy_j == (soc0 - soc) / 100 * capacity_j.
+    k * energy_j == (soc0 - soc) / 100 * capacity_j. The constants are taken
+    as given: `EnvConfig` declares and checks their ranges.
     """
 
     def __init__(self, capacity_wh: float, soc: float, drain_factor: float):
-        if not 0.0 < capacity_wh < math.inf:
-            raise ValueError(f"capacity must be positive and finite: {capacity_wh}")
-        if not 0.0 <= soc <= 100.0:
-            raise ValueError(f"SoC must be within [0, 100]: {soc}")
-        if not 0.0 < drain_factor < math.inf:
-            raise ValueError(f"drain factor must be positive and finite: {drain_factor}")
         self.capacity_wh = capacity_wh
         self.drain_factor = drain_factor
         self.soc = float(soc)

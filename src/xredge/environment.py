@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ExecutionMode, N_ACTIONS, all_configs, quality_scale
-from .config import fold_sum
+from .config import check_ranges, fold_sum, ranged
 from .energy import Battery, PowerParams, client_power
 from .latency import (
     FrameSizeModel,
@@ -58,17 +58,14 @@ class RewardParams:
     outweighs the battery credit.
     """
 
-    bonus: float = 0.2
-    alpha_power: float = 0.05
-    beta_battery: float = 0.05
-    lam: float = 1.0
-    p_max_w: float = 20.8
+    bonus: float = ranged("(-inf, inf)", 0.2)
+    alpha_power: float = ranged("(-inf, inf)", 0.05)
+    beta_battery: float = ranged("(-inf, inf)", 0.05)
+    lam: float = ranged("(-inf, inf)", 1.0)
+    p_max_w: float = ranged("(0, inf)", 20.8)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.bonus, self.alpha_power, self.beta_battery, self.lam))):
-            raise ValueError(f"reward weights must be finite: {self}")
-        if not 0 < self.p_max_w < math.inf:
-            raise ValueError(f"p_max_w must be positive and finite: {self.p_max_w}")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -79,29 +76,18 @@ class EnvConfig:
     frame: FrameSizeModel = field(default_factory=FrameSizeModel)
     power: PowerParams = field(default_factory=PowerParams)
     reward: RewardParams = field(default_factory=RewardParams)
-    capacity_wh: float = 16.6
-    soc0: float = 100.0
-    drain_factor: float = 3.0
-    tau_mtp_ms: float = 30.0
-    decision_interval_s: float = 1.0
-    horizon_s: float = 1200.0
-    queue_max_depth: int = 20
-    rtt_max_ms: float = 50.0       # observation clamp
-    mtp_max_ms: float = 100.0      # observation clamp
+    capacity_wh: float = ranged("(0, inf)", 16.6)
+    soc0: float = ranged("[0, 100]", 100.0)
+    drain_factor: float = ranged("(0, inf)", 3.0)
+    tau_mtp_ms: float = ranged(f"[{MIN_TAU_MTP_MS}, inf)", 30.0)
+    decision_interval_s: float = ranged("(0, inf)", 1.0)
+    horizon_s: float = ranged("[0, inf)", 1200.0)
+    queue_max_depth: int = ranged("[1, inf)", 20)
+    rtt_max_ms: float = ranged("(0, inf)", 50.0)    # observation clamp
+    mtp_max_ms: float = ranged("(0, inf)", 100.0)   # observation clamp
 
     def __post_init__(self):
-        # the battery and the uplink queue check their own arguments
-        Battery(self.capacity_wh, self.soc0, self.drain_factor)
-        UplinkQueue(self.queue_max_depth)
-        # negated comparisons, so that a NaN fails them too
-        if not 0 <= self.horizon_s < math.inf:
-            raise ValueError(f"horizon must be non-negative and finite: {self.horizon_s}")
-        if not MIN_TAU_MTP_MS <= self.tau_mtp_ms < math.inf:
-            raise ValueError(f"MTP threshold must be finite and at least {MIN_TAU_MTP_MS} ms: "
-                             f"{self.tau_mtp_ms}")
-        if not (self.rtt_max_ms > 0 and self.mtp_max_ms > 0):
-            raise ValueError(f"observation clamps must be positive: "
-                             f"{self.rtt_max_ms}, {self.mtp_max_ms}")
+        check_ranges(self)
         self.n_ticks()
         # one decision must fit the horizon; a zero horizon never steps
         if 0 < self.horizon_s < self.decision_interval_s:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .actions import N_ACTIONS, ExecutionMode
-from .config import field_types, fold_sum, from_jsonable, to_jsonable
+from .config import check_ranges, field_types, fold_sum, from_jsonable, ranged, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
 from .environment import OBS_DIM, EnvConfig, XrEnvironment
@@ -46,9 +47,13 @@ class ScenarioSpec:
     policy: str = "rl"
     env: EnvConfig = field(default_factory=EnvConfig)
     dqn: DqnConfig = field(default_factory=DqnConfig)
-    seeds: tuple[int, ...] = (1, 2, 3)
+    seeds: tuple[int, ...] = ranged("[0, inf)", (1, 2, 3))
 
     def __post_init__(self):
+        check_ranges(self)
+        # the name is a directory under --out, so it must stay one component
+        if self.name in ("", ".", "..") or {"/", os.sep, os.altsep} & set(self.name):
+            raise ValueError(f"scenario name must be one directory name: {self.name!r}")
         # make_policy's own rule, checked before a run writes anything
         if self.policy.lower() not in POLICIES:
             raise ValueError(f"unknown policy kind: {self.policy.lower()!r}")
@@ -58,8 +63,8 @@ class ScenarioSpec:
                              f"{self.dqn.obs_dim}, {self.dqn.n_actions}")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
-        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
-            raise ValueError(f"seeds must be distinct and non-negative: {list(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct: {list(self.seeds)}")
 
 
 @dataclass

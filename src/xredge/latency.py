@@ -12,14 +12,13 @@ payloads are negligible next to image payloads).
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .actions import ExecutionConfig, ExecutionMode, ImuRate, QualityLevel, quality_scale
-from .config import check_non_negative, fold_sum
+from .config import check_ranges, fold_sum, ranged
 
 # VIO pipeline pressure multiplier per IMU rate: higher inertial rates mean
 # more filter updates per frame
@@ -42,28 +41,27 @@ class ProcTimeTable:
     rho: per-IMU-rate multiplier on local processing time.
     """
 
-    t0_local_ms: float = 29.0
-    t0_encode_ms: float = 10.0
-    t_server_ms: float = 8.0
-    t_decode_ms: float = 1.0
-    overhead_ms: float = 1.0
-    rho: dict[ImuRate, float] = field(default_factory=lambda: dict(DEFAULT_RHO))
+    t0_local_ms: float = ranged("[0, inf)", 29.0)
+    t0_encode_ms: float = ranged("[0, inf)", 10.0)
+    t_server_ms: float = ranged("[0, inf)", 8.0)
+    t_decode_ms: float = ranged("[0, inf)", 1.0)
+    overhead_ms: float = ranged("[0, inf)", 1.0)
+    rho: dict[ImuRate, float] = ranged("(0, inf)", default_factory=lambda: dict(DEFAULT_RHO))
 
     def __post_init__(self):
-        check_non_negative(self)
-        if set(self.rho) != set(ImuRate) or not all(0 < r < math.inf for r in self.rho.values()):
-            raise ValueError(f"rho needs a positive, finite multiplier per IMU rate: {self.rho}")
+        check_ranges(self)
+        if set(self.rho) != set(ImuRate):
+            raise ValueError(f"rho needs a multiplier for each IMU rate: {self.rho}")
 
 
 @dataclass(frozen=True)
 class FrameSizeModel:
     """Uplink payload per frame: d_base_mbit at HIGH quality, pixel-scaled below."""
 
-    d_base_mbit: float = 5.8
+    d_base_mbit: float = ranged("(0, inf)", 5.8)
 
     def __post_init__(self):
-        if not (math.isfinite(self.d_base_mbit) and self.d_base_mbit > 0):
-            raise ValueError(f"frame payload must be positive and finite: {self.d_base_mbit}")
+        check_ranges(self)
 
     def payload_mbit(self, quality: QualityLevel) -> float:
         return self.d_base_mbit * quality_scale(quality)
@@ -118,12 +116,11 @@ class UplinkQueue:
     arrives at a full queue the oldest queued frame is dropped (newest data
     is the most valuable for pose estimation). Partial transmissions carry
     over between ticks and between `transmit` calls, which is what produces
-    stale, high-MTP deliveries right after a congested period.
+    stale, high-MTP deliveries right after a congested period. `max_depth`
+    is taken as given: `EnvConfig.queue_max_depth` declares its range.
     """
 
     def __init__(self, max_depth: int):
-        if max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1: {max_depth}")
         # a full deque drops its oldest entry on append
         self.t_capture: deque[float] = deque(maxlen=max_depth)
         self.remaining_mbit: deque[float] = deque(maxlen=max_depth)

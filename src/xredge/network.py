@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_non_negative
+from .config import check_ranges, ranged
 
 # default variable schedule: five levels, 60 s each, 300 s cycle
 DEFAULT_LEVELS_MBPS = (1000.0, 500.0, 100.0, 10.0, 1.0)
@@ -30,20 +30,13 @@ class BandwidthProfile:
     dwell_s: seconds spent on each level.
     """
 
-    levels_mbps: tuple[float, ...] = DEFAULT_LEVELS_MBPS
-    dwell_s: float = DEFAULT_DWELL_S
+    levels_mbps: tuple[float, ...] = ranged("(0, inf)", DEFAULT_LEVELS_MBPS)
+    dwell_s: float = ranged("(0, inf)", DEFAULT_DWELL_S)
 
     def __post_init__(self):
-        if not isinstance(self.levels_mbps, (tuple, list)):
-            raise ValueError(
-                f"levels_mbps must be a sequence of bandwidths: {self.levels_mbps!r}"
-            )
+        check_ranges(self)
         if not self.levels_mbps:
             raise ValueError("profile needs at least one bandwidth level")
-        if not all(0 < b < math.inf for b in self.levels_mbps):
-            raise ValueError(f"bandwidth levels must be positive and finite: {self.levels_mbps}")
-        if not 0 < self.dwell_s < math.inf:
-            raise ValueError(f"dwell must be positive and finite: {self.dwell_s}")
 
     @property
     def cycle_s(self) -> float:
@@ -101,13 +94,13 @@ class RttModel:
     reduced-quality offloading is effectively always compliant.
     """
 
-    base_ms: float = 5.0
-    jitter_scale_ms: float = 0.065
-    sigma: float = 1.6
+    base_ms: float = ranged("[0, inf)", 5.0)
+    jitter_scale_ms: float = ranged("[0, inf)", 0.065)
+    sigma: float = ranged("[0, inf)", 1.6)
     distribution: RttDistribution = RttDistribution.LOGNORMAL
 
     def __post_init__(self):
-        check_non_negative(self)
+        check_ranges(self)
         try:
             finite = math.isfinite(self.jitter_mean_ms())
         except OverflowError:

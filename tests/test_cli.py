@@ -1,8 +1,12 @@
-"""Command-line entry points exercised in-process."""
+"""Command-line entry points, exercised in-process and, where the exit code
+and stderr of the interpreter matter, as `python -m xredge.cli`."""
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import xredge
 from xredge.cli import _build_spec, build_parser, main
 from xredge.environment import EnvConfig
 from xredge.harness import ScenarioSpec, default_scenario
@@ -171,25 +176,25 @@ NAN, INF = float("nan"), float("inf")
     (_bad_key, "scenario.env: unknown field horzion_s"),
     (_str_for_int, "scenario.env.queue_max_depth: expected int"),
     (_bad_enum, "scenario.env.rtt.distribution: 'gaussian' is not one of"),
-    (_set("env.profile.levels_mbps", [NAN]), "bandwidth levels must be positive and finite"),
-    (_set("env.profile.dwell_s", NAN), "dwell must be positive and finite: nan"),
+    (_set("env.profile.levels_mbps", [NAN]), "BandwidthProfile.levels_mbps must be within (0, inf): (nan,)"),
+    (_set("env.profile.dwell_s", NAN), "BandwidthProfile.dwell_s must be within (0, inf): nan"),
     (_set("env.profile.dwell_s", 1e-308), "the horizon spans too many dwells: dwell 1e-308 s"),
-    (_set("env.rtt.base_ms", NAN), "base_ms must be finite and non-negative: nan"),
-    (_set("env.rtt.sigma", INF), "sigma must be finite and non-negative: inf"),
+    (_set("env.rtt.base_ms", NAN), "RttModel.base_ms must be within [0, inf): nan"),
+    (_set("env.rtt.sigma", INF), "RttModel.sigma must be within [0, inf): inf"),
     (_set("env.rtt.sigma", 1000), "jitter mean must be finite"),
-    (_infinite_horizon_at_zero_power, "horizon must be non-negative and finite: inf"),
-    (_set("env.capacity_wh", NAN), "capacity must be positive and finite: nan"),
-    (_set("env.drain_factor", INF), "drain factor must be positive and finite: inf"),
-    (_set("env.power.p_base_w", NAN), "p_base_w must be finite and non-negative: nan"),
-    (_set("env.reward.p_max_w", 0), "p_max_w must be positive and finite: 0.0"),
-    (_set("env.decision_interval_s", INF), "decision interval must be a positive integer multiple"),
+    (_infinite_horizon_at_zero_power, "EnvConfig.horizon_s must be within [0, inf): inf"),
+    (_set("env.capacity_wh", NAN), "EnvConfig.capacity_wh must be within (0, inf): nan"),
+    (_set("env.drain_factor", INF), "EnvConfig.drain_factor must be within (0, inf): inf"),
+    (_set("env.power.p_base_w", NAN), "PowerParams.p_base_w must be within [0, inf): nan"),
+    (_set("env.reward.p_max_w", 0), "RewardParams.p_max_w must be within (0, inf): 0.0"),
+    (_set("env.decision_interval_s", INF), "EnvConfig.decision_interval_s must be within (0, inf): inf"),
     (_set("env.decision_interval_s", 1e308), "decision interval must be a positive integer multiple"),
     (_set("dqn.n_actions", 5), "dqn.obs_dim and dqn.n_actions must be 5 and 18: 5, 5"),
     (_set("dqn.n_actions", 30), "dqn.obs_dim and dqn.n_actions must be 5 and 18: 5, 30"),
     (_set("dqn.obs_dim", 3), "dqn.obs_dim and dqn.n_actions must be 5 and 18: 3, 18"),
-    (_set("dqn.hidden", [0]), "layer sizes must be >= 1: (5, 0, 18)"),
-    (_set("dqn.lr", -1), "lr must be positive and finite: -1.0"),
-    (_set("dqn.lr", NAN), "lr must be positive and finite: nan"),
+    (_set("dqn.hidden", [0]), "DqnConfig.hidden must be within [1, inf): (0,)"),
+    (_set("dqn.lr", -1), "DqnConfig.lr must be within (0, inf): -1.0"),
+    (_set("dqn.lr", NAN), "DqnConfig.lr must be within (0, inf): nan"),
 ])
 def test_bad_scenario_file_fails_cleanly(tmp_path, capsys, edit, fragment):
     from xredge.config import to_jsonable
@@ -216,9 +221,9 @@ def _missing_rho_rate(d):
 
 
 @pytest.mark.parametrize("edit, fragment", [
-    (_zero_payload, "frame payload must be positive and finite: 0"),
-    (_negative_server_time, "t_server_ms must be finite and non-negative: -5"),
-    (_missing_rho_rate, "rho needs a positive, finite multiplier per IMU rate"),
+    (_zero_payload, "FrameSizeModel.d_base_mbit must be within (0, inf): 0.0"),
+    (_negative_server_time, "ProcTimeTable.t_server_ms must be within [0, inf): -5.0"),
+    (_missing_rho_rate, "rho needs a multiplier for each IMU rate"),
 ])
 def test_bad_model_constant_fails_at_construction(tmp_path, capsys, edit, fragment):
     # without the checks, a zero payload failed at the first offloaded frame
@@ -284,7 +289,7 @@ def test_nan_level_in_profile_file_fails_cleanly(tmp_path, capsys):
     profile.write_text("1000 60\nnan 60\n")
     rc = main(["run", "--policy", "local", "--profile", str(profile), "--horizon", "3",
                "--seeds", "1", "--out", str(tmp_path / "o")])
-    assert_clean_error(rc, capsys, "bandwidth levels must be positive and finite")
+    assert_clean_error(rc, capsys, "BandwidthProfile.levels_mbps must be within (0, inf): (1000.0, nan)")
     assert not (tmp_path / "o").exists()
 
 
@@ -333,8 +338,8 @@ def test_sweep_enum_field(tmp_path):
 # a seed list wrote seed 1's artifacts and then failed (-2) or aggregated
 # one run twice (1, 1)
 @pytest.mark.parametrize("seeds, fragment", [
-    ("1,-2", "seeds must be distinct and non-negative: [1, -2]"),
-    ("1,1", "seeds must be distinct and non-negative: [1, 1]"),
+    ("1,-2", "ScenarioSpec.seeds must be within [0, inf): (1, -2)"),
+    ("1,1", "seeds must be distinct: [1, 1]"),
     (",", "seeds must not be empty"),
 ])
 def test_bad_seeds_flag_fails_before_any_run(tmp_path, capsys, seeds, fragment):
@@ -349,7 +354,7 @@ def test_sweep_with_a_bad_value_fails_before_any_run(tmp_path, capsys):
     rc = main(["sweep", "--policy", "rl", "--profile", "stable", "--horizon", "3",
                "--seeds", "1", "--param", "dqn.lr", "--values", "0.001,-1",
                "--out", str(tmp_path)])
-    assert_clean_error(rc, capsys, "lr must be positive and finite: -1.0")
+    assert_clean_error(rc, capsys, "DqnConfig.lr must be within (0, inf): -1.0")
     assert not list(tmp_path.rglob("metrics.json"))
 
 
@@ -374,6 +379,60 @@ def test_unknown_policy_in_scenario_file_fails_before_any_run(tmp_path, capsys):
         rc = main([*command, "--scenario", str(path), "--out", str(out)])
         assert_clean_error(rc, capsys, "unknown policy kind: 'foo'")
         assert not out.exists()
+
+
+# a name is a directory under --out: these wrote seed_1/, aggregate.json and
+# scenario.json into the parent of --out (..), or esc/ beside it (the sweep)
+@pytest.mark.parametrize("command, name", [
+    (["run", "--name", ".."], "'..'"),
+    (["sweep", "--param", "name", "--values", '"a/../../esc"'], "'a/../../esc'"),
+], ids=["run", "sweep"])
+def test_scenario_name_that_leaves_out_fails_before_any_run(tmp_path, capsys, command, name):
+    rc = main([*command, "--policy", "local", "--horizon", "3", "--seeds", "1",
+               "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, f"scenario name must be one directory name: {name}")
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_values_starting_with_a_dash(tmp_path, capsys):
+    # argparse reads `--values -Infinity` as a flag; the `=` form reaches the sweep
+    argv = ["sweep", "--policy", "local", "--horizon", "3", "--seeds", "1",
+            "--param", "env.horizon_s", "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--values", "-Infinity"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc = main([*argv, "--values=-Infinity"])
+    assert_clean_error(rc, capsys, "EnvConfig.horizon_s must be within [0, inf): -inf")
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    # the help text says so (whitespace dropped: the wrap may break the line)
+    assert "--values=-Infinity" in "".join(capsys.readouterr().out.split())
+
+
+def _python_m_cli(*argv, cwd):
+    """Run `python -m xredge.cli` on argv in a child interpreter."""
+    src = str(Path(xredge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "xredge.cli", *argv], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+# a sweep to an unknown policy, and a zero horizon with a 1e8 s interval (a
+# request for 2,000,000-frame arrays), each through the interpreter's exit
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--policy", "threshold", "--horizon", "5", "--seeds", "1",
+     "--param", "policy", "--values", "local,foo"],
+    ["run", "--scenario", "bad.json"],
+], ids=["unknown-policy-sweep", "zero-horizon-huge-interval"])
+def test_console_failure_exits_1_with_one_error_line(tmp_path, argv):
+    (tmp_path / "bad.json").write_text(json.dumps({"env": {"horizon_s": 0, "decision_interval_s": 1e8}}))
+    proc = _python_m_cli(*argv, "--out", "o", cwd=tmp_path)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not ((tmp_path / "o").exists() and any(p.is_file() for p in (tmp_path / "o").rglob("*")))
 
 
 # the misuse edge values, as `--values` spells them, and strings

@@ -1,11 +1,15 @@
-"""Generic JSON conversion of the config dataclasses."""
+"""Generic JSON conversion of the config dataclasses and their declared ranges."""
 
+import dataclasses
 import json
+import math
+import re
+import typing
 
 import pytest
 
 from xredge.actions import ImuRate
-from xredge.config import fold_sum, from_jsonable, to_jsonable
+from xredge.config import field_types, fold_sum, from_jsonable, to_jsonable
 from xredge.dqn import DqnConfig
 from xredge.environment import EnvConfig
 from xredge.harness import ScenarioSpec
@@ -61,3 +65,72 @@ def test_fold_sum_adds_left_to_right_from_zero():
     assert fold_sum([0.1, 0.2, 0.3, 1e-17, 0.7] * 50) == 65.0000000000001
     assert fold_sum([]) == 0.0 and type(fold_sum([])) is float
     assert fold_sum(iter([1e16, 1.0, -1e16])) == 0.0
+
+
+def _reachable(cls) -> list:
+    """cls and every dataclass that its fields' declared types reach."""
+    found = [cls]
+    for tp in field_types(cls).values():
+        if dataclasses.is_dataclass(tp):
+            found += [c for c in _reachable(tp) if c not in found]
+    return found
+
+
+CONFIGS = _reachable(ScenarioSpec)
+RANGED = [(cls, f.name, f.metadata["range"])
+          for cls in CONFIGS for f in dataclasses.fields(cls) if "range" in f.metadata]
+
+
+def test_every_config_declares_its_ranges():
+    assert {c.__name__ for c in CONFIGS} == {
+        "ScenarioSpec", "EnvConfig", "DqnConfig", "BandwidthProfile", "RttModel",
+        "ProcTimeTable", "FrameSizeModel", "PowerParams", "RewardParams"}
+    assert {c for c, _, _ in RANGED} == set(CONFIGS)
+
+
+def _build(cls, name, value):
+    """cls with one field set to `value`: as the one element of a tuple field,
+    and as the HIGH rate's entry of a dict field."""
+    tp = field_types(cls)[name]
+    default = getattr(cls(), name)
+    if typing.get_origin(tp) is tuple:
+        value = (value,)
+    elif typing.get_origin(tp) is dict:
+        value = {**default, ImuRate.HIGH: value}
+    return cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, interval", RANGED,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in RANGED])
+def test_declared_range_is_the_accepted_range(cls, name, interval):
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    closed = interval[0] == "[", interval[-1] == "]"
+
+    def inside(v):
+        return (lo <= v if closed[0] else lo < v) and (v <= hi if closed[1] else v < hi)
+
+    message = re.escape(f"{cls.__name__}.{name} must be within {interval}: ")
+    tp = field_types(cls)[name]
+    integral = int in (typing.get_args(tp) or (tp,))   # int, tuple[int, ...]
+    ends = [end for end in (lo, hi) if math.isfinite(end)]
+    outside = [math.nextafter(end, away) for end, away in zip((lo, hi), (-math.inf, math.inf))
+               if math.isfinite(end)]
+    outside += [lo, hi, math.nan, -math.inf, math.inf] + [int(end) - 1 for end in ends if integral]
+    for v in outside:
+        if not inside(v):
+            with pytest.raises(ValueError, match=message):
+                _build(cls, name, v)
+    if integral:
+        candidates = [int(lo), int(lo) + 1, int(lo) + 1000]
+    else:
+        candidates = [lo, hi, 0.0, 0.5 * (lo + hi), lo + 1, 1e300, -1e300]
+        candidates += [math.nextafter(end, toward) for end, toward in zip((lo, hi), (hi, lo))]
+    accepted = [v for v in candidates if math.isfinite(v) and inside(v)]
+    assert accepted and (not closed[0] or lo in accepted) and (not closed[1] or hi in accepted)
+    for v in accepted:
+        # a value within range is never refused by its range; a rule between
+        # fields (eps_min <= eps0, n_ticks, the dwell bound) may refuse it
+        try:
+            _build(cls, name, v)
+        except ValueError as exc:
+            assert "must be within" not in str(exc), (v, exc)

@@ -10,6 +10,7 @@ from xredge.energy import (
     lifetime_projection,
     proc_power,
 )
+from xredge.environment import EnvConfig
 from xredge.latency import ProcTimeTable
 
 TABLE = ProcTimeTable()
@@ -56,8 +57,8 @@ def test_soc_step_clamps_at_zero():
 
 
 def test_soc_step_validation():
-    with pytest.raises(ValueError):
-        Battery(0.0, 50.0, 3.0)
+    with pytest.raises(ValueError, match="EnvConfig.capacity_wh must be within"):
+        EnvConfig(capacity_wh=0.0, soc0=50.0, drain_factor=3.0)
     with pytest.raises(ValueError):
         Battery(16.6, 50.0, 3.0).steps(-1.0, 1.0, 1)
     with pytest.raises(ValueError):
@@ -126,8 +127,9 @@ def test_battery_zero_power_free():
     (16.6, 100.0, float("nan")),
 ])
 def test_battery_rejects_bad_constants(capacity_wh, soc, drain_factor):
-    with pytest.raises(ValueError):
-        Battery(capacity_wh, soc, drain_factor)
+    # the battery takes its constants from a checked EnvConfig
+    with pytest.raises(ValueError, match="must be within"):
+        EnvConfig(capacity_wh=capacity_wh, soc0=soc, drain_factor=drain_factor)
 
 
 @pytest.mark.parametrize("power_w, dt_s, n, soc", [

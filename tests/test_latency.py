@@ -222,8 +222,9 @@ def test_mtp_terms_scale_with_quality():
 
 
 def test_queue_validation():
-    with pytest.raises(ValueError):
-        UplinkQueue(max_depth=0)
+    # the queue takes its depth from a checked EnvConfig
+    with pytest.raises(ValueError, match="EnvConfig.queue_max_depth must be within"):
+        EnvConfig(queue_max_depth=0)
     q = UplinkQueue(max_depth=20)
     with pytest.raises(ValueError):
         q.enqueue(0.0, LOW, 0.0)
