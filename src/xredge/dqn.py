@@ -65,8 +65,6 @@ class QNetwork:
     """
 
     def __init__(self, sizes: tuple[int, ...], rng: np.random.Generator):
-        if len(sizes) < 2:
-            raise ValueError(f"need at least input and output sizes: {sizes}")
         self.sizes = tuple(int(s) for s in sizes)
         self._bind(np.empty(sum(i * o + o for i, o in zip(self.sizes[:-1], self.sizes[1:]))))
         for w, b in zip(self.weights, self.biases):
@@ -100,8 +98,6 @@ class QNetwork:
         return self.activations(x, ws)[-1]
 
     def copy_from(self, other: "QNetwork") -> None:
-        if other.sizes != self.sizes:
-            raise ValueError(f"size mismatch: {other.sizes} vs {self.sizes}")
         np.copyto(self.theta, other.theta)
 
     def clone(self) -> "QNetwork":
@@ -246,8 +242,6 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         """Uniform minibatch without replacement, as (obs, actions, rewards, next_obs, dones)."""
-        if batch_size > len(self):
-            raise ValueError(f"cannot sample {batch_size} from {len(self)} items")
         idx = rng.choice(len(self), size=batch_size, replace=False)
         return self.obs[idx], self.action[idx], self.reward[idx], self.next_obs[idx], self.done[idx]
 

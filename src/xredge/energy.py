@@ -46,11 +46,7 @@ def lifetime_projection(
     power_w: float,
     drain_factor: float,
 ) -> float:
-    """Remaining runtime in hours at constant power from the given SoC."""
-    if power_w <= 0:
-        raise ValueError(f"power must be positive: {power_w}")
-    if capacity_wh <= 0:
-        raise ValueError(f"capacity must be positive: {capacity_wh}")
+    """Remaining runtime in hours at constant positive power from the given SoC."""
     return (soc / 100.0) * capacity_wh / (drain_factor * power_w)
 
 
@@ -86,11 +82,8 @@ class Battery:
         summed tick by tick; the number of ticks that drew power, the one
         that ran the charge out included; and the instant the charge ran
         out, or None if it lasted. A depleted battery draws nothing.
+        power_w and dt_s come from a checked `EnvConfig` and are not checked again.
         """
-        if power_w < 0:
-            raise ValueError(f"power must be non-negative: {power_w}")
-        if dt_s < 0:
-            raise ValueError(f"dt must be non-negative: {dt_s}")
         if self.depleted:
             return 0.0, 0, None
         full = power_w * dt_s

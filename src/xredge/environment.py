@@ -88,7 +88,9 @@ class EnvConfig:
 
     def __post_init__(self):
         check_ranges(self)
-        self.n_ticks()
+        # the actions' per-frame values are a pure function of the config:
+        # built and checked once here, shared by every episode of it
+        object.__setattr__(self, "actions", ActionTable(self))
         # one decision must fit the horizon; a zero horizon never steps
         if 0 < self.horizon_s < self.decision_interval_s:
             raise ValueError(f"decision interval must not exceed the horizon: "
@@ -97,18 +99,6 @@ class EnvConfig:
         if not (self.horizon_s + self.decision_interval_s) / self.profile.dwell_s < 2**53:
             raise ValueError(f"the horizon spans too many dwells: dwell {self.profile.dwell_s} s "
                              f"vs horizon {self.horizon_s} s")
-
-    def n_ticks(self) -> int:
-        tick_s = self.power.tau_frame_ms / 1000.0
-        interval = self.decision_interval_s
-        ratio = interval / tick_s
-        n = round(ratio) if math.isfinite(ratio) else 0
-        if not 1 <= n <= MAX_INTERVAL_FRAMES or abs(n * tick_s - interval) > 1e-9:
-            raise ValueError(
-                "decision interval must be a positive integer multiple of the frame "
-                f"period, at most {MAX_INTERVAL_FRAMES} of them: {interval} s vs {tick_s} s"
-            )
-        return n
 
 
 def _mean(a: np.ndarray) -> float:
@@ -127,7 +117,8 @@ _OFFLOAD_QUALITIES = tuple(dict.fromkeys(
 class ActionTable:
     """The 18 actions of one EnvConfig, rows indexed by action id.
 
-    Each value is computed once by the scalar model function that defines it,
+    The config builds it once, as `cfg.actions`, and it rejects a config
+    whose constants make a per-frame value it derives non-finite. Each value is computed once by the scalar model function that defines it,
     so a lookup is bit-identical to calling that function. Tuples serve the
     per-tick lookups of `XrEnvironment.step`; the numpy arrays serve the
     vectorised greedy predictor. Local-only values are nan on offload rows.
@@ -146,19 +137,23 @@ class ActionTable:
 
     def __init__(self, cfg: EnvConfig):
         t = cfg.table
+        # the frame period, and how many frames one decision interval holds;
+        # a subnormal frame period makes the tick 0.0
+        self.tick_s = tick_s = cfg.power.tau_frame_ms / 1000.0
+        interval = cfg.decision_interval_s
+        ratio = interval / tick_s if tick_s else math.inf
+        self.n_ticks = n = round(ratio) if math.isfinite(ratio) else 0
+        if not 1 <= n <= MAX_INTERVAL_FRAMES or abs(n * tick_s - interval) > 1e-9:
+            raise ValueError(
+                "decision interval must be a positive integer multiple of the frame "
+                f"period, at most {MAX_INTERVAL_FRAMES} of them: {interval} s vs {tick_s} s"
+            )
         self.power_w = tuple(client_power(c, t, cfg.power) for c in self.configs)
         self.mtp_local_ms = tuple(
             mtp_local(c, t) if local else float("nan")
             for c, local in zip(self.configs, self.is_local)
         )
-        self.v_local = tuple(violation(np.array(self.mtp_local_ms), cfg.tau_mtp_ms).tolist())
-        self.n_ticks = n = cfg.n_ticks()
-        # a full local interval's means over its n frames
-        self.mtp_mean_local_ms = tuple(_mean(np.full(n, m)) for m in self.mtp_local_ms)
-        self.v_mean_local = tuple(_mean(np.full(n, v)) for v in self.v_local)
         self.jitter_mean_ms = cfg.rtt.jitter_mean_ms()
-        # the reward's power term, as interval_reward computes it
-        self.reward_power = -cfg.reward.alpha_power * np.array(self.power_w) / cfg.reward.p_max_w
 
         self.payload_offload_mbit = tuple(cfg.frame.payload_mbit(q) for q in _OFFLOAD_QUALITIES)
         # an offloaded frame's server and client-encode times, one per offload
@@ -170,14 +165,39 @@ class ActionTable:
         # an offloaded frame's MTP minus its queueing and serialization time,
         # with the base RTT standing in for the drawn one; a column, one row
         # per offload quality, to broadcast over an epoch's frames
-        self.fixed_offload_ms = np.array([
-            [((cfg.rtt.base_ms + server) + self.decode_ms) + encode]
-            for server, encode in zip(self.server_ms, self.encode_ms)
-        ])
+        fixed_ms = [((cfg.rtt.base_ms + server) + self.decode_ms) + encode
+                    for server, encode in zip(self.server_ms, self.encode_ms)]
+        self.fixed_offload_ms = np.array(fixed_ms)[:, None]
         # frame arrival times within an epoch, relative to its start; the
         # greedy predictor's scalar sweep reads all but the first as floats
         self.arrival_ms = np.arange(n) * cfg.power.tau_frame_ms
         self.later_arrival_ms = tuple(self.arrival_ms[1:].tolist())
+
+        # each action's MTP of a frame that does not queue: its local pipeline,
+        # or its offload terms plus the largest payload's serialization at the
+        # slowest bandwidth level; a constant too large for the run path
+        # overflows here to inf, which the check below rejects
+        serial_ms = max(self.payload_offload_mbit) / min(cfg.profile.levels_mbps) * 1000.0
+        mtp_ms = [m if local else fixed_ms[r] + serial_ms
+                  for m, local, r in zip(self.mtp_local_ms, self.is_local, self.offload_row)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = violation(np.array(mtp_ms), cfg.tau_mtp_ms).tolist()
+            # their means over an interval's n frames: exact for a local action
+            mtp_mean = [_mean(np.full(n, m)) for m in mtp_ms]
+            v_mean = [_mean(np.full(n, x)) for x in v]
+            # the reward's power term, as interval_reward computes it
+            self.reward_power = -cfg.reward.alpha_power * np.array(self.power_w) / cfg.reward.p_max_w
+        for name, values in (("client power (W)", self.power_w),
+                             ("mean MTP over an interval (ms)", mtp_mean),
+                             ("mean violation over an interval", v_mean),
+                             ("reward power term", self.reward_power.tolist())):
+            for action, x in enumerate(values):
+                if not math.isfinite(x):
+                    raise ValueError(f"derived {name} of action {action} must be finite: {x!r}")
+        # local-only values are nan on offload rows
+        self.v_local, self.mtp_mean_local_ms, self.v_mean_local = (
+            tuple(x if local else float("nan") for x, local in zip(xs, self.is_local))
+            for xs in (v, mtp_mean, v_mean))
 
 
 @dataclass(frozen=True)
@@ -195,8 +215,6 @@ class StepOutcome:
 
 def interval_reward(mean_v: float, power_w: float, soc: float, params: RewardParams) -> float:
     """Reward of one decision epoch from its aggregate outcome."""
-    if mean_v < 0:
-        raise ValueError(f"mean violation must be non-negative: {mean_v}")
     if mean_v == 0.0:
         r_mtp = params.bonus
     else:
@@ -235,7 +253,7 @@ class XrEnvironment:
     def __init__(self, cfg: EnvConfig, seed: int = 0):
         """Start the episode; same config and seed, same trajectory."""
         self.cfg = cfg
-        self.actions = ActionTable(cfg)
+        self.actions = cfg.actions
         # slack -> cfg.rtt.jitter_excess_mean_ms(slack) / tau, filled by the
         # greedy predictor while the uplink queue is empty
         self.excess_per_tau: dict[float, float] = {}
@@ -274,8 +292,7 @@ class XrEnvironment:
         cfg, tab = self.cfg, self.actions
         local = tab.is_local[row]
         power = tab.power_w[row]
-        tick_s = cfg.power.tau_frame_ms / 1000.0
-        n_ticks = tab.n_ticks
+        tick_s, n_ticks = tab.tick_s, tab.n_ticks
 
         # a switch to local execution abandons pending uploads
         flushed = 0

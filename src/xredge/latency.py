@@ -80,17 +80,15 @@ def proc_time(cfg: ExecutionConfig, table: ProcTimeTable) -> float:
 
 
 def mtp_local(cfg: ExecutionConfig, table: ProcTimeTable) -> float:
-    """Motion-to-photon latency of a locally processed frame in ms."""
-    if cfg.mode is not ExecutionMode.LOCAL:
-        raise ValueError("mtp_local is defined for LOCAL configurations")
+    """Motion-to-photon latency of a locally processed frame in ms; `cfg`
+    is a LOCAL configuration."""
     return proc_time(cfg, table) + table.overhead_ms
 
 
 def violation(mtp_ms, tau_ms: float):
     """Relative threshold excess max(0, (MTP - tau) / tau), elementwise on a
-    float or a numpy array of MTPs; a nan MTP stays nan."""
-    if tau_ms <= 0:
-        raise ValueError(f"threshold must be positive: {tau_ms}")
+    float or a numpy array of MTPs; a nan MTP stays nan. `EnvConfig`
+    checks that tau_ms is positive."""
     return np.maximum(0.0, (mtp_ms - tau_ms) / tau_ms)
 
 
@@ -140,11 +138,8 @@ class UplinkQueue:
         return fold_sum(self.remaining_mbit)
 
     def enqueue(self, t_capture: float, quality_row: int, payload_mbit: float) -> int:
-        """Add a frame; returns the number of frames dropped to make room."""
-        if payload_mbit <= 0:
-            raise ValueError(f"payload must be positive: {payload_mbit}")
-        if quality_row < 0:
-            raise ValueError(f"quality row must be non-negative: {quality_row}")
+        """Add a frame of an offload quality row and a positive payload;
+        returns the number of frames dropped to make room."""
         drops = 1 if len(self.t_capture) == self.max_depth else 0
         self.t_capture.append(t_capture)
         self.remaining_mbit.append(payload_mbit)
@@ -174,10 +169,9 @@ class UplinkQueue:
         tick's budget, no frame waits (the Lindley waiting is zero) and each
         is done `payload / bandwidth` after its tick, the loop's `0.0 +
         payload / bandwidth`: one elementwise pass prices them all.
+        The arguments come from a checked `EnvConfig` and are not checked again.
         """
-        # a bad payload, row, bandwidth or dt takes the loop, which rejects it
-        if (not self.t_capture and payload_mbit > 0 and quality_row >= 0
-                and (payload_mbit <= bandwidths * dt_s).all()):
+        if not self.t_capture and (payload_mbit <= bandwidths * dt_s).all():
             t_done = ticks + payload_mbit / bandwidths
             return ticks, offload_mtp_ms(t_done, ticks, np.array(rtts), terms, quality_row), 0
         t_capture, remaining, rows = self.t_capture, self.remaining_mbit, self.quality_row
@@ -185,10 +179,6 @@ class UplinkQueue:
         dropped, t_out, mtp_out = 0, [], []
         for tk, bw, rtt in zip(ticks.tolist(), bandwidths.tolist(), rtts):
             dropped += self.enqueue(tk, quality_row, payload_mbit)
-            if bw <= 0:
-                raise ValueError(f"bandwidth must be positive: {bw}")
-            if dt_s < 0:
-                raise ValueError(f"dt must be non-negative: {dt_s}")
             budget_mbit = bw * dt_s
             elapsed_s = 0.0
             while remaining and budget_mbit > 0.0:

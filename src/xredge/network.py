@@ -63,9 +63,8 @@ def bandwidth_at(profile: BandwidthProfile, t_s: float) -> float:
     """Bandwidth in Mbps at absolute time t_s (seconds).
 
     Dwell boundaries belong to the next phase: t == dwell is level index 1.
+    Simulated time starts at 0, so t_s is non-negative.
     """
-    if t_s < 0:
-        raise ValueError(f"time must be non-negative: {t_s}")
     idx = int(t_s // profile.dwell_s) % len(profile.levels_mbps)
     return profile.levels_mbps[idx]
 

@@ -2,12 +2,15 @@
 and stderr of the interpreter matter, as `python -m xredge.cli`."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 import xredge
 from xredge.cli import _build_spec, build_parser, main
+from xredge.config import field_types
 from xredge.environment import EnvConfig
 from xredge.harness import ScenarioSpec, default_scenario
 
@@ -163,6 +167,20 @@ def _set(path, value):
     return edit
 
 
+def set_edge(data, path, value):
+    """Set the dotted `path` of scenario JSON `data` to `value`: the first
+    element of a list, the first entry of an object."""
+    *parents, key = path.split(".")
+    for p in parents:
+        data = data[p]
+    if isinstance(data[key], list):
+        data[key][0] = value
+    elif isinstance(data[key], dict):
+        data[key][next(iter(data[key]))] = value
+    else:
+        data[key] = value
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -239,6 +257,40 @@ def test_bad_model_constant_fails_at_construction(tmp_path, capsys, edit, fragme
     assert not (tmp_path / "o").exists()
 
 
+# within their declared ranges, but too large (or, for p_max_w and the frame
+# period, too small) for the run path: each overflowed inside the run, to a
+# traceback, an error naming no field, or an exit 0 with metrics of 0.0
+@pytest.mark.parametrize("path, value, fragment", [
+    ("env.power.tau_frame_ms", 5e-324, "decision interval must be a positive integer multiple"),
+    ("env.table.t0_local_ms", 1.7e308, "derived mean MTP over an interval (ms) of action 0 must be finite: inf"),
+    ("env.table.overhead_ms", 1.7e308, "derived mean MTP over an interval (ms) of action 0 must be finite: inf"),
+    ("env.table.t_server_ms", 1.7e308, "derived mean MTP over an interval (ms) of action 1 must be finite: inf"),
+    ("env.table.t_decode_ms", 1.7e308, "derived mean MTP over an interval (ms) of action 1 must be finite: inf"),
+    ("env.rtt.base_ms", 1.7e308, "derived mean MTP over an interval (ms) of action 1 must be finite: inf"),
+    ("env.power.w_proc", 1.7e308, "derived client power (W) of action 0 must be finite: inf"),
+    ("env.table.rho", 1.7e308, "derived client power (W) of action 0 must be finite: inf"),
+    ("env.reward.alpha_power", 1.7e308, "derived reward power term of action 0 must be finite: -inf"),
+    ("env.reward.alpha_power", -1.7e308, "derived reward power term of action 0 must be finite: inf"),
+    ("env.reward.p_max_w", 5e-324, "derived reward power term of action 0 must be finite: -inf"),
+])
+def test_model_constant_too_large_for_the_run_fails_at_construction(tmp_path, capsys, path, value, fragment):
+    from xredge.config import to_jsonable
+
+    data = to_jsonable(default_scenario("local", "cycle", horizon_s=3.0, seeds=(1,)))
+    set_edge(data, path, value)
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    rc = main(["run", "--scenario", str(tmp_path / "bad.json"), "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, fragment)
+    assert not (tmp_path / "o").exists()
+    if path.endswith("rho"):
+        return   # a sweep value is one JSON scalar or list, not a rho map
+    # a sweep builds every value's scenario first, so it writes nothing either
+    rc = main(["sweep", "--policy", "local", "--horizon", "3", "--seeds", "1", "--param", path,
+               "--values", f"1.0,{value!r}", "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, fragment)
+    assert not (tmp_path / "o").exists()
+
+
 def test_zero_horizon_with_a_huge_interval_fails_cleanly(tmp_path, capsys):
     # a zero horizon never steps, but the action table holds one interval's frames
     from xredge.config import to_jsonable
@@ -257,18 +309,9 @@ HORIZONS = [0, 1e-308, 0.05, 1, 3, INF, NAN, -1]
 SPANS = [0, 1e-308, 0.05, 1, 1e6, 1e308, INF, NAN, -1]
 
 
-@settings(max_examples=150, deadline=None)
-@given(horizon=st.sampled_from(HORIZONS), interval=st.sampled_from(SPANS),
-       dwell=st.sampled_from(SPANS))
-def test_time_fields_either_run_or_fail_cleanly(horizon, interval, dwell):
-    # every threshold run either finishes with its metrics or stops at
-    # construction with one error line and writes no metrics
-    from xredge.config import to_jsonable
-
-    data = to_jsonable(default_scenario("threshold", "cycle", seeds=(1,)))
-    data["env"]["horizon_s"] = horizon
-    data["env"]["decision_interval_s"] = interval
-    data["env"]["profile"]["dwell_s"] = dwell
+def assert_runs_or_fails_cleanly(data):
+    """`xredge run` of scenario JSON `data` either finishes with its metrics
+    or stops at construction with one error line and writes no metrics."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scenario.json", Path(tmp) / "o"
         path.write_text(json.dumps(data))
@@ -282,6 +325,68 @@ def test_time_fields_either_run_or_fail_cleanly(horizon, interval, dwell):
             lines = err.getvalue().splitlines()
             assert rc == 1 and not metrics
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(horizon=st.sampled_from(HORIZONS), interval=st.sampled_from(SPANS),
+       dwell=st.sampled_from(SPANS))
+def test_time_fields_either_run_or_fail_cleanly(horizon, interval, dwell):
+    from xredge.config import to_jsonable
+
+    data = to_jsonable(default_scenario("threshold", "cycle", seeds=(1,)))
+    data["env"]["horizon_s"] = horizon
+    data["env"]["decision_interval_s"] = interval
+    data["env"]["profile"]["dwell_s"] = dwell
+    assert_runs_or_fails_cleanly(data)
+
+
+def _ranged_fields(cls, prefix=""):
+    """(dotted path, interval, declared type) of each `ranged` field reachable
+    from dataclass cls through its field types."""
+    types = field_types(cls)
+    for f in dataclasses.fields(cls):
+        if "range" in f.metadata:
+            yield prefix + f.name, f.metadata["range"], types[f.name]
+        elif dataclasses.is_dataclass(types.get(f.name)):
+            yield from _ranged_fields(types[f.name], f"{prefix}{f.name}.")
+
+
+# the largest integer drawn: a huge size (hidden width, buffer capacity,
+# trainings per decision) is a request for memory or time, not a bad value
+INT_CAP = 1000
+
+
+def _edge_values(interval, tp):
+    """Each end of `interval`, the floats just outside and just inside it,
+    1e-300, 1e300, NaN and +-inf; for an integer field also the integers next
+    to each finite end and INT_CAP."""
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    values = [1e-300, 1e300, NAN, INF, -INF]
+    for end, inward in ((lo, hi), (hi, lo)):
+        values += [end, math.nextafter(end, inward), math.nextafter(end, -inward)]
+        if int in (typing.get_args(tp) or (tp,)) and math.isfinite(end):
+            values += [int(end) - 1, int(end), int(end) + 1, INT_CAP]
+    return list(dict.fromkeys(values))
+
+
+# one edit of a scenario file: a ranged field's dotted path and a value for it
+RANGE_EDGES = [(path, v) for path, interval, tp in _ranged_fields(ScenarioSpec)
+               for v in _edge_values(interval, tp)
+               # a longer horizon is a request for a long run, not a bad value
+               if not (path == "env.horizon_s" and v > 3.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy=st.sampled_from(["rl", "greedy", "offload", "threshold"]),
+       edit=st.sampled_from(RANGE_EDGES))
+def test_ranged_field_edges_either_run_or_fail_cleanly(policy, edit):
+    # a value within its declared range may still be refused by a rule
+    # between fields or a derived bound, but never past construction
+    from xredge.config import to_jsonable
+
+    data = to_jsonable(default_scenario(policy, "cycle", horizon_s=3.0, seeds=(1,)))
+    set_edge(data, *edit)
+    assert_runs_or_fails_cleanly(data)
 
 
 def test_nan_level_in_profile_file_fails_cleanly(tmp_path, capsys):

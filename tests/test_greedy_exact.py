@@ -27,7 +27,7 @@ def reference_violation(action_id, env):
     cfg = env.cfg
     exec_cfg = decode_action(action_id)
     tau = cfg.tau_mtp_ms
-    n_frames = cfg.n_ticks()
+    n_frames = cfg.actions.n_ticks
 
     if exec_cfg.mode is ExecutionMode.LOCAL:
         return violation(mtp_local(exec_cfg, cfg.table), tau)

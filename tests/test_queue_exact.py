@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xredge.actions import QualityLevel, quality_scale
-from xredge.environment import ActionTable, EnvConfig
+from xredge.environment import EnvConfig
 from xredge.latency import ProcTimeTable, UplinkQueue
 
 
@@ -190,7 +190,7 @@ flush_op = st.tuples(st.just("flush"))
 )
 def test_column_queue_equals_the_list_of_frames_queue(max_depth, table, t0, ops):
     cfg = EnvConfig(table=TABLES[table])
-    terms = ActionTable(cfg)
+    terms = cfg.actions
     qualities = terms.offload_qualities
     q, ref = UplinkQueue(max_depth), ReferenceUplinkQueue(max_depth)
     t, frames_in, frames_out = t0, 0, 0
@@ -243,7 +243,7 @@ def test_column_queue_equals_the_list_of_frames_queue(max_depth, table, t0, ops)
 def test_transmit_equals_one_enqueue_and_drain_per_tick(
         max_depth, table, t0, start, start_bw, row, dt, fits, data):
     cfg = EnvConfig(table=TABLES[table])
-    terms = ActionTable(cfg)
+    terms = cfg.actions
     qualities = terms.offload_qualities
     q, ref = UplinkQueue(max_depth), ReferenceUplinkQueue(max_depth)
     # a start queue of one-tick intervals at start_bw, left with partial

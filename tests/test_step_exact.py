@@ -61,7 +61,7 @@ def reference_step(env: XrEnvironment, action: int):
     power = env.actions.power_w[row]
     mtp_local_ms = env.actions.mtp_local_ms[row]
     tick_s = cfg.power.tau_frame_ms / 1000.0
-    n_ticks = cfg.n_ticks()
+    n_ticks = cfg.actions.n_ticks
 
     flushed = 0
     if local and env.queue.depth:
