@@ -31,10 +31,11 @@ while not env.done:
     window_local.append(1.0 if action % 2 == 0 else 0.0)
     if env.t % 100 == 0:
         compl = 100.0 * np.mean([v == 0.0 for v in window_viol])
-        loss = policy.last_loss if policy.last_loss is not None else float("nan")
-        print(f"{env.t:5.0f} {policy.epsilon:6.3f} {out.state.bandwidth_mbps:8g} "
+        agent = policy.agent
+        loss = agent.last_loss if agent.last_loss is not None else float("nan")
+        print(f"{env.t:5.0f} {agent.epsilon:6.3f} {env.state.bandwidth_mbps:8g} "
               f"{100 * np.mean(window_local):7.1f} {compl:7.1f} "
-              f"{out.state.soc:6.1f} {loss:9.5f}")
+              f"{env.state.soc:6.1f} {loss:9.5f}")
         window_viol.clear()
         window_local.clear()
 

@@ -15,11 +15,13 @@ from pathlib import Path
 
 from .config import from_jsonable
 from .harness import (
+    METRICS_SCHEMA_VERSION,
     MetricsRecord,
     ScenarioSpec,
     aggregate_seeds,
     default_scenario,
     load_spec,
+    read_json,
     run_scenario,
     save_spec,
     sweep,
@@ -35,9 +37,7 @@ _REPORT_COLUMNS = (
 
 
 def _out_dir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get("XREDGE_OUT", "runs"))
+    return Path(args.out or os.environ.get("XREDGE_OUT", "runs"))
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -105,19 +105,24 @@ def _cmd_sweep(args) -> int:
         {"param": args.param, "value": v, **{k: agg[k] for k in ("compliance_pct", "avg_power_w", "local_fraction_pct")}}
         for v, agg in rows
     ]
+    # the sweep's runs made the output directory
     summary_path = out / f"sweep_{args.param.replace('.', '_')}.json"
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(summary_path, summary)
     print(f"  wrote {summary_path}")
     return 0
 
 
 def _load_metrics_under(root: Path) -> list[MetricsRecord]:
-    """Every metrics.json under root, in path order; at least one."""
+    """Every metrics.json under root, in path order; at least one, each of
+    this version of the schema."""
     if not root.exists():
         raise ValueError(f"directory not found: {root}")
-    records = [from_jsonable(MetricsRecord, json.loads(path.read_text()), str(path))
-               for path in sorted(root.rglob("metrics.json"))]
+    records = []
+    for path in sorted(root.rglob("metrics.json")):
+        m = from_jsonable(MetricsRecord, read_json(path), str(path))
+        if m.schema_version != METRICS_SCHEMA_VERSION:
+            raise ValueError(f"{path}: schema_version must be {METRICS_SCHEMA_VERSION}: {m.schema_version}")
+        records.append(m)
     if not records:
         raise ValueError(f"no metrics.json files under {root}")
     return records

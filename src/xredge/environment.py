@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ExecutionMode, N_ACTIONS, all_configs, quality_scale
-from .config import check_ranges, fold_sum, ranged
+from .config import check_ranges, ranged
 from .energy import Battery, PowerParams, client_power
 from .latency import (
     FrameSizeModel,
@@ -168,10 +168,6 @@ class ActionTable:
         fixed_ms = [((cfg.rtt.base_ms + server) + self.decode_ms) + encode
                     for server, encode in zip(self.server_ms, self.encode_ms)]
         self.fixed_offload_ms = np.array(fixed_ms)[:, None]
-        # frame arrival times within an epoch, relative to its start; the
-        # greedy predictor's scalar sweep reads all but the first as floats
-        self.arrival_ms = np.arange(n) * cfg.power.tau_frame_ms
-        self.later_arrival_ms = tuple(self.arrival_ms[1:].tolist())
 
         # each action's MTP of a frame that does not queue: its local pipeline,
         # or its offload terms plus the largest payload's serialization at the
@@ -181,6 +177,8 @@ class ActionTable:
         mtp_ms = [m if local else fixed_ms[r] + serial_ms
                   for m, local, r in zip(self.mtp_local_ms, self.is_local, self.offload_row)]
         with np.errstate(over="ignore", invalid="ignore"):
+            # frame arrival times within an epoch, relative to its start
+            self.arrival_ms = np.arange(n) * cfg.power.tau_frame_ms
             v = violation(np.array(mtp_ms), cfg.tau_mtp_ms).tolist()
             # their means over an interval's n frames: exact for a local action
             mtp_mean = [_mean(np.full(n, m)) for m in mtp_ms]
@@ -194,6 +192,10 @@ class ActionTable:
             for action, x in enumerate(values):
                 if not math.isfinite(x):
                     raise ValueError(f"derived {name} of action {action} must be finite: {x!r}")
+        if not math.isfinite(last_arrival := self.arrival_ms[-1].item()):
+            raise ValueError(f"derived last frame arrival (ms) must be finite: {last_arrival!r}")
+        # the greedy predictor's scalar sweep reads all but the first as floats
+        self.later_arrival_ms = tuple(self.arrival_ms[1:].tolist())
         # local-only values are nan on offload rows
         self.v_local, self.mtp_mean_local_ms, self.v_mean_local = (
             tuple(x if local else float("nan") for x, local in zip(xs, self.is_local))
@@ -203,11 +205,10 @@ class ActionTable:
 @dataclass(frozen=True)
 class StepOutcome:
     """One decision interval's result; the frames it delivered are arrays,
-    one entry per frame in delivery order."""
+    one entry per frame in delivery order. The state and `done` it leaves
+    are read from the environment."""
 
-    state: SystemState
     reward: float
-    done: bool
     t_capture: np.ndarray  # capture time, s
     mtp_ms: np.ndarray     # motion-to-photon latency, ms
     info: dict
@@ -222,11 +223,6 @@ def interval_reward(mean_v: float, power_w: float, soc: float, params: RewardPar
     r_power = -params.alpha_power * power_w / params.p_max_w
     r_battery = params.beta_battery * soc / 100.0
     return r_mtp + r_power + r_battery
-
-
-def objective_value(survived_s: float, v_per_epoch: list[float], lam: float) -> float:
-    """Session objective: battery lifetime minus the accumulated violations."""
-    return survived_s - lam * fold_sum(v_per_epoch)
 
 
 # the length of `observe`'s vector, the learner's input size
@@ -261,7 +257,6 @@ class XrEnvironment:
         self.t = 0.0
         self.battery = Battery(cfg.capacity_wh, cfg.soc0, cfg.drain_factor)
         self.queue = UplinkQueue(cfg.queue_max_depth)
-        self.v_per_epoch: list[float] = []
         self.frames_captured = 0
         self.frames_delivered = 0
         rtt0 = rtt_samples(cfg.rtt, self.rng, 1)[0]
@@ -295,9 +290,7 @@ class XrEnvironment:
         tick_s, n_ticks = tab.tick_s, tab.n_ticks
 
         # a switch to local execution abandons pending uploads
-        flushed = 0
-        if local and self.queue.depth:
-            flushed = self.queue.flush()
+        flushed = self.queue.flush() if local and self.queue.depth else 0
 
         t0 = self.t
         # the interval is truncated at the instant the charge runs out
@@ -334,7 +327,6 @@ class XrEnvironment:
         self.t = t_end
         self.frames_captured += captured
         self.frames_delivered += mtp.size
-        self.v_per_epoch.append(mean_v)
         reward = interval_reward(mean_v, power, self.battery.soc, cfg.reward)
         self.state = SystemState(
             soc=self.battery.soc,
@@ -353,14 +345,4 @@ class XrEnvironment:
             "pending_censored": pending_censored,
             "energy_j": energy_j,
         }
-        return StepOutcome(
-            state=self.state,
-            reward=reward,
-            done=self.done,
-            t_capture=t_capture,
-            mtp_ms=mtp,
-            info=info,
-        )
-
-    def objective(self) -> float:
-        return objective_value(self.t, self.v_per_epoch, self.cfg.reward.lam)
+        return StepOutcome(reward=reward, t_capture=t_capture, mtp_ms=mtp, info=info)

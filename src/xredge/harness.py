@@ -118,7 +118,7 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
     """Execute one seeded run of a scenario; optionally write its artifacts."""
     env = XrEnvironment(spec.env, seed=seed)
     policy = make_policy(spec.policy, spec.dqn, seed=seed + _AGENT_SEED_OFFSET)
-    is_rl = isinstance(policy, RlPolicy)
+    agent = policy.agent if isinstance(policy, RlPolicy) else None
 
     decisions: dict[str, list] = {c: [] for c in DECISION_COLUMNS}
     columns = [decisions[c] for c in DECISION_COLUMNS]
@@ -139,13 +139,13 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         toc_learn = time.perf_counter()
         latencies_s.append((toc_select - tic) + (toc_learn - tic_learn))
 
-        info, state = outcome.info, outcome.state
+        info, state = outcome.info, env.state
         row = (
             t0, action, *env.actions.labels[action],
             bandwidth, state.rtt_ms, info["mtp_mean_ms"],
             info["mean_v"], state.power_w, state.soc, outcome.reward,
-            policy.epsilon if is_rl else "",
-            (policy.last_loss if policy.last_loss is not None else "") if is_rl else "",
+            "" if agent is None else agent.epsilon,
+            "" if agent is None or agent.last_loss is None else agent.last_loss,
         )
         for column, value in zip(columns, row):
             column.append(value)
@@ -187,10 +187,10 @@ def _compute_metrics(spec, seed, env, decisions, frames) -> MetricsRecord:
         else float("inf")
     )
     n_dec = len(decisions["action"])
-    local_dec = decisions["mode"].count("LOCAL")
-    local_pct = 100.0 * local_dec / n_dec if n_dec else 0.0
+    local_pct = 100.0 * decisions["mode"].count("LOCAL") / n_dec if n_dec else 0.0
     per_level, per_level_n = per_bandwidth_compliance(frames["t_capture"], frames["compliant"], cfg.profile)
     histogram = [decisions["action"].count(a) for a in range(N_ACTIONS)]
+    violation_sum = fold_sum(decisions["v_mean"])
 
     return MetricsRecord(
         schema_version=METRICS_SCHEMA_VERSION,
@@ -207,8 +207,8 @@ def _compute_metrics(spec, seed, env, decisions, frames) -> MetricsRecord:
         local_fraction_pct=local_pct,
         offload_fraction_pct=100.0 - local_pct,
         compliance_per_watt=compliance_pct / avg_power if avg_power > 0 else 0.0,
-        objective=env.objective(),
-        violation_sum=fold_sum(env.v_per_epoch),
+        objective=survived - cfg.reward.lam * violation_sum,
+        violation_sum=violation_sum,
         frames_captured=env.frames_captured,
         frames_delivered=delivered,
         frames_dropped=env.queue.dropped,
@@ -285,9 +285,8 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path | None = None) -> tuple
         results.append(run_experiment(spec, seed, seed_dir))
     agg = aggregate_seeds([r.metrics for r in results])
     if out_dir is not None:
-        agg_path = Path(out_dir) / spec.name / "aggregate.json"
-        agg_path.parent.mkdir(parents=True, exist_ok=True)
-        write_json(agg_path, agg)
+        # each seed's run made the scenario's directory
+        write_json(Path(out_dir) / spec.name / "aggregate.json", agg)
     return results, agg
 
 
@@ -324,13 +323,7 @@ def sweep(
         # names and rows carry the coerced value: 2 for a float field is 2.0
         v = to_jsonable(reduce(getattr, param_path.split("."), spec))
         specs.append((v, replace(spec, name=f"{base.name}__{param_path.replace('.', '_')}_{v}")))
-    rows = []
-    for v, spec in specs:
-        _, agg = run_scenario(spec, out_dir)
-        agg["swept_param"] = param_path
-        agg["swept_value"] = v
-        rows.append((v, agg))
-    return rows
+    return [(v, run_scenario(spec, out_dir)[1]) for v, spec in specs]
 
 
 # -- artifact writers ------------------------------------------------------
@@ -388,9 +381,17 @@ def save_spec(spec: ScenarioSpec, path: str | Path) -> None:
     write_json(Path(path), to_jsonable(spec))
 
 
+def read_json(path: Path):
+    """A JSON file's value; a file that is not JSON raises ValueError naming it."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_spec(path: str | Path) -> ScenarioSpec:
     """Read a scenario file; missing keys take their defaults."""
-    return from_jsonable(ScenarioSpec, json.loads(Path(path).read_text()), "scenario")
+    return from_jsonable(ScenarioSpec, read_json(Path(path)), "scenario")
 
 
 def default_scenario(

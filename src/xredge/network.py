@@ -172,6 +172,8 @@ def load_profile(path: str | Path) -> BandwidthProfile:
             raise ValueError(f"{path}:{lineno}: non-numeric entry in {raw!r}") from exc
     if not levels:
         raise ValueError(f"{path}: no bandwidth levels found")
-    if any(d != dwells[0] for d in dwells):
+    # the ranges first: a NaN dwell is out of range, not unequal to itself
+    profile = BandwidthProfile(levels_mbps=tuple(levels), dwell_s=dwells[0])
+    if any(d != profile.dwell_s for d in dwells):
         raise ValueError(f"{path}: all dwell values must be equal, got {dwells}")
-    return BandwidthProfile(levels_mbps=tuple(levels), dwell_s=dwells[0])
+    return profile

@@ -33,11 +33,9 @@ ACTION_OFFLOAD_FULL = 5    # HIGH imu, HIGH quality, OFFLOAD
 
 
 class StaticPolicy:
-    """Always the same configuration."""
+    """Always the same configuration; `XrEnvironment.step` checks the id."""
 
     def __init__(self, action_id: int):
-        if not 0 <= action_id < N_ACTIONS:
-            raise ValueError(f"action id out of range: {action_id}")
         self.action_id = action_id
 
     def select(self, env: XrEnvironment) -> int:
@@ -189,15 +187,7 @@ class RlPolicy:
         obs, action = self._pending
         self._pending = None
         # the environment has not moved since step returned the outcome
-        self.agent.record_and_train(obs, action, outcome.reward, env.observe(), outcome.done)
-
-    @property
-    def epsilon(self) -> float:
-        return self.agent.epsilon
-
-    @property
-    def last_loss(self) -> float | None:
-        return self.agent.last_loss
+        self.agent.record_and_train(obs, action, outcome.reward, env.observe(), env.done)
 
 
 # name -> factory(dqn_cfg, seed); the CLI's --policy choices come from here

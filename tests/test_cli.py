@@ -398,6 +398,67 @@ def test_nan_level_in_profile_file_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("nan 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (nan,)"),
+    ("inf 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (inf,)"),
+    ("-inf 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (-inf,)"),
+    ("1e400 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (inf,)"),
+    ("0 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (0.0,)"),
+    ("-1 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (-1.0,)"),
+    ("5 0\n", "BandwidthProfile.dwell_s must be within (0, inf): 0.0"),
+    # not "all dwell values must be equal", as nan != nan would have it
+    ("5 nan\n", "BandwidthProfile.dwell_s must be within (0, inf): nan"),
+    ("5 inf\n", "BandwidthProfile.dwell_s must be within (0, inf): inf"),
+    ("5 1e-320\n", "the horizon spans too many dwells: dwell 1e-320 s"),
+    ("5 60 7\n", "steps.txt:1: expected '<mbps> <dwell_s>', got '5 60 7'"),
+    ("", "steps.txt: no bandwidth levels found"),
+    ("# levels go here\n", "steps.txt: no bandwidth levels found"),
+])
+def test_edge_profile_file_fails_cleanly(tmp_path, capsys, text, fragment):
+    profile = tmp_path / "steps.txt"
+    profile.write_text(text)
+    rc = main(["run", "--policy", "offload", "--profile", str(profile), "--horizon", "3",
+               "--seeds", "1", "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, fragment)
+    assert not (tmp_path / "o").exists()
+
+
+def _local_run(out):
+    """A 3 s local run under `out`, and the path of its metrics.json."""
+    main(["run", "--policy", "local", "--profile", "stable", "--horizon", "3",
+          "--seeds", "1", "--out", str(out)])
+    return out / "local-stable1000" / "seed_1" / "metrics.json"
+
+
+@pytest.mark.parametrize("command, written", [("aggregate", "aggregate.json"), ("report", "report.csv")])
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda text: "not json", ": Expecting value: line 1 column 1 (char 0)"),
+    (lambda text: text.replace('"schema_version": 1', '"schema_version": 99'),
+     ": schema_version must be 1: 99"),
+], ids=["not-json", "schema-99"])
+def test_hand_edited_metrics_file_fails_cleanly(tmp_path, capsys, command, written, edit, fragment):
+    path = _local_run(tmp_path)
+    capsys.readouterr()
+    path.write_text(edit(path.read_text()))
+    flag = "--runs" if command == "aggregate" else "--out"
+    rc = main([command, flag, str(tmp_path)])
+    # the error names the file
+    assert_clean_error(rc, capsys, f"{path}{fragment}")
+    assert not (tmp_path / written).exists()
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    ("{'env': {}}", "Expecting property name enclosed in double quotes"),
+])
+def test_scenario_file_that_is_not_json_fails_cleanly(tmp_path, capsys, text, fragment):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, f"{path}: {fragment}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_negative_horizon_fails_cleanly(tmp_path, capsys):
     rc = main(["run", "--policy", "local", "--horizon", "-5", "--out", str(tmp_path)])
     assert_clean_error(rc, capsys, "horizon")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xredge.actions import ExecutionMode, decode_action
-from xredge.config import from_jsonable, to_jsonable
+from xredge.config import fold_sum, from_jsonable, to_jsonable
 from xredge.environment import XrEnvironment
 from xredge.harness import (
     DECISION_COLUMNS,
@@ -72,6 +72,20 @@ def test_offload_starved_run():
     m = run_experiment(spec, seed=1).metrics
     assert m.compliance_pct < 2.0
     assert m.frames_captured - m.frames_delivered - m.frames_dropped == 20
+
+
+def test_objective_is_survival_minus_lam_times_violation_sum():
+    # offload meets the cycle's 10 and 1 Mbps levels, so violations accrue
+    spec = replace_path(default_scenario("offload", "cycle", horizon_s=400.0, seeds=(1,)),
+                        "env.reward.lam", 2)
+    res = run_experiment(spec, seed=1)
+    m = res.metrics
+    assert m.violation_sum > 0.0
+    assert m.violation_sum == fold_sum(res.decisions["v_mean"])
+    assert m.objective == m.survived_s - 2.0 * m.violation_sum
+    # a compliant run's objective is its survival time
+    m = run_experiment(local_spec(horizon=30.0), seed=1).metrics
+    assert (m.violation_sum, m.objective) == (0.0, m.survived_s)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -327,8 +341,6 @@ def test_sweep_labels_and_values(tmp_path):
     rows = sweep(spec, "env.reward.lam", [0.5, 2.0], out_dir=tmp_path)
     assert len(rows) == 2
     assert [v for v, _ in rows] == [0.5, 2.0]
-    assert [agg["swept_value"] for _, agg in rows] == [0.5, 2.0]
-    assert all(agg["swept_param"] == "env.reward.lam" for _, agg in rows)
     names = [agg["scenario"] for _, agg in rows]
     assert names[0] != names[1]
     assert all(spec.name in n for n in names)

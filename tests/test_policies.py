@@ -138,8 +138,8 @@ def test_rl_policy_closed_loop():
         out = env.step(action)
         pol.observe_outcome(out, env)
     assert pol.agent.decision_count == 12
-    assert pol.last_loss is not None           # trained past warm-up
-    assert pol.epsilon == pytest.approx(0.9975**12)
+    assert pol.agent.last_loss is not None     # trained past warm-up
+    assert pol.agent.epsilon == pytest.approx(0.9975**12)
 
 
 @pytest.mark.parametrize("profile", [stable_profile(1000.0), replace(cycle_profile(), dwell_s=2.0)])
@@ -155,8 +155,8 @@ def test_rl_policy_learns_the_observation_the_step_left(profile):
         slot = (buf.count - 1) % buf.capacity
         assert np.array_equal(buf.obs[slot], before)
         assert np.array_equal(buf.next_obs[slot], after)
-        assert (buf.reward[slot], bool(buf.done[slot])) == (out.reward, out.done)
-    assert buf.count == 12 and out.done
+        assert (buf.reward[slot], bool(buf.done[slot])) == (out.reward, env.done)
+    assert buf.count == 12 and env.done
 
 
 def test_rl_policy_requires_select_before_outcome():
