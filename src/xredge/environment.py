@@ -20,19 +20,14 @@ import numpy as np
 from .actions import ExecutionMode, N_ACTIONS, all_configs, quality_scale
 from .config import check_ranges, ranged
 from .energy import Battery, PowerParams, client_power
-from .latency import (
-    FrameSizeModel,
-    ProcTimeTable,
-    UplinkQueue,
-    mtp_local,
-    violation,
-)
+from .latency import (FrameSizeModel, ProcTimeTable, UplinkQueue, mtp_local, offload_mtp_ms,
+                      proc_time, violation)
 from .network import BandwidthProfile, RttModel, bandwidth_at, level_index, rtt_samples
 
 # the most frames an interval may hold: the action table and each step build arrays that long
 MAX_INTERVAL_FRAMES = 100_000
 # the smallest MTP threshold, 1 us: below it a frame's relative excess
-# (mtp - tau) / tau can overflow to inf (a 30 ms frame at tau 1e-308 does)
+# `violation(mtp, tau)` can overflow to inf (a 30 ms frame at tau 1e-308 does)
 MIN_TAU_MTP_MS = 1e-3
 
 
@@ -110,21 +105,23 @@ def _mean(a: np.ndarray) -> float:
 _CONFIGS = tuple(all_configs())
 # an offload prediction depends on the image quality alone, so the greedy
 # predictor prices one row per quality and shares it across IMU rates
-_OFFLOAD_QUALITIES = tuple(dict.fromkeys(
-    c.quality for c in _CONFIGS if c.mode is ExecutionMode.OFFLOAD))
+_OFFLOAD_CONFIGS = tuple({c.quality: c for c in _CONFIGS if c.mode is ExecutionMode.OFFLOAD}.values())
+_OFFLOAD_QUALITIES = tuple(c.quality for c in _OFFLOAD_CONFIGS)
 
 
 class ActionTable:
     """The 18 actions of one EnvConfig, rows indexed by action id.
 
     The config builds it once, as `cfg.actions`, and it rejects a config
-    whose constants make a per-frame value it derives non-finite. Each value is computed once by the scalar model function that defines it,
-    so a lookup is bit-identical to calling that function. Tuples serve the
-    per-tick lookups of `XrEnvironment.step`; the numpy arrays serve the
-    vectorised greedy predictor. Local-only values are nan on offload rows.
-    The offload arrays and tuples have one row per offload quality, in
-    `offload_qualities` order; `offload_row` gives each action id its row
-    (-1 for a local action). The uplink queue keeps that row per frame.
+    whose constants make a per-frame value it derives non-finite. Each value
+    is computed once by the simulator's function that defines it, so a
+    lookup is bit-identical to calling that function. Values are tuples but
+    for two numpy arrays the greedy predictor broadcasts over an epoch's
+    frames: `arrival_ms`, one entry per frame, and the column `fixed_offload_ms`.
+    Local-only values are nan on offload rows. The offload values have one
+    row per offload quality, in `offload_qualities` order; `offload_row`
+    gives each action id its row (-1 for a local action). The uplink queue
+    keeps that row per frame.
     """
 
     # the action space itself is the same for every config
@@ -158,15 +155,13 @@ class ActionTable:
         self.payload_offload_mbit = tuple(cfg.frame.payload_mbit(q) for q in _OFFLOAD_QUALITIES)
         # an offloaded frame's server and client-encode times, one per offload
         # row, and its decode time: the `terms` of `latency.offload_mtp_ms`
-        phis = [quality_scale(q) for q in _OFFLOAD_QUALITIES]
-        self.server_ms = tuple(t.t_server_ms * f for f in phis)
-        self.encode_ms = tuple(t.t0_encode_ms * f for f in phis)
+        self.server_ms = tuple(t.t_server_ms * quality_scale(q) for q in _OFFLOAD_QUALITIES)
+        self.encode_ms = tuple(proc_time(c, t) for c in _OFFLOAD_CONFIGS)
         self.decode_ms = t.t_decode_ms
-        # an offloaded frame's MTP minus its queueing and serialization time,
+        # an offloaded frame's MTP at zero queueing and serialization age,
         # with the base RTT standing in for the drawn one; a column, one row
         # per offload quality, to broadcast over an epoch's frames
-        fixed_ms = [((cfg.rtt.base_ms + server) + self.decode_ms) + encode
-                    for server, encode in zip(self.server_ms, self.encode_ms)]
+        fixed_ms = [offload_mtp_ms(0.0, cfg.rtt.base_ms, self, r) for r in range(len(_OFFLOAD_CONFIGS))]
         self.fixed_offload_ms = np.array(fixed_ms)[:, None]
 
         # each action's MTP of a frame that does not queue: its local pipeline,
@@ -183,12 +178,12 @@ class ActionTable:
             # their means over an interval's n frames: exact for a local action
             mtp_mean = [_mean(np.full(n, m)) for m in mtp_ms]
             v_mean = [_mean(np.full(n, x)) for x in v]
-            # the reward's power term, as interval_reward computes it
-            self.reward_power = -cfg.reward.alpha_power * np.array(self.power_w) / cfg.reward.p_max_w
+            # a compliant interval's reward at zero charge: the bonus plus the power term
+            compliant_reward = [interval_reward(0.0, p, 0.0, cfg.reward) for p in self.power_w]
         for name, values in (("client power (W)", self.power_w),
                              ("mean MTP over an interval (ms)", mtp_mean),
                              ("mean violation over an interval", v_mean),
-                             ("reward power term", self.reward_power.tolist())):
+                             ("reward power term", compliant_reward)):
             for action, x in enumerate(values):
                 if not math.isfinite(x):
                     raise ValueError(f"derived {name} of action {action} must be finite: {x!r}")

@@ -250,16 +250,20 @@ _AGGREGATED = [name for name, tp in field_types(MetricsRecord).items()
 
 
 def aggregate_seeds(records: list[MetricsRecord]) -> dict:
-    """Median/min/max across seeds for every scalar metric; medians for maps."""
+    """Median/min/max across seeds for every scalar metric; medians for maps.
+
+    The records must be one scenario's runs, each seed once."""
     if not records:
         raise ValueError("no records to aggregate")
-    out: dict = {
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "scenario": records[0].scenario,
-        "policy": records[0].policy,
-        "profile": records[0].profile,
-        "seeds": [r.seed for r in records],
-    }
+    out: dict = {"schema_version": METRICS_SCHEMA_VERSION}
+    for key in ("scenario", "policy", "profile"):
+        values = list(dict.fromkeys(getattr(r, key) for r in records))
+        if len(values) > 1:
+            raise ValueError(f"cannot aggregate runs of different scenarios: {key} {values}")
+        out[key] = values[0]
+    out["seeds"] = seeds = [r.seed for r in records]
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"cannot aggregate a seed twice: seeds {seeds}")
     for name in _AGGREGATED:
         values = [getattr(r, name) for r in records]
         out[name] = {

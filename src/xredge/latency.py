@@ -92,17 +92,17 @@ def violation(mtp_ms, tau_ms: float):
     return np.maximum(0.0, (mtp_ms - tau_ms) / tau_ms)
 
 
-def offload_mtp_ms(t_done, t_capture, rtt_ms, terms, row):
-    """Motion-to-photon latency in ms of an offloaded frame captured at
-    t_capture and done serializing at t_done (seconds): its queueing and
-    transmission age plus RTT, server inference, decode, and the client
-    encode cost. `terms` holds the per-frame costs in ms, `server_ms` and
-    `encode_ms` indexed by offload quality row (they scale with the frame's
-    pixel count) and the scalar `decode_ms`, as `environment.ActionTable`
-    does. Takes floats or, elementwise with one row, numpy arrays.
+def offload_mtp_ms(age_ms, rtt_ms, terms, row):
+    """Motion-to-photon latency in ms of an offloaded frame whose queueing
+    and transmission took age_ms (`UplinkQueue.transmit` computes it): that
+    age plus RTT, server inference, decode and the client encode cost, added
+    in that order. `terms` holds the per-frame costs in ms, `server_ms` and
+    `encode_ms` indexed by offload quality row and the scalar `decode_ms`, as
+    `environment.ActionTable` does; the table's `fixed_offload_ms` is this
+    sum at age 0.0 and the base RTT. Takes floats or, elementwise with one
+    row, numpy arrays.
     """
-    return ((t_done - t_capture) * 1000.0 + rtt_ms
-            + terms.server_ms[row] + terms.decode_ms + terms.encode_ms[row])
+    return age_ms + rtt_ms + terms.server_ms[row] + terms.decode_ms + terms.encode_ms[row]
 
 
 class UplinkQueue:
@@ -172,8 +172,9 @@ class UplinkQueue:
         The arguments come from a checked `EnvConfig` and are not checked again.
         """
         if not self.t_capture and (payload_mbit <= bandwidths * dt_s).all():
-            t_done = ticks + payload_mbit / bandwidths
-            return ticks, offload_mtp_ms(t_done, ticks, np.array(rtts), terms, quality_row), 0
+            # the age from the delivery time, with the loop's rounding
+            age_ms = (ticks + payload_mbit / bandwidths - ticks) * 1000.0
+            return ticks, offload_mtp_ms(age_ms, np.array(rtts), terms, quality_row), 0
         t_capture, remaining, rows = self.t_capture, self.remaining_mbit, self.quality_row
         mtp_ms = offload_mtp_ms
         dropped, t_out, mtp_out = 0, [], []
@@ -189,7 +190,7 @@ class UplinkQueue:
                     remaining.popleft()
                     t = t_capture.popleft()
                     t_out.append(t)
-                    mtp_out.append(mtp_ms(tk + elapsed_s, t, rtt, terms, rows.popleft()))
+                    mtp_out.append(mtp_ms((tk + elapsed_s - t) * 1000.0, rtt, terms, rows.popleft()))
                 else:
                     remaining[0] = head - budget_mbit
                     budget_mbit = 0.0

@@ -13,8 +13,10 @@ local configuration.
 
 How GREEDY scores actions: `predicted_epoch` runs the uplink's Lindley
 recursion frame by frame, once per offload quality of the environment's
-action table; each action reads its violation from that sweep or, if local,
-from the table. Every value is bit-identical to the per-action definition
+action table, and adds each frame's age to the table's
+`latency.offload_mtp_ms` at zero age; each action reads its violation from
+that sweep or, if local, from the table, and its reward is the simulator's
+`interval_reward`. Every value is bit-identical to the per-action definition
 that the tests keep as their reference.
 """
 
@@ -24,7 +26,8 @@ import numpy as np
 
 from .actions import N_ACTIONS
 from .dqn import DqnAgent, DqnConfig
-from .environment import XrEnvironment
+from .environment import XrEnvironment, interval_reward
+from .latency import violation
 
 # full-quality on-device execution, the latency-safe reference
 ACTION_LOCAL_FULL = 4      # HIGH imu, HIGH quality, LOCAL
@@ -109,7 +112,7 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
     det_mtp = (finish - arrival) + tab.fixed_offload_ms
     slack = tau - det_mtp
     # already violating before jitter: the mean jitter adds on top
-    ev = (det_mtp + tab.jitter_mean_ms - tau) / tau
+    ev = violation(det_mtp + tab.jitter_mean_ms, tau)
     pos = slack > 0.0
     if pos.any():
         values = []
@@ -136,26 +139,24 @@ def predicted_epoch_violation(action_id: int, env: XrEnvironment, offload_v: lis
     return offload_v[tab.offload_row[action_id]]
 
 
-def predicted_epoch(env: XrEnvironment) -> tuple[np.ndarray, np.ndarray]:
+def predicted_epoch(env: XrEnvironment) -> tuple[list[float], list[float]]:
     """Model-predicted mean violation and reward of one epoch, for every action.
 
-    Returns two length-18 arrays indexed by action id. The offload sweep runs
+    Returns two length-18 lists indexed by action id. The offload sweep runs
     once; each action then reads its violation through
     `predicted_epoch_violation`. The reward is `interval_reward` of that
     violation, the action's power draw and the current charge.
     """
-    cfg, tab = env.cfg, env.actions
     offload_v = offload_epoch_violation(env)
-    v = np.array([predicted_epoch_violation(a, env, offload_v) for a in range(N_ACTIONS)])
-    rp = cfg.reward
-    r_mtp = np.where(v == 0.0, rp.bonus, -rp.lam * v)
-    r = (r_mtp + tab.reward_power) + rp.beta_battery * env.state.soc / 100.0
-    return v, r
+    v = [predicted_epoch_violation(a, env, offload_v) for a in range(N_ACTIONS)]
+    soc, params = env.state.soc, env.cfg.reward
+    return v, [interval_reward(x, p, soc, params) for x, p in zip(v, env.actions.power_w)]
 
 
 def greedy_select(env: XrEnvironment) -> int:
     """Argmax of predicted one-epoch reward over all actions, ties to lowest id."""
-    return int(np.argmax(predicted_epoch(env)[1]))
+    r = predicted_epoch(env)[1]
+    return r.index(max(r))
 
 
 class GreedyPolicy:

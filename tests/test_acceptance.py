@@ -375,3 +375,24 @@ def test_c12c_lambda_insensitivity(scenarios):
     spread = max(meds) - min(meds)
     ok = spread <= 10.0
     verdict("C12c", ok, f"lambda sweep compliance spread {spread:.2f} pp (<= 10)")
+
+
+# ---------------------------------------------------------------------------
+# C13: the abstract's claims under the model
+# ---------------------------------------------------------------------------
+
+
+def test_c13_abstract_claims(scenarios):
+    # the paper's "up to +163%" lifetime gain is a best case, not a floor, so
+    # the verdict reports the model's gain and gates only on its sign
+    comp = {mbps: scenarios.aggregate(spec_for("rl", "stable", mbps=mbps))["compliance_pct"]["median"]
+            for mbps in (1000.0, 20.0, 10.0)}
+    life_rl = scenarios.aggregate(spec_for("rl", "stable"))["projected_lifetime_min"]["median"]
+    life_local = scenarios.aggregate(spec_for("local", "stable"))["projected_lifetime_min"]["median"]
+    gain = (life_rl / life_local - 1.0) * 100.0
+    ok = comp[1000.0] >= 90.0 and life_rl > life_local and comp[20.0] >= 80.0 and comp[10.0] >= 80.0
+    verdict("C13", ok,
+            f"rl on stable 1000 Mbps: compliance {comp[1000.0]:.1f}% (>= 90), lifetime "
+            f"{life_rl:.1f} min > local full quality {life_local:.1f} min ({gain:+.0f}%; "
+            f"paper: up to +163%); rl on stable 20 / 10 Mbps: {comp[20.0]:.1f}% / "
+            f"{comp[10.0]:.1f}% (>= 80)")

@@ -1,10 +1,15 @@
 """The CI workflow's steps name demos, benchmark functions and a console
-script that exist: a renamed file or function fails here, not first on CI."""
+script that exist: a renamed file or function fails here, not first on CI.
+The "Console script" step's commands also run here, through `python -m`."""
 
 import ast
 import importlib
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +54,27 @@ def test_console_script_step_runs_the_declared_entry_point():
     assert commands and all(argv[0] == "xredge" for argv in commands)
     for argv in commands:
         build_parser().parse_args(argv[1:])      # every flag the step passes exists
+
+
+
+def test_console_script_step_runs_and_writes_its_outputs(tmp_path):
+    # the step's commands in its order, each as `python -m xredge.cli` in a
+    # child interpreter, with $RUNNER_TEMP at tmp_path
+    script = step_run("Console script").replace("$RUNNER_TEMP", str(tmp_path))
+    commands = [shlex.split(line) for line in script.splitlines() if line.strip()]
+    assert [argv[1] for argv in commands] == ["run", "sweep", "aggregate", "report"]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    stdout = {}
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "xredge.cli", *argv[1:]], capture_output=True,
+                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        stdout[argv[1]] = proc.stdout.splitlines()
+    # aggregate and report each write their file where the step points them
+    aggregate = Path(commands[2][commands[2].index("--runs") + 1]) / "aggregate.json"
+    report = Path(commands[3][commands[3].index("--out") + 1]) / "report.csv"
+    assert f"wrote {aggregate}" in stdout["aggregate"] and aggregate.is_file()
+    assert f"wrote {report}" in stdout["report"] and report.is_file()
+    # the aggregated directory holds one scenario: the one seed of `run`
+    agg = json.loads(aggregate.read_text())
+    assert (agg["scenario"], agg["seeds"]) == ("threshold-cycle", [1])

@@ -92,6 +92,27 @@ def test_aggregate_and_report(tmp_path, capsys):
     assert csv_text.count("\n") == 3          # header + two seed rows
 
 
+@pytest.mark.parametrize("runs, fragment", [
+    ([["--policy", "local"], ["--policy", "offload"]],
+     "cannot aggregate runs of different scenarios: scenario ['local-stable1000', 'offload-stable1000']"),
+    ([["--policy", "local", "--name", "x"], ["--policy", "offload", "--name", "x"]],
+     "cannot aggregate runs of different scenarios: policy ['local', 'offload']"),
+    ([["--policy", "local", "--name", "x"], ["--policy", "local", "--name", "x", "--stable-mbps", "500"]],
+     "cannot aggregate runs of different scenarios: profile ['stable(1000Mbps)', 'stable(500Mbps)']"),
+    ([["--policy", "local"], ["--policy", "local"]], "cannot aggregate a seed twice: seeds [1, 1]"),
+], ids=["two-scenarios", "two-policies", "two-profiles", "seed-twice"])
+def test_aggregate_of_mixed_runs_fails_cleanly(tmp_path, capsys, runs, fragment):
+    # each run in its own directory under the one that is aggregated
+    for i, flags in enumerate(runs):
+        rc = main(["run", *flags, "--profile", "stable", "--horizon", "3", "--seeds", "1",
+                   "--out", str(tmp_path / str(i))])
+        assert rc == 0
+    capsys.readouterr()
+    rc = main(["aggregate", "--runs", str(tmp_path)])
+    assert_clean_error(rc, capsys, fragment)
+    assert not (tmp_path / "aggregate.json").exists()
+
+
 def test_aggregate_missing_dir_fails_cleanly(tmp_path, capsys):
     rc = main(["aggregate", "--runs", str(tmp_path / "absent")])
     assert rc == 1
@@ -421,6 +442,34 @@ def test_edge_profile_file_fails_cleanly(tmp_path, capsys, text, fragment):
                "--seeds", "1", "--out", str(tmp_path / "o")])
     assert_clean_error(rc, capsys, fragment)
     assert not (tmp_path / "o").exists()
+
+
+# profile-file tokens: non-finite, overflowing, zero, negative, subnormal,
+# ordinary and not a number; a line holds one to three of them, or none, or
+# is a comment
+PROFILE_TOKENS = ["NaN", "inf", "-inf", "1e400", "0", "-1", "5e-324", "1", "1000", "fast"]
+PROFILE_LINES = st.one_of(st.lists(st.sampled_from(PROFILE_TOKENS), min_size=1, max_size=3).map(" ".join),
+                          st.sampled_from(["", "# levels"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy=st.sampled_from(["threshold", "offload"]),
+       lines=st.lists(PROFILE_LINES, min_size=1, max_size=3))
+def test_profile_file_lines_either_run_or_fail_cleanly(policy, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        profile, out = Path(tmp) / "steps.txt", Path(tmp) / "o"
+        profile.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--policy", policy, "--profile", str(profile), "--horizon", "3",
+                       "--seeds", "1", "--out", str(out)])
+        metrics = list(out.rglob("metrics.json"))
+        if rc == 0:
+            assert len(metrics) == 1
+        else:
+            err_lines = err.getvalue().splitlines()
+            assert rc == 1 and not metrics
+            assert len(err_lines) == 1 and err_lines[0].startswith("error: "), err_lines
 
 
 def _local_run(out):

@@ -4,8 +4,11 @@
 time; `predicted_epoch` prices all 18 at once. The arithmetic is meant to be
 the same operation for operation, so the properties here demand equality,
 not closeness, for every action's violation and reward and for the argmax.
+The last test holds the prediction to `XrEnvironment.step` itself, where the
+two models describe the same epoch.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -77,8 +80,8 @@ def reference_greedy(env):
 
 def assert_exact(env):
     v, r = predicted_epoch(env)
-    assert v.tolist() == [reference_violation(a, env) for a in range(N_ACTIONS)]
-    assert r.tolist() == [reference_reward(a, env) for a in range(N_ACTIONS)]
+    assert v == [reference_violation(a, env) for a in range(N_ACTIONS)]
+    assert r == [reference_reward(a, env) for a in range(N_ACTIONS)]
     chosen = greedy_select(env)
     assert type(chosen) is int
     assert chosen == reference_greedy(env)
@@ -179,3 +182,18 @@ def test_exceedances_kept_per_environment_stay_few_and_skip_a_backlog():
     env.queue.enqueue(env.t - 0.05, row, env.cfg.frame.payload_mbit(QualityLevel.HIGH) * 0.3)
     assert_exact(env)
     assert env.excess_per_tau == kept
+
+
+@pytest.mark.parametrize("tau", [30.0, 20.0])
+@pytest.mark.parametrize("table", ["default", "uneven-table"])
+@pytest.mark.parametrize("mbps", [1000.0, 500.0, 200.0, 120.0])
+def test_prediction_equals_the_simulated_epoch_where_the_models_coincide(mbps, table, tau):
+    # without RTT jitter, and at a bandwidth where every frame leaves within
+    # its own tick, the predictor and the simulator price the same frames;
+    # they add in different orders, so the two agree to rounding, not bits
+    cfg = EnvConfig(profile=stable_profile(mbps), rtt=RttModel(distribution=RttDistribution.NONE),
+                    table=CONFIGS[table].table, tau_mtp_ms=tau)
+    predicted = predicted_epoch(XrEnvironment(cfg, seed=0))[0]
+    for a in range(N_ACTIONS):
+        simulated = XrEnvironment(cfg, seed=0).step(a).info["mean_v"]
+        assert math.isclose(predicted[a], simulated, rel_tol=1e-12), (a, predicted[a], simulated)
