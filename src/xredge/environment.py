@@ -22,7 +22,7 @@ from .config import check_ranges, ranged
 from .energy import Battery, PowerParams, client_power
 from .latency import (FrameSizeModel, ProcTimeTable, UplinkQueue, mtp_local, offload_mtp_ms,
                       proc_time, violation)
-from .network import BandwidthProfile, RttModel, bandwidth_at, level_index, rtt_samples
+from .network import BandwidthProfile, RttModel, bandwidth_at, last_rtt, level_index, rtt_samples
 
 # the most frames an interval may hold: the action table and each step build arrays that long
 MAX_INTERVAL_FRAMES = 100_000
@@ -145,6 +145,11 @@ class ActionTable:
                 "decision interval must be a positive integer multiple of the frame "
                 f"period, at most {MAX_INTERVAL_FRAMES} of them: {interval} s vs {tick_s} s"
             )
+        # each frame's capture time within an interval, relative to its start,
+        # and the bandwidth levels, which step indexes; k * tick_s <= n * tick_s,
+        # which the check above keeps finite
+        self.tick_offsets_s = np.arange(n) * tick_s
+        self.levels_mbps = np.array(cfg.profile.levels_mbps)
         self.power_w = tuple(client_power(c, t, cfg.power) for c in self.configs)
         self.mtp_local_ms = tuple(
             mtp_local(c, t) if local else float("nan")
@@ -272,7 +277,8 @@ class XrEnvironment:
 
         The battery is drained first, which fixes how many ticks capture a
         frame before the charge runs out; those ticks' RTTs are then drawn
-        in one call, in the order the tick-by-tick definition draws them.
+        in one call, in the order the tick-by-tick definition draws them. A
+        local interval keeps only the last RTT, so it exponentiates only that.
         """
         if self.done:
             raise RuntimeError("episode is over")
@@ -291,11 +297,10 @@ class XrEnvironment:
         # the interval is truncated at the instant the charge runs out
         energy_j, captured, depleted_at = self.battery.steps(power, tick_s, n_ticks, t0)
         t_end = depleted_at if depleted_at is not None else t0 + n_ticks * tick_s
-        rtts = rtt_samples(cfg.rtt, self.rng, captured)
-        rtt = rtts[-1] if rtts else self.state.rtt_ms
-        ticks = t0 + np.arange(captured) * tick_s
+        ticks = t0 + tab.tick_offsets_s[:captured]
 
         if local:
+            rtt = last_rtt(cfg.rtt, self.rng, captured)
             dropped = pending_censored = 0
             mtp_obs = tab.mtp_local_ms[row]
             t_capture, mtp = ticks, np.full(captured, mtp_obs)
@@ -305,7 +310,9 @@ class XrEnvironment:
                 mean_v = _mean(np.full(captured, tab.v_local[row]))
                 mtp_mean = _mean(mtp)
         else:
-            bandwidths = np.array(cfg.profile.levels_mbps)[level_index(cfg.profile, ticks)]
+            rtts = rtt_samples(cfg.rtt, self.rng, captured)
+            rtt = rtts[-1] if rtts else self.state.rtt_ms
+            bandwidths = tab.levels_mbps[level_index(cfg.profile, ticks)]
             offload = tab.offload_row[row]
             t_capture, mtp, dropped = self.queue.transmit(
                 ticks, bandwidths, rtts, tick_s, offload, tab.payload_offload_mbit[offload], tab)
@@ -316,7 +323,7 @@ class XrEnvironment:
             # queue (an epoch that delivers nothing must not look compliant)
             pending = [(t_end - t) * 1000.0 for t in self.queue.t_capture if t >= t0]
             pending_censored = len(pending)
-            v_values = violation(np.concatenate((mtp, pending)), cfg.tau_mtp_ms)
+            v_values = violation(np.concatenate((mtp, pending)) if pending else mtp, cfg.tau_mtp_ms)
             mean_v = _mean(v_values) if v_values.size else 0.0
 
         self.t = t_end

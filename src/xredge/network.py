@@ -145,8 +145,22 @@ def rtt_samples(model: RttModel, rng: np.random.Generator, n: int) -> list[float
     """
     if model.distribution is RttDistribution.NONE:
         return [model.base_ms] * n
+    return _rtt_ms(model, rng.standard_normal(n).tolist())
+
+
+def last_rtt(model: RttModel, rng: np.random.Generator, n: int) -> float:
+    """rtt_samples(model, rng, n)[-1] for n >= 1, bit for bit and leaving the
+    generator in the same state: it draws all n normals but exponentiates
+    only the last."""
+    if model.distribution is RttDistribution.NONE:
+        return model.base_ms
+    return _rtt_ms(model, [rng.standard_normal(n).item(-1)])[0]
+
+
+def _rtt_ms(model: RttModel, normals: list[float]) -> list[float]:
+    """The RTT of each standard normal draw z: base + scale * exp(sigma * z)."""
     base, scale, sigma = model.base_ms, model.jitter_scale_ms, model.sigma
-    return [base + scale * math.exp(sigma * z) for z in rng.standard_normal(n).tolist()]
+    return [base + scale * math.exp(sigma * z) for z in normals]
 
 
 def load_profile(path: str | Path) -> BandwidthProfile:

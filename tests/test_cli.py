@@ -312,6 +312,23 @@ def test_model_constant_too_large_for_the_run_fails_at_construction(tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+# each asks for more than 2**57 bytes in one array, more than a 64-bit
+# address space maps, so the allocation fails at the request and touches nothing
+@pytest.mark.parametrize("path, value, fragment", [
+    ("dqn.hidden", [200_000_000, 200_000_000], "Unable to allocate 284. PiB"),
+    ("dqn.buffer_capacity", 10**16, "Unable to allocate 355. PiB"),
+])
+def test_unallocatable_learner_size_fails_cleanly(tmp_path, capsys, path, value, fragment):
+    from xredge.config import to_jsonable
+
+    data = to_jsonable(default_scenario("rl", "cycle", horizon_s=3.0, seeds=(1,)))
+    _set(path, value)(data)
+    (tmp_path / "big.json").write_text(json.dumps(data))
+    rc = main(["run", "--scenario", str(tmp_path / "big.json"), "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, "error: out of memory: ", fragment)
+    assert not (tmp_path / "o").exists()
+
+
 def test_zero_horizon_with_a_huge_interval_fails_cleanly(tmp_path, capsys):
     # a zero horizon never steps, but the action table holds one interval's frames
     from xredge.config import to_jsonable

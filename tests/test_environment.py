@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xredge.actions import N_ACTIONS, ExecutionMode, decode_action
+from xredge.config import from_jsonable, to_jsonable
 from xredge.energy import PowerParams, client_power
 from xredge.environment import (
     OBS_DIM,
@@ -19,7 +20,9 @@ from xredge.environment import (
     observe,
 )
 from xredge.latency import mtp_local, violation
-from xredge.network import cycle_profile, stable_profile
+from xredge.network import RttDistribution, RttModel, cycle_profile, rtt_samples, stable_profile
+
+from test_cli import _edge_values, _ranged_fields, set_edge
 
 A_LOCAL_FULL = 4
 A_OFFLOAD_FULL = 5
@@ -200,6 +203,18 @@ def test_battery_depletion_ends_episode_early():
         env.step(A_LOCAL_FULL)
 
 
+@pytest.mark.parametrize("distribution", list(RttDistribution))
+def test_depleting_local_interval_keeps_its_last_rtt(distribution):
+    # the battery runs out a few ticks into the first interval
+    cfg = EnvConfig(rtt=RttModel(distribution=distribution), capacity_wh=0.002)
+    env, ref = XrEnvironment(cfg, seed=3), np.random.default_rng(3)
+    assert env.state.rtt_ms == rtt_samples(cfg.rtt, ref, 1)[0]
+    out = env.step(A_LOCAL_FULL)
+    assert env.done and 1 < out.info["frames_captured"] < cfg.actions.n_ticks
+    assert env.state.rtt_ms == rtt_samples(cfg.rtt, ref, out.info["frames_captured"])[-1]
+    assert env.rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_horizon_termination():
     env = make_env(profile=stable_profile(1000.0), horizon_s=3.0)
     steps = 0
@@ -321,6 +336,51 @@ def test_action_table_rows_equal_the_scalar_models(overrides):
             assert tab.payload_offload_mbit[tab.offload_row[a]] == cfg.frame.payload_mbit(c.quality)
     assert [row >= 0 for row in tab.offload_row] == [not local for local in tab.is_local]
     assert tab.jitter_mean_ms == cfg.rtt.jitter_mean_ms()
+
+
+@pytest.mark.parametrize("overrides", [{}, {"power": PowerParams(tau_frame_ms=25.0)},
+                                       {"profile": stable_profile(100.0)}])
+def test_action_table_holds_the_tick_offsets_and_levels(overrides):
+    # step slices the offsets: a prefix of the product is the product of the prefix
+    cfg = EnvConfig(**overrides)
+    tab = cfg.actions
+    for k in range(tab.n_ticks + 1):
+        assert np.array_equal(tab.tick_offsets_s[:k], np.arange(k) * tab.tick_s)
+    assert tab.levels_mbps.tolist() == list(cfg.profile.levels_mbps)
+
+
+def _within(interval, v):
+    """Whether v lies in a declared interval such as "(0, inf)" or "[0, 1]"."""
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    above = lo <= v if interval[0] == "[" else lo < v
+    return above and (v <= hi if interval[-1] == "]" else v < hi)
+
+
+# the fields that feed ActionTable's derived values, each at the in-range
+# values of its edges; a pair of them may overflow where either alone does not
+TABLE_FIELDS = ("power.tau_frame_ms", "decision_interval_s", "profile.levels_mbps",
+                "frame.d_base_mbit", "tau_mtp_ms")
+TABLE_EDITS = [(path, v) for path, interval, tp in _ranged_fields(EnvConfig)
+               if path in TABLE_FIELDS or path.startswith("table.")
+               for v in _edge_values(interval, tp) if _within(interval, v)]
+TABLE_EDIT_PAIRS = [(a, b) for i, a in enumerate(TABLE_EDITS) for b in TABLE_EDITS[i + 1:] if a[0] != b[0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from(TABLE_EDIT_PAIRS))
+def test_action_table_field_pairs_either_step_or_fail_at_construction(pair):
+    data = to_jsonable(EnvConfig())
+    for edit in pair:
+        set_edge(data, *edit)
+    try:
+        cfg = from_jsonable(EnvConfig, data)
+    except ValueError:
+        return
+    tab = cfg.actions
+    assert np.isfinite(tab.tick_offsets_s).all() and np.isfinite(tab.levels_mbps).all()
+    # a huge power may end the episode in its first interval, so each its own
+    for local in (True, False):
+        XrEnvironment(cfg, seed=0).step(tab.is_local.index(local))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from xredge.network import (
     RttModel,
     bandwidth_at,
     cycle_profile,
+    last_rtt,
     level_index,
     load_profile,
     rtt_samples,
@@ -139,6 +140,21 @@ def test_rtt_samples_equal_one_draw_at_a_time(model):
         scalar = [model.base_ms + model.jitter_scale_ms * math.exp(model.sigma * rng.standard_normal())
                   for _ in range(50)]
         assert scalar == batch
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+@pytest.mark.parametrize("model", [
+    RttModel(),
+    # no base RTT to absorb a last-bit difference in the jitter's exponential
+    RttModel(base_ms=0.0),
+    RttModel(distribution=RttDistribution.NONE),
+])
+def test_last_rtt_is_the_last_of_rtt_samples(model, n):
+    # a local interval exponentiates only its last draw, but consumes all n
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert last_rtt(model, rng, n) == rtt_samples(model, ref, n)[-1]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_lognormal_samples_bounded_below_by_base():

@@ -1,0 +1,174 @@
+"""Benchmark a change against a base commit in alternating pairs of runs.
+
+    python tools/bench_pairs.py --base <rev> --out BENCH_<n>.json
+        [--workload greedy-cycle ...] [--pairs 10] [--seconds 20] [--seed 1] [--traced]
+
+The base side is `<rev>` checked out with `git worktree add` into a
+temporary directory, which is removed again however the script ends; the
+change side is this checkout as it stands, which the script does not edit
+(perfbench writes its results under `.perfbench_out/`, which git ignores).
+Each pair runs the unchanged `perfbench/run.py --workload W --seed n
+--seconds s --trace 0` once per side, and the side that runs first
+alternates from pair to pair. Each side's
+`.perfbench_out/result-<W>-seed<n>-trace0.json` is read after its run.
+With --traced, each side also runs `--trace 1` once per workload after the
+pairs, for the per-layer metrics.
+
+The output holds, per workload and metric, each pair's two values, each
+side's median and interquartile range, and the number of pairs the change
+won; next to the scaled round seconds (`wall_s`) it keeps the raw ones
+(`raw_wall_s`), since perfbench scales round times by a speed probe. It
+also holds both commits and the machine facts perfbench records.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# perfbench's end-to-end metrics, all better lower, and the raw round time
+METRICS = ("setup_s", "wall_s", "raw_wall_s", "decision_us_p50", "decision_us_p99", "peak_rss_mb")
+SIDES = ("base", "change")
+
+
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), linearly interpolated."""
+    xs = sorted(values)
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[dict[str, dict[str, float]]]) -> dict[str, dict]:
+    """Per metric: each pair's base and change values, each side's median
+    and IQR, the change's relative median shift and the pairs it won.
+
+    `pairs` holds one {"base": {metric: value}, "change": {...}} per pair;
+    every metric is better lower, and a tie wins for neither side. The gain
+    is resolved when the change wins at least nine tenths of the pairs and
+    its median is lower than the base's by more than the base's IQR.
+    """
+    out = {}
+    for name in pairs[0]["base"]:
+        base = [p["base"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+        wins = sum(c < b for b, c in zip(base, change))
+        out[name] = {
+            "base": base,
+            "change": change,
+            "base_median": bm,
+            "base_iqr": b3 - b1,
+            "change_median": cm,
+            "change_iqr": c3 - c1,
+            "median_change_pct": 100.0 * (cm - bm) / bm,
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "gain_resolved": wins >= 0.9 * len(pairs) and bm - cm > b3 - b1,
+        }
+    return out
+
+
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One `perfbench/run.py` run in checkout `root`; returns its result file."""
+    result = root / ".perfbench_out" / f"result-{workload}-seed{seed}-trace{trace}.json"
+    result.unlink(missing_ok=True)
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    run = json.loads(result.read_text())
+    if run["result"]["failed"]:
+        raise RuntimeError(f"{workload} in {root}: {run['detail']['problems']}")
+    return run
+
+
+def values(run: dict) -> dict[str, float]:
+    """Each metric's value in one run's result."""
+    return {k: v["value"] for k, v in run["result"]["metrics"].items()}
+
+
+def end_to_end(run: dict) -> dict[str, float]:
+    """The end-to-end metrics of one untraced run, with the raw round time."""
+    m = values(run)
+    m["raw_wall_s"] = statistics.median(run["detail"]["raw_round_s"])
+    return {k: m[k] for k in METRICS}
+
+
+def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: float,
+          seed: int, traced: bool) -> dict:
+    pairs: dict[str, list] = {w: [] for w in workloads}
+    rounds: dict[str, list] = {w: [] for w in workloads}
+    machine = None
+    for i in range(n_pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for w in workloads:
+            runs = {side: run_perfbench(roots[side], w, seed, seconds, 0) for side in order}
+            machine = machine or runs["change"]["detail"]["machine"]
+            pairs[w].append({side: end_to_end(runs[side]) for side in SIDES})
+            rounds[w].append({side: {k: runs[side]["detail"][k] for k in ("raw_round_s", "round_s")}
+                              for side in SIDES})
+            print(f"pair {i + 1}/{n_pairs} {w} ({order[0]} first): wall_s "
+                  f"{pairs[w][-1]['base']['wall_s']:.4f} -> {pairs[w][-1]['change']['wall_s']:.4f}",
+                  flush=True)
+    out = {w: {"metrics": summarize(pairs[w]), "rounds": rounds[w]} for w in workloads}
+    if traced:
+        for w in workloads:
+            out[w]["traced"] = {side: values(run_perfbench(roots[side], w, seed, seconds, 1))
+                                for side in SIDES}
+    return {"machine": machine, "workloads": out}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="the base commit, any git revision")
+    parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
+    parser.add_argument("--workload", action="append", help="a perfbench workload (repeatable; "
+                        "default greedy-cycle, rl-cycle and static-cli)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--traced", action="store_true", help="also one --trace 1 run per side")
+    args = parser.parse_args(argv)
+
+    base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    workloads = args.workload or ["greedy-cycle", "rl-cycle", "static-cli"]
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base_root = Path(tmp) / "base"
+        git("worktree", "add", "--detach", str(base_root), base_sha)
+        try:
+            report = bench({"base": base_root, "change": ROOT}, workloads, args.pairs,
+                           args.seconds, args.seed, args.traced)
+        finally:
+            git("worktree", "remove", "--force", str(base_root))
+    report = {
+        "base_sha": base_sha,
+        "change_sha": git("rev-parse", "HEAD"),
+        # the change side is the working tree, which may hold uncommitted edits
+        "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "command": ["tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "seed": args.seed,
+        **report,
+    }
+    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
