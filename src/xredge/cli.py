@@ -29,10 +29,13 @@ from .harness import (
 )
 from .policies import POLICIES
 
-# MetricsRecord fields written to report.csv, in column order
+# each report column in order: the MetricsRecord field (report.csv's header),
+# the printed title, its alignment and width, and the value's format
 _REPORT_COLUMNS = (
-    "scenario", "policy", "seed", "compliance_pct", "avg_power_w", "compliance_per_watt",
-    "projected_lifetime_min", "local_fraction_pct", "survived_s",
+    ("scenario", "scenario", "<28", "s"), ("policy", "policy", "<10", "s"), ("seed", "seed", ">4", "d"),
+    ("compliance_pct", "compl%", ">7", ".2f"), ("avg_power_w", "power_W", ">8", ".2f"),
+    ("compliance_per_watt", "cpw", ">7", ".2f"), ("projected_lifetime_min", "life_min", ">9", ".2f"),
+    ("local_fraction_pct", "local%", ">7", ".1f"), ("survived_s", "survived_s", ">10", ".1f"),
 )
 
 
@@ -147,23 +150,16 @@ def _cmd_report(args) -> int:
     root = _out_dir(args)
     records = _load_metrics_under(root)
     records.sort(key=lambda m: (m.scenario, m.seed))
-    header = (
-        f"{'scenario':28s} {'policy':10s} {'seed':>4s} {'compl%':>7s} "
-        f"{'power_W':>8s} {'cpw':>7s} {'life_min':>9s} {'local%':>7s} {'survived_s':>10s}"
-    )
+    header = " ".join(format(title, width) for _, title, width, _ in _REPORT_COLUMNS)
     print(header)
     print("-" * len(header))
     for m in records:
-        print(
-            f"{m.scenario:28s} {m.policy:10s} {m.seed:4d} {m.compliance_pct:7.2f} "
-            f"{m.avg_power_w:8.2f} {m.compliance_per_watt:7.2f} "
-            f"{m.projected_lifetime_min:9.2f} {m.local_fraction_pct:7.1f} {m.survived_s:10.1f}"
-        )
+        print(" ".join(format(getattr(m, name), width + kind) for name, _, width, kind in _REPORT_COLUMNS))
     report_path = root / "report.csv"
     with open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_REPORT_COLUMNS)
-        writer.writerows([getattr(m, k) for k in _REPORT_COLUMNS] for m in records)
+        writer.writerow(name for name, *_ in _REPORT_COLUMNS)
+        writer.writerows([getattr(m, name) for name, *_ in _REPORT_COLUMNS] for m in records)
     print(f"wrote {report_path}")
     return 0
 

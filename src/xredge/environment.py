@@ -311,7 +311,7 @@ class XrEnvironment:
                 mtp_mean = _mean(mtp)
         else:
             rtts = rtt_samples(cfg.rtt, self.rng, captured)
-            rtt = rtts[-1] if rtts else self.state.rtt_ms
+            rtt = rtts[-1]
             bandwidths = tab.levels_mbps[level_index(cfg.profile, ticks)]
             offload = tab.offload_row[row]
             t_capture, mtp, dropped = self.queue.transmit(

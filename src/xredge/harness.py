@@ -30,11 +30,26 @@ from .policies import POLICIES, RlPolicy, make_policy
 
 METRICS_SCHEMA_VERSION = 1
 
+# each decisions.csv column in file order and its reader, called after the step
+# with the decision's t0, bandwidth, action, env, outcome and rl agent or None
+_DECISION_READERS = {
+    "t": lambda t0, bw, a, env, out, agent: t0,
+    "action": lambda t0, bw, a, env, out, agent: a,
+    "quality": lambda t0, bw, a, env, out, agent: env.actions.labels[a][0],
+    "imu": lambda t0, bw, a, env, out, agent: env.actions.labels[a][1],
+    "mode": lambda t0, bw, a, env, out, agent: env.actions.labels[a][2],
+    "bandwidth_mbps": lambda t0, bw, a, env, out, agent: bw,
+    "rtt_ms": lambda t0, bw, a, env, out, agent: env.state.rtt_ms,
+    "mtp_mean_ms": lambda t0, bw, a, env, out, agent: out.info["mtp_mean_ms"],
+    "v_mean": lambda t0, bw, a, env, out, agent: out.info["mean_v"],
+    "power_w": lambda t0, bw, a, env, out, agent: env.state.power_w,
+    "soc_pct": lambda t0, bw, a, env, out, agent: env.state.soc,
+    "reward": lambda t0, bw, a, env, out, agent: out.reward,
+    "epsilon": lambda t0, bw, a, env, out, agent: "" if agent is None else agent.epsilon,
+    "loss": lambda t0, bw, a, env, out, agent: "" if agent is None or agent.last_loss is None else agent.last_loss,
+}
 # fixed trace column orders (documented interface)
-DECISION_COLUMNS = [
-    "t", "action", "quality", "imu", "mode", "bandwidth_mbps", "rtt_ms",
-    "mtp_mean_ms", "v_mean", "power_w", "soc_pct", "reward", "epsilon", "loss",
-]
+DECISION_COLUMNS = list(_DECISION_READERS)
 FRAME_COLUMNS = ["t_capture", "mtp_ms", "compliant", "mode"]
 
 # keeps the learner's stream distinct from the environment's for equal seeds
@@ -121,7 +136,7 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
     agent = policy.agent if isinstance(policy, RlPolicy) else None
 
     decisions: dict[str, list] = {c: [] for c in DECISION_COLUMNS}
-    columns = [decisions[c] for c in DECISION_COLUMNS]
+    appends = [(decisions[c].append, read) for c, read in _DECISION_READERS.items()]
     # each step's delivered frames, concatenated once the run is over
     t_parts: list[np.ndarray] = []
     mtp_parts: list[np.ndarray] = []
@@ -139,16 +154,8 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         toc_learn = time.perf_counter()
         latencies_s.append((toc_select - tic) + (toc_learn - tic_learn))
 
-        info, state = outcome.info, env.state
-        row = (
-            t0, action, *env.actions.labels[action],
-            bandwidth, state.rtt_ms, info["mtp_mean_ms"],
-            info["mean_v"], state.power_w, state.soc, outcome.reward,
-            "" if agent is None else agent.epsilon,
-            "" if agent is None or agent.last_loss is None else agent.last_loss,
-        )
-        for column, value in zip(columns, row):
-            column.append(value)
+        for append, read in appends:
+            append(read(t0, bandwidth, action, env, outcome, agent))
         t_parts.append(outcome.t_capture)
         mtp_parts.append(outcome.mtp_ms)
 

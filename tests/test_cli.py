@@ -92,6 +92,35 @@ def test_aggregate_and_report(tmp_path, capsys):
     assert csv_text.count("\n") == 3          # header + two seed rows
 
 
+REPORT_TABLE = """\
+scenario                     policy     seed  compl%  power_W     cpw  life_min  local% survived_s
+--------------------------------------------------------------------------------------------------
+local-stable1000             local         1  100.00    20.80    4.81     15.96   100.0        3.0
+local-stable1000             local         2  100.00    20.80    4.81     15.96   100.0        3.0
+offload-stable1000           offload       1   83.33     7.50   11.11     44.27     0.0        3.0
+offload-stable1000           offload       2   68.33     7.50    9.11     44.27     0.0        3.0
+"""
+REPORT_CSV = (
+    "scenario,policy,seed,compliance_pct,avg_power_w,compliance_per_watt,"
+    "projected_lifetime_min,local_fraction_pct,survived_s\r\n"
+    "local-stable1000,local,1,100.0,20.799999999999986,4.807692307692311,15.96153846153847,100.0,3.0\r\n"
+    "local-stable1000,local,2,100.0,20.799999999999986,4.807692307692311,15.96153846153847,100.0,3.0\r\n"
+    "offload-stable1000,offload,1,83.33333333333333,7.5,11.11111111111111,44.26666666666667,0.0,3.0\r\n"
+    "offload-stable1000,offload,2,68.33333333333333,7.5,9.11111111111111,44.26666666666667,0.0,3.0\r\n"
+)
+
+
+def test_report_table_and_csv_bytes(tmp_path, capsys):
+    for policy in ("local", "offload"):
+        assert main(["run", "--policy", policy, "--profile", "stable", "--horizon", "3",
+                     "--seeds", "1,2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    report_path = tmp_path / "report.csv"
+    assert capsys.readouterr().out == REPORT_TABLE + f"wrote {report_path}\n"
+    assert report_path.read_bytes() == REPORT_CSV.encode()
+
+
 @pytest.mark.parametrize("runs, fragment", [
     ([["--policy", "local"], ["--policy", "offload"]],
      "cannot aggregate runs of different scenarios: scenario ['local-stable1000', 'offload-stable1000']"),

@@ -133,6 +133,9 @@ def test_frame_csv_is_csv_writer_bytes(tmp_path, policy, profile, horizon_s, mbp
     assert (tmp_path / "frames.csv").read_bytes() == reference_frame_csv(res.frames)
 
 
+DECISION_HEADER = "t,action,quality,imu,mode,bandwidth_mbps,rtt_ms,mtp_mean_ms,v_mean,power_w,soc_pct,reward,epsilon,loss"
+
+
 def test_zero_horizon_run_has_typed_empty_frame_columns(tmp_path):
     res = run_experiment(local_spec(horizon=0.0), seed=1, out_dir=tmp_path)
     assert res.metrics.decisions == 0
@@ -140,6 +143,8 @@ def test_zero_horizon_run_has_typed_empty_frame_columns(tmp_path):
     assert [(a.dtype, a.size) for a in res.frames.values()] == [
         (np.float64, 0), (np.float64, 0), (np.bool_, 0), (np.int8, 0)]
     assert (tmp_path / "frames.csv").read_bytes() == b"t_capture,mtp_ms,compliant,mode\r\n"
+    assert (tmp_path / "decisions.csv").read_bytes() == DECISION_HEADER.encode() + b"\r\n"
+    assert res.decisions == {c: [] for c in DECISION_COLUMNS}
 
 
 def test_frame_modes_repeat_each_decisions_mode_over_its_frames(monkeypatch):
@@ -186,7 +191,25 @@ def test_trace_csv_headers(tmp_path):
     dec_header = (tmp_path / "decisions.csv").read_text().splitlines()[0]
     frm_header = (tmp_path / "frames.csv").read_text().splitlines()[0]
     assert dec_header.split(",") == DECISION_COLUMNS
+    assert dec_header == DECISION_HEADER
     assert frm_header.split(",") == FRAME_COLUMNS
+
+
+def test_learner_columns_hold_epsilon_and_loss_for_rl_only():
+    spec = default_scenario("rl", "cycle", horizon_s=40.0, seeds=(1,))
+    res = run_experiment(spec, seed=1)
+    cfg = spec.dqn
+    assert cfg.batch_size == 32
+    # the learner trains once its buffer holds a batch, from the 32nd decision on
+    loss = res.decisions["loss"]
+    assert [type(x) for x in loss] == [str] * 31 + [float] * 9
+    assert loss[:31] == [""] * 31
+    # epsilon is read after the decision is counted
+    assert res.decisions["epsilon"] == [
+        max(cfg.eps_min, cfg.eps0 * cfg.eps_decay**(k + 1)) for k in range(40)]
+    for policy in ("greedy", "local"):
+        res = run_experiment(default_scenario(policy, "cycle", horizon_s=40.0, seeds=(1,)), seed=1)
+        assert res.decisions["epsilon"] == res.decisions["loss"] == [""] * 40
 
 
 def test_decision_rows_record_interval_start_bandwidth():

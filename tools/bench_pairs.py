@@ -12,7 +12,11 @@ Each pair runs the unchanged `perfbench/run.py --workload W --seed n
 alternates from pair to pair. Each side's
 `.perfbench_out/result-<W>-seed<n>-trace0.json` is read after its run.
 With --traced, each side also runs `--trace 1` once per workload after the
-pairs, for the per-layer metrics.
+pairs, for the per-layer metrics, and times one 1200 s cycle episode per
+policy in-process with its own source, best of three rounds in which the
+side that runs first alternates too. Each round is a fresh process that
+runs each policy's episode once untimed first: a policy's first episode in
+a process pays a warm-up (about 1 s for rl, 40 ms for local).
 
 The output holds, per workload and metric, each pair's two values, each
 side's median and interquartile range, and the number of pairs the change
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -35,6 +40,23 @@ ROOT = Path(__file__).resolve().parent.parent
 # perfbench's end-to-end metrics, all better lower, and the raw round time
 METRICS = ("setup_s", "wall_s", "raw_wall_s", "decision_us_p50", "decision_us_p99", "peak_rss_mb")
 SIDES = ("base", "change")
+# the policies whose 1200 s cycle episode --traced times, and the rounds
+EPISODE_POLICIES = ("local", "offload", "threshold", "greedy", "rl")
+EPISODE_ROUNDS = 3
+# each policy named in argv[2:]: one untimed episode, then one timed, run by
+# run_experiment without artifacts; prints {policy: wall seconds}
+_EPISODE_SCRIPT = """
+import json, sys, time
+from xredge.harness import default_scenario, run_experiment
+seed, seconds = int(sys.argv[1]), {}
+for policy in sys.argv[2:]:
+    spec = default_scenario(policy, "cycle", horizon_s=1200.0, seeds=(seed,))
+    run_experiment(spec, seed)
+    tic = time.perf_counter()
+    run_experiment(spec, seed)
+    seconds[policy] = time.perf_counter() - tic
+print(json.dumps(seconds))
+"""
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -96,6 +118,27 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
     return run
 
 
+def episode_seconds(root: Path, seed: int) -> dict[str, float]:
+    """One warm episode of each EPISODE_POLICIES policy in a fresh process,
+    with checkout `root`'s source; returns each episode's wall seconds."""
+    cmd = [sys.executable, "-c", _EPISODE_SCRIPT, str(seed), *EPISODE_POLICIES]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    if proc.returncode != 0:
+        raise RuntimeError(f"episodes in {root} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def best_episodes(roots: dict[str, Path], seed: int) -> dict[str, dict[str, float]]:
+    """Per side, each policy's best episode wall seconds over EPISODE_ROUNDS
+    rounds, the side that runs first alternating from round to round."""
+    rounds: dict[str, list] = {side: [] for side in SIDES}
+    for i in range(EPISODE_ROUNDS):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            rounds[side].append(episode_seconds(roots[side], seed))
+    return {side: {p: min(r[p] for r in rounds[side]) for p in EPISODE_POLICIES} for side in SIDES}
+
+
 def values(run: dict) -> dict[str, float]:
     """Each metric's value in one run's result."""
     return {k: v["value"] for k, v in run["result"]["metrics"].items()}
@@ -125,11 +168,13 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
                   f"{pairs[w][-1]['base']['wall_s']:.4f} -> {pairs[w][-1]['change']['wall_s']:.4f}",
                   flush=True)
     out = {w: {"metrics": summarize(pairs[w]), "rounds": rounds[w]} for w in workloads}
+    report = {"machine": machine, "workloads": out}
     if traced:
         for w in workloads:
             out[w]["traced"] = {side: values(run_perfbench(roots[side], w, seed, seconds, 1))
                                 for side in SIDES}
-    return {"machine": machine, "workloads": out}
+        report["episode_s"] = best_episodes(roots, seed)
+    return report
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,7 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traced", action="store_true", help="also one --trace 1 run per side")
+    parser.add_argument("--traced", action="store_true", help="also one --trace 1 run per side "
+                        "and workload, and each policy's 1200 s cycle episode, best of three")
     args = parser.parse_args(argv)
 
     base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
