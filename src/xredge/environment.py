@@ -312,7 +312,13 @@ class XrEnvironment:
         else:
             rtts = rtt_samples(cfg.rtt, self.rng, captured)
             rtt = rtts[-1]
-            bandwidths = tab.levels_mbps[level_index(cfg.profile, ticks)]
+            # an interval inside one dwell sends at one bandwidth, a float;
+            # one that crosses a dwell boundary gets each tick's level
+            dwell_s = cfg.profile.dwell_s
+            if t0 // dwell_s == ticks.item(-1) // dwell_s:
+                bandwidths = bandwidth_at(cfg.profile, t0)
+            else:
+                bandwidths = tab.levels_mbps[level_index(cfg.profile, ticks)]
             offload = tab.offload_row[row]
             t_capture, mtp, dropped = self.queue.transmit(
                 ticks, bandwidths, rtts, tick_s, offload, tab.payload_offload_mbit[offload], tab)

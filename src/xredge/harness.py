@@ -9,7 +9,6 @@ that metric files are byte-reproducible.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
@@ -24,29 +23,50 @@ from .actions import N_ACTIONS, ExecutionMode
 from .config import check_ranges, field_types, fold_sum, from_jsonable, ranged, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
-from .environment import OBS_DIM, EnvConfig, XrEnvironment
+from .environment import OBS_DIM, ActionTable, EnvConfig, XrEnvironment
 from .network import BandwidthProfile, cycle_profile, level_index, load_profile, stable_profile
 from .policies import POLICIES, RlPolicy, make_policy
 
 METRICS_SCHEMA_VERSION = 1
 
-# each decisions.csv column in file order and its reader, called after the step
-# with the decision's t0, bandwidth, action, env, outcome and rl agent or None
+
+def _decision_row(t0, bandwidth, action, env, outcome, agent) -> tuple:
+    """What one decision keeps once its step has returned: plain floats, ints
+    and strs, in the order of the decisions columns `_DECISION_READERS` does
+    not build from others, so a run holds no container the cyclic GC walks.
+    t0 and the bandwidth are the decision's, and agent is the rl learner or None."""
+    state, info = env.state, outcome.info
+    if agent is None:
+        epsilon = loss = ""
+    else:
+        epsilon, loss = agent.epsilon, "" if agent.last_loss is None else agent.last_loss
+    return (t0, action, bandwidth, state.rtt_ms, info["mtp_mean_ms"], info["mean_v"],
+            state.power_w, state.soc, outcome.reward, epsilon, loss)
+
+
+def _action_label(i: int):
+    """The reader of one of an action's labels: quality, IMU rate or mode."""
+    return lambda actions: [ActionTable.labels[a][i] for a in actions]
+
+
+# each decisions.csv column in file order; a column an action label fills has
+# the reader that builds it from the action column once the run is over, and
+# every other column (None) is one field of `_decision_row`, in this order
 _DECISION_READERS = {
-    "t": lambda t0, bw, a, env, out, agent: t0,
-    "action": lambda t0, bw, a, env, out, agent: a,
-    "quality": lambda t0, bw, a, env, out, agent: env.actions.labels[a][0],
-    "imu": lambda t0, bw, a, env, out, agent: env.actions.labels[a][1],
-    "mode": lambda t0, bw, a, env, out, agent: env.actions.labels[a][2],
-    "bandwidth_mbps": lambda t0, bw, a, env, out, agent: bw,
-    "rtt_ms": lambda t0, bw, a, env, out, agent: env.state.rtt_ms,
-    "mtp_mean_ms": lambda t0, bw, a, env, out, agent: out.info["mtp_mean_ms"],
-    "v_mean": lambda t0, bw, a, env, out, agent: out.info["mean_v"],
-    "power_w": lambda t0, bw, a, env, out, agent: env.state.power_w,
-    "soc_pct": lambda t0, bw, a, env, out, agent: env.state.soc,
-    "reward": lambda t0, bw, a, env, out, agent: out.reward,
-    "epsilon": lambda t0, bw, a, env, out, agent: "" if agent is None else agent.epsilon,
-    "loss": lambda t0, bw, a, env, out, agent: "" if agent is None or agent.last_loss is None else agent.last_loss,
+    "t": None,
+    "action": None,
+    "quality": _action_label(0),
+    "imu": _action_label(1),
+    "mode": _action_label(2),
+    "bandwidth_mbps": None,
+    "rtt_ms": None,
+    "mtp_mean_ms": None,
+    "v_mean": None,
+    "power_w": None,
+    "soc_pct": None,
+    "reward": None,
+    "epsilon": None,
+    "loss": None,
 }
 # fixed trace column orders (documented interface)
 DECISION_COLUMNS = list(_DECISION_READERS)
@@ -135,8 +155,7 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
     policy = make_policy(spec.policy, spec.dqn, seed=seed + _AGENT_SEED_OFFSET)
     agent = policy.agent if isinstance(policy, RlPolicy) else None
 
-    decisions: dict[str, list] = {c: [] for c in DECISION_COLUMNS}
-    appends = [(decisions[c].append, read) for c, read in _DECISION_READERS.items()]
+    rows: list[tuple] = []
     # each step's delivered frames, concatenated once the run is over
     t_parts: list[np.ndarray] = []
     mtp_parts: list[np.ndarray] = []
@@ -154,11 +173,11 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         toc_learn = time.perf_counter()
         latencies_s.append((toc_select - tic) + (toc_learn - tic_learn))
 
-        for append, read in appends:
-            append(read(t0, bandwidth, action, env, outcome, agent))
+        rows.append(_decision_row(t0, bandwidth, action, env, outcome, agent))
         t_parts.append(outcome.t_capture)
         mtp_parts.append(outcome.mtp_ms)
 
+    decisions = _decision_columns(rows)
     # a run that never steps still gets four typed, empty columns
     mtp = np.concatenate(mtp_parts or [np.empty(0)])
     modes = np.array([c.mode for c in env.actions.configs], np.int8)
@@ -179,6 +198,16 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
     if out_dir is not None:
         write_run(Path(out_dir), result)
     return result
+
+
+def _decision_columns(rows: list[tuple]) -> dict[str, list]:
+    """Each DECISION_COLUMNS column, a list with one value per decision, built
+    once from a run's `_decision_row` tuples."""
+    kept = zip(*rows) if rows else repeat(())
+    decisions: dict[str, list] = {}
+    for column, read in _DECISION_READERS.items():
+        decisions[column] = list(next(kept)) if read is None else read(decisions["action"])
+    return decisions
 
 
 def _compute_metrics(spec, seed, env, decisions, frames) -> MetricsRecord:
@@ -354,11 +383,12 @@ def write_run(out_dir: Path, result: RunResult) -> None:
 
 
 def write_decision_csv(path: Path, decisions: dict[str, list]) -> None:
-    """One DECISION_COLUMNS row per decision."""
+    """One DECISION_COLUMNS row per decision, in csv.writer's bytes: each
+    cell is its `str`, and no cell holds a character that needs quoting."""
+    rows = map(",".join, zip(*(map(str, decisions[c]) for c in DECISION_COLUMNS)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DECISION_COLUMNS)
-        writer.writerows(zip(*(decisions[c] for c in DECISION_COLUMNS)))
+        # the empty last line ends the last row
+        fh.write("\r\n".join([",".join(DECISION_COLUMNS), *rows, ""]))
 
 
 # rows per write of frames.csv: bounds the Python objects alive at once

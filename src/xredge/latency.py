@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -159,26 +160,33 @@ class UplinkQueue:
     def transmit(self, ticks, bandwidths, rtts, dt_s, quality_row, payload_mbit, terms):
         """Capture one frame at each tick and serialize the uplink for dt_s from it.
 
-        Returns the delivered frames' capture times and MTPs as arrays, and
-        the number dropped. Each tick enqueues its frame, then spends the
-        tick's Mbit budget `bandwidth * dt_s` on the queue, oldest first: a
-        frame that fits is delivered `elapsed + remaining / bandwidth` after
-        the tick, with the MTP `offload_mtp_ms` of its per-frame `terms`, and
-        the head frame keeps its partial progress if the budget runs out
-        mid-frame. If the queue starts empty and each frame fits its own
-        tick's budget, no frame waits (the Lindley waiting is zero) and each
-        is done `payload / bandwidth` after its tick, the loop's `0.0 +
-        payload / bandwidth`: one elementwise pass prices them all.
+        `bandwidths` is the interval's one bandwidth as a float, or a numpy
+        array with each tick's. Returns the delivered frames' capture times
+        and MTPs as arrays, and the number dropped. Each tick enqueues its
+        frame, then spends the tick's Mbit budget `bandwidth * dt_s` on the
+        queue, oldest first: a frame that fits is delivered `elapsed +
+        remaining / bandwidth` after the tick, with the MTP `offload_mtp_ms`
+        of its per-frame `terms`, and the head frame keeps its partial
+        progress if the budget runs out mid-frame. If the queue starts empty
+        and each frame fits its own tick's budget, no frame waits (the
+        Lindley waiting is zero) and each is done `payload / bandwidth` after
+        its tick, the loop's `0.0 + payload / bandwidth`: one elementwise
+        pass prices them all. With one bandwidth the fit test is a single
+        comparison and the serialization time a single division.
         The arguments come from a checked `EnvConfig` and are not checked again.
         """
-        if not self.t_capture and (payload_mbit <= bandwidths * dt_s).all():
-            # the age from the delivery time, with the loop's rounding
-            age_ms = (ticks + payload_mbit / bandwidths - ticks) * 1000.0
-            return ticks, offload_mtp_ms(age_ms, np.array(rtts), terms, quality_row), 0
+        one_bw = not isinstance(bandwidths, np.ndarray)
+        if not self.t_capture:
+            fits = payload_mbit <= bandwidths * dt_s
+            if fits if one_bw else fits.all():
+                # the age from the delivery time, with the loop's rounding
+                age_ms = (ticks + payload_mbit / bandwidths - ticks) * 1000.0
+                return ticks, offload_mtp_ms(age_ms, np.array(rtts), terms, quality_row), 0
         t_capture, remaining, rows = self.t_capture, self.remaining_mbit, self.quality_row
         mtp_ms = offload_mtp_ms
         dropped, t_out, mtp_out = 0, [], []
-        for tk, bw, rtt in zip(ticks.tolist(), bandwidths.tolist(), rtts):
+        tick_bws = repeat(bandwidths) if one_bw else bandwidths.tolist()
+        for tk, bw, rtt in zip(ticks.tolist(), tick_bws, rtts):
             dropped += self.enqueue(tk, quality_row, payload_mbit)
             budget_mbit = bw * dt_s
             elapsed_s = 0.0

@@ -1,6 +1,7 @@
 """The summary that tools/bench_pairs.py writes from alternating benchmark pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,35 @@ def test_summary_keeps_every_metric_of_the_pairs():
     s = bench_pairs.summarize(pairs)
     assert s.keys() == {"wall_s", "peak_rss_mb"}
     assert s["peak_rss_mb"]["change_wins"] == 0 and s["wall_s"]["change_wins"] == 1
+
+
+def fake_result(path, wall_s, peak_rss_mb, decisions):
+    """A result file shaped like perfbench's untraced one, trimmed to what is read."""
+    metrics = {"setup_s": 0.1, "wall_s": wall_s, "decision_us_p50": 20.0,
+               "decision_us_p99": 90.0, "peak_rss_mb": peak_rss_mb}
+    path.write_text(json.dumps({
+        "result": {"failed": 0, "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}},
+        "detail": {"raw_round_s": [wall_s + 0.125], "round_s": [wall_s], "decisions": decisions,
+                   "peak_rss_mb": peak_rss_mb, "problems": []},
+    }))
+    return path
+
+
+def test_pair_keeps_each_sides_decisions_next_to_its_peak_rss(tmp_path):
+    runs = {"base": bench_pairs.read_result(fake_result(tmp_path / "b.json", 0.337, 60.7, 53728)),
+            "change": bench_pairs.read_result(fake_result(tmp_path / "c.json", 0.300, 62.0, 60112))}
+    assert bench_pairs.pair_detail(runs["change"]) == {
+        "raw_round_s": [0.425], "round_s": [0.3], "decisions": 60112, "peak_rss_mb": 62.0}
+    assert bench_pairs.end_to_end(runs["base"])["raw_wall_s"] == 0.337 + 0.125
+    line = bench_pairs.pair_line(2, 10, "static-cli", "change", runs)
+    assert line == ("pair 3/10 static-cli (change first): wall_s 0.3370 -> 0.3000, "
+                    "peak_rss_mb 60.7 (53728 decisions) -> 62.0 (60112 decisions)")
+
+
+def test_result_with_a_failed_episode_is_refused(tmp_path):
+    path = fake_result(tmp_path / "r.json", 0.3, 60.0, 100)
+    run = json.loads(path.read_text())
+    run["result"]["failed"], run["detail"]["problems"] = 1, ["metrics.json sha256 differs"]
+    path.write_text(json.dumps(run))
+    with pytest.raises(RuntimeError, match="sha256 differs"):
+        bench_pairs.read_result(path)

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,40 @@ def test_frame_csv_is_csv_writer_bytes(tmp_path, policy, profile, horizon_s, mbp
     else:
         assert n == {"two chunks": 2 * FRAME_CSV_CHUNK_ROWS, "empty": 0}[case]
     assert (tmp_path / "frames.csv").read_bytes() == reference_frame_csv(res.frames)
+
+
+def reference_decision_csv(decisions) -> bytes:
+    """decisions.csv as csv.writer writes the decision columns."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(DECISION_COLUMNS)
+    writer.writerows(zip(*(decisions[c] for c in DECISION_COLUMNS)))
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("policy, profile, horizon_s, mbps, case", [
+    ("local", "stable", 30.0, 1000.0, "local"),
+    # both modes, and congested intervals
+    ("threshold", "cycle", 300.0, 1000.0, "threshold"),
+    # nothing gets through the uplink: every interval's mean MTP is nan
+    ("offload", "stable", 5.0, 0.001, "nan"),
+    # the learner's epsilon, and an empty loss until its first train step
+    ("rl", "cycle", 40.0, 1000.0, "rl"),
+])
+def test_decision_csv_is_csv_writer_bytes(tmp_path, policy, profile, horizon_s, mbps, case):
+    spec = default_scenario(policy, profile, horizon_s=horizon_s, seeds=(1,), stable_mbps=mbps)
+    res = run_experiment(spec, seed=1, out_dir=tmp_path)
+    d = res.decisions
+    if case == "threshold":
+        assert set(d["mode"]) == {"LOCAL", "OFFLOAD"}
+    elif case == "nan":
+        assert all(math.isnan(m) for m in d["mtp_mean_ms"])
+    elif case == "rl":
+        assert all(type(e) is float for e in d["epsilon"])
+        assert "" in d["loss"] and float in {type(x) for x in d["loss"]}
+    else:
+        assert set(d["epsilon"]) == set(d["loss"]) == {""}
+    assert (tmp_path / "decisions.csv").read_bytes() == reference_decision_csv(d)
 
 
 DECISION_HEADER = "t,action,quality,imu,mode,bandwidth_mbps,rtt_ms,mtp_mean_ms,v_mean,power_w,soc_pct,reward,epsilon,loss"

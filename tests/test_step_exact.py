@@ -22,7 +22,8 @@ from xredge.actions import N_ACTIONS
 from xredge.energy import Battery, PowerParams
 from xredge.environment import EnvConfig, SystemState, XrEnvironment, interval_reward, observe
 from xredge.latency import violation
-from xredge.network import RttDistribution, RttModel, bandwidth_at, cycle_profile, stable_profile
+from xredge.network import (BandwidthProfile, RttDistribution, RttModel, bandwidth_at, cycle_profile,
+                            stable_profile)
 
 from test_queue_exact import ReferenceUplinkQueue, same_queue
 
@@ -149,6 +150,11 @@ PROFILES = {
     "stable-1": stable_profile(1.0),
     "stable-100": stable_profile(100.0),
     "stable-1000": stable_profile(1000.0),
+    # dwells that intervals straddle: then each tick reads its own level
+    "cycle-0.35s": replace(cycle_profile(), dwell_s=0.35),
+    "cycle-2.5s": replace(cycle_profile(), dwell_s=2.5),
+    # an interval's first and last ticks lie three dwells apart, at one level
+    "three-0.3s": BandwidthProfile(levels_mbps=(1000.0, 1.0, 100.0), dwell_s=0.3),
 }
 RTTS = {
     "lognormal": RttModel(),

@@ -21,8 +21,11 @@ a process pays a warm-up (about 1 s for rl, 40 ms for local).
 The output holds, per workload and metric, each pair's two values, each
 side's median and interquartile range, and the number of pairs the change
 won; next to the scaled round seconds (`wall_s`) it keeps the raw ones
-(`raw_wall_s`), since perfbench scales round times by a speed probe. It
-also holds both commits and the machine facts perfbench records.
+(`raw_wall_s`), since perfbench scales round times by a speed probe.
+Each pair also keeps both sides' round seconds and, next to their peak RSS,
+the decisions each completed: perfbench logs every decision, so a faster
+side that completes more rounds peaks higher. It also holds both commits
+and the machine facts perfbench records.
 """
 
 from __future__ import annotations
@@ -112,9 +115,14 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    run = json.loads(result.read_text())
+    return read_result(result)
+
+
+def read_result(path: Path) -> dict:
+    """A perfbench result file; a run with a failed episode raises RuntimeError."""
+    run = json.loads(path.read_text())
     if run["result"]["failed"]:
-        raise RuntimeError(f"{workload} in {root}: {run['detail']['problems']}")
+        raise RuntimeError(f"{path}: {run['detail']['problems']}")
     return run
 
 
@@ -144,6 +152,25 @@ def values(run: dict) -> dict[str, float]:
     return {k: v["value"] for k, v in run["result"]["metrics"].items()}
 
 
+# what a pair keeps of each side's run beside its end-to-end metrics: the
+# round seconds, and the decisions completed next to the peak RSS, which
+# grows with them because perfbench logs every decision
+PAIR_DETAIL = ("raw_round_s", "round_s", "decisions", "peak_rss_mb")
+
+
+def pair_detail(run: dict) -> dict:
+    return {k: run["detail"][k] for k in PAIR_DETAIL}
+
+
+def pair_line(i: int, n_pairs: int, workload: str, first: str, runs: dict[str, dict]) -> str:
+    """The progress line of one pair from each side's run: wall_s, and peak
+    RSS with the decisions completed, base -> change."""
+    b, c = ({**values(runs[side]), **pair_detail(runs[side])} for side in SIDES)
+    return (f"pair {i + 1}/{n_pairs} {workload} ({first} first): wall_s "
+            f"{b['wall_s']:.4f} -> {c['wall_s']:.4f}, peak_rss_mb {b['peak_rss_mb']:.1f} "
+            f"({b['decisions']} decisions) -> {c['peak_rss_mb']:.1f} ({c['decisions']} decisions)")
+
+
 def end_to_end(run: dict) -> dict[str, float]:
     """The end-to-end metrics of one untraced run, with the raw round time."""
     m = values(run)
@@ -162,11 +189,8 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
             runs = {side: run_perfbench(roots[side], w, seed, seconds, 0) for side in order}
             machine = machine or runs["change"]["detail"]["machine"]
             pairs[w].append({side: end_to_end(runs[side]) for side in SIDES})
-            rounds[w].append({side: {k: runs[side]["detail"][k] for k in ("raw_round_s", "round_s")}
-                              for side in SIDES})
-            print(f"pair {i + 1}/{n_pairs} {w} ({order[0]} first): wall_s "
-                  f"{pairs[w][-1]['base']['wall_s']:.4f} -> {pairs[w][-1]['change']['wall_s']:.4f}",
-                  flush=True)
+            rounds[w].append({side: pair_detail(runs[side]) for side in SIDES})
+            print(pair_line(i, n_pairs, w, order[0], runs), flush=True)
     out = {w: {"metrics": summarize(pairs[w]), "rounds": rounds[w]} for w in workloads}
     report = {"machine": machine, "workloads": out}
     if traced:
