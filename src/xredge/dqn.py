@@ -111,8 +111,8 @@ class Workspace:
     """Training buffers for one network shape and one batch size, allocated once.
 
     Per layer: its output, the error signal at its output and, for hidden
-    layers, its ReLU mask; then one flat gradient laid out like theta, with
-    per-layer views, and the batch's row index. A target forward and the
+    layers, its ReLU mask as floats 0.0 and 1.0; then one flat gradient laid
+    out like theta, with per-layer views, and the batch's row index. A target forward and the
     online forward of the same step share `outs`: the target's Q-values are
     reduced to max_next_q before the online pass overwrites them.
     """
@@ -121,7 +121,7 @@ class Workspace:
         widths = net.sizes[1:]
         self.outs = [np.empty((batch, n)) for n in widths]
         self.deltas = [np.empty((batch, n)) for n in widths]
-        self.masks = [np.empty((batch, n), dtype=bool) for n in widths[:-1]]
+        self.masks = [np.empty((batch, n)) for n in widths[:-1]]
         self.grad = np.empty_like(net.theta)
         self.grad_w, self.grad_b = layer_views(self.grad, net.sizes)
         self.rows = np.arange(batch)
@@ -157,9 +157,11 @@ def loss_and_grads(
         np.matmul(acts[i].T, dz, out=ws.grad_w[i])
         dz.sum(axis=0, out=ws.grad_b[i])
         if i > 0:
-            # a ReLU output is positive exactly where its input was
+            # a ReLU output is positive exactly where its input was, and never
+            # negative, so its sign is the 0/1 mask; a float mask spares the
+            # multiply numpy's cast buffer for a bool operand
             da = np.matmul(dz, net.weights[i].T, out=ws.deltas[i - 1])
-            dz = np.multiply(da, np.greater(acts[i], 0.0, out=ws.masks[i - 1]), out=da)
+            dz = np.multiply(da, np.sign(acts[i], out=ws.masks[i - 1]), out=da)
     return loss, ws.grad
 
 

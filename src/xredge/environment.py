@@ -21,7 +21,7 @@ from .actions import ExecutionMode, N_ACTIONS, all_configs, quality_scale
 from .config import check_ranges, ranged
 from .energy import Battery, PowerParams, client_power
 from .latency import (FrameSizeModel, ProcTimeTable, UplinkQueue, mtp_local, offload_mtp_ms,
-                      proc_time, violation)
+                      proc_time, serialization_s, violation)
 from .network import BandwidthProfile, RttModel, bandwidth_at, last_rtt, level_index, rtt_samples
 
 # the most frames an interval may hold: the action table and each step build arrays that long
@@ -151,6 +151,8 @@ class ActionTable:
         self.tick_offsets_s = np.arange(n) * tick_s
         self.levels_mbps = np.array(cfg.profile.levels_mbps)
         self.power_w = tuple(client_power(c, t, cfg.power) for c in self.configs)
+        # each action's reward power term, which the greedy predictor adds as is
+        self.power_term = tuple(power_term(p, cfg.reward) for p in self.power_w)
         self.mtp_local_ms = tuple(
             mtp_local(c, t) if local else float("nan")
             for c, local in zip(self.configs, self.is_local)
@@ -173,7 +175,8 @@ class ActionTable:
         # or its offload terms plus the largest payload's serialization at the
         # slowest bandwidth level; a constant too large for the run path
         # overflows here to inf, which the check below rejects
-        serial_ms = max(self.payload_offload_mbit) / min(cfg.profile.levels_mbps) * 1000.0
+        slowest_s = serialization_s(max(self.payload_offload_mbit), min(cfg.profile.levels_mbps))
+        serial_ms = slowest_s * 1000.0
         mtp_ms = [m if local else fixed_ms[r] + serial_ms
                   for m, local, r in zip(self.mtp_local_ms, self.is_local, self.offload_row)]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -184,7 +187,7 @@ class ActionTable:
             mtp_mean = [_mean(np.full(n, m)) for m in mtp_ms]
             v_mean = [_mean(np.full(n, x)) for x in v]
             # a compliant interval's reward at zero charge: the bonus plus the power term
-            compliant_reward = [interval_reward(0.0, p, 0.0, cfg.reward) for p in self.power_w]
+            compliant_reward = [compliance_term(0.0, cfg.reward) + r for r in self.power_term]
         for name, values in (("client power (W)", self.power_w),
                              ("mean MTP over an interval (ms)", mtp_mean),
                              ("mean violation over an interval", v_mean),
@@ -214,15 +217,27 @@ class StepOutcome:
     info: dict
 
 
+def compliance_term(mean_v: float, params: RewardParams) -> float:
+    """The epoch reward's latency term: the bonus for an epoch with no
+    violation, else the violation penalty."""
+    if mean_v == 0.0:
+        return params.bonus
+    return -params.lam * mean_v
+
+
+def power_term(power_w: float, params: RewardParams) -> float:
+    """The epoch reward's power term, a cost relative to p_max_w."""
+    return -params.alpha_power * power_w / params.p_max_w
+
+
+def battery_term(soc: float, params: RewardParams) -> float:
+    """The epoch reward's battery credit for the state of charge in percent."""
+    return params.beta_battery * soc / 100.0
+
+
 def interval_reward(mean_v: float, power_w: float, soc: float, params: RewardParams) -> float:
     """Reward of one decision epoch from its aggregate outcome."""
-    if mean_v == 0.0:
-        r_mtp = params.bonus
-    else:
-        r_mtp = -params.lam * mean_v
-    r_power = -params.alpha_power * power_w / params.p_max_w
-    r_battery = params.beta_battery * soc / 100.0
-    return r_mtp + r_power + r_battery
+    return compliance_term(mean_v, params) + power_term(power_w, params) + battery_term(soc, params)
 
 
 # the length of `observe`'s vector, the learner's input size

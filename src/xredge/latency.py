@@ -93,6 +93,11 @@ def violation(mtp_ms, tau_ms: float):
     return np.maximum(0.0, (mtp_ms - tau_ms) / tau_ms)
 
 
+def serialization_s(mbit, mbps):
+    """Seconds to send mbit at mbps; floats or numpy arrays."""
+    return mbit / mbps
+
+
 def offload_mtp_ms(age_ms, rtt_ms, terms, row):
     """Motion-to-photon latency in ms of an offloaded frame whose queueing
     and transmission took age_ms (`UplinkQueue.transmit` computes it): that
@@ -180,10 +185,10 @@ class UplinkQueue:
             fits = payload_mbit <= bandwidths * dt_s
             if fits if one_bw else fits.all():
                 # the age from the delivery time, with the loop's rounding
-                age_ms = (ticks + payload_mbit / bandwidths - ticks) * 1000.0
+                age_ms = (ticks + serialization_s(payload_mbit, bandwidths) - ticks) * 1000.0
                 return ticks, offload_mtp_ms(age_ms, np.array(rtts), terms, quality_row), 0
         t_capture, remaining, rows = self.t_capture, self.remaining_mbit, self.quality_row
-        mtp_ms = offload_mtp_ms
+        mtp_ms, serial_s = offload_mtp_ms, serialization_s
         dropped, t_out, mtp_out = 0, [], []
         tick_bws = repeat(bandwidths) if one_bw else bandwidths.tolist()
         for tk, bw, rtt in zip(ticks.tolist(), tick_bws, rtts):
@@ -193,7 +198,7 @@ class UplinkQueue:
             while remaining and budget_mbit > 0.0:
                 head = remaining[0]
                 if head <= budget_mbit:
-                    elapsed_s += head / bw
+                    elapsed_s += serial_s(head, bw)
                     budget_mbit -= head
                     remaining.popleft()
                     t = t_capture.popleft()

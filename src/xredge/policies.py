@@ -15,9 +15,9 @@ How GREEDY scores actions: `predicted_epoch` runs the uplink's Lindley
 recursion frame by frame, once per offload quality of the environment's
 action table, and adds each frame's age to the table's
 `latency.offload_mtp_ms` at zero age; each action reads its violation from
-that sweep or, if local, from the table, and its reward is the simulator's
-`interval_reward`. Every value is bit-identical to the per-action definition
-that the tests keep as their reference.
+that sweep or, if local, from the table, and its reward is the sum of the
+simulator's `interval_reward` terms. Every value is bit-identical to the
+per-action definition that the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .actions import N_ACTIONS
 from .dqn import DqnAgent, DqnConfig
-from .environment import XrEnvironment, interval_reward
-from .latency import violation
+from .environment import XrEnvironment, battery_term, compliance_term
+from .latency import serialization_s, violation
 
 # full-quality on-device execution, the latency-safe reference
 ACTION_LOCAL_FULL = 4      # HIGH imu, HIGH quality, LOCAL
@@ -92,7 +92,7 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
     # with the queue empty the slacks depend on the bandwidth alone, so the
     # environment keeps their exceedances; a backlog's are priced afresh
     if env.queue.depth:
-        backlog_ms = env.queue.backlog_mbit / bw * 1000.0
+        backlog_ms = serialization_s(env.queue.backlog_mbit, bw) * 1000.0
         excess = {}
     else:
         backlog_ms = 0.0
@@ -100,7 +100,7 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
 
     # one row per offload quality, one finish time per frame
     rows = []
-    for s in [p / bw * 1000.0 for p in tab.payload_offload_mbit]:
+    for s in [serialization_s(p, bw) * 1000.0 for p in tab.payload_offload_mbit]:
         f = backlog_ms + s
         row = [f]
         for a in tab.later_arrival_ms:
@@ -111,19 +111,21 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
 
     det_mtp = (finish - arrival) + tab.fixed_offload_ms
     slack = tau - det_mtp
-    # already violating before jitter: the mean jitter adds on top
-    ev = violation(det_mtp + tab.jitter_mean_ms, tau)
     pos = slack > 0.0
+    # already violating before jitter: the mean jitter adds on top; where
+    # every frame has slack, the exceedances below overwrite every value
+    ev = np.empty_like(slack) if pos.all() else violation(det_mtp + tab.jitter_mean_ms, tau)
     if pos.any():
-        values = []
-        for x in slack[pos].tolist():
-            e = excess.get(x)
-            if e is None:
-                e = excess[x] = cfg.rtt.jitter_excess_mean_ms(x) / tau
-            values.append(e)
+        xs = slack[pos].tolist()
+        values = list(map(excess.get, xs))
+        if None in values:
+            # price each slack not seen before once, then gather again
+            for x in set(xs).difference(excess):
+                excess[x] = cfg.rtt.jitter_excess_mean_ms(x) / tau
+            values = list(map(excess.get, xs))
         ev[pos] = values
-    # cumsum adds in frame order, as the definition does; np.sum adds pairwise
-    return (np.cumsum(ev, axis=1)[:, -1] / n).tolist()
+    # accumulate adds in frame order, as the definition does; np.sum adds pairwise
+    return (np.add.accumulate(ev, axis=1)[:, -1] / n).tolist()
 
 
 def predicted_epoch_violation(action_id: int, env: XrEnvironment, offload_v: list[float]) -> float:
@@ -144,13 +146,16 @@ def predicted_epoch(env: XrEnvironment) -> tuple[list[float], list[float]]:
 
     Returns two length-18 lists indexed by action id. The offload sweep runs
     once; each action then reads its violation through
-    `predicted_epoch_violation`. The reward is `interval_reward` of that
-    violation, the action's power draw and the current charge.
+    `predicted_epoch_violation`. The reward adds `interval_reward`'s terms
+    in its order: the compliance term of that violation, the action's power
+    term from the table and the battery term of the current charge, which
+    is computed once.
     """
     offload_v = offload_epoch_violation(env)
     v = [predicted_epoch_violation(a, env, offload_v) for a in range(N_ACTIONS)]
-    soc, params = env.state.soc, env.cfg.reward
-    return v, [interval_reward(x, p, soc, params) for x, p in zip(v, env.actions.power_w)]
+    params = env.cfg.reward
+    battery = battery_term(env.state.soc, params)
+    return v, [compliance_term(x, params) + r + battery for x, r in zip(v, env.actions.power_term)]
 
 
 def greedy_select(env: XrEnvironment) -> int:

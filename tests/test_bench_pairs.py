@@ -53,9 +53,9 @@ def test_summary_keeps_every_metric_of_the_pairs():
     assert s["peak_rss_mb"]["change_wins"] == 0 and s["wall_s"]["change_wins"] == 1
 
 
-def fake_result(path, wall_s, peak_rss_mb, decisions):
+def fake_result(path, wall_s, peak_rss_mb, decisions, decision_us_p50=20.0):
     """A result file shaped like perfbench's untraced one, trimmed to what is read."""
-    metrics = {"setup_s": 0.1, "wall_s": wall_s, "decision_us_p50": 20.0,
+    metrics = {"setup_s": 0.1, "wall_s": wall_s, "decision_us_p50": decision_us_p50,
                "decision_us_p99": 90.0, "peak_rss_mb": peak_rss_mb}
     path.write_text(json.dumps({
         "result": {"failed": 0, "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}},
@@ -66,14 +66,28 @@ def fake_result(path, wall_s, peak_rss_mb, decisions):
 
 
 def test_pair_keeps_each_sides_decisions_next_to_its_peak_rss(tmp_path):
-    runs = {"base": bench_pairs.read_result(fake_result(tmp_path / "b.json", 0.337, 60.7, 53728)),
-            "change": bench_pairs.read_result(fake_result(tmp_path / "c.json", 0.300, 62.0, 60112))}
+    runs = {"base": bench_pairs.read_result(fake_result(tmp_path / "b.json", 0.337, 60.7, 53728, 28.85)),
+            "change": bench_pairs.read_result(fake_result(tmp_path / "c.json", 0.300, 62.0, 60112, 26.76))}
     assert bench_pairs.pair_detail(runs["change"]) == {
         "raw_round_s": [0.425], "round_s": [0.3], "decisions": 60112, "peak_rss_mb": 62.0}
     assert bench_pairs.end_to_end(runs["base"])["raw_wall_s"] == 0.337 + 0.125
+    assert bench_pairs.end_to_end(runs["change"])["decision_us_p50"] == 26.76
     line = bench_pairs.pair_line(2, 10, "static-cli", "change", runs)
     assert line == ("pair 3/10 static-cli (change first): wall_s 0.3370 -> 0.3000, "
+                    "decision_us_p50 28.85 -> 26.76, "
                     "peak_rss_mb 60.7 (53728 decisions) -> 62.0 (60112 decisions)")
+
+
+def test_episode_summary_keeps_every_round_with_its_spread():
+    # three rounds' {policy: seconds}, as each episode process prints them
+    rl = [0.75, 0.5, 0.875]
+    rounds = [{"local": 0.03, "offload": 0.07, "threshold": 0.06, "greedy": 0.25 + i, "rl": x}
+              for i, x in enumerate(rl)]
+    s = bench_pairs.episode_summary(rounds)
+    assert s.keys() == set(bench_pairs.EPISODE_POLICIES)
+    assert s["rl"] == {"rounds": rl, "min": 0.5, "median": 0.75, "max": 0.875}
+    assert s["greedy"] == {"rounds": [0.25, 1.25, 2.25], "min": 0.25, "median": 1.25, "max": 2.25}
+    assert s["local"] == {"rounds": [0.03] * 3, "min": 0.03, "median": 0.03, "max": 0.03}
 
 
 def test_result_with_a_failed_episode_is_refused(tmp_path):

@@ -18,23 +18,21 @@ from hypothesis import strategies as st
 
 from xredge.actions import N_ACTIONS, ExecutionMode, QualityLevel, decode_action, quality_scale
 from xredge.energy import PowerParams, client_power
-from xredge.environment import EnvConfig, XrEnvironment, interval_reward
+from xredge.environment import (EnvConfig, RewardParams, XrEnvironment, battery_term,
+                                compliance_term, interval_reward, power_term)
 from xredge.harness import default_scenario
 from xredge.latency import ProcTimeTable, UplinkQueue, mtp_local, violation
 from xredge.network import RttDistribution, RttModel, cycle_profile, stable_profile
 from xredge.policies import greedy_select, predicted_epoch
 
 
-def reference_violation(action_id, env):
-    """Mean violation of one epoch under one action, one frame at a time."""
+def reference_frames(action_id, env):
+    """Each frame's deterministic MTP and its slack below the threshold,
+    one frame at a time, for an offload action."""
     cfg = env.cfg
     exec_cfg = decode_action(action_id)
     tau = cfg.tau_mtp_ms
     n_frames = cfg.actions.n_ticks
-
-    if exec_cfg.mode is ExecutionMode.LOCAL:
-        return violation(mtp_local(exec_cfg, cfg.table), tau)
-
     bw = env.state.bandwidth_mbps
     phi = quality_scale(exec_cfg.quality)
     serial_ms = cfg.frame.payload_mbit(exec_cfg.quality) / bw * 1000.0
@@ -47,20 +45,32 @@ def reference_violation(action_id, env):
     backlog_ms = env.queue.backlog_mbit / bw * 1000.0
     frame_period_ms = cfg.power.tau_frame_ms
 
-    total_v = 0.0
     finish_ms = backlog_ms  # transmission-finish time of the previous frame
     for i in range(n_frames):
         arrival_ms = i * frame_period_ms
         start_ms = max(arrival_ms, finish_ms)
         finish_ms = start_ms + serial_ms
         det_mtp = (finish_ms - arrival_ms) + fixed_ms
-        slack = tau - det_mtp
+        yield det_mtp, tau - det_mtp
+
+
+def reference_violation(action_id, env):
+    """Mean violation of one epoch under one action, one frame at a time."""
+    cfg = env.cfg
+    exec_cfg = decode_action(action_id)
+    tau = cfg.tau_mtp_ms
+
+    if exec_cfg.mode is ExecutionMode.LOCAL:
+        return violation(mtp_local(exec_cfg, cfg.table), tau)
+
+    total_v = 0.0
+    for det_mtp, slack in reference_frames(action_id, env):
         if slack <= 0.0:
             ev = (det_mtp + cfg.rtt.jitter_mean_ms() - tau) / tau
         else:
             ev = cfg.rtt.jitter_excess_mean_ms(slack) / tau
         total_v += ev
-    return total_v / n_frames
+    return total_v / cfg.actions.n_ticks
 
 
 def reference_reward(action_id, env):
@@ -182,6 +192,57 @@ def test_exceedances_kept_per_environment_stay_few_and_skip_a_backlog():
     env.queue.enqueue(env.t - 0.05, row, env.cfg.frame.payload_mbit(QualityLevel.HIGH) * 0.3)
     assert_exact(env)
     assert env.excess_per_tau == kept
+
+
+@pytest.mark.parametrize("mbps, any_slack, all_slack", [
+    (1000.0, True, True),     # every frame of every quality has slack before jitter
+    (100.0, True, False),     # only the lowest quality's frames have
+    (1.0, False, False),      # no frame has
+])
+def test_prediction_exact_on_each_pricing_branch(mbps, any_slack, all_slack):
+    env = XrEnvironment(EnvConfig(profile=stable_profile(mbps)), seed=0)
+    offload = [a for a in range(N_ACTIONS) if not env.actions.is_local[a]]
+
+    def assert_branch():
+        positive = [slack > 0.0 for a in offload for _, slack in reference_frames(a, env)]
+        assert (any(positive), all(positive)) == (any_slack, all_slack)
+
+    # every exceedance is priced for the first time
+    assert env.excess_per_tau == {}
+    assert_branch()
+    assert_exact(env)
+    kept = dict(env.excess_per_tau)
+    assert bool(kept) == any_slack
+    # every exceedance is read from those kept
+    assert_exact(env)
+    assert env.excess_per_tau == kept
+    # a backlog too short to change the branch is priced afresh
+    row = env.actions.offload_qualities.index(QualityLevel.HIGH)
+    env.queue.enqueue(-0.05, row, env.cfg.frame.payload_mbit(QualityLevel.HIGH) * 1e-3)
+    assert_branch()
+    assert_exact(env)
+    assert env.excess_per_tau == kept
+
+
+finite = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    params=st.builds(RewardParams, bonus=finite, alpha_power=finite, beta_battery=finite,
+                     lam=finite, p_max_w=st.floats(1e-3, 1e3)),
+    mean_v=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    power_w=st.floats(0.0, 30.0),
+    soc=st.floats(0.0, 100.0),
+)
+def test_reward_is_the_sum_of_its_terms(params, mean_v, power_w, soc):
+    r = interval_reward(mean_v, power_w, soc, params)
+    assert r == (compliance_term(mean_v, params) + power_term(power_w, params)) + battery_term(soc, params)
+    # the terms as the epoch reward first defined them
+    r_mtp = params.bonus if mean_v == 0.0 else -params.lam * mean_v
+    assert r == r_mtp + -params.alpha_power * power_w / params.p_max_w + params.beta_battery * soc / 100.0
+    tab = EnvConfig(reward=params).actions
+    assert tab.power_term == tuple(power_term(p, params) for p in tab.power_w)
 
 
 @pytest.mark.parametrize("tau", [30.0, 20.0])

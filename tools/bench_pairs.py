@@ -13,10 +13,12 @@ alternates from pair to pair. Each side's
 `.perfbench_out/result-<W>-seed<n>-trace0.json` is read after its run.
 With --traced, each side also runs `--trace 1` once per workload after the
 pairs, for the per-layer metrics, and times one 1200 s cycle episode per
-policy in-process with its own source, best of three rounds in which the
-side that runs first alternates too. Each round is a fresh process that
-runs each policy's episode once untimed first: a policy's first episode in
-a process pays a warm-up (about 1 s for rl, 40 ms for local).
+policy in-process with its own source, in three rounds in which the side
+that runs first alternates too; it keeps every round's seconds with their
+minimum, median and maximum, since one side's best round can fall in a
+faster phase of the host than the other's. Each round is a fresh process
+that runs each policy's episode once untimed first: a policy's first
+episode in a process pays a warm-up (about 1 s for rl, 40 ms for local).
 
 The output holds, per workload and metric, each pair's two values, each
 side's median and interquartile range, and the number of pairs the change
@@ -137,14 +139,24 @@ def episode_seconds(root: Path, seed: int) -> dict[str, float]:
     return json.loads(proc.stdout)
 
 
-def best_episodes(roots: dict[str, Path], seed: int) -> dict[str, dict[str, float]]:
-    """Per side, each policy's best episode wall seconds over EPISODE_ROUNDS
-    rounds, the side that runs first alternating from round to round."""
+def episode_summary(rounds: list[dict[str, float]]) -> dict[str, dict]:
+    """Per policy of one side's rounds: each round's episode seconds, in
+    round order, and their minimum, median and maximum."""
+    out = {}
+    for p in EPISODE_POLICIES:
+        xs = [r[p] for r in rounds]
+        out[p] = {"rounds": xs, "min": min(xs), "median": statistics.median(xs), "max": max(xs)}
+    return out
+
+
+def episode_rounds(roots: dict[str, Path], seed: int) -> dict[str, dict[str, dict]]:
+    """Per side, `episode_summary` of EPISODE_ROUNDS rounds, the side that
+    runs first alternating from round to round."""
     rounds: dict[str, list] = {side: [] for side in SIDES}
     for i in range(EPISODE_ROUNDS):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             rounds[side].append(episode_seconds(roots[side], seed))
-    return {side: {p: min(r[p] for r in rounds[side]) for p in EPISODE_POLICIES} for side in SIDES}
+    return {side: episode_summary(rounds[side]) for side in SIDES}
 
 
 def values(run: dict) -> dict[str, float]:
@@ -163,11 +175,12 @@ def pair_detail(run: dict) -> dict:
 
 
 def pair_line(i: int, n_pairs: int, workload: str, first: str, runs: dict[str, dict]) -> str:
-    """The progress line of one pair from each side's run: wall_s, and peak
-    RSS with the decisions completed, base -> change."""
+    """The progress line of one pair from each side's run: wall_s, the
+    decision p50, and peak RSS with the decisions completed, base -> change."""
     b, c = ({**values(runs[side]), **pair_detail(runs[side])} for side in SIDES)
     return (f"pair {i + 1}/{n_pairs} {workload} ({first} first): wall_s "
-            f"{b['wall_s']:.4f} -> {c['wall_s']:.4f}, peak_rss_mb {b['peak_rss_mb']:.1f} "
+            f"{b['wall_s']:.4f} -> {c['wall_s']:.4f}, decision_us_p50 "
+            f"{b['decision_us_p50']:.2f} -> {c['decision_us_p50']:.2f}, peak_rss_mb {b['peak_rss_mb']:.1f} "
             f"({b['decisions']} decisions) -> {c['peak_rss_mb']:.1f} ({c['decisions']} decisions)")
 
 
@@ -197,7 +210,7 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
         for w in workloads:
             out[w]["traced"] = {side: values(run_perfbench(roots[side], w, seed, seconds, 1))
                                 for side in SIDES}
-        report["episode_s"] = best_episodes(roots, seed)
+        report["episode_s"] = episode_rounds(roots, seed)
     return report
 
 
@@ -211,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--traced", action="store_true", help="also one --trace 1 run per side "
-                        "and workload, and each policy's 1200 s cycle episode, best of three")
+                        "and workload, and each policy's 1200 s cycle episode in three rounds")
     args = parser.parse_args(argv)
 
     base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
