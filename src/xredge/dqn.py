@@ -175,12 +175,15 @@ def td_targets(
     return rewards + gamma * (1.0 - dones) * max_next_q
 
 
+# Adam's moment decay rates and the guard added to its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam over one flat parameter vector, which it updates in place."""
 
-    def __init__(self, theta: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, theta: np.ndarray, lr: float):
+        self.lr = lr
         self.theta = theta
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
@@ -193,19 +196,19 @@ class Adam:
         """m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
         theta -= (lr*m_hat) / (sqrt(v_hat) + eps), one operation at a time.
 
-        A bias correction whose denominator has rounded to exactly 1.0 is
-        skipped, since x / 1.0 == x for every float64: for beta1 = 0.9 from
-        t = 356 on, for beta2 = 0.999 from t = 37412 on."""
+        A bias correction whose denominator has rounded to exactly 1.0 divides
+        by 1.0, which changes no float64: the first moment's, from t = 356 on,
+        is then skipped; the second moment's is 1.0 only from t = 37412 on."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         m, v, s, u = self.m, self.v, self._s, self._u
         m *= b1
         m += np.multiply(1 - b1, grad, out=s)
         v *= b2
         v += np.multiply(np.multiply(1 - b2, grad, out=s), grad, out=s)
-        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=s), out=s)
-        s += self.eps
+        c1 = 1 - b1**self.t
+        np.sqrt(np.divide(v, 1 - b2**self.t, out=s), out=s)
+        s += ADAM_EPS
         np.multiply(self.lr, m if c1 == 1.0 else np.divide(m, c1, out=u), out=u)
         self.theta -= np.divide(u, s, out=u)
 

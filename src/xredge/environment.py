@@ -146,10 +146,9 @@ class ActionTable:
                 f"period, at most {MAX_INTERVAL_FRAMES} of them: {interval} s vs {tick_s} s"
             )
         # each frame's capture time within an interval, relative to its start,
-        # and the bandwidth levels, which step indexes; k * tick_s <= n * tick_s,
-        # which the check above keeps finite
+        # which step slices; k * tick_s <= n * tick_s, which the check above
+        # keeps finite
         self.tick_offsets_s = np.arange(n) * tick_s
-        self.levels_mbps = np.array(cfg.profile.levels_mbps)
         self.power_w = tuple(client_power(c, t, cfg.power) for c in self.configs)
         # each action's reward power term, which the greedy predictor adds as is
         self.power_term = tuple(power_term(p, cfg.reward) for p in self.power_w)
@@ -333,7 +332,7 @@ class XrEnvironment:
             if t0 // dwell_s == ticks.item(-1) // dwell_s:
                 bandwidths = bandwidth_at(cfg.profile, t0)
             else:
-                bandwidths = tab.levels_mbps[level_index(cfg.profile, ticks)]
+                bandwidths = np.array(cfg.profile.levels_mbps)[level_index(cfg.profile, ticks)]
             offload = tab.offload_row[row]
             t_capture, mtp, dropped = self.queue.transmit(
                 ticks, bandwidths, rtts, tick_s, offload, tab.payload_offload_mbit[offload], tab)
@@ -341,11 +340,12 @@ class XrEnvironment:
             mtp_mean = _mean(mtp) if mtp.size else float("nan")
             # epoch violation: delivered frames plus a censored lower bound
             # for frames captured this interval that are still stuck in the
-            # queue (an epoch that delivers nothing must not look compliant)
+            # queue (an epoch that delivers nothing must not look compliant);
+            # the newest frame is one or the other, so there is at least one
             pending = [(t_end - t) * 1000.0 for t in self.queue.t_capture if t >= t0]
             pending_censored = len(pending)
             v_values = violation(np.concatenate((mtp, pending)) if pending else mtp, cfg.tau_mtp_ms)
-            mean_v = _mean(v_values) if v_values.size else 0.0
+            mean_v = _mean(v_values)
 
         self.t = t_end
         self.frames_captured += captured

@@ -30,46 +30,26 @@ from .policies import POLICIES, RlPolicy, make_policy
 METRICS_SCHEMA_VERSION = 1
 
 
+# each decisions.csv column, in file order: one field of `_decision_row` each
+DECISION_COLUMNS = ["t", "action", "quality", "imu", "mode", "bandwidth_mbps", "rtt_ms",
+                    "mtp_mean_ms", "v_mean", "power_w", "soc_pct", "reward", "epsilon", "loss"]
+
+
 def _decision_row(t0, bandwidth, action, env, outcome, agent) -> tuple:
-    """What one decision keeps once its step has returned: plain floats, ints
-    and strs, in the order of the decisions columns `_DECISION_READERS` does
-    not build from others, so a run holds no container the cyclic GC walks.
-    t0 and the bandwidth are the decision's, and agent is the rl learner or None."""
+    """What one decision keeps once its step has returned: one plain float,
+    int or str per DECISION_COLUMNS column, in its order, so a run holds no
+    container the cyclic GC walks. t0 and the bandwidth are the decision's,
+    and agent is the rl learner or None."""
     state, info = env.state, outcome.info
     if agent is None:
         epsilon = loss = ""
     else:
         epsilon, loss = agent.epsilon, "" if agent.last_loss is None else agent.last_loss
-    return (t0, action, bandwidth, state.rtt_ms, info["mtp_mean_ms"], info["mean_v"],
-            state.power_w, state.soc, outcome.reward, epsilon, loss)
+    return (t0, action, *ActionTable.labels[action], bandwidth, state.rtt_ms, info["mtp_mean_ms"],
+            info["mean_v"], state.power_w, state.soc, outcome.reward, epsilon, loss)
 
 
-def _action_label(i: int):
-    """The reader of one of an action's labels: quality, IMU rate or mode."""
-    return lambda actions: [ActionTable.labels[a][i] for a in actions]
-
-
-# each decisions.csv column in file order; a column an action label fills has
-# the reader that builds it from the action column once the run is over, and
-# every other column (None) is one field of `_decision_row`, in this order
-_DECISION_READERS = {
-    "t": None,
-    "action": None,
-    "quality": _action_label(0),
-    "imu": _action_label(1),
-    "mode": _action_label(2),
-    "bandwidth_mbps": None,
-    "rtt_ms": None,
-    "mtp_mean_ms": None,
-    "v_mean": None,
-    "power_w": None,
-    "soc_pct": None,
-    "reward": None,
-    "epsilon": None,
-    "loss": None,
-}
-# fixed trace column orders (documented interface)
-DECISION_COLUMNS = list(_DECISION_READERS)
+# fixed trace column order (documented interface)
 FRAME_COLUMNS = ["t_capture", "mtp_ms", "compliant", "mode"]
 
 # keeps the learner's stream distinct from the environment's for equal seeds
@@ -177,7 +157,9 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         t_parts.append(outcome.t_capture)
         mtp_parts.append(outcome.mtp_ms)
 
-    decisions = _decision_columns(rows)
+    # each decision column once, from the rows; a run that never steps gets empty lists
+    kept = zip(*rows) if rows else repeat(())
+    decisions = {c: list(next(kept)) for c in DECISION_COLUMNS}
     # a run that never steps still gets four typed, empty columns
     mtp = np.concatenate(mtp_parts or [np.empty(0)])
     modes = np.array([c.mode for c in env.actions.configs], np.int8)
@@ -198,16 +180,6 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
     if out_dir is not None:
         write_run(Path(out_dir), result)
     return result
-
-
-def _decision_columns(rows: list[tuple]) -> dict[str, list]:
-    """Each DECISION_COLUMNS column, a list with one value per decision, built
-    once from a run's `_decision_row` tuples."""
-    kept = zip(*rows) if rows else repeat(())
-    decisions: dict[str, list] = {}
-    for column, read in _DECISION_READERS.items():
-        decisions[column] = list(next(kept)) if read is None else read(decisions["action"])
-    return decisions
 
 
 def _compute_metrics(spec, seed, env, decisions, frames) -> MetricsRecord:
@@ -455,7 +427,7 @@ def default_scenario(
         label = Path(profile).stem
     env = replace(EnvConfig(), profile=prof, horizon_s=horizon_s)
     return ScenarioSpec(
-        name=name or f"{policy}-{label}",
+        name=name if name is not None else f"{policy}-{label}",
         policy=policy,
         env=env,
         seeds=seeds,

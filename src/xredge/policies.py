@@ -33,6 +33,8 @@ from .latency import serialization_s, violation
 ACTION_LOCAL_FULL = 4      # HIGH imu, HIGH quality, LOCAL
 # full-quality offloaded execution, the power-saving reference
 ACTION_OFFLOAD_FULL = 5    # HIGH imu, HIGH quality, OFFLOAD
+# the observed bandwidth above which THRESHOLD offloads
+THRESHOLD_MBPS = 15.0
 
 
 class StaticPolicy:
@@ -56,11 +58,8 @@ def threshold_select(bandwidth_mbps: float, threshold_mbps: float) -> int:
 class ThresholdPolicy:
     """Bandwidth-threshold rule at full IMU rate and image quality."""
 
-    def __init__(self, threshold_mbps: float = 15.0):
-        self.threshold_mbps = threshold_mbps
-
     def select(self, env: XrEnvironment) -> int:
-        return threshold_select(env.state.bandwidth_mbps, self.threshold_mbps)
+        return threshold_select(env.state.bandwidth_mbps, THRESHOLD_MBPS)
 
     def observe_outcome(self, outcome, env) -> None:
         pass

@@ -97,3 +97,16 @@ def test_result_with_a_failed_episode_is_refused(tmp_path):
     path.write_text(json.dumps(run))
     with pytest.raises(RuntimeError, match="sha256 differs"):
         bench_pairs.read_result(path)
+
+
+def test_source_lines_count_newlines_of_the_package_modules_only(tmp_path):
+    pkg = tmp_path / "src" / "xredge"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    # a last line without a newline is not counted, as `wc -l` does not
+    (pkg / "b.py").write_text("\n\nz = 3")
+    (pkg / "notes.txt").write_text("not source\n")
+    (tmp_path / "src" / "other.py").write_text("w = 4\n")
+    assert bench_pairs.source_lines(tmp_path) == 4
+    (pkg / "a.py").unlink()
+    assert bench_pairs.source_lines(tmp_path) == 2

@@ -655,6 +655,18 @@ def test_scenario_name_that_leaves_out_fails_before_any_run(tmp_path, capsys, co
     assert not list(tmp_path.iterdir())
 
 
+# an empty --name ran under the default name, while a scenario file's "" failed
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--param", "env.horizon_s", "--values", "3"],
+], ids=["run", "sweep"])
+def test_empty_scenario_name_fails_before_any_run(tmp_path, capsys, command):
+    rc = main([*command, "--name", "", "--policy", "local", "--horizon", "3", "--seeds", "1",
+               "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, "scenario name must be one directory name: ''")
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_values_starting_with_a_dash(tmp_path, capsys):
     # argparse reads `--values -Infinity` as a flag; the `=` form reaches the sweep
     argv = ["sweep", "--policy", "local", "--horizon", "3", "--seeds", "1",

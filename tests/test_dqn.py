@@ -5,6 +5,9 @@ import pytest
 from scipy import stats
 
 from xredge.dqn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     DqnAgent,
     DqnConfig,
@@ -143,9 +146,10 @@ def test_adam_minimizes_quadratic():
 
 @pytest.mark.parametrize("t", [355, 356, 357, 37411, 37412])
 def test_adam_skipping_a_unit_bias_correction_is_exact(t):
-    # 1 - 0.9**t rounds to exactly 1.0 from t = 356 on, 1 - 0.999**t from
-    # t = 37412 on, and Adam then skips that divide; the step must still
-    # equal the one with every divide written out
+    # 1 - 0.9**t rounds to exactly 1.0 from t = 356 on, and Adam then skips
+    # that divide; 1 - 0.999**t does from t = 37412 on, and Adam divides by
+    # it still; the step must equal the one with every divide written out
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
     assert (1 - 0.9**t == 1.0) is (t >= 356)
     assert (1 - 0.999**t == 1.0) is (t >= 37412)
     rng = np.random.default_rng(t)
@@ -154,7 +158,7 @@ def test_adam_skipping_a_unit_bias_correction_is_exact(t):
     opt.m[...] = rng.normal(size=40)
     opt.v[...] = rng.uniform(size=40)
     opt.t = t - 1
-    b1, b2, lr, eps = opt.beta1, opt.beta2, opt.lr, opt.eps
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, opt.lr, ADAM_EPS
     m = opt.m * b1 + (1 - b1) * grad
     v = opt.v * b2 + ((1 - b2) * grad) * grad
     want = theta - (lr * (m / (1 - b1**t))) / (np.sqrt(v / (1 - b2**t)) + eps)

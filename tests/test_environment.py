@@ -1,16 +1,20 @@
 """Closed-loop environment: stepping, reward, observation, termination."""
 
+import itertools
+import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xredge.actions import N_ACTIONS, ExecutionMode, decode_action
 from xredge.config import from_jsonable, to_jsonable
 from xredge.energy import PowerParams, client_power
 from xredge.environment import (
+    MAX_INTERVAL_FRAMES,
     OBS_DIM,
     EnvConfig,
     RewardParams,
@@ -20,7 +24,8 @@ from xredge.environment import (
     observe,
 )
 from xredge.latency import mtp_local, violation
-from xredge.network import RttDistribution, RttModel, cycle_profile, rtt_samples, stable_profile
+from xredge.network import (BandwidthProfile, RttDistribution, RttModel, cycle_profile, rtt_samples,
+                            stable_profile)
 
 from test_cli import _edge_values, _ranged_fields, set_edge
 
@@ -340,13 +345,11 @@ def test_action_table_rows_equal_the_scalar_models(overrides):
 
 @pytest.mark.parametrize("overrides", [{}, {"power": PowerParams(tau_frame_ms=25.0)},
                                        {"profile": stable_profile(100.0)}])
-def test_action_table_holds_the_tick_offsets_and_levels(overrides):
+def test_action_table_holds_the_tick_offsets(overrides):
     # step slices the offsets: a prefix of the product is the product of the prefix
-    cfg = EnvConfig(**overrides)
-    tab = cfg.actions
+    tab = EnvConfig(**overrides).actions
     for k in range(tab.n_ticks + 1):
         assert np.array_equal(tab.tick_offsets_s[:k], np.arange(k) * tab.tick_s)
-    assert tab.levels_mbps.tolist() == list(cfg.profile.levels_mbps)
 
 
 def _within(interval, v):
@@ -377,10 +380,57 @@ def test_action_table_field_pairs_either_step_or_fail_at_construction(pair):
     except ValueError:
         return
     tab = cfg.actions
-    assert np.isfinite(tab.tick_offsets_s).all() and np.isfinite(tab.levels_mbps).all()
+    assert np.isfinite(tab.tick_offsets_s).all()
     # a huge power may end the episode in its first interval, so each its own
     for local in (True, False):
         XrEnvironment(cfg, seed=0).step(tab.is_local.index(local))
+
+
+# the horizon, the decision interval and the dwell, each at the in-range
+# values of its declared edges, at its default and, for the first two, at one
+# frame period and at MAX_INTERVAL_FRAMES of them, the edges of the rules
+# between the three; a zero horizon lets any interval past the horizon rule
+DWELL_FIELDS = ("horizon_s", "decision_interval_s", "profile.dwell_s")
+_TICK_S = EnvConfig().actions.tick_s
+
+
+def _dwell_field_edits(path):
+    """Each (path, value) edit of one of DWELL_FIELDS that the property draws."""
+    interval, tp = next((i, t) for f, i, t in _ranged_fields(EnvConfig) if f == path)
+    values = [v for v in _edge_values(interval, tp) if _within(interval, v)]
+    values.append(reduce(getattr, path.split("."), EnvConfig()))
+    if path != "profile.dwell_s":
+        values += [_TICK_S, MAX_INTERVAL_FRAMES * _TICK_S]
+    return [(path, v) for v in dict.fromkeys(values)]
+
+
+DWELL_TRIPLES = list(itertools.product(*map(_dwell_field_edits, DWELL_FIELDS)))
+
+
+def _step_or_fail(triple):
+    """"fail" if the config of a triple fails at construction with a
+    ValueError, "done" if its episode is over at once, else "step" once a
+    local and an offload step have each run from a fresh environment."""
+    data = to_jsonable(EnvConfig())
+    for edit in triple:
+        set_edge(data, *edit)
+    try:
+        cfg = from_jsonable(EnvConfig, data)
+    except ValueError:
+        return "fail"
+    if XrEnvironment(cfg, seed=0).done:
+        assert cfg.horizon_s == 0.0
+        return "done"
+    for local in (True, False):
+        out = XrEnvironment(cfg, seed=0).step(cfg.actions.is_local.index(local))
+        assert math.isfinite(out.reward)
+    return "step"
+
+
+@settings(max_examples=100, deadline=None)
+@given(triple=st.sampled_from(DWELL_TRIPLES))
+def test_horizon_interval_dwell_triples_either_step_or_fail_at_construction(triple):
+    assert _step_or_fail(triple) in ("fail", "done", "step")
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +465,37 @@ def test_frame_ledger_closes_every_step_and_every_run(profile, mbps, capacity_wh
         assert out.mtp_ms.size == out.t_capture.size
         assert 0 <= env.queue.depth <= env.queue.max_depth
     assert env.frames_captured == env.frames_delivered + env.queue.dropped + env.queue.depth
+
+
+# the profiles an offload interval meets: dwells it lies inside, a level too
+# slow for one frame per tick, and dwells it straddles at one level
+PRICED_PROFILES = {
+    "cycle": cycle_profile(),
+    "stable-1": stable_profile(1.0),
+    "three-0.3s": BandwidthProfile(levels_mbps=(1000.0, 1.0, 100.0), dwell_s=0.3),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    profile=st.sampled_from(sorted(PRICED_PROFILES)),
+    queue_max_depth=st.sampled_from([1, 20]),
+    capacity_wh=st.sampled_from([16.6, 0.002]),
+    actions=st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=30),
+    seed=st.integers(0, 2**16),
+)
+# a full queue that a local interval flushes, then offload again
+@example(profile="stable-1", queue_max_depth=20, capacity_wh=16.6, actions=[5, 5, 4, 5, 4, 5], seed=0)
+@example(profile="three-0.3s", queue_max_depth=1, capacity_wh=16.6, actions=[5, 4, 5, 5], seed=0)
+def test_every_live_offload_step_prices_a_frame(profile, queue_max_depth, capacity_wh, actions, seed):
+    # the step's mean violation is over the frames it delivered and the ones
+    # it captured that are still queued; its newest frame is one or the other
+    env = make_env(seed=seed, profile=PRICED_PROFILES[profile], queue_max_depth=queue_max_depth,
+                   capacity_wh=capacity_wh, horizon_s=float(len(actions)))
+    for a in actions:
+        if env.done:
+            break
+        out = env.step(a)
+        if not env.actions.is_local[a]:
+            assert out.mtp_ms.size + out.info["pending_censored"] >= 1
+            assert math.isfinite(out.info["mean_v"])

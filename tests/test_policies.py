@@ -1,5 +1,6 @@
 """Controllers: static, threshold, model-predictive greedy, learned."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from xredge.policies import (
     ACTION_OFFLOAD_FULL,
     GreedyPolicy,
     RlPolicy,
+    THRESHOLD_MBPS,
     ThresholdPolicy,
     greedy_select,
     make_policy,
@@ -47,7 +49,10 @@ def test_threshold_select_boundary():
 def test_threshold_policy_reads_env_bandwidth():
     assert ThresholdPolicy().select(make_env(1000.0)) == ACTION_OFFLOAD_FULL
     assert ThresholdPolicy().select(make_env(10.0)) == ACTION_LOCAL_FULL
-    assert ThresholdPolicy(threshold_mbps=5.0).select(make_env(10.0)) == ACTION_OFFLOAD_FULL
+    # the policy's threshold is the module's: strictly above it offloads
+    assert ThresholdPolicy().select(make_env(THRESHOLD_MBPS)) == ACTION_LOCAL_FULL
+    above = math.nextafter(THRESHOLD_MBPS, math.inf)
+    assert ThresholdPolicy().select(make_env(above)) == ACTION_OFFLOAD_FULL
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +181,7 @@ def test_make_policy_kinds():
     assert make_policy("local").action_id == ACTION_LOCAL_FULL
     assert make_policy("offload").action_id == ACTION_OFFLOAD_FULL
     assert isinstance(make_policy("greedy"), GreedyPolicy)
-    assert make_policy("threshold").threshold_mbps == 15.0
+    assert isinstance(make_policy("threshold"), ThresholdPolicy) and THRESHOLD_MBPS == 15.0
     assert isinstance(make_policy("rl", seed=3), RlPolicy)
     assert make_policy("LOCAL").action_id == ACTION_LOCAL_FULL    # case-insensitive
     with pytest.raises(ValueError):

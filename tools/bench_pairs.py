@@ -26,8 +26,9 @@ won; next to the scaled round seconds (`wall_s`) it keeps the raw ones
 (`raw_wall_s`), since perfbench scales round times by a speed probe.
 Each pair also keeps both sides' round seconds and, next to their peak RSS,
 the decisions each completed: perfbench logs every decision, so a faster
-side that completes more rounds peaks higher. It also holds both commits
-and the machine facts perfbench records.
+side that completes more rounds peaks higher. It also holds both commits,
+the machine facts perfbench records and each side's `src/xredge/*.py` line
+count, which the last line printed shows too.
 """
 
 from __future__ import annotations
@@ -191,6 +192,12 @@ def end_to_end(run: dict) -> dict[str, float]:
     return {k: m[k] for k in METRICS}
 
 
+def source_lines(root: Path) -> int:
+    """The lines of checkout `root`'s `src/xredge/*.py`, as `wc -l` counts
+    them: the source size that CI's "Source size" step prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "xredge").glob("*.py"))
+
+
 def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: float,
           seed: int, traced: bool) -> dict:
     pairs: dict[str, list] = {w: [] for w in workloads}
@@ -205,7 +212,8 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
             rounds[w].append({side: pair_detail(runs[side]) for side in SIDES})
             print(pair_line(i, n_pairs, w, order[0], runs), flush=True)
     out = {w: {"metrics": summarize(pairs[w]), "rounds": rounds[w]} for w in workloads}
-    report = {"machine": machine, "workloads": out}
+    report = {"machine": machine, "workloads": out,
+              "src_lines": {side: source_lines(roots[side]) for side in SIDES}}
     if traced:
         for w in workloads:
             out[w]["traced"] = {side: values(run_perfbench(roots[side], w, seed, seconds, 1))
@@ -249,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         **report,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {args.out}")
+    lines = report["src_lines"]
+    print(f"wrote {args.out}; src/xredge/*.py lines {lines['base']} -> {lines['change']}")
     return 0
 
 
