@@ -84,7 +84,7 @@ def _cmd_run(args) -> int:
 
 
 def _parse_value(text: str):
-    """A sweep value as JSON (16, 0.5, true), else the raw string (an enum value)."""
+    """A sweep value as JSON (16, 0.5, true), else the raw string (a policy name)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:

@@ -20,8 +20,6 @@ from .config import check_ranges, ranged
 
 @dataclass(frozen=True)
 class DqnConfig:
-    obs_dim: int = ranged("[1, inf)", 5)
-    n_actions: int = ranged("[1, inf)", 18)
     hidden: tuple[int, ...] = ranged("[1, inf)", (128, 128))
     lr: float = ranged("(0, inf)", 5e-4)
     gamma: float = ranged("[0, 1]", 0.99)
@@ -40,9 +38,6 @@ class DqnConfig:
                              f"{self.batch_size} vs {self.buffer_capacity}")
         if self.eps_min > self.eps0:
             raise ValueError(f"eps_min must not exceed eps0: {self.eps_min} vs {self.eps0}")
-
-    def sizes(self) -> tuple[int, ...]:
-        return (self.obs_dim, *self.hidden, self.n_actions)
 
 
 def layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list, list]:
@@ -252,15 +247,17 @@ class ReplayBuffer:
 
 
 class DqnAgent:
-    """Online from-scratch DQN controller."""
+    """Online from-scratch DQN controller for observations of obs_dim
+    floats and action ids 0 to n_actions - 1."""
 
-    def __init__(self, cfg: DqnConfig = DqnConfig(), seed: int = 0):
+    def __init__(self, obs_dim: int, n_actions: int, cfg: DqnConfig = DqnConfig(), seed: int = 0):
         self.cfg = cfg
+        self.n_actions = n_actions
         self.rng = np.random.default_rng(seed)
-        self.online = QNetwork(cfg.sizes(), self.rng)
+        self.online = QNetwork((obs_dim, *cfg.hidden, n_actions), self.rng)
         self.target = self.online.clone()
         self.optimizer = Adam(self.online.theta, lr=cfg.lr)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity, cfg.obs_dim)
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim)
         self.workspace = Workspace(self.online, cfg.batch_size)
         self.decision_count = 0
         self.last_loss: float | None = None
@@ -277,7 +274,7 @@ class DqnAgent:
     def select_action(self, obs: np.ndarray) -> int:
         """Epsilon-greedy over current Q-values; greedy ties break to lowest id."""
         if self.rng.random() < self.epsilon:
-            return int(self.rng.integers(self.cfg.n_actions))
+            return int(self.rng.integers(self.n_actions))
         return int(np.argmax(self.q_values(obs)))
 
     def record_and_train(self, obs, action, reward, next_obs, done) -> float | None:

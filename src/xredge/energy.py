@@ -23,7 +23,6 @@ from .latency import ProcTimeTable, proc_time
 class PowerParams:
     p_base_w: float = ranged("[0, inf)", 0.5)        # idle baseline: sensors, display path
     tdp_proc_w: float = ranged("[0, inf)", 35.0)     # processor thermal design power
-    w_proc: float = ranged("[0, inf)", 1.0)          # weight of the processing-duty term
     tau_frame_ms: float = ranged("(0, inf)", 50.0)   # frame period at 20 Hz
 
     def __post_init__(self):
@@ -37,7 +36,7 @@ def proc_power(cfg: ExecutionConfig, table: ProcTimeTable, params: PowerParams) 
 
 def client_power(cfg: ExecutionConfig, table: ProcTimeTable, params: PowerParams) -> float:
     """Total client power draw in watts for a configuration."""
-    return params.p_base_w + params.w_proc * proc_power(cfg, table, params)
+    return params.p_base_w + proc_power(cfg, table, params)
 
 
 def lifetime_projection(

@@ -23,7 +23,7 @@ from .actions import N_ACTIONS, ExecutionMode
 from .config import check_ranges, field_types, fold_sum, from_jsonable, ranged, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
-from .environment import OBS_DIM, ActionTable, EnvConfig, XrEnvironment
+from .environment import ActionTable, EnvConfig, XrEnvironment
 from .network import BandwidthProfile, cycle_profile, level_index, load_profile, stable_profile
 from .policies import POLICIES, RlPolicy, make_policy
 
@@ -72,10 +72,6 @@ class ScenarioSpec:
         # make_policy's own rule, checked before a run writes anything
         if self.policy.lower() not in POLICIES:
             raise ValueError(f"unknown policy kind: {self.policy.lower()!r}")
-        # the learner reads the environment's observation and picks an action
-        if (self.dqn.obs_dim, self.dqn.n_actions) != (OBS_DIM, N_ACTIONS):
-            raise ValueError(f"dqn.obs_dim and dqn.n_actions must be {OBS_DIM} and {N_ACTIONS}: "
-                             f"{self.dqn.obs_dim}, {self.dqn.n_actions}")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
         if len(set(self.seeds)) < len(self.seeds):

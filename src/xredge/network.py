@@ -2,15 +2,15 @@
 
 Bandwidth follows a deterministic step profile (a fixed list of levels, each
 held for a fixed dwell, repeating forever), so every run sees the exact same
-schedule regardless of seed. RTT is base latency plus an optional lognormal
-jitter draw; the jitter is the only stochastic part of the network.
+schedule regardless of seed. RTT is base latency plus a lognormal jitter
+draw, which a zero jitter scale turns off; the jitter is the only stochastic
+part of the network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -76,17 +76,13 @@ def level_index(profile: BandwidthProfile, t_s: np.ndarray) -> np.ndarray:
     return idx
 
 
-class RttDistribution(Enum):
-    NONE = "none"
-    LOGNORMAL = "lognormal"
-
-
 @dataclass(frozen=True)
 class RttModel:
     """Round-trip time: base plus non-negative lognormal jitter.
 
     jitter = jitter_scale_ms * exp(sigma * Z), Z ~ N(0, 1), so jitter_scale_ms
-    is the jitter median and sigma sets the tail weight. Defaults are
+    is the jitter median and sigma sets the tail weight; a zero scale makes
+    every RTT base_ms, since 0.0 times a finite exp is 0.0. Defaults are
     calibrated so that an offloaded full-quality frame at high stable
     bandwidth sits right at the motion-to-photon threshold and goes over it
     on roughly a quarter of draws, while the tail stays light enough that
@@ -96,7 +92,6 @@ class RttModel:
     base_ms: float = ranged("[0, inf)", 5.0)
     jitter_scale_ms: float = ranged("[0, inf)", 0.065)
     sigma: float = ranged("[0, inf)", 1.6)
-    distribution: RttDistribution = RttDistribution.LOGNORMAL
 
     def __post_init__(self):
         check_ranges(self)
@@ -109,8 +104,6 @@ class RttModel:
 
     def jitter_mean_ms(self) -> float:
         """Analytic mean of the jitter distribution."""
-        if self.distribution is RttDistribution.NONE:
-            return 0.0
         return self.jitter_scale_ms * math.exp(self.sigma**2 / 2.0)
 
     def jitter_excess_mean_ms(self, threshold_ms: float) -> float:
@@ -119,8 +112,6 @@ class RttModel:
         Closed form for the lognormal; used by model-based policies to price
         the violation risk of an action without sampling.
         """
-        if self.distribution is RttDistribution.NONE:
-            return max(0.0, -threshold_ms)
         if threshold_ms <= 0.0:
             return self.jitter_mean_ms() - threshold_ms
         s, sig = self.jitter_scale_ms, self.sigma
@@ -143,8 +134,6 @@ def rtt_samples(model: RttModel, rng: np.random.Generator, n: int) -> list[float
     times in turn. The exponential is math.exp on each sample: np.exp
     differs from it in the last bit on a few percent of inputs.
     """
-    if model.distribution is RttDistribution.NONE:
-        return [model.base_ms] * n
     return _rtt_ms(model, rng.standard_normal(n).tolist())
 
 
@@ -152,8 +141,6 @@ def last_rtt(model: RttModel, rng: np.random.Generator, n: int) -> float:
     """rtt_samples(model, rng, n)[-1] for n >= 1, bit for bit and leaving the
     generator in the same state: it draws all n normals but exponentiates
     only the last."""
-    if model.distribution is RttDistribution.NONE:
-        return model.base_ms
     return _rtt_ms(model, [rng.standard_normal(n).item(-1)])[0]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .actions import N_ACTIONS
 from .dqn import DqnAgent, DqnConfig
-from .environment import XrEnvironment, battery_term, compliance_term
+from .environment import OBS_DIM, XrEnvironment, battery_term, compliance_term
 from .latency import serialization_s, violation
 
 # full-quality on-device execution, the latency-safe reference
@@ -177,7 +177,7 @@ class RlPolicy:
     """Online DQN controller learning from scratch during the run."""
 
     def __init__(self, dqn_cfg: DqnConfig = DqnConfig(), seed: int = 0):
-        self.agent = DqnAgent(dqn_cfg, seed=seed)
+        self.agent = DqnAgent(OBS_DIM, N_ACTIONS, dqn_cfg, seed=seed)
         self._pending: tuple[np.ndarray, int] | None = None
 
     def select(self, env: XrEnvironment) -> int:

@@ -137,10 +137,9 @@ def test_c5_two_state_fixed_point():
     q_star = np.array([[17.2, 18.0], [16.2, 20.0]])
     obs = np.eye(2)
 
-    cfg = DqnConfig(obs_dim=2, n_actions=2, hidden=(32, 32), lr=1e-3,
-                    gamma=0.9, batch_size=32, buffer_capacity=5000,
+    cfg = DqnConfig(hidden=(32, 32), lr=1e-3, gamma=0.9, batch_size=32, buffer_capacity=5000,
                     target_sync_every=100, eps0=1.0, eps_min=1.0)
-    agent = DqnAgent(cfg, seed=0)
+    agent = DqnAgent(2, 2, cfg, seed=0)
     state = 0
     for step in range(20_000):
         if step == 15_000:

@@ -1,7 +1,9 @@
 """The summary that tools/bench_pairs.py writes from alternating benchmark pairs."""
 
+import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -53,13 +55,15 @@ def test_summary_keeps_every_metric_of_the_pairs():
     assert s["peak_rss_mb"]["change_wins"] == 0 and s["wall_s"]["change_wins"] == 1
 
 
-def fake_result(path, wall_s, peak_rss_mb, decisions, decision_us_p50=20.0):
-    """A result file shaped like perfbench's untraced one, trimmed to what is read."""
+def fake_result(path, wall_s, peak_rss_mb, decisions, decision_us_p50=20.0, rounds=None):
+    """A result file shaped like perfbench's untraced one, trimmed to what is
+    read; its scaled round seconds are `rounds`, or wall_s alone."""
+    rounds = rounds or [wall_s]
     metrics = {"setup_s": 0.1, "wall_s": wall_s, "decision_us_p50": decision_us_p50,
                "decision_us_p99": 90.0, "peak_rss_mb": peak_rss_mb}
     path.write_text(json.dumps({
         "result": {"failed": 0, "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}},
-        "detail": {"raw_round_s": [wall_s + 0.125], "round_s": [wall_s], "decisions": decisions,
+        "detail": {"raw_round_s": [r + 0.125 for r in rounds], "round_s": rounds, "decisions": decisions,
                    "peak_rss_mb": peak_rss_mb, "problems": []},
     }))
     return path
@@ -69,13 +73,51 @@ def test_pair_keeps_each_sides_decisions_next_to_its_peak_rss(tmp_path):
     runs = {"base": bench_pairs.read_result(fake_result(tmp_path / "b.json", 0.337, 60.7, 53728, 28.85)),
             "change": bench_pairs.read_result(fake_result(tmp_path / "c.json", 0.300, 62.0, 60112, 26.76))}
     assert bench_pairs.pair_detail(runs["change"]) == {
-        "raw_round_s": [0.425], "round_s": [0.3], "decisions": 60112, "peak_rss_mb": 62.0}
+        "rounds": 1, "raw_round_s": {"q1": 0.425, "median": 0.425, "q3": 0.425},
+        "round_s": {"q1": 0.3, "median": 0.3, "q3": 0.3}, "decisions": 60112, "peak_rss_mb": 62.0}
     assert bench_pairs.end_to_end(runs["base"])["raw_wall_s"] == 0.337 + 0.125
     assert bench_pairs.end_to_end(runs["change"])["decision_us_p50"] == 26.76
     line = bench_pairs.pair_line(2, 10, "static-cli", "change", runs)
     assert line == ("pair 3/10 static-cli (change first): wall_s 0.3370 -> 0.3000, "
                     "decision_us_p50 28.85 -> 26.76, "
                     "peak_rss_mb 60.7 (53728 decisions) -> 62.0 (60112 decisions)")
+
+
+def test_pair_keeps_the_round_count_and_quartiles_not_every_round(tmp_path):
+    rounds = [0.5, 0.25, 1.0, 0.75, 0.375]
+    run = bench_pairs.read_result(fake_result(tmp_path / "r.json", 0.5, 60.0, 100, rounds=rounds))
+    detail = bench_pairs.pair_detail(run)
+    assert detail["rounds"] == 5
+    assert detail["round_s"] == {"q1": 0.375, "median": 0.5, "q3": 0.75}
+    assert detail["raw_round_s"] == {"q1": 0.5, "median": 0.625, "q3": 0.875}
+    # the raw median is still the pair's raw_wall_s
+    assert bench_pairs.end_to_end(run)["raw_wall_s"] == 0.625
+
+
+def test_tree_digest_names_uncommitted_edits_and_untracked_run_files(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+                       check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    clean = bench_pairs.tree_digest(tmp_path)
+    assert clean == {"diff_sha256": hashlib.sha256(b"").hexdigest(), "untracked_sha256": {}}
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    edited = bench_pairs.tree_digest(tmp_path)
+    assert edited["diff_sha256"] != clean["diff_sha256"]
+    # an untracked file a run imports is named; one outside the run paths
+    # and an ignored one are not
+    (tmp_path / "src" / "b.py").write_text("y = 1\n")
+    (tmp_path / "notes.txt").write_text("not run\n")
+    (tmp_path / ".gitignore").write_text("*.pyc\n")
+    (tmp_path / "src" / "b.pyc").write_bytes(b"\0")
+    digest = bench_pairs.tree_digest(tmp_path)
+    assert digest["diff_sha256"] == edited["diff_sha256"]
+    assert digest["untracked_sha256"] == {"src/b.py": hashlib.sha256(b"y = 1\n").hexdigest()}
 
 
 def test_episode_summary_keeps_every_round_with_its_spread():

@@ -2,6 +2,7 @@
 and stderr of the interpreter matter, as `python -m xredge.cli`."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -197,7 +198,7 @@ def _str_for_int(d):
 
 
 def _bad_enum(d):
-    d["env"]["rtt"]["distribution"] = "gaussian"
+    d["env"]["table"]["rho"]["turbo"] = d["env"]["table"]["rho"].pop("high")
 
 
 def _infinite_horizon_at_zero_power(d):
@@ -237,13 +238,13 @@ NAN, INF = float("nan"), float("inf")
 # the model-constant cases ran before they were checked: the NaNs reported
 # 100% compliance or wrote NaN power, a NaN dwell failed at the first step,
 # and the zero p_max_w, infinite interval, overflowing jitter mean and
-# infinite horizon escaped as tracebacks; of the learner's, n_actions 5 and
-# a negative or NaN lr ran, obs_dim 3 and n_actions 30 failed in an rl run,
-# and a zero hidden width escaped as an OverflowError
+# infinite horizon escaped as tracebacks; of the learner's, a negative or
+# NaN lr ran and a zero hidden width escaped as an OverflowError; a key that
+# names no setting, such as the learner's shape or a removed alias, is unknown
 @pytest.mark.parametrize("edit, fragment", [
     (_bad_key, "scenario.env: unknown field horzion_s"),
     (_str_for_int, "scenario.env.queue_max_depth: expected int"),
-    (_bad_enum, "scenario.env.rtt.distribution: 'gaussian' is not one of"),
+    (_bad_enum, "scenario.env.table.rho.turbo: 'turbo' is not one of"),
     (_set("env.profile.levels_mbps", [NAN]), "BandwidthProfile.levels_mbps must be within (0, inf): (nan,)"),
     (_set("env.profile.dwell_s", NAN), "BandwidthProfile.dwell_s must be within (0, inf): nan"),
     (_set("env.profile.dwell_s", 1e-308), "the horizon spans too many dwells: dwell 1e-308 s"),
@@ -257,9 +258,10 @@ NAN, INF = float("nan"), float("inf")
     (_set("env.reward.p_max_w", 0), "RewardParams.p_max_w must be within (0, inf): 0.0"),
     (_set("env.decision_interval_s", INF), "EnvConfig.decision_interval_s must be within (0, inf): inf"),
     (_set("env.decision_interval_s", 1e308), "decision interval must be a positive integer multiple"),
-    (_set("dqn.n_actions", 5), "dqn.obs_dim and dqn.n_actions must be 5 and 18: 5, 5"),
-    (_set("dqn.n_actions", 30), "dqn.obs_dim and dqn.n_actions must be 5 and 18: 5, 30"),
-    (_set("dqn.obs_dim", 3), "dqn.obs_dim and dqn.n_actions must be 5 and 18: 3, 18"),
+    (_set("dqn.n_actions", 18), "scenario.dqn: unknown field n_actions"),
+    (_set("dqn.obs_dim", 5), "scenario.dqn: unknown field obs_dim"),
+    (_set("env.rtt.distribution", "none"), "scenario.env.rtt: unknown field distribution"),
+    (_set("env.power.w_proc", 1.0), "scenario.env.power: unknown field w_proc"),
     (_set("dqn.hidden", [0]), "DqnConfig.hidden must be within [1, inf): (0,)"),
     (_set("dqn.lr", -1), "DqnConfig.lr must be within (0, inf): -1.0"),
     (_set("dqn.lr", NAN), "DqnConfig.lr must be within (0, inf): nan"),
@@ -317,7 +319,6 @@ def test_bad_model_constant_fails_at_construction(tmp_path, capsys, edit, fragme
     ("env.table.t_server_ms", 1.7e308, "derived mean MTP over an interval (ms) of action 1 must be finite: inf"),
     ("env.table.t_decode_ms", 1.7e308, "derived mean MTP over an interval (ms) of action 1 must be finite: inf"),
     ("env.rtt.base_ms", 1.7e308, "derived mean MTP over an interval (ms) of action 1 must be finite: inf"),
-    ("env.power.w_proc", 1.7e308, "derived client power (W) of action 0 must be finite: inf"),
     ("env.table.rho", 1.7e308, "derived client power (W) of action 0 must be finite: inf"),
     ("env.reward.alpha_power", 1.7e308, "derived reward power term of action 0 must be finite: -inf"),
     ("env.reward.alpha_power", -1.7e308, "derived reward power term of action 0 must be finite: inf"),
@@ -585,15 +586,19 @@ def test_sweep_int_field(tmp_path):
     assert (tmp_path / "rl-stable1000__dqn_batch_size_16" / "aggregate.json").exists()
 
 
-def test_sweep_enum_field(tmp_path):
+def test_sweep_float_field_to_zero_jitter(tmp_path):
+    # README's sweep without RTT jitter: the JSON int 0 sets a float field
     rc = main([
         "sweep", "--policy", "local", "--profile", "stable", "--horizon", "3",
-        "--seeds", "1", "--param", "env.rtt.distribution", "--values", "none",
+        "--seeds", "1", "--param", "env.rtt.jitter_scale_ms", "--values", "0",
         "--out", str(tmp_path),
     ])
     assert rc == 0
-    (row,) = json.loads((tmp_path / "sweep_env_rtt_distribution.json").read_text())
-    assert row["value"] == "none"
+    (row,) = json.loads((tmp_path / "sweep_env_rtt_jitter_scale_ms.json").read_text())
+    assert row["value"] == 0
+    # the label shows the coerced float, and every RTT is the 5 ms base
+    with open(tmp_path / "local-stable1000__env_rtt_jitter_scale_ms_0.0" / "seed_1" / "decisions.csv") as fh:
+        assert {r["rtt_ms"] for r in csv.DictReader(fh)} == {"5.0"}
 
 
 # a seed list wrote seed 1's artifacts and then failed (-2) or aggregated

@@ -14,12 +14,10 @@ from xredge.dqn import DqnConfig
 from xredge.environment import EnvConfig
 from xredge.harness import ScenarioSpec
 from xredge.latency import ProcTimeTable
-from xredge.network import RttDistribution
 
 
 def test_enums_by_value_and_tuples_as_lists():
     data = to_jsonable(ScenarioSpec())
-    assert data["env"]["rtt"]["distribution"] == "lognormal"
     assert data["env"]["table"]["rho"] == {"high": 1.0, "medium": 0.85, "low": 0.7}
     assert data["dqn"]["hidden"] == [128, 128]
     assert data["seeds"] == [1, 2, 3]
@@ -27,9 +25,9 @@ def test_enums_by_value_and_tuples_as_lists():
 
 
 def test_partial_object_takes_defaults_and_widens_ints():
-    spec = from_jsonable(ScenarioSpec, {"env": {"horizon_s": 60, "rtt": {"distribution": "none"}}})
+    spec = from_jsonable(ScenarioSpec, {"env": {"horizon_s": 60, "rtt": {"jitter_scale_ms": 0}}})
     assert spec.env.horizon_s == 60.0 and type(spec.env.horizon_s) is float
-    assert spec.env.rtt.distribution is RttDistribution.NONE
+    assert spec.env.rtt.jitter_scale_ms == 0.0 and type(spec.env.rtt.jitter_scale_ms) is float
     assert spec.env.rtt.base_ms == 5.0
     assert spec.dqn == DqnConfig()
     table = from_jsonable(ProcTimeTable, {"rho": {"low": 1, "medium": 1, "high": 2}})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from xredge.actions import N_ACTIONS
 from xredge.dqn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -16,13 +17,14 @@ from xredge.dqn import (
     loss_and_grads,
     td_targets,
 )
+from xredge.environment import OBS_DIM
 
 # ---------------------------------------------------------------------------
 # network
 # ---------------------------------------------------------------------------
 
 
-SIZES = DqnConfig().sizes()
+SIZES = (OBS_DIM, *DqnConfig().hidden, N_ACTIONS)
 
 
 def test_default_network_parameter_count():
@@ -175,7 +177,7 @@ def test_adam_skipping_a_unit_bias_correction_is_exact(t):
 
 
 def test_epsilon_decays_by_the_config():
-    agent = DqnAgent(DqnConfig(), seed=0)
+    agent = DqnAgent(OBS_DIM, N_ACTIONS, DqnConfig(), seed=0)
     assert agent.epsilon == 1.0
     agent.decision_count = 600
     assert agent.epsilon == pytest.approx(0.22271148579206992)
@@ -236,8 +238,9 @@ def test_replay_buffer_sampling_is_roughly_uniform():
 
 
 def small_cfg(**kw):
-    base = dict(obs_dim=2, n_actions=3, hidden=(8,), batch_size=4,
-                buffer_capacity=50, target_sync_every=5, eps0=0.0, eps_min=0.0)
+    """A small learner's settings, for a net of 2 inputs and 3 actions."""
+    base = dict(hidden=(8,), batch_size=4, buffer_capacity=50, target_sync_every=5,
+                eps0=0.0, eps_min=0.0)
     base.update(kw)
     return DqnConfig(**base)
 
@@ -254,21 +257,21 @@ def test_config_rejects_bad_values(overrides):
 
 
 def test_select_action_greedy_when_epsilon_zero():
-    agent = DqnAgent(small_cfg(), seed=0)
+    agent = DqnAgent(2, 3, small_cfg(), seed=0)
     obs = np.array([0.3, 0.7])
     q = agent.q_values(obs)
     assert agent.select_action(obs) == int(np.argmax(q))
 
 
 def test_select_action_explores_when_epsilon_one():
-    agent = DqnAgent(small_cfg(eps0=1.0, eps_min=1.0), seed=1)
+    agent = DqnAgent(2, 3, small_cfg(eps0=1.0, eps_min=1.0), seed=1)
     obs = np.zeros(2)
     seen = {agent.select_action(obs) for _ in range(200)}
     assert seen == {0, 1, 2}
 
 
 def test_record_and_train_lifecycle():
-    agent = DqnAgent(small_cfg(), seed=2)
+    agent = DqnAgent(2, 3, small_cfg(), seed=2)
     obs = np.zeros(2)
     losses = []
     for i in range(10):
@@ -281,7 +284,7 @@ def test_record_and_train_lifecycle():
 
 
 def test_target_sync_cadence():
-    agent = DqnAgent(small_cfg(batch_size=1, target_sync_every=4), seed=3)
+    agent = DqnAgent(2, 3, small_cfg(batch_size=1, target_sync_every=4), seed=3)
     obs = np.array([0.4, 0.6])
     for i in range(3):
         agent.record_and_train(obs, 0, 5.0, obs, True)
@@ -294,7 +297,7 @@ def test_target_sync_cadence():
 
 def test_agent_learns_single_transition():
     # one terminal transition with reward 2: Q(s, a) must approach 2
-    agent = DqnAgent(small_cfg(batch_size=1, lr=1e-2), seed=4)
+    agent = DqnAgent(2, 3, small_cfg(batch_size=1, lr=1e-2), seed=4)
     obs = np.array([1.0, 0.0])
     for _ in range(500):
         agent.record_and_train(obs, 1, 2.0, obs, True)
@@ -302,7 +305,7 @@ def test_agent_learns_single_transition():
 
 
 def test_epsilon_property_tracks_decisions():
-    agent = DqnAgent(DqnConfig(obs_dim=2, n_actions=2, hidden=(4,)), seed=5)
+    agent = DqnAgent(2, 2, DqnConfig(hidden=(4,)), seed=5)
     assert agent.epsilon == 1.0
     obs = np.zeros(2)
     for _ in range(10):
@@ -312,7 +315,7 @@ def test_epsilon_property_tracks_decisions():
 
 def test_training_reuses_its_workspace_and_spares_returned_arrays():
     cfg = small_cfg(hidden=(16, 16), batch_size=6)
-    agent = DqnAgent(cfg, seed=8)
+    agent = DqnAgent(2, 3, cfg, seed=8)
     stream = np.random.default_rng(9)
     for i in range(cfg.batch_size):
         agent.buffer.push(stream.uniform(size=2), i % 3, stream.normal(),

@@ -130,10 +130,11 @@ class RefReplayBuffer:
 
 
 class RefAgent:
-    def __init__(self, cfg, seed):
+    def __init__(self, obs_dim, n_actions, cfg, seed):
         self.cfg = cfg
+        self.n_actions = n_actions
         self.rng = np.random.default_rng(seed)
-        self.online = RefNet(cfg.sizes(), self.rng)
+        self.online = RefNet((obs_dim, *cfg.hidden, n_actions), self.rng)
         self.target = self.online.clone()
         self.optimizer = RefAdam(self.online.params, lr=cfg.lr)
         self.buffer = RefReplayBuffer(cfg.buffer_capacity)
@@ -142,7 +143,7 @@ class RefAgent:
     def select_action(self, obs):
         cfg = self.cfg
         if self.rng.random() < max(cfg.eps_min, cfg.eps0 * cfg.eps_decay**self.decision_count):
-            return int(self.rng.integers(self.cfg.n_actions))
+            return int(self.rng.integers(self.n_actions))
         return int(np.argmax(self.online.forward(obs)[0]))
 
     def record_and_train(self, obs, action, reward, next_obs, done):
@@ -174,28 +175,27 @@ def assert_shares_theta(agent):
     assert not np.shares_memory(agent.online.theta, agent.target.theta)
 
 
-@pytest.mark.parametrize("cfg", [
+@pytest.mark.parametrize("obs_dim, n_actions, cfg", [
     # default 5-128-128-18 network; 420 decisions wrap the 40-slot ring, sync
     # 8 times and take Adam past t = 356, where 1 - 0.9**t rounds to 1.0
-    DqnConfig(buffer_capacity=40, target_sync_every=50),
+    (5, 18, DqnConfig(buffer_capacity=40, target_sync_every=50)),
     # several updates per decision, a deeper net and a batch as large as the ring
-    DqnConfig(obs_dim=3, n_actions=4, hidden=(16, 8, 8), batch_size=12,
-              buffer_capacity=12, target_sync_every=7, train_per_decision=3,
-              gamma=0.9, lr=1e-2, eps_decay=0.99),
+    (3, 4, DqnConfig(hidden=(16, 8, 8), batch_size=12, buffer_capacity=12, target_sync_every=7,
+                     train_per_decision=3, gamma=0.9, lr=1e-2, eps_decay=0.99)),
     # one-row batches, so every workspace buffer is a single row
-    DqnConfig(obs_dim=4, n_actions=6, hidden=(10,), batch_size=1,
-              buffer_capacity=30, target_sync_every=11, lr=1e-2, eps_decay=0.99),
+    (4, 6, DqnConfig(hidden=(10,), batch_size=1, buffer_capacity=30, target_sync_every=11,
+                     lr=1e-2, eps_decay=0.99)),
 ])
-def test_flat_learner_matches_per_tensor_learner(cfg):
-    agent, ref = DqnAgent(cfg, seed=3), RefAgent(cfg, seed=3)
+def test_flat_learner_matches_per_tensor_learner(obs_dim, n_actions, cfg):
+    agent, ref = DqnAgent(obs_dim, n_actions, cfg, seed=3), RefAgent(obs_dim, n_actions, cfg, seed=3)
     assert_shares_theta(agent)
     stream = np.random.default_rng(11)
-    obs = stream.uniform(size=cfg.obs_dim)
+    obs = stream.uniform(size=obs_dim)
     syncs = 0
     for _ in range(420):
         action = agent.select_action(obs)
         assert action == ref.select_action(obs)
-        next_obs = stream.uniform(size=cfg.obs_dim)
+        next_obs = stream.uniform(size=obs_dim)
         reward = stream.normal()
         done = stream.random() < 0.1
         loss = agent.record_and_train(obs, action, reward, next_obs, done)
@@ -205,7 +205,7 @@ def test_flat_learner_matches_per_tensor_learner(cfg):
         assert np.array_equal(agent.optimizer.m, flat(ref.optimizer.m))
         assert np.array_equal(agent.optimizer.v, flat(ref.optimizer.v))
         syncs += agent.decision_count % cfg.target_sync_every == 0
-        obs = stream.uniform(size=cfg.obs_dim) if done else next_obs
+        obs = stream.uniform(size=obs_dim) if done else next_obs
     assert agent.optimizer.t > 356
     assert agent.buffer.count > 2 * cfg.buffer_capacity
     assert syncs >= 6
@@ -215,9 +215,8 @@ def test_flat_learner_matches_per_tensor_learner(cfg):
 
 @pytest.mark.parametrize("hidden", [(8,), (8, 8)])
 def test_training_moves_the_theta_the_layers_read(hidden):
-    cfg = DqnConfig(obs_dim=2, n_actions=3, hidden=hidden, batch_size=4,
-                    buffer_capacity=50, target_sync_every=5)
-    agent = DqnAgent(cfg, seed=6)
+    cfg = DqnConfig(hidden=hidden, batch_size=4, buffer_capacity=50, target_sync_every=5)
+    agent = DqnAgent(2, 3, cfg, seed=6)
     stream = np.random.default_rng(7)
     for _ in range(cfg.batch_size + 8):
         before = [w.copy() for w in agent.online.weights]

@@ -24,8 +24,7 @@ from xredge.environment import (
     observe,
 )
 from xredge.latency import mtp_local, violation
-from xredge.network import (BandwidthProfile, RttDistribution, RttModel, cycle_profile, rtt_samples,
-                            stable_profile)
+from xredge.network import BandwidthProfile, RttModel, cycle_profile, rtt_samples, stable_profile
 
 from test_cli import _edge_values, _ranged_fields, set_edge
 
@@ -208,10 +207,10 @@ def test_battery_depletion_ends_episode_early():
         env.step(A_LOCAL_FULL)
 
 
-@pytest.mark.parametrize("distribution", list(RttDistribution))
-def test_depleting_local_interval_keeps_its_last_rtt(distribution):
+@pytest.mark.parametrize("rtt", [RttModel(), RttModel(jitter_scale_ms=0.0)], ids=["lognormal", "jitter-0"])
+def test_depleting_local_interval_keeps_its_last_rtt(rtt):
     # the battery runs out a few ticks into the first interval
-    cfg = EnvConfig(rtt=RttModel(distribution=distribution), capacity_wh=0.002)
+    cfg = EnvConfig(rtt=rtt, capacity_wh=0.002)
     env, ref = XrEnvironment(cfg, seed=3), np.random.default_rng(3)
     assert env.state.rtt_ms == rtt_samples(cfg.rtt, ref, 1)[0]
     out = env.step(A_LOCAL_FULL)

@@ -13,11 +13,16 @@ uplink queue through its congested phases. A change that moves a
 hash changes behaviour or the artifact schema; regenerate the file
 deliberately with
 
-    PYTHONPATH=src python tests/test_golden.py
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_golden.py
+
+The rl entries' `loss` cells also follow the OpenBLAS kernel's summation
+order, so the file records the kernel and the numpy version that made it,
+and the root conftest.py pins that kernel for the suite.
 """
 
 import hashlib
 import json
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -26,6 +31,10 @@ import pytest
 
 from xredge.harness import default_scenario, run_experiment
 from xredge.latency import ProcTimeTable
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from worker import machine_facts  # noqa: E402
 
 HASHES = Path(__file__).parent / "golden" / "hashes.json"
 POLICIES = ("local", "offload", "threshold", "greedy", "rl")
@@ -45,6 +54,18 @@ RUNS.update({f"{p}-cycle{suffix}-300": (p, "cycle", table, CYCLE_S)
              for p in CONGESTED for suffix, table in TABLES.items()})
 
 
+def running_kernel() -> dict[str, str]:
+    """The OpenBLAS core and the numpy version that this process computes with."""
+    facts = machine_facts()
+    return {"blas_core": facts["blas_core"], "numpy": facts["numpy"]}
+
+
+def kernels(golden: dict) -> str:
+    """The kernel that made the hashes, and the one this process runs."""
+    name = "OpenBLAS core {blas_core} with numpy {numpy}".format
+    return f"pinned under {name(**golden['kernel'])}, run under {name(**running_kernel())}"
+
+
 def run_hashes(policy: str, profile: str, table: ProcTimeTable, horizon_s: float,
                out_dir: Path) -> dict[str, str]:
     spec = default_scenario(policy, profile, horizon_s=horizon_s, seeds=(SEED,))
@@ -55,17 +76,25 @@ def run_hashes(policy: str, profile: str, table: ProcTimeTable, horizon_s: float
 
 @pytest.mark.parametrize("key", RUNS)
 def test_golden_trajectory(key, tmp_path):
-    expected = json.loads(HASHES.read_text())[key]
-    assert run_hashes(*RUNS[key], tmp_path) == expected
+    golden = json.loads(HASHES.read_text())
+    assert run_hashes(*RUNS[key], tmp_path) == golden["runs"][key], kernels(golden)
+
+
+def test_the_suite_runs_the_kernel_the_hashes_were_made_with():
+    # the root conftest.py pins the core before numpy loads; a numpy loaded
+    # earlier keeps the core OpenBLAS picked for this CPU, and fails here
+    golden = json.loads(HASHES.read_text())
+    assert running_kernel()["blas_core"] == golden["kernel"]["blas_core"], kernels(golden)
 
 
 def test_every_pinned_key_is_run():
     # a key no test runs would outlive the policy or run it was pinned for
-    assert sorted(json.loads(HASHES.read_text())) == sorted(RUNS)
+    assert sorted(json.loads(HASHES.read_text())["runs"]) == sorted(RUNS)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = {key: run_hashes(*run, Path(tmp) / key) for key, run in RUNS.items()}
-    HASHES.write_text(json.dumps(hashes, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {HASHES}")
+    golden = {"kernel": running_kernel(), "runs": hashes}
+    HASHES.write_text(json.dumps(golden, sort_keys=True, indent=2) + "\n")
+    print(f"wrote {HASHES} under {golden['kernel']}")

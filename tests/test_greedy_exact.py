@@ -22,7 +22,7 @@ from xredge.environment import (EnvConfig, RewardParams, XrEnvironment, battery_
                                 compliance_term, interval_reward, power_term)
 from xredge.harness import default_scenario
 from xredge.latency import ProcTimeTable, UplinkQueue, mtp_local, violation
-from xredge.network import RttDistribution, RttModel, cycle_profile, stable_profile
+from xredge.network import RttModel, cycle_profile, stable_profile
 from xredge.policies import greedy_select, predicted_epoch
 
 
@@ -99,7 +99,6 @@ def assert_exact(env):
 
 CONFIGS = {
     "default": EnvConfig(),
-    "rtt-none": EnvConfig(rtt=RttModel(distribution=RttDistribution.NONE)),
     "sigma-0": EnvConfig(rtt=RttModel(sigma=0.0)),
     "jitter-0": EnvConfig(rtt=RttModel(jitter_scale_ms=0.0)),
     "sigma-0.5": EnvConfig(rtt=RttModel(sigma=0.5)),
@@ -252,7 +251,7 @@ def test_prediction_equals_the_simulated_epoch_where_the_models_coincide(mbps, t
     # without RTT jitter, and at a bandwidth where every frame leaves within
     # its own tick, the predictor and the simulator price the same frames;
     # they add in different orders, so the two agree to rounding, not bits
-    cfg = EnvConfig(profile=stable_profile(mbps), rtt=RttModel(distribution=RttDistribution.NONE),
+    cfg = EnvConfig(profile=stable_profile(mbps), rtt=RttModel(jitter_scale_ms=0.0),
                     table=CONFIGS[table].table, tau_mtp_ms=tau)
     predicted = predicted_epoch(XrEnvironment(cfg, seed=0))[0]
     for a in range(N_ACTIONS):

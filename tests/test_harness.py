@@ -381,13 +381,13 @@ def test_replace_path_nested():
 
 
 def test_replace_path_coerces_to_field_type():
-    from xredge.network import RttDistribution
+    from xredge.actions import ImuRate
 
     spec = local_spec()
     assert type(replace_path(spec, "env.reward.lam", 2).env.reward.lam) is float
     assert replace_path(spec, "dqn.batch_size", 16).dqn.batch_size == 16
-    none = replace_path(spec, "env.rtt.distribution", "none")
-    assert none.env.rtt.distribution is RttDistribution.NONE
+    rho = replace_path(spec, "env.table.rho", {"low": 1, "medium": 1, "high": 2}).env.table.rho
+    assert rho == {ImuRate.LOW: 1.0, ImuRate.MEDIUM: 1.0, ImuRate.HIGH: 2.0}
     with pytest.raises(ValueError, match="DqnConfig.batch_size: expected int"):
         replace_path(spec, "dqn.batch_size", 16.5)
     with pytest.raises(ValueError, match="DqnConfig.hidden: expected a list"):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from xredge.network import (
     BandwidthProfile,
-    RttDistribution,
     RttModel,
     bandwidth_at,
     cycle_profile,
@@ -116,17 +115,23 @@ def test_describe():
 # ---------------------------------------------------------------------------
 
 
-def test_rtt_none_is_deterministic():
-    model = RttModel(base_ms=5.0, distribution=RttDistribution.NONE)
-    rng = np.random.default_rng(0)
-    assert rtt_samples(model, rng, 10) == [5.0] * 10
+@settings(max_examples=200, deadline=None)
+@given(
+    base_ms=st.floats(0.0, 1e300),
+    # the largest sigma whose jitter mean, 0.0 * exp(sigma**2 / 2), is still finite
+    sigma=st.floats(0.0, 37.6),
+    n=st.integers(1, 50),
+    seed=st.integers(0, 2**16),
+)
+def test_zero_jitter_scale_gives_the_base_on_every_draw(base_ms, sigma, n, seed):
+    model = RttModel(base_ms=base_ms, jitter_scale_ms=0.0, sigma=sigma)
     assert model.jitter_mean_ms() == 0.0
-    # no draw is taken, so the generator's stream is untouched
-    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    assert rtt_samples(model, np.random.default_rng(seed), n) == [base_ms] * n
+    assert last_rtt(model, np.random.default_rng(seed), n) == base_ms
 
 
 @pytest.mark.parametrize("model", [
-    RttModel(base_ms=5.0, distribution=RttDistribution.NONE),
+    RttModel(base_ms=5.0, jitter_scale_ms=0.0),
     RttModel(),
     RttModel(sigma=1.6),
 ])
@@ -135,11 +140,10 @@ def test_rtt_samples_equal_one_draw_at_a_time(model):
     batch = rtt_samples(model, np.random.default_rng(4), 50)
     rng = np.random.default_rng(4)
     assert [rtt_samples(model, rng, 1)[0] for _ in range(50)] == batch
-    if model.distribution is RttDistribution.LOGNORMAL:
-        rng = np.random.default_rng(4)
-        scalar = [model.base_ms + model.jitter_scale_ms * math.exp(model.sigma * rng.standard_normal())
-                  for _ in range(50)]
-        assert scalar == batch
+    rng = np.random.default_rng(4)
+    scalar = [model.base_ms + model.jitter_scale_ms * math.exp(model.sigma * rng.standard_normal())
+              for _ in range(50)]
+    assert scalar == batch
 
 
 @pytest.mark.parametrize("n", [1, 2, 20])
@@ -147,7 +151,7 @@ def test_rtt_samples_equal_one_draw_at_a_time(model):
     RttModel(),
     # no base RTT to absorb a last-bit difference in the jitter's exponential
     RttModel(base_ms=0.0),
-    RttModel(distribution=RttDistribution.NONE),
+    RttModel(jitter_scale_ms=0.0),
 ])
 def test_last_rtt_is_the_last_of_rtt_samples(model, n):
     # a local interval exponentiates only its last draw, but consumes all n
@@ -188,9 +192,10 @@ def test_jitter_excess_edge_cases():
     # non-positive threshold: the whole jitter mass is above it
     assert model.jitter_excess_mean_ms(0.0) == pytest.approx(model.jitter_mean_ms())
     assert model.jitter_excess_mean_ms(-1.0) == pytest.approx(model.jitter_mean_ms() + 1.0)
-    none = RttModel(distribution=RttDistribution.NONE)
-    assert none.jitter_excess_mean_ms(3.0) == 0.0
-    assert none.jitter_excess_mean_ms(-3.0) == 3.0
+    # no jitter: nothing lies above a positive threshold, all of it above a negative one
+    zero = RttModel(jitter_scale_ms=0.0)
+    assert zero.jitter_excess_mean_ms(3.0) == 0.0
+    assert zero.jitter_excess_mean_ms(-3.0) == 3.0
 
 
 @pytest.mark.parametrize("bad", [

@@ -22,8 +22,7 @@ from xredge.actions import N_ACTIONS
 from xredge.energy import Battery, PowerParams
 from xredge.environment import EnvConfig, SystemState, XrEnvironment, interval_reward, observe
 from xredge.latency import violation
-from xredge.network import (BandwidthProfile, RttDistribution, RttModel, bandwidth_at, cycle_profile,
-                            stable_profile)
+from xredge.network import BandwidthProfile, RttModel, bandwidth_at, cycle_profile, stable_profile
 
 from test_queue_exact import ReferenceUplinkQueue, same_queue
 
@@ -46,8 +45,6 @@ def reference_battery_step(b: Battery, power_w: float, dt_s: float) -> float:
 
 def reference_rtt(model: RttModel, rng: np.random.Generator) -> float:
     """One scalar RTT draw."""
-    if model.distribution is RttDistribution.NONE:
-        return model.base_ms
     return model.base_ms + model.jitter_scale_ms * math.exp(model.sigma * rng.standard_normal())
 
 
@@ -160,7 +157,7 @@ RTTS = {
     "lognormal": RttModel(),
     # no base RTT to absorb a last-bit difference in the jitter's exponential
     "jitter-only": RttModel(base_ms=0.0),
-    "none": RttModel(distribution=RttDistribution.NONE),
+    "jitter-0": RttModel(jitter_scale_ms=0.0),
     "sigma-0": RttModel(sigma=0.0),
 }
 

@@ -24,16 +24,21 @@ The output holds, per workload and metric, each pair's two values, each
 side's median and interquartile range, and the number of pairs the change
 won; next to the scaled round seconds (`wall_s`) it keeps the raw ones
 (`raw_wall_s`), since perfbench scales round times by a speed probe.
-Each pair also keeps both sides' round seconds and, next to their peak RSS,
-the decisions each completed: perfbench logs every decision, so a faster
-side that completes more rounds peaks higher. It also holds both commits,
-the machine facts perfbench records and each side's `src/xredge/*.py` line
-count, which the last line printed shows too.
+Each pair also keeps, per side, the round count, the quartiles of the round
+seconds (perfbench's result file under `.perfbench_out/` holds each round)
+and, next to the peak RSS, the decisions completed: perfbench logs every
+decision, so a faster side that completes more rounds peaks higher. The
+output also holds both commits, `change_tree` (a SHA-256 of the change
+side's uncommitted edits and of each untracked file under `src/` and
+`perfbench/`, which name the tree measured), the machine facts perfbench
+records and each side's `src/xredge/*.py` line count, which the last line
+printed shows too.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -46,6 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # perfbench's end-to-end metrics, all better lower, and the raw round time
 METRICS = ("setup_s", "wall_s", "raw_wall_s", "decision_us_p50", "decision_us_p99", "peak_rss_mb")
 SIDES = ("base", "change")
+# the directories whose files a perfbench run imports
+RUN_PATHS = ("src", "perfbench")
 # the policies whose 1200 s cycle episode --traced times, and the rounds
 EPISODE_POLICIES = ("local", "offload", "threshold", "greedy", "rl")
 EPISODE_ROUNDS = 3
@@ -68,6 +75,18 @@ print(json.dumps(seconds))
 def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def tree_digest(root: Path) -> dict:
+    """What names checkout `root`'s tree beyond its HEAD commit: the SHA-256
+    of `git diff --binary HEAD`, and of each untracked, unignored file under
+    RUN_PATHS by its path."""
+    diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=root, check=True,
+                          capture_output=True).stdout
+    untracked = git("ls-files", "--others", "--exclude-standard", "-z", "--", *RUN_PATHS, cwd=root)
+    return {"diff_sha256": hashlib.sha256(diff).hexdigest(),
+            "untracked_sha256": {path: hashlib.sha256((root / path).read_bytes()).hexdigest()
+                                 for path in sorted(filter(None, untracked.split("\0")))}}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -165,14 +184,16 @@ def values(run: dict) -> dict[str, float]:
     return {k: v["value"] for k, v in run["result"]["metrics"].items()}
 
 
-# what a pair keeps of each side's run beside its end-to-end metrics: the
-# round seconds, and the decisions completed next to the peak RSS, which
-# grows with them because perfbench logs every decision
-PAIR_DETAIL = ("raw_round_s", "round_s", "decisions", "peak_rss_mb")
-
-
 def pair_detail(run: dict) -> dict:
-    return {k: run["detail"][k] for k in PAIR_DETAIL}
+    """What a pair keeps of one side's run beside its end-to-end metrics: its
+    round count, the quartiles of its raw and scaled round seconds, and the
+    decisions completed next to the peak RSS, which grows with them because
+    perfbench logs every decision."""
+    detail = run["detail"]
+    spread = {k: dict(zip(("q1", "median", "q3"), quartiles(detail[k])))
+              for k in ("raw_round_s", "round_s")}
+    return {"rounds": len(detail["round_s"]), **spread,
+            "decisions": detail["decisions"], "peak_rss_mb": detail["peak_rss_mb"]}
 
 
 def pair_line(i: int, n_pairs: int, workload: str, first: str, runs: dict[str, dict]) -> str:
@@ -250,6 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         "change_sha": git("rev-parse", "HEAD"),
         # the change side is the working tree, which may hold uncommitted edits
         "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "change_tree": tree_digest(ROOT),
         "command": ["tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
         "pairs": args.pairs,
         "seconds": args.seconds,
