@@ -22,7 +22,7 @@ from .config import check_ranges, ranged
 from .energy import Battery, PowerParams, client_power
 from .latency import (FrameSizeModel, ProcTimeTable, UplinkQueue, mtp_local, offload_mtp_ms,
                       proc_time, serialization_s, violation)
-from .network import BandwidthProfile, RttModel, bandwidth_at, last_rtt, level_index, rtt_samples
+from .network import BandwidthProfile, RttModel, bandwidth_at, last_rtt, rtt_samples
 
 # the most frames an interval may hold: the action table and each step build arrays that long
 MAX_INTERVAL_FRAMES = 100_000
@@ -90,7 +90,7 @@ class EnvConfig:
         if 0 < self.horizon_s < self.decision_interval_s:
             raise ValueError(f"decision interval must not exceed the horizon: "
                              f"{self.decision_interval_s} s vs {self.horizon_s} s")
-        # the last tick's dwell index must stay an exact integer in level_index
+        # the last tick's dwell index must stay an exact integer in bandwidth_at and step's cuts
         if not (self.horizon_s + self.decision_interval_s) / self.profile.dwell_s < 2**53:
             raise ValueError(f"the horizon spans too many dwells: dwell {self.profile.dwell_s} s "
                              f"vs horizon {self.horizon_s} s")
@@ -326,16 +326,20 @@ class XrEnvironment:
         else:
             rtts = rtt_samples(cfg.rtt, self.rng, captured)
             rtt = rtts[-1]
-            # an interval inside one dwell sends at one bandwidth, a float;
-            # one that crosses a dwell boundary gets each tick's level
+            offload = tab.offload_row[row]
+            payload = tab.payload_offload_mbit[offload]
             dwell_s = cfg.profile.dwell_s
             if t0 // dwell_s == ticks.item(-1) // dwell_s:
-                bandwidths = bandwidth_at(cfg.profile, t0)
+                t_capture, mtp, dropped = self.queue.transmit(
+                    ticks, bandwidth_at(cfg.profile, t0), rtts, tick_s, offload, payload, tab)
             else:
-                bandwidths = np.array(cfg.profile.levels_mbps)[level_index(cfg.profile, ticks)]
-            offload = tab.offload_row[row]
-            t_capture, mtp, dropped = self.queue.transmit(
-                ticks, bandwidths, rtts, tick_s, offload, tab.payload_offload_mbit[offload], tab)
+                # one call per run of ticks that share a dwell, at that dwell's level
+                dwells = ticks // dwell_s
+                cuts = [0, *(np.flatnonzero(dwells[1:] != dwells[:-1]) + 1).tolist(), captured]
+                runs = [self.queue.transmit(ticks[a:b], bandwidth_at(cfg.profile, ticks.item(a)), rtts[a:b],
+                                            tick_s, offload, payload, tab) for a, b in zip(cuts, cuts[1:])]
+                t_capture, mtp, dropped = zip(*runs)
+                t_capture, mtp, dropped = np.concatenate(t_capture), np.concatenate(mtp), sum(dropped)
             mtp_obs = mtp[-1].item() if mtp.size else self.state.mtp_ms
             mtp_mean = _mean(mtp) if mtp.size else float("nan")
             # epoch violation: delivered frames plus a censored lower bound

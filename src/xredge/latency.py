@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -118,9 +117,10 @@ class UplinkQueue:
     time, the Mbit still to send, and the frame's offload quality row (an
     index into the per-quality terms `transmit` is given). When a frame
     arrives at a full queue the oldest queued frame is dropped (newest data
-    is the most valuable for pose estimation). Partial transmissions carry
-    over between ticks and between `transmit` calls, which is what produces
-    stale, high-MTP deliveries right after a congested period. `max_depth`
+    is the most valuable for pose estimation). `transmit` sends at one
+    bandwidth per call, and partial transmissions carry over between ticks
+    and between calls, which is what produces stale, high-MTP deliveries
+    right after a congested period or across a bandwidth step. `max_depth`
     is taken as given: `EnvConfig.queue_max_depth` declares its range.
     """
 
@@ -162,43 +162,39 @@ class UplinkQueue:
         self.dropped += n
         return n
 
-    def transmit(self, ticks, bandwidths, rtts, dt_s, quality_row, payload_mbit, terms):
+    def transmit(self, ticks, bandwidth, rtts, dt_s, quality_row, payload_mbit, terms):
         """Capture one frame at each tick and serialize the uplink for dt_s from it.
 
-        `bandwidths` is the interval's one bandwidth as a float, or a numpy
-        array with each tick's. Returns the delivered frames' capture times
-        and MTPs as arrays, and the number dropped. Each tick enqueues its
-        frame, then spends the tick's Mbit budget `bandwidth * dt_s` on the
-        queue, oldest first: a frame that fits is delivered `elapsed +
-        remaining / bandwidth` after the tick, with the MTP `offload_mtp_ms`
-        of its per-frame `terms`, and the head frame keeps its partial
-        progress if the budget runs out mid-frame. If the queue starts empty
-        and each frame fits its own tick's budget, no frame waits (the
-        Lindley waiting is zero) and each is done `payload / bandwidth` after
-        its tick, the loop's `0.0 + payload / bandwidth`: one elementwise
-        pass prices them all. With one bandwidth the fit test is a single
-        comparison and the serialization time a single division.
+        The ticks share one bandwidth, a float: `XrEnvironment.step` sends an
+        interval that crosses a dwell boundary in consecutive calls, one per
+        dwell. Returns the delivered frames' capture times and MTPs as
+        arrays, and the number dropped. Each tick enqueues its frame, then
+        spends the tick's Mbit budget `bandwidth * dt_s` on the queue, oldest
+        first: a frame that fits is delivered `elapsed + remaining /
+        bandwidth` after the tick, with the MTP `offload_mtp_ms` of its
+        per-frame `terms`, and the head frame keeps its partial progress if
+        the budget runs out mid-frame. If the queue starts empty and a frame
+        fits the budget, no frame waits (the Lindley waiting is zero) and
+        each is done `payload / bandwidth` after its tick, the loop's `0.0 +
+        payload / bandwidth`: one elementwise pass prices them all.
         The arguments come from a checked `EnvConfig` and are not checked again.
         """
-        one_bw = not isinstance(bandwidths, np.ndarray)
-        if not self.t_capture:
-            fits = payload_mbit <= bandwidths * dt_s
-            if fits if one_bw else fits.all():
-                # the age from the delivery time, with the loop's rounding
-                age_ms = (ticks + serialization_s(payload_mbit, bandwidths) - ticks) * 1000.0
-                return ticks, offload_mtp_ms(age_ms, np.array(rtts), terms, quality_row), 0
+        tick_mbit = bandwidth * dt_s
+        if not self.t_capture and payload_mbit <= tick_mbit:
+            # the age from the delivery time, with the loop's rounding
+            age_ms = (ticks + serialization_s(payload_mbit, bandwidth) - ticks) * 1000.0
+            return ticks, offload_mtp_ms(age_ms, np.array(rtts), terms, quality_row), 0
         t_capture, remaining, rows = self.t_capture, self.remaining_mbit, self.quality_row
         mtp_ms, serial_s = offload_mtp_ms, serialization_s
         dropped, t_out, mtp_out = 0, [], []
-        tick_bws = repeat(bandwidths) if one_bw else bandwidths.tolist()
-        for tk, bw, rtt in zip(ticks.tolist(), tick_bws, rtts):
+        for tk, rtt in zip(ticks.tolist(), rtts):
             dropped += self.enqueue(tk, quality_row, payload_mbit)
-            budget_mbit = bw * dt_s
+            budget_mbit = tick_mbit
             elapsed_s = 0.0
             while remaining and budget_mbit > 0.0:
                 head = remaining[0]
                 if head <= budget_mbit:
-                    elapsed_s += serial_s(head, bw)
+                    elapsed_s += serial_s(head, bandwidth)
                     budget_mbit -= head
                     remaining.popleft()
                     t = t_capture.popleft()

@@ -152,3 +152,40 @@ def test_source_lines_count_newlines_of_the_package_modules_only(tmp_path):
     assert bench_pairs.source_lines(tmp_path) == 4
     (pkg / "a.py").unlink()
     assert bench_pairs.source_lines(tmp_path) == 2
+
+
+# a perfbench/run.py that writes the one result file of its workload, seed
+# and trace, as perfbench's does, with the checkout's run count as its
+# decisions
+FAKE_RUN = """
+import json, pathlib, sys
+a = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+count = pathlib.Path("count")
+n = int(count.read_text()) + 1 if count.exists() else 1
+count.write_text(str(n))
+out = pathlib.Path(".perfbench_out")
+out.mkdir(exist_ok=True)
+names = ("setup_s", "wall_s", "decision_us_p50", "decision_us_p99", "peak_rss_mb")
+metrics = {k: {"value": 1.0} for k in names}
+(out / f"result-{a['--workload']}-seed{a['--seed']}-trace{a['--trace']}.json").write_text(json.dumps({
+    "result": {"failed": 0, "metrics": metrics},
+    "detail": {"raw_round_s": [1.0], "round_s": [1.0], "decisions": n, "peak_rss_mb": 1.0,
+               "machine": {}}}))
+"""
+
+
+def test_bench_keeps_every_runs_result_file_by_pair_workload_and_side(tmp_path):
+    roots = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for root in roots.values():
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    keep_dir = tmp_path / "main" / ".perfbench_out" / "BENCH_9"
+    workloads = ["static-cli", "rl-cycle"]
+    report = bench_pairs.bench(roots, workloads, 2, 0.5, 1, False, keep_dir)
+    assert [pair["change"]["decisions"] for pair in report["workloads"]["rl-cycle"]["rounds"]] == [2, 4]
+    # each checkout holds one file per workload, its last run's; all eight are kept
+    for root in roots.values():
+        assert len(list((root / ".perfbench_out").iterdir())) == 2
+    kept = {p.name: json.loads(p.read_text())["detail"]["decisions"] for p in keep_dir.iterdir()}
+    assert kept == {f"pair{k:02d}-{w}-{side}.json": 2 * (k - 1) + 1 + workloads.index(w)
+                    for k in (1, 2) for w in workloads for side in bench_pairs.SIDES}

@@ -108,19 +108,23 @@ def test_bad_model_constants_fail_at_construction(make):
 
 
 def transmit(q, row, payload, bandwidths, rtt, dt, t_start):
-    """One `transmit` call: a frame of `payload` Mbit at each of the ticks
-    t_start, t_start + dt, ..., one per bandwidth; returns its deliveries as
-    (t_capture, mtp_ms) pairs and the number of frames it dropped."""
-    ticks = t_start + np.arange(len(bandwidths)) * dt
-    rtts = [rtt] * len(bandwidths)
-    t_capture, mtp, dropped = q.transmit(
-        ticks, np.array(bandwidths, dtype=float), rtts, dt, row, payload, TERMS)
-    assert t_capture.size == mtp.size
-    return list(zip(t_capture.tolist(), mtp.tolist())), dropped
+    """A frame of `payload` Mbit at each of the ticks t_start, t_start + dt,
+    ..., one per bandwidth, sent in consecutive `transmit` calls, one per run
+    of equal bandwidths; returns the deliveries as (t_capture, mtp_ms) pairs
+    and the number of frames dropped."""
+    out, dropped, k = [], 0, 0
+    for bandwidth, run in itertools.groupby(bandwidths):
+        n = len(list(run))
+        ticks = t_start + np.arange(k, k + n) * dt
+        t_capture, mtp, drops = q.transmit(ticks, bandwidth, [rtt] * n, dt, row, payload, TERMS)
+        assert t_capture.size == mtp.size
+        out += zip(t_capture.tolist(), mtp.tolist())
+        dropped, k = dropped + drops, k + n
+    return out, dropped
 
 
 # no second tick, so one frame that fits its tick takes the elementwise
-# pass, or a stalled second tick whose frame stays queued, so the loop
+# pass, or a stalled second tick, a call of its own, whose frame stays queued
 STALLS = ([], [0.001])
 
 

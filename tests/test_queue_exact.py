@@ -10,6 +10,8 @@ meant to be the same operation for operation, so the property here demands
 equality, not closeness, of every delivery and of the state left behind.
 `UplinkQueue.transmit` is held to one reference `enqueue` and one `drain`
 per tick, and the frames it was given to its deliveries, drops and depth.
+Each `transmit` call sends at one bandwidth, so a bandwidth that changes
+from tick to tick is a run of calls, one per run of equal bandwidths.
 """
 
 from dataclasses import dataclass
@@ -144,9 +146,10 @@ def same_queue(q: UplinkQueue, ref: ReferenceUplinkQueue, qualities) -> bool:
 
 
 def reference_transmit(ref: ReferenceUplinkQueue, ticks, bandwidths, rtts, dt, quality, payload, table):
-    """One reference enqueue and drain per tick; returns the deliveries and drops."""
+    """One reference enqueue and drain per tick, at that tick's bandwidth;
+    returns the deliveries and drops."""
     dropped, delivered = 0, []
-    for tk, bw, rtt in zip(ticks.tolist(), bandwidths.tolist(), rtts):
+    for tk, bw, rtt in zip(ticks.tolist(), bandwidths, rtts):
         dropped += ref.enqueue(tk, quality, payload)
         delivered += ref.drain(bw, rtt, dt, tk, table)
     return delivered, dropped
@@ -159,13 +162,15 @@ TABLES = {
 }
 
 # one transmit call: its frames' quality row and share of the full payload,
-# then each tick's bandwidth (with stalls) and rtt, and the tick length
+# its one bandwidth (or a stall), each tick's rtt, and the tick length;
+# consecutive calls are consecutive runs of ticks, so the bandwidth changes
+# between them, with or without a partial head frame in flight
 transmit_op = st.tuples(
     st.just("transmit"),
     st.integers(0, 2),
     st.floats(0.0, 1.0, exclude_min=True),
-    st.lists(st.tuples(st.one_of(st.just(0.001), st.floats(0.01, 2000.0)), st.floats(0.0, 40.0)),
-             max_size=3),
+    st.one_of(st.just(0.001), st.floats(0.01, 2000.0)),
+    st.lists(st.floats(0.0, 40.0), max_size=3),
     st.sampled_from([0.05, 0.025, 0.0, 1.0, 1 / 30]),
 )
 # a one-tick transmit whose budget is the head frame's remaining Mbit exactly,
@@ -201,18 +206,16 @@ def test_column_queue_equals_the_list_of_frames_queue(max_depth, table, t0, ops)
             _, row, share, *rest = op
             payload = cfg.frame.payload_mbit(qualities[row]) * share
             if op[0] == "transmit":
-                per_tick, dt = rest
-                bandwidths, rtts = [bw for bw, _ in per_tick], [rtt for _, rtt in per_tick]
+                bandwidth, rtts, dt = rest
             else:
                 dt, rtt = rest
                 # the head once the tick's frame is in, the oldest dropped if full
                 head = [*q.remaining_mbit, payload][-max_depth:][0]
-                bandwidths, rtts = [head / dt], [rtt]
+                bandwidth, rtts = head / dt, [rtt]
             ticks = t + np.arange(len(rtts)) * dt
-            bandwidths = np.array(bandwidths, dtype=float)
-            t_capture, mtp, dropped = q.transmit(ticks, bandwidths, rtts, dt, row, payload, terms)
+            t_capture, mtp, dropped = q.transmit(ticks, bandwidth, rtts, dt, row, payload, terms)
             want, want_dropped = reference_transmit(
-                ref, ticks, bandwidths, rtts, dt, qualities[row], payload, cfg.table)
+                ref, ticks, [bandwidth] * len(rtts), rtts, dt, qualities[row], payload, cfg.table)
             assert t_capture.dtype == mtp.dtype == np.float64
             assert t_capture.tolist() == [f.t_capture for f in want]
             assert mtp.tolist() == [f.mtp_ms for f in want]
@@ -235,13 +238,15 @@ def test_column_queue_equals_the_list_of_frames_queue(max_depth, table, t0, ops)
     start_bw=st.floats(0.001, 2000.0),
     row=st.integers(0, 2),
     dt=st.sampled_from([0.05, 0.025, 0.25, 1 / 30]),
-    # a tick's bandwidth over the one that just fits the frame in it: free
-    # above 1, congested below, and either side of the fit at 1.0
-    fits=st.lists(st.one_of(st.just(1.0), st.floats(1.0, 400.0), st.floats(0.001, 1.0)), max_size=25),
+    # runs of ticks at one bandwidth, each a fit and a tick count: the
+    # bandwidth over the one that just fits a frame in its tick, free above
+    # 1, congested below, and either side of the fit at 1.0
+    runs=st.lists(st.tuples(st.one_of(st.just(1.0), st.floats(1.0, 400.0), st.floats(0.001, 1.0)),
+                            st.integers(1, 6)), max_size=8),
     data=st.data(),
 )
 def test_transmit_equals_one_enqueue_and_drain_per_tick(
-        max_depth, table, t0, start, start_bw, row, dt, fits, data):
+        max_depth, table, t0, start, start_bw, row, dt, runs, data):
     cfg = EnvConfig(table=TABLES[table])
     terms = cfg.actions
     qualities = terms.offload_qualities
@@ -250,21 +255,28 @@ def test_transmit_equals_one_enqueue_and_drain_per_tick(
     # progress, drops or nothing
     for k, (r, share) in enumerate(start):
         payload = cfg.frame.payload_mbit(qualities[r]) * share
-        tick, bandwidth = np.array([t0 - (len(start) - k) * dt]), np.array([start_bw])
-        q.transmit(tick, bandwidth, [0.0], dt, r, payload, terms)
-        reference_transmit(ref, tick, bandwidth, [0.0], dt, qualities[r], payload, cfg.table)
+        tick = np.array([t0 - (len(start) - k) * dt])
+        q.transmit(tick, start_bw, [0.0], dt, r, payload, terms)
+        reference_transmit(ref, tick, [start_bw], [0.0], dt, qualities[r], payload, cfg.table)
     assert same_queue(q, ref, qualities)
 
     payload = float(terms.payload_offload_mbit[row])
-    ticks = t0 + np.arange(len(fits)) * dt
-    bandwidths = payload / dt * np.array(fits)
-    rtts = data.draw(st.lists(st.floats(0.0, 40.0), min_size=len(fits), max_size=len(fits)))
-    t_capture, mtp, dropped = q.transmit(ticks, bandwidths, rtts, dt, row, payload, terms)
+    bandwidths = [payload / dt * fit for fit, n in runs for _ in range(n)]
+    ticks = t0 + np.arange(len(bandwidths)) * dt
+    rtts = data.draw(st.lists(st.floats(0.0, 40.0), min_size=len(ticks), max_size=len(ticks)))
+    # consecutive calls over consecutive runs
+    t_capture, mtp, dropped, k = [], [], 0, 0
+    for _, n in runs:
+        run_t, run_mtp, run_dropped = q.transmit(
+            ticks[k:k + n], bandwidths[k], rtts[k:k + n], dt, row, payload, terms)
+        assert run_t.dtype == run_mtp.dtype == np.float64
+        t_capture += run_t.tolist()
+        mtp += run_mtp.tolist()
+        dropped, k = dropped + run_dropped, k + n
 
     want, want_dropped = reference_transmit(
         ref, ticks, bandwidths, rtts, dt, qualities[row], payload, cfg.table)
-    assert t_capture.dtype == mtp.dtype == np.float64
-    assert t_capture.tolist() == [f.t_capture for f in want]
-    assert mtp.tolist() == [f.mtp_ms for f in want]
+    assert t_capture == [f.t_capture for f in want]
+    assert mtp == [f.mtp_ms for f in want]
     assert dropped == want_dropped
     assert same_queue(q, ref, qualities)

@@ -152,6 +152,9 @@ PROFILES = {
     "cycle-2.5s": replace(cycle_profile(), dwell_s=2.5),
     # an interval's first and last ticks lie three dwells apart, at one level
     "three-0.3s": BandwidthProfile(levels_mbps=(1000.0, 1.0, 100.0), dwell_s=0.3),
+    # each 1 s interval starts a stalled dwell at 1 Mbps, which leaves a
+    # partial head frame in flight when the 1000 Mbps dwell begins mid-interval
+    "stall-free-0.5s": BandwidthProfile(levels_mbps=(1.0, 1000.0), dwell_s=0.5),
 }
 RTTS = {
     "lognormal": RttModel(),

@@ -10,7 +10,10 @@ change side is this checkout as it stands, which the script does not edit
 Each pair runs the unchanged `perfbench/run.py --workload W --seed n
 --seconds s --trace 0` once per side, and the side that runs first
 alternates from pair to pair. Each side's
-`.perfbench_out/result-<W>-seed<n>-trace0.json` is read after its run.
+`.perfbench_out/result-<W>-seed<n>-trace0.json` is copied after its run to
+this checkout's `.perfbench_out/<out stem>/pair<k>-<W>-<side>.json` (the
+traced runs' to `traced-<W>-<side>.json`) and read there, so every run's
+rounds outlive the base worktree and the next run of the same side.
 With --traced, each side also runs `--trace 1` once per workload after the
 pairs, for the per-layer metrics, and times one 1200 s cycle episode per
 policy in-process with its own source, in three rounds in which the side
@@ -25,14 +28,14 @@ side's median and interquartile range, and the number of pairs the change
 won; next to the scaled round seconds (`wall_s`) it keeps the raw ones
 (`raw_wall_s`), since perfbench scales round times by a speed probe.
 Each pair also keeps, per side, the round count, the quartiles of the round
-seconds (perfbench's result file under `.perfbench_out/` holds each round)
-and, next to the peak RSS, the decisions completed: perfbench logs every
-decision, so a faster side that completes more rounds peaks higher. The
-output also holds both commits, `change_tree` (a SHA-256 of the change
-side's uncommitted edits and of each untracked file under `src/` and
-`perfbench/`, which name the tree measured), the machine facts perfbench
-records and each side's `src/xredge/*.py` line count, which the last line
-printed shows too.
+seconds (the kept result file holds each round) and, next to the peak RSS,
+the decisions completed: perfbench logs every decision, so a faster side
+that completes more rounds peaks higher. The output also holds the kept
+result files' directory, both commits, `change_tree` (a SHA-256 of the
+change side's uncommitted edits and of each untracked file under `src/`
+and `perfbench/`, which name the tree measured), the machine facts
+perfbench records and each side's `src/xredge/*.py` line count, which the
+last line printed shows too.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -128,8 +132,10 @@ def summarize(pairs: list[dict[str, dict[str, float]]]) -> dict[str, dict]:
     return out
 
 
-def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `perfbench/run.py` run in checkout `root`; returns its result file."""
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int,
+                  keep: Path) -> dict:
+    """One `perfbench/run.py` run in checkout `root`; copies its result file
+    to `keep` and returns it."""
     result = root / ".perfbench_out" / f"result-{workload}-seed{seed}-trace{trace}.json"
     result.unlink(missing_ok=True)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -137,7 +143,9 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    return read_result(result)
+    keep.parent.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(result, keep)
+    return read_result(keep)
 
 
 def read_result(path: Path) -> dict:
@@ -220,14 +228,16 @@ def source_lines(root: Path) -> int:
 
 
 def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: float,
-          seed: int, traced: bool) -> dict:
+          seed: int, traced: bool, keep_dir: Path) -> dict:
     pairs: dict[str, list] = {w: [] for w in workloads}
     rounds: dict[str, list] = {w: [] for w in workloads}
     machine = None
     for i in range(n_pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for w in workloads:
-            runs = {side: run_perfbench(roots[side], w, seed, seconds, 0) for side in order}
+            runs = {side: run_perfbench(roots[side], w, seed, seconds, 0,
+                                        keep_dir / f"pair{i + 1:02d}-{w}-{side}.json")
+                    for side in order}
             machine = machine or runs["change"]["detail"]["machine"]
             pairs[w].append({side: end_to_end(runs[side]) for side in SIDES})
             rounds[w].append({side: pair_detail(runs[side]) for side in SIDES})
@@ -237,7 +247,8 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
               "src_lines": {side: source_lines(roots[side]) for side in SIDES}}
     if traced:
         for w in workloads:
-            out[w]["traced"] = {side: values(run_perfbench(roots[side], w, seed, seconds, 1))
+            out[w]["traced"] = {side: values(run_perfbench(roots[side], w, seed, seconds, 1,
+                                                           keep_dir / f"traced-{w}-{side}.json"))
                                 for side in SIDES}
         report["episode_s"] = episode_rounds(roots, seed)
     return report
@@ -258,12 +269,13 @@ def main(argv: list[str] | None = None) -> int:
 
     base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     workloads = args.workload or ["greedy-cycle", "rl-cycle", "static-cli"]
+    keep_dir = ROOT / ".perfbench_out" / args.out.stem
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_root = Path(tmp) / "base"
         git("worktree", "add", "--detach", str(base_root), base_sha)
         try:
             report = bench({"base": base_root, "change": ROOT}, workloads, args.pairs,
-                           args.seconds, args.seed, args.traced)
+                           args.seconds, args.seed, args.traced, keep_dir)
         finally:
             git("worktree", "remove", "--force", str(base_root))
     report = {
@@ -276,6 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seed": args.seed,
+        "results_dir": str(keep_dir.relative_to(ROOT)),
         **report,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
