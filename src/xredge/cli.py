@@ -53,6 +53,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 def _build_spec(args) -> ScenarioSpec:
     if args.scenario:
         return load_spec(args.scenario)
+    if args.stable_mbps is not None and args.profile != "stable":
+        raise ValueError(f"--stable-mbps is for --profile stable only, not {args.profile!r}")
     # an omitted flag is not passed, so default_scenario's default applies
     given = {"horizon_s": args.horizon, "stable_mbps": args.stable_mbps,
              "seeds": None if args.seeds is None else _parse_seeds(args.seeds)}
@@ -168,8 +170,9 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="scenario JSON file (overrides the flags below)")
     p.add_argument("--policy", default=ScenarioSpec.policy, choices=tuple(POLICIES))
     p.add_argument("--profile", default="cycle",
-                   help="'cycle', 'stable', or a profile text file path")
-    p.add_argument("--stable-mbps", type=float, help="bandwidth for --profile stable")
+                   help="'cycle', 'stable', or a JSON profile file: a scenario file's env.profile "
+                        "object, such as {\"levels_mbps\": [1000, 10, 1], \"dwell_s\": 30}")
+    p.add_argument("--stable-mbps", type=float, help="bandwidth for --profile stable (default 1000)")
     p.add_argument("--horizon", type=float, help="episode length in seconds")
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--name", default=None, help="scenario name (defaults to policy-profile)")

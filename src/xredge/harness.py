@@ -24,7 +24,7 @@ from .config import check_ranges, field_types, fold_sum, from_jsonable, ranged, 
 from .dqn import DqnConfig
 from .energy import lifetime_projection
 from .environment import ActionTable, EnvConfig, XrEnvironment
-from .network import BandwidthProfile, cycle_profile, level_index, load_profile, stable_profile
+from .network import BandwidthProfile, cycle_profile, level_index, stable_profile
 from .policies import POLICIES, RlPolicy, make_policy
 
 METRICS_SCHEMA_VERSION = 1
@@ -70,8 +70,8 @@ class ScenarioSpec:
         if self.name in ("", ".", "..") or {"/", os.sep, os.altsep} & set(self.name):
             raise ValueError(f"scenario name must be one directory name: {self.name!r}")
         # make_policy's own rule, checked before a run writes anything
-        if self.policy.lower() not in POLICIES:
-            raise ValueError(f"unknown policy kind: {self.policy.lower()!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy kind: {self.policy!r}")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
         if len(set(self.seeds)) < len(self.seeds):
@@ -411,7 +411,8 @@ def default_scenario(
     stable_mbps: float = 1000.0,
     name: str | None = None,
 ) -> ScenarioSpec:
-    """Convenience scenario builder used by the CLI and tests."""
+    """The CLI's scenario: `profile` is "cycle", "stable" (at `stable_mbps`) or the
+    path of a JSON file that holds a scenario file's `env.profile` object."""
     if profile == "cycle":
         prof = cycle_profile()
         label = "cycle"
@@ -419,7 +420,7 @@ def default_scenario(
         prof = stable_profile(stable_mbps)
         label = f"stable{stable_mbps:g}"
     else:
-        prof = load_profile(profile)
+        prof = from_jsonable(BandwidthProfile, read_json(Path(profile)), str(profile))
         label = Path(profile).stem
     env = replace(EnvConfig(), profile=prof, horizon_s=horizon_s)
     return ScenarioSpec(

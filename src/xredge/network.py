@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -149,32 +148,3 @@ def _rtt_ms(model: RttModel, normals: list[float]) -> list[float]:
     base, scale, sigma = model.base_ms, model.jitter_scale_ms, model.sigma
     return [base + scale * math.exp(sigma * z) for z in normals]
 
-
-def load_profile(path: str | Path) -> BandwidthProfile:
-    """Read a bandwidth profile from a plain-text file.
-
-    Format: one "<mbps> <dwell_s>" pair per line; blank lines and lines
-    starting with '#' are ignored. All dwells must be equal because the
-    schedule holds every level for the same duration.
-    """
-    levels: list[float] = []
-    dwells: list[float] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected '<mbps> <dwell_s>', got {raw!r}")
-        try:
-            levels.append(float(parts[0]))
-            dwells.append(float(parts[1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric entry in {raw!r}") from exc
-    if not levels:
-        raise ValueError(f"{path}: no bandwidth levels found")
-    # the ranges first: a NaN dwell is out of range, not unequal to itself
-    profile = BandwidthProfile(levels_mbps=tuple(levels), dwell_s=dwells[0])
-    if any(d != profile.dwell_s for d in dwells):
-        raise ValueError(f"{path}: all dwell values must be equal, got {dwells}")
-    return profile

@@ -206,8 +206,8 @@ POLICIES = {
 
 
 def make_policy(kind: str, dqn_cfg: DqnConfig | None = None, seed: int = 0):
-    """Policy factory by case-insensitive name, one of POLICIES."""
-    factory = POLICIES.get(kind.lower())
+    """Policy factory by exact name, one of POLICIES."""
+    factory = POLICIES.get(kind)
     if factory is None:
-        raise ValueError(f"unknown policy kind: {kind.lower()!r}")
+        raise ValueError(f"unknown policy kind: {kind!r}")
     return factory(dqn_cfg or DqnConfig(), seed)

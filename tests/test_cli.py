@@ -458,8 +458,8 @@ def test_ranged_field_edges_either_run_or_fail_cleanly(policy, edit):
 
 
 def test_nan_level_in_profile_file_fails_cleanly(tmp_path, capsys):
-    profile = tmp_path / "steps.txt"
-    profile.write_text("1000 60\nnan 60\n")
+    profile = tmp_path / "steps.json"
+    profile.write_text('{"levels_mbps": [1000, NaN], "dwell_s": 60}')
     rc = main(["run", "--policy", "local", "--profile", str(profile), "--horizon", "3",
                "--seeds", "1", "--out", str(tmp_path / "o")])
     assert_clean_error(rc, capsys, "BandwidthProfile.levels_mbps must be within (0, inf): (1000.0, nan)")
@@ -467,23 +467,26 @@ def test_nan_level_in_profile_file_fails_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, fragment", [
-    ("nan 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (nan,)"),
-    ("inf 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (inf,)"),
-    ("-inf 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (-inf,)"),
-    ("1e400 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (inf,)"),
-    ("0 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (0.0,)"),
-    ("-1 60\n", "BandwidthProfile.levels_mbps must be within (0, inf): (-1.0,)"),
-    ("5 0\n", "BandwidthProfile.dwell_s must be within (0, inf): 0.0"),
-    # not "all dwell values must be equal", as nan != nan would have it
-    ("5 nan\n", "BandwidthProfile.dwell_s must be within (0, inf): nan"),
-    ("5 inf\n", "BandwidthProfile.dwell_s must be within (0, inf): inf"),
-    ("5 1e-320\n", "the horizon spans too many dwells: dwell 1e-320 s"),
-    ("5 60 7\n", "steps.txt:1: expected '<mbps> <dwell_s>', got '5 60 7'"),
-    ("", "steps.txt: no bandwidth levels found"),
-    ("# levels go here\n", "steps.txt: no bandwidth levels found"),
+    ('{"levels_mbps": [NaN]}', "BandwidthProfile.levels_mbps must be within (0, inf): (nan,)"),
+    ('{"levels_mbps": [Infinity]}', "BandwidthProfile.levels_mbps must be within (0, inf): (inf,)"),
+    ('{"levels_mbps": [-Infinity]}', "BandwidthProfile.levels_mbps must be within (0, inf): (-inf,)"),
+    ('{"levels_mbps": [1e400]}', "BandwidthProfile.levels_mbps must be within (0, inf): (inf,)"),
+    ('{"levels_mbps": [0]}', "BandwidthProfile.levels_mbps must be within (0, inf): (0.0,)"),
+    ('{"levels_mbps": [-1]}', "BandwidthProfile.levels_mbps must be within (0, inf): (-1.0,)"),
+    ('{"levels_mbps": [5], "dwell_s": 0}', "BandwidthProfile.dwell_s must be within (0, inf): 0.0"),
+    ('{"levels_mbps": [5], "dwell_s": NaN}', "BandwidthProfile.dwell_s must be within (0, inf): nan"),
+    ('{"levels_mbps": [5], "dwell_s": Infinity}', "BandwidthProfile.dwell_s must be within (0, inf): inf"),
+    ('{"levels_mbps": [5], "dwell_s": 1e-320}', "the horizon spans too many dwells: dwell 1e-320 s"),
+    ("[]", "steps.json: expected an object, got []"),
+    ('{"levels_mbps": []}', "profile needs at least one bandwidth level"),
+    ('{"levels_mbps": [5], "dwel_s": 60}', "steps.json: unknown field dwel_s"),
+    ('{"levels_mbps": ["fast"]}', "steps.json.levels_mbps[0]: expected float, got 'fast'"),
+    # a profile in the text format of earlier versions
+    ("# comment line\n1000 30\n10 30\n", "steps.json: Expecting value: line 1 column 1 (char 0)"),
+    ("1000 30\n", "steps.json: Extra data: line 1 column 6 (char 5)"),
 ])
 def test_edge_profile_file_fails_cleanly(tmp_path, capsys, text, fragment):
-    profile = tmp_path / "steps.txt"
+    profile = tmp_path / "steps.json"
     profile.write_text(text)
     rc = main(["run", "--policy", "offload", "--profile", str(profile), "--horizon", "3",
                "--seeds", "1", "--out", str(tmp_path / "o")])
@@ -491,21 +494,25 @@ def test_edge_profile_file_fails_cleanly(tmp_path, capsys, text, fragment):
     assert not (tmp_path / "o").exists()
 
 
-# profile-file tokens: non-finite, overflowing, zero, negative, subnormal,
-# ordinary and not a number; a line holds one to three of them, or none, or
-# is a comment
-PROFILE_TOKENS = ["NaN", "inf", "-inf", "1e400", "0", "-1", "5e-324", "1", "1000", "fast"]
-PROFILE_LINES = st.one_of(st.lists(st.sampled_from(PROFILE_TOKENS), min_size=1, max_size=3).map(" ".join),
-                          st.sampled_from(["", "# levels"]))
+# profile-file values, as JSON writes them: non-finite, overflowing, zero,
+# negative, subnormal, ordinary and not a number
+PROFILE_TOKENS = ["NaN", "Infinity", "-Infinity", "1e400", "0", "-1", "5e-324", "1", "1000", '"fast"']
+# each key of a profile object may be left out, and levels_mbps may be a list of
+# zero to three values or one bare value; dwel_s is an unknown key
+PROFILE_OBJECTS = st.fixed_dictionaries({}, optional={
+    "levels_mbps": st.one_of(st.lists(st.sampled_from(PROFILE_TOKENS), max_size=3).map(
+        lambda tokens: f"[{', '.join(tokens)}]"), st.sampled_from(PROFILE_TOKENS)),
+    "dwell_s": st.sampled_from(PROFILE_TOKENS),
+    "dwel_s": st.sampled_from(PROFILE_TOKENS),
+}).map(lambda fields: "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
 
 
 @settings(max_examples=200, deadline=None)
-@given(policy=st.sampled_from(["threshold", "offload"]),
-       lines=st.lists(PROFILE_LINES, min_size=1, max_size=3))
-def test_profile_file_lines_either_run_or_fail_cleanly(policy, lines):
+@given(policy=st.sampled_from(["threshold", "offload"]), text=PROFILE_OBJECTS)
+def test_profile_file_objects_either_run_or_fail_cleanly(policy, text):
     with tempfile.TemporaryDirectory() as tmp:
-        profile, out = Path(tmp) / "steps.txt", Path(tmp) / "o"
-        profile.write_text("\n".join(lines) + "\n")
+        profile, out = Path(tmp) / "steps.json", Path(tmp) / "o"
+        profile.write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main(["run", "--policy", policy, "--profile", str(profile), "--horizon", "3",
@@ -517,6 +524,31 @@ def test_profile_file_lines_either_run_or_fail_cleanly(policy, lines):
             err_lines = err.getvalue().splitlines()
             assert rc == 1 and not metrics
             assert len(err_lines) == 1 and err_lines[0].startswith("error: "), err_lines
+
+
+@pytest.mark.parametrize("flags", [["--profile", "cycle"], ["--profile", "stable", "--stable-mbps", "20"]],
+                         ids=["cycle", "stable20"])
+def test_saved_profile_reruns_to_the_same_bytes(tmp_path, flags):
+    # a run's scenario.json env.profile, as a profile file of its own
+    argv = ["run", "--policy", "threshold", "--horizon", "70", "--seeds", "1", "--name", "x"]
+    assert main([*argv, *flags, "--out", str(tmp_path / "a")]) == 0
+    saved = json.loads((tmp_path / "a" / "x" / "scenario.json").read_text())
+    (tmp_path / "profile.json").write_text(json.dumps(saved["env"]["profile"]))
+    assert main([*argv, "--profile", str(tmp_path / "profile.json"), "--out", str(tmp_path / "b")]) == 0
+    for name in ("metrics.json", "decisions.csv", "frames.csv"):
+        first, second = (tmp_path / side / "x" / "seed_1" / name for side in "ab")
+        assert first.read_bytes() == second.read_bytes(), name
+
+
+@pytest.mark.parametrize("profile", ["cycle", "steps.json"])
+def test_stable_mbps_with_another_profile_fails_before_any_run(tmp_path, capsys, profile):
+    # the flag used to be ignored, and the cycle ran
+    (tmp_path / "steps.json").write_text('{"levels_mbps": [1000, 10, 1], "dwell_s": 30}')
+    path = profile if profile == "cycle" else str(tmp_path / profile)
+    rc = main(["run", "--policy", "local", "--profile", path, "--stable-mbps", "5", "--horizon", "3",
+               "--seeds", "1", "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, f"--stable-mbps is for --profile stable only, not {path!r}")
+    assert not (tmp_path / "o").exists()
 
 
 def _local_run(out):
@@ -632,18 +664,20 @@ def test_sweep_to_an_unknown_policy_fails_before_any_run(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_unknown_policy_in_scenario_file_fails_before_any_run(tmp_path, capsys):
+# a policy name is exact: "RL" used to run rl under a second scenario name
+@pytest.mark.parametrize("policy", ["foo", "RL"])
+def test_unknown_policy_in_scenario_file_fails_before_any_run(tmp_path, capsys, policy):
     # a sweep that replaced the bad policy used to run the file's scenario
     from xredge.config import to_jsonable
 
     data = to_jsonable(default_scenario("threshold", "cycle", horizon_s=5.0, seeds=(1,)))
-    data["policy"] = "foo"
+    data["policy"] = policy
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "o"
     for command in (["run"], ["sweep", "--param", "policy", "--values", "local"]):
         rc = main([*command, "--scenario", str(path), "--out", str(out)])
-        assert_clean_error(rc, capsys, "unknown policy kind: 'foo'")
+        assert_clean_error(rc, capsys, f"unknown policy kind: {policy!r}")
         assert not out.exists()
 
 

@@ -13,7 +13,6 @@ from xredge.network import (
     cycle_profile,
     last_rtt,
     level_index,
-    load_profile,
     rtt_samples,
     stable_profile,
 )
@@ -208,36 +207,6 @@ def test_jitter_excess_edge_cases():
 def test_rtt_validation(bad):
     with pytest.raises(ValueError):
         RttModel(**bad)
-
-
-# ---------------------------------------------------------------------------
-# profile files
-# ---------------------------------------------------------------------------
-
-
-def test_load_profile(tmp_path):
-    f = tmp_path / "steps.txt"
-    f.write_text("# comment line\n1000 30\n\n10 30\n1 30\n")
-    p = load_profile(f)
-    assert p.levels_mbps == (1000.0, 10.0, 1.0)
-    assert p.dwell_s == 30.0
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        "1000 60 extra\n",       # wrong token count
-        "fast 60\n",             # non-numeric
-        "1000 60\n10 30\n",      # unequal dwells
-        "# only comments\n",     # no levels at all
-        "nan 60\n",              # parses as a float, but is no bandwidth
-    ],
-)
-def test_load_profile_rejects_malformed(tmp_path, content):
-    f = tmp_path / "bad.txt"
-    f.write_text(content)
-    with pytest.raises(ValueError):
-        load_profile(f)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.6])

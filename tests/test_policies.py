@@ -183,7 +183,9 @@ def test_make_policy_kinds():
     assert isinstance(make_policy("greedy"), GreedyPolicy)
     assert isinstance(make_policy("threshold"), ThresholdPolicy) and THRESHOLD_MBPS == 15.0
     assert isinstance(make_policy("rl", seed=3), RlPolicy)
-    assert make_policy("LOCAL").action_id == ACTION_LOCAL_FULL    # case-insensitive
+    # names are exact: "LOCAL" would run local under a second policy name
+    with pytest.raises(ValueError, match="unknown policy kind: 'LOCAL'"):
+        make_policy("LOCAL")
     with pytest.raises(ValueError):
         make_policy("dagger")
 

@@ -1,10 +1,13 @@
-"""The README's Python examples and the package's top-level names agree."""
+"""The README's Python and JSON examples and the package's top-level names agree."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
 import xredge
+from xredge.config import from_jsonable
+from xredge.network import BandwidthProfile
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +30,11 @@ def test_readme_imports_only_top_level_names():
 
 def test_every_top_level_name_resolves():
     assert all(hasattr(xredge, name) for name in xredge.__all__)
+
+
+def test_readme_json_blocks_parse_and_the_profile_example_loads():
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", README.read_text(), re.S)]
+    profiles = [b for b in blocks if isinstance(b, dict) and "levels_mbps" in b]
+    assert profiles, "the README has no ```json profile example"
+    for data in profiles:
+        assert isinstance(from_jsonable(BandwidthProfile, data, "README"), BandwidthProfile)
