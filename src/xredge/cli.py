@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .config import from_jsonable
 from .harness import (
+    DEFAULT_PROFILE,
     METRICS_SCHEMA_VERSION,
     MetricsRecord,
     ScenarioSpec,
@@ -50,16 +51,24 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise ValueError(f"seeds must be comma-separated integers: {text!r}") from exc
 
 
+# each scenario flag's argparse dest and the default_scenario argument it sets
+_SCENARIO_FLAGS = {"policy": "policy", "profile": "profile", "stable_mbps": "stable_mbps",
+                   "horizon": "horizon_s", "seeds": "seeds", "name": "name"}
+
+
 def _build_spec(args) -> ScenarioSpec:
+    # every scenario flag defaults to None, so `given` holds the ones passed
+    given = {dest: getattr(args, dest) for dest in _SCENARIO_FLAGS if getattr(args, dest) is not None}
     if args.scenario:
+        if given:
+            flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+            raise ValueError(f"--scenario cannot be combined with {flags}")
         return load_spec(args.scenario)
     if args.stable_mbps is not None and args.profile != "stable":
-        raise ValueError(f"--stable-mbps is for --profile stable only, not {args.profile!r}")
-    # an omitted flag is not passed, so default_scenario's default applies
-    given = {"horizon_s": args.horizon, "stable_mbps": args.stable_mbps,
-             "seeds": None if args.seeds is None else _parse_seeds(args.seeds)}
-    return default_scenario(args.policy, args.profile, name=args.name,
-                            **{k: v for k, v in given.items() if v is not None})
+        raise ValueError(f"--stable-mbps is for --profile stable only, not {args.profile or DEFAULT_PROFILE!r}")
+    if args.seeds is not None:
+        given["seeds"] = _parse_seeds(args.seeds)
+    return default_scenario(**{_SCENARIO_FLAGS[dest]: v for dest, v in given.items()})
 
 
 def _cmd_run(args) -> int:
@@ -167,11 +176,11 @@ def _cmd_report(args) -> int:
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", help="scenario JSON file (overrides the flags below)")
-    p.add_argument("--policy", default=ScenarioSpec.policy, choices=tuple(POLICIES))
-    p.add_argument("--profile", default="cycle",
-                   help="'cycle', 'stable', or a JSON profile file: a scenario file's env.profile "
-                        "object, such as {\"levels_mbps\": [1000, 10, 1], \"dwell_s\": 30}")
+    p.add_argument("--scenario", help="scenario JSON file, instead of the six flags below")
+    p.add_argument("--policy", choices=tuple(POLICIES), help=f"default {ScenarioSpec.policy}")
+    p.add_argument("--profile",
+                   help="'cycle' (the default), 'stable', or a JSON profile file: a scenario file's "
+                        "env.profile object, such as {\"levels_mbps\": [1000, 10, 1], \"dwell_s\": 30}")
     p.add_argument("--stable-mbps", type=float, help="bandwidth for --profile stable (default 1000)")
     p.add_argument("--horizon", type=float, help="episode length in seconds")
     p.add_argument("--seeds", help="comma-separated seed list")

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .actions import ExecutionConfig
 from .config import check_ranges, ranged
 from .latency import ProcTimeTable, proc_time
@@ -72,6 +74,21 @@ class Battery:
     def depleted(self) -> bool:
         return self.soc <= 0.0
 
+    def tick_drain(self, power_w: float, dt_s: float) -> tuple[float, float]:
+        """One tick of dt_s at power_w: the raw energy it draws in J and the
+        charge it takes in percent. `steps` and `drain_intervals` both drain
+        by it."""
+        return power_w * dt_s, self.drain_factor * power_w * dt_s / self.capacity_j * 100.0
+
+    def _run_out(self, full: float, drop_pct: float, t_tick: float, dt_s: float) -> tuple[float, float]:
+        """Drain the rest of the charge in the tick that starts at t_tick and
+        would take drop_pct: returns the raw energy that tick drew and the
+        instant the charge ran out."""
+        consumed = full * (self.soc / drop_pct)
+        self.soc = 0.0
+        self.energy_j += consumed
+        return consumed, t_tick + consumed / full * dt_s
+
     def steps(
         self, power_w: float, dt_s: float, n: int, t0: float = 0.0
     ) -> tuple[float, int, float | None]:
@@ -85,16 +102,44 @@ class Battery:
         """
         if self.depleted:
             return 0.0, 0, None
-        full = power_w * dt_s
-        drop_pct = self.drain_factor * power_w * dt_s / self.capacity_j * 100.0
+        full, drop_pct = self.tick_drain(power_w, dt_s)
         energy = 0.0
         for k in range(n):
             if drop_pct >= self.soc:
-                consumed = full * (self.soc / drop_pct)
-                self.soc = 0.0
-                self.energy_j += consumed
-                return energy + consumed, k + 1, t0 + k * dt_s + consumed / full * dt_s
+                consumed, depleted_at = self._run_out(full, drop_pct, t0 + k * dt_s, dt_s)
+                return energy + consumed, k + 1, depleted_at
             self.soc -= drop_pct
             self.energy_j += full
             energy += full
         return energy, n, None
+
+    def drain_intervals(
+        self, power_w: float, dt_s: float, n: int, t0s: list[float]
+    ) -> tuple[np.ndarray, float | None]:
+        """`steps(power_w, dt_s, n, t0)` for each t0 of t0s in turn, in one
+        array pass, until the charge runs out: the same charge, ledger and
+        instant, bit for bit.
+
+        Returns the charge after each tick that drew power, the one that ran
+        the charge out included (its charge is 0.0), and the instant the
+        charge ran out, or None if it lasted. The battery must not be
+        depleted. `np.subtract.accumulate` takes the ticks' drops from the
+        charge one after another, as `steps` does, and `np.add.accumulate`
+        adds their energy to the ledger in the same order.
+        """
+        full, drop_pct = self.tick_drain(power_w, dt_s)
+        charge = np.full(n * len(t0s) + 1, drop_pct)
+        charge[0] = self.soc
+        np.subtract.accumulate(charge, out=charge)
+        # the charge never rises, so if any tick runs it out, the last one does
+        before = charge[:-1]
+        ticks = before.size if before[-1] > drop_pct else int(np.argmax(before <= drop_pct))
+        ledger = np.full(ticks + 1, full)
+        ledger[0] = self.energy_j
+        self.energy_j = np.add.accumulate(ledger).item(-1)
+        self.soc = charge.item(ticks)
+        if ticks == before.size:
+            return charge[1:], None
+        _, depleted_at = self._run_out(full, drop_pct, t0s[ticks // n] + ticks % n * dt_s, dt_s)
+        charge[ticks + 1] = 0.0
+        return charge[1:ticks + 2], depleted_at

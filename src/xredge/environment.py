@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +23,13 @@ from .config import check_ranges, ranged
 from .energy import Battery, PowerParams, client_power
 from .latency import (FrameSizeModel, ProcTimeTable, UplinkQueue, mtp_local, offload_mtp_ms,
                       proc_time, serialization_s, violation)
-from .network import BandwidthProfile, RttModel, bandwidth_at, last_rtt, rtt_samples
+from .network import BandwidthProfile, RttModel, bandwidth_at, last_rtt, last_rtts, level_index, rtt_samples
 
 # the most frames an interval may hold: the action table and each step build arrays that long
 MAX_INTERVAL_FRAMES = 100_000
+# the most frames one `XrEnvironment.run_local` call advances, but for one
+# interval: its arrays hold a few of that many floats
+MAX_RUN_FRAMES = 1 << 15
 # the smallest MTP threshold, 1 us: below it a frame's relative excess
 # `violation(mtp, tau)` can overflow to inf (a 30 ms frame at tau 1e-308 does)
 MIN_TAU_MTP_MS = 1e-3
@@ -216,6 +220,25 @@ class StepOutcome:
     info: dict
 
 
+class LocalRun(NamedTuple):
+    """Consecutive intervals of one local action, as `XrEnvironment.run_local`
+    advances them. Each list holds one value per interval, in order: its
+    start and the bandwidth observed then, which a step reads before it
+    runs, and the RTT, mean MTP, mean violation, charge and reward that a
+    step of it leaves or returns. The frames are arrays as in StepOutcome.
+    A named tuple: a frozen dataclass costs a millisecond more to import."""
+
+    t: list[float]
+    bandwidth_mbps: list[float]
+    rtt_ms: list[float]
+    mtp_mean_ms: list[float]
+    mean_v: list[float]
+    soc: list[float]
+    reward: list[float]
+    t_capture: np.ndarray
+    mtp_ms: np.ndarray
+
+
 def compliance_term(mean_v: float, params: RewardParams) -> float:
     """The epoch reward's latency term: the bonus for an epoch with no
     violation, else the violation penalty."""
@@ -373,3 +396,76 @@ class XrEnvironment:
             "energy_j": energy_j,
         }
         return StepOutcome(reward=reward, t_capture=t_capture, mtp_ms=mtp, info=info)
+
+    def run_local(self, action: int, until_s: float = math.inf) -> LocalRun:
+        """Advance the intervals of one local action that end before until_s,
+        as repeated `step(action)` calls would, in array passes.
+
+        The run stops at the interval that ends the episode, and after at
+        most MAX_RUN_FRAMES frames; it may advance no interval at all. Every
+        value it leaves or returns is the one the steps would, bit for bit:
+        the interval starts accumulate as step advances `t`, the battery
+        drains through `Battery.drain_intervals`, the RTTs come from one draw
+        through `last_rtts`, and the reward and observed bandwidth are
+        step's formulas on arrays. A local interval never queues, so only
+        the uplink queue's flush depends on where the run starts.
+        """
+        if self.done:
+            raise RuntimeError("episode is over")
+        row = int(action)
+        cfg, tab = self.cfg, self.actions
+        if not (0 <= row < N_ACTIONS and tab.is_local[row]):
+            raise ValueError(f"not a local action id: {action}")
+        power, tick_s, n = tab.power_w[row], tab.tick_s, tab.n_ticks
+
+        # each interval's start, then its end, summed one interval at a time as step sums t
+        t = np.full(max(1, MAX_RUN_FRAMES // n) + 1, n * tick_s)
+        t[0] = self.t
+        np.add.accumulate(t, out=t)
+        ends = t[1:]
+        m = min(int(np.searchsorted(ends, cfg.horizon_s - 1e-9)) + 1,
+                int(np.searchsorted(ends, until_s)), ends.size)
+        if m == 0:
+            return LocalRun([], [], [], [], [], [], [], np.empty(0), np.empty(0))
+        # as in step, a switch to local execution abandons pending uploads
+        if self.queue.depth:
+            self.queue.flush()
+        starts = t[:m].tolist()
+        charge, depleted_at = self.battery.drain_intervals(power, tick_s, n, starts)
+        captured = charge.size
+        # the interval that ran the charge out is the run's last
+        m = -(-captured // n)
+        short = captured - (m - 1) * n
+        if depleted_at is not None:
+            ends[m - 1] = depleted_at
+        rtt = last_rtts(cfg.rtt, self.rng, n, captured)
+        t_capture = (t[:m, None] + tab.tick_offsets_s).ravel()[:captured]
+        mtp = np.full(captured, tab.mtp_local_ms[row])
+        mtp_mean = [tab.mtp_mean_local_ms[row]] * m
+        mean_v = [tab.v_mean_local[row]] * m
+        soc = charge[n - 1::n]
+        reward = interval_reward(mean_v[0], power, soc, cfg.reward).tolist()
+        soc = soc.tolist()
+        if short < n:
+            mtp_mean[-1] = _mean(mtp[:short])
+            mean_v[-1] = _mean(np.full(short, tab.v_local[row]))
+            soc.append(charge.item(-1))
+            reward.append(interval_reward(mean_v[-1], power, soc[-1], cfg.reward))
+        # the bandwidth observed after each interval, bandwidth_at(min(t_end, horizon))
+        levels = level_index(cfg.profile, np.minimum(ends[:m], cfg.horizon_s))
+        seen = np.asarray(cfg.profile.levels_mbps)[levels].tolist()
+
+        t_end = ends.item(m - 1)
+        self.t = t_end
+        self.frames_captured += captured
+        self.frames_delivered += captured
+        bandwidth = [self.state.bandwidth_mbps, *seen[:-1]]
+        self.state = SystemState(
+            soc=self.battery.soc,
+            power_w=power,
+            rtt_ms=rtt[-1],
+            bandwidth_mbps=seen[-1],
+            mtp_ms=tab.mtp_local_ms[row],
+        )
+        self.done = self.battery.depleted or t_end >= cfg.horizon_s - 1e-9
+        return LocalRun(starts[:m], bandwidth, rtt, mtp_mean, mean_v, soc, reward, t_capture, mtp)

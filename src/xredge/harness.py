@@ -10,11 +10,13 @@ that metric files are byte-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,14 @@ def _decision_row(t0, bandwidth, action, env, outcome, agent) -> tuple:
         epsilon, loss = agent.epsilon, "" if agent.last_loss is None else agent.last_loss
     return (t0, action, *ActionTable.labels[action], bandwidth, state.rtt_ms, info["mtp_mean_ms"],
             info["mean_v"], state.power_w, state.soc, outcome.reward, epsilon, loss)
+
+
+def _run_rows(action, env, run) -> zip:
+    """The decision rows of a planned run, one per interval, as
+    `_decision_row` makes each; a planned policy has no learner."""
+    return zip(run.t, repeat(action), *map(repeat, ActionTable.labels[action]), run.bandwidth_mbps,
+               run.rtt_ms, run.mtp_mean_ms, run.mean_v, repeat(env.state.power_w), run.soc,
+               run.reward, repeat(""), repeat(""))
 
 
 # fixed trace column order (documented interface)
@@ -132,10 +142,13 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
     agent = policy.agent if isinstance(policy, RlPolicy) else None
 
     rows: list[tuple] = []
-    # each step's delivered frames, concatenated once the run is over
+    # the frames of each step and of each planned run, concatenated once the
+    # run is over, and the action that delivered them
     t_parts: list[np.ndarray] = []
     mtp_parts: list[np.ndarray] = []
+    part_actions: list[int] = []
     latencies_s: list[float] = []
+    is_local, repeat_until = env.actions.is_local, policy.repeat_until
 
     while not env.done:
         # the bandwidth this decision observes, the profile's level at env.t
@@ -152,6 +165,26 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         rows.append(_decision_row(t0, bandwidth, action, env, outcome, agent))
         t_parts.append(outcome.t_capture)
         mtp_parts.append(outcome.mtp_ms)
+        part_actions.append(action)
+        if env.done or not is_local[action]:
+            continue
+        until_s = repeat_until(env, action)
+        if until_s <= env.t:
+            continue
+        # the decisions the policy repeats whatever their outcomes: one run,
+        # then each decision's select, which must repeat the action, and
+        # observe_outcome, timed as a stepped decision's are
+        run = env.run_local(action, until_s)
+        for _ in run.t:
+            tic = time.perf_counter()
+            if policy.select(env) != action:
+                raise RuntimeError(f"{spec.policy} did not repeat action {action} before t = {until_s} s")
+            policy.observe_outcome(None, env)
+            latencies_s.append(time.perf_counter() - tic)
+        rows.extend(_run_rows(action, env, run))
+        t_parts.append(run.t_capture)
+        mtp_parts.append(run.mtp_ms)
+        part_actions.append(action)
 
     # each decision column once, from the rows; a run that never steps gets empty lists
     kept = zip(*rows) if rows else repeat(())
@@ -163,19 +196,40 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         "t_capture": np.concatenate(t_parts or [np.empty(0)]),
         "mtp_ms": mtp,
         "compliant": mtp <= spec.env.tau_mtp_ms,
-        # each decision's mode, repeated over the frames its step delivered
-        "mode": np.repeat(modes[decisions["action"]], [m.size for m in mtp_parts]),
+        # each part's mode, repeated over the frames it delivered
+        "mode": np.repeat(modes[part_actions], [m.size for m in mtp_parts]),
     }
     metrics = _compute_metrics(spec, seed, env, decisions, frames)
     lat_us = sorted(x * 1e6 for x in latencies_s)
     timing = {
-        "latency_median_us": float(np.median(lat_us)) if lat_us else 0.0,
-        "latency_p95_us": float(np.percentile(lat_us, 95)) if lat_us else 0.0,
+        "latency_median_us": _median(lat_us) if lat_us else 0.0,
+        "latency_p95_us": _percentile(lat_us, 95) if lat_us else 0.0,
     }
     result = RunResult(metrics=metrics, decisions=decisions, frames=frames, timing=timing)
     if out_dir is not None:
         write_run(Path(out_dir), result)
     return result
+
+
+def _median(values: list) -> float:
+    """np.median of a non-empty list of numbers, bit for bit: the middle
+    value, or the mean of the middle two, and nan if any value is nan.
+    np.median would import numpy.ma, 10-17 ms and 0.5 MB per process."""
+    xs = sorted(map(float, values))
+    if any(map(math.isnan, xs)):
+        return math.nan
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2.0
+
+
+def _percentile(xs: list[float], q: float) -> float:
+    """np.percentile(xs, q) of a sorted, non-empty list of finite floats, bit
+    for bit: numpy's default linear interpolation, which also imports numpy.ma."""
+    v = (len(xs) - 1) * (q / 100)
+    i = math.floor(v)
+    a, b = xs[i], xs[min(i + 1, len(xs) - 1)]
+    g, d = v - i, b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def _compute_metrics(spec, seed, env, decisions, frames) -> MetricsRecord:
@@ -271,15 +325,13 @@ def aggregate_seeds(records: list[MetricsRecord]) -> dict:
     for name in _AGGREGATED:
         values = [getattr(r, name) for r in records]
         out[name] = {
-            "median": float(np.median(values)),
+            "median": _median(values),
             "min": float(min(values)),
             "max": float(max(values)),
         }
     levels = sorted({k for r in records for k in r.per_level_compliance_pct})
     out["per_level_compliance_pct"] = {
-        k: float(np.median([
-            r.per_level_compliance_pct[k] for r in records if k in r.per_level_compliance_pct
-        ]))
+        k: _median([r.per_level_compliance_pct[k] for r in records if k in r.per_level_compliance_pct])
         for k in levels
     }
     return out
@@ -362,8 +414,9 @@ def write_decision_csv(path: Path, decisions: dict[str, list]) -> None:
 # rows per write of frames.csv: bounds the Python objects alive at once
 FRAME_CSV_CHUNK_ROWS = 1000
 # the end of a frames.csv row as csv.writer writes it, after the two floats
-# (written by repr): indexed [compliant][mode], the flag written as 0/1
-_FRAME_TAILS = [[f",{flag:d},{m.name}\r\n" for m in ExecutionMode] for flag in (False, True)]
+# (written by repr): indexed [compliant, mode], the flag written as 0/1
+_FRAME_TAILS = np.array([[f",{flag:d},{m.name}\r\n" for m in ExecutionMode] for flag in (False, True)],
+                        dtype=object)
 
 
 def write_frame_csv(path: Path, frames: dict[str, np.ndarray]) -> None:
@@ -374,13 +427,27 @@ def write_frame_csv(path: Path, frames: dict[str, np.ndarray]) -> None:
         fh.write(",".join(FRAME_COLUMNS) + "\r\n")
         for i in range(0, mtp.size, FRAME_CSV_CHUNK_ROWS):
             j = i + FRAME_CSV_CHUNK_ROWS
-            tails = [_FRAME_TAILS[c][m] for c, m in zip(compliant[i:j].tolist(), mode[i:j].tolist())]
+            tails = _FRAME_TAILS[compliant[i:j].view(np.int8), mode[i:j]].tolist()
             fh.write("".join(map("".join, zip(
                 map(repr, t_capture[i:j].tolist()),
                 repeat(","),
-                map(repr, mtp[i:j].tolist()),
+                _repr_runs(mtp[i:j]),
                 tails,
             ))))
+
+
+def _repr_runs(values: np.ndarray) -> Iterator[str]:
+    """repr of each float of a non-empty float64 vector, formatted once per
+    run of bit-identical values: equal int64 bits, so 0.0 and -0.0, and
+    nans of different payloads, are formatted apart. A vector of mostly
+    distinct values, such as offloaded frames' MTPs, is formatted value by
+    value, which costs less than repeating each one."""
+    bits = values.view(np.int64)
+    firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 2 * firsts.size > values.size:
+        return map(repr, values.tolist())
+    counts = np.diff(firsts, append=values.size).tolist()
+    return chain.from_iterable(map(repeat, map(repr, values[firsts].tolist()), counts))
 
 
 # -- scenario files --------------------------------------------------------
@@ -403,22 +470,29 @@ def load_spec(path: str | Path) -> ScenarioSpec:
     return from_jsonable(ScenarioSpec, read_json(Path(path)), "scenario")
 
 
+# the bandwidth profile of a default scenario
+DEFAULT_PROFILE = "cycle"
+
+
 def default_scenario(
-    policy: str,
-    profile: str,
+    policy: str = ScenarioSpec.policy,
+    profile: str = DEFAULT_PROFILE,
     horizon_s: float = EnvConfig.horizon_s,
     seeds: tuple[int, ...] = ScenarioSpec.seeds,
-    stable_mbps: float = 1000.0,
+    stable_mbps: float | None = None,
     name: str | None = None,
 ) -> ScenarioSpec:
-    """The CLI's scenario: `profile` is "cycle", "stable" (at `stable_mbps`) or the
-    path of a JSON file that holds a scenario file's `env.profile` object."""
+    """The CLI's scenario: `profile` is "cycle", "stable" (at `stable_mbps`,
+    default 1000) or the path of a JSON file that holds a scenario file's
+    `env.profile` object. `stable_mbps` is refused for any other profile."""
+    if stable_mbps is not None and profile != "stable":
+        raise ValueError(f"stable_mbps is for the stable profile only, not {profile!r}")
     if profile == "cycle":
         prof = cycle_profile()
         label = "cycle"
     elif profile == "stable":
-        prof = stable_profile(stable_mbps)
-        label = f"stable{stable_mbps:g}"
+        prof = stable_profile(1000.0 if stable_mbps is None else stable_mbps)
+        label = f"stable{prof.levels_mbps[0]:g}"
     else:
         prof = from_jsonable(BandwidthProfile, read_json(Path(profile)), str(profile))
         label = Path(profile).stem

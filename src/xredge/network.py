@@ -139,8 +139,22 @@ def rtt_samples(model: RttModel, rng: np.random.Generator, n: int) -> list[float
 def last_rtt(model: RttModel, rng: np.random.Generator, n: int) -> float:
     """rtt_samples(model, rng, n)[-1] for n >= 1, bit for bit and leaving the
     generator in the same state: it draws all n normals but exponentiates
-    only the last."""
+    only the last. It is `last_rtts(model, rng, n, n)[0]`, kept to one
+    `item` call for the step of a single interval."""
     return _rtt_ms(model, [rng.standard_normal(n).item(-1)])[0]
+
+
+def last_rtts(model: RttModel, rng: np.random.Generator, n: int, total: int) -> list[float]:
+    """last_rtt over consecutive intervals of n frames, `total` frames in all,
+    the last interval possibly short: entries n - 1, 2n - 1, ... and
+    total - 1 of rtt_samples(model, rng, total) for total >= 1, bit for bit
+    and leaving the generator in the same state. It draws all the normals
+    in one call but exponentiates only those."""
+    z = rng.standard_normal(total)
+    last = z[n - 1::n].tolist()
+    if total % n:
+        last.append(z.item(-1))
+    return _rtt_ms(model, last)
 
 
 def _rtt_ms(model: RttModel, normals: list[float]) -> list[float]:

@@ -1,7 +1,13 @@
 """Decision policies: static baselines, threshold heuristic, myopic greedy, RL.
 
-All policies expose select(env) -> action id. The RL wrapper additionally
-consumes step outcomes to feed its learner. GREEDY uses the simulator's own
+All policies expose select(env) -> action id, observe_outcome(outcome, env)
+and repeat_until(env, action). The RL wrapper consumes step outcomes to
+feed its learner. repeat_until gives the simulated time before which every
+decision from the current state on selects `action`, whatever the outcomes,
+so the harness may advance the intervals that end before it in one run:
+for ever for a static policy, to the end of the dwell for THRESHOLD, and
+never for the closed-loop GREEDY and RL. A decision of such a run has no
+StepOutcome of its own, so its observe_outcome gets None. GREEDY uses the simulator's own
 models as a perfect one-step predictor: for every action it prices the
 expected epoch reward (expected violation under the RTT jitter law, exact
 power draw, current battery credit) and takes the argmax, ties to the lowest
@@ -21,6 +27,8 @@ per-action definition that the tests keep as their reference.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,6 +57,9 @@ class StaticPolicy:
     def observe_outcome(self, outcome, env) -> None:
         pass
 
+    def repeat_until(self, env: XrEnvironment, action: int) -> float:
+        return math.inf if action == self.action_id else -math.inf
+
 
 def threshold_select(bandwidth_mbps: float, threshold_mbps: float) -> int:
     """Offload at full quality when observed bandwidth exceeds the threshold."""
@@ -63,6 +74,14 @@ class ThresholdPolicy:
 
     def observe_outcome(self, outcome, env) -> None:
         pass
+
+    def repeat_until(self, env: XrEnvironment, action: int) -> float:
+        """The start of the next dwell, if the bandwidth observed now selects
+        `action`: an interval that ends before it leaves that bandwidth."""
+        if threshold_select(env.state.bandwidth_mbps, THRESHOLD_MBPS) != action:
+            return -math.inf
+        dwell_s = env.cfg.profile.dwell_s
+        return (env.t // dwell_s + 1.0) * dwell_s
 
 
 def offload_epoch_violation(env: XrEnvironment) -> list[float]:
@@ -172,6 +191,9 @@ class GreedyPolicy:
     def observe_outcome(self, outcome, env) -> None:
         pass
 
+    def repeat_until(self, env: XrEnvironment, action: int) -> float:
+        return -math.inf
+
 
 class RlPolicy:
     """Online DQN controller learning from scratch during the run."""
@@ -193,6 +215,9 @@ class RlPolicy:
         self._pending = None
         # the environment has not moved since step returned the outcome
         self.agent.record_and_train(obs, action, outcome.reward, env.observe(), env.done)
+
+    def repeat_until(self, env: XrEnvironment, action: int) -> float:
+        return -math.inf
 
 
 # name -> factory(dqn_cfg, seed); the CLI's --policy choices come from here

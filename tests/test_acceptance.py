@@ -26,7 +26,7 @@ def verdict(tag: str, ok: bool, detail: str) -> None:
     assert ok, f"{tag}: {detail}"
 
 
-def spec_for(policy, profile, horizon=HORIZON, mbps=1000.0):
+def spec_for(policy, profile, horizon=HORIZON, mbps=None):
     return default_scenario(policy, profile, horizon_s=horizon, seeds=SEEDS,
                             stable_mbps=mbps)
 

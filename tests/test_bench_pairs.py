@@ -189,3 +189,28 @@ def test_bench_keeps_every_runs_result_file_by_pair_workload_and_side(tmp_path):
     kept = {p.name: json.loads(p.read_text())["detail"]["decisions"] for p in keep_dir.iterdir()}
     assert kept == {f"pair{k:02d}-{w}-{side}.json": 2 * (k - 1) + 1 + workloads.index(w)
                     for k in (1, 2) for w in workloads for side in bench_pairs.SIDES}
+
+
+def test_base_dir_is_taken_as_the_base_checkout_without_a_worktree(tmp_path, monkeypatch):
+    base = tmp_path / "base"
+    (base / "perfbench").mkdir(parents=True)
+    (base / "perfbench" / "run.py").write_text("")
+    monkeypatch.chdir(tmp_path)
+    args = bench_pairs.parse_args(["--base", "HEAD~1", "--base-dir", "base", "--out", "BENCH_9.json"])
+    # made absolute: perfbench runs with the checkout as its working directory
+    assert (args.base, args.base_dir) == ("HEAD~1", base.resolve())
+    assert bench_pairs.parse_args(["--base", "HEAD~1", "--out", "B.json"]).base_dir is None
+
+    def no_git(*args, **kwargs):
+        raise AssertionError(f"git {args} called")
+
+    monkeypatch.setattr(bench_pairs, "git", no_git)
+    with bench_pairs.base_checkout("0" * 40, args.base_dir) as root:
+        assert root == base.resolve()
+    assert (base / "perfbench" / "run.py").exists()
+
+
+def test_base_dir_without_perfbench_is_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["--base", "HEAD", "--base-dir", str(tmp_path), "--out", "B.json"])
+    assert "holds no perfbench/run.py" in capsys.readouterr().err

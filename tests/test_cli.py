@@ -60,6 +60,35 @@ def test_run_accepts_scenario_file(tmp_path):
     assert (tmp_path / "o" / "filecase" / "seed_7" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flags, named", [
+    (["--policy", "rl"], "--policy"), (["--profile", "cycle"], "--profile"),
+    (["--stable-mbps", "5"], "--stable-mbps"), (["--horizon", "7"], "--horizon"),
+    (["--seeds", "1"], "--seeds"), (["--name", "x"], "--name"),
+    # named in the order of the help text
+    (["--horizon", "7", "--policy", "rl"], "--policy, --horizon"),
+])
+def test_scenario_file_with_another_scenario_flag_fails_before_any_run(tmp_path, capsys, command, flags, named):
+    # the flags used to be dropped: the file's local scenario ran for 2 s
+    (tmp_path / "sc.json").write_text('{"policy": "local", "seeds": [1], "env": {"horizon_s": 2}}')
+    sweep = ["--param", "env.reward.lam", "--values", "1"] if command == "sweep" else []
+    rc = main([command, "--scenario", str(tmp_path / "sc.json"), *flags, *sweep, "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, f"--scenario cannot be combined with {named}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    # np.median and np.percentile import numpy.ma, 10-17 ms and 0.5 MB per process
+    code = ("import sys; from xredge.cli import main; "
+            f"main(['run', '--policy', 'threshold', '--horizon', '5', '--seeds', '1,2', '--out', {str(tmp_path)!r}]); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(xredge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_sweep_writes_summary(tmp_path):
     rc = main([
         "sweep", "--policy", "local", "--profile", "stable", "--horizon", "3",

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from xredge.harness import (
     METRICS_SCHEMA_VERSION,
     MetricsRecord,
     ScenarioSpec,
+    _median,
+    _percentile,
     aggregate_seeds,
     default_scenario,
     load_spec,
@@ -31,6 +34,7 @@ from xredge.harness import (
     run_scenario,
     save_spec,
     sweep,
+    write_frame_csv,
 )
 from xredge.network import BandwidthProfile, bandwidth_at, cycle_profile, stable_profile
 
@@ -115,7 +119,7 @@ def reference_frame_csv(frames) -> bytes:
 
 @pytest.mark.parametrize("policy, profile, horizon_s, mbps, case", [
     # mixed modes and verdicts, a partial last chunk
-    ("threshold", "cycle", 300.0, 1000.0, "partial"),
+    ("threshold", "cycle", 300.0, None, "partial"),
     # 20 frames per second, so exactly two chunks
     ("local", "stable", 2 * FRAME_CSV_CHUNK_ROWS / 20, 1000.0, "two chunks"),
     # nothing gets through the uplink: the header alone
@@ -134,6 +138,20 @@ def test_frame_csv_is_csv_writer_bytes(tmp_path, policy, profile, horizon_s, mbp
     assert (tmp_path / "frames.csv").read_bytes() == reference_frame_csv(res.frames)
 
 
+def test_frame_csv_formats_zeros_of_either_sign_apart(tmp_path):
+    # a run of equal MTPs is formatted once; 0.0 == -0.0, but their bits and repr
+    # differ. The first chunk holds runs; the second, mostly distinct values,
+    # is formatted value by value
+    runs = np.resize([0.0] * 3 + [-0.0] * 3 + [1.5] * 3 + [math.nan] * 3, FRAME_CSV_CHUNK_ROWS)
+    distinct = np.random.default_rng(1).random(FRAME_CSV_CHUNK_ROWS) * 40.0
+    distinct[::7] = -0.0
+    mtp = np.concatenate([runs, distinct])
+    frames = {"t_capture": np.arange(mtp.size) * 0.05, "mtp_ms": mtp, "compliant": mtp <= 30.0,
+              "mode": np.zeros(mtp.size, np.int8)}
+    write_frame_csv(tmp_path / "frames.csv", frames)
+    assert (tmp_path / "frames.csv").read_bytes() == reference_frame_csv(frames)
+
+
 def reference_decision_csv(decisions) -> bytes:
     """decisions.csv as csv.writer writes the decision columns."""
     buf = io.StringIO(newline="")
@@ -146,11 +164,11 @@ def reference_decision_csv(decisions) -> bytes:
 @pytest.mark.parametrize("policy, profile, horizon_s, mbps, case", [
     ("local", "stable", 30.0, 1000.0, "local"),
     # both modes, and congested intervals
-    ("threshold", "cycle", 300.0, 1000.0, "threshold"),
+    ("threshold", "cycle", 300.0, None, "threshold"),
     # nothing gets through the uplink: every interval's mean MTP is nan
     ("offload", "stable", 5.0, 0.001, "nan"),
     # the learner's epsilon, and an empty loss until its first train step
-    ("rl", "cycle", 40.0, 1000.0, "rl"),
+    ("rl", "cycle", 40.0, None, "rl"),
 ])
 def test_decision_csv_is_csv_writer_bytes(tmp_path, policy, profile, horizon_s, mbps, case):
     spec = default_scenario(policy, profile, horizon_s=horizon_s, seeds=(1,), stable_mbps=mbps)
@@ -183,15 +201,24 @@ def test_zero_horizon_run_has_typed_empty_frame_columns(tmp_path):
 
 
 def test_frame_modes_repeat_each_decisions_mode_over_its_frames(monkeypatch):
+    # (action, frames delivered) of each decision, stepped or planned
     steps = []
-    step = XrEnvironment.step
+    step, run_local = XrEnvironment.step, XrEnvironment.run_local
 
     def recording_step(env, action):
         out = step(env, action)
         steps.append((action, out.mtp_ms.size))
         return out
 
+    def recording_run(env, action, until_s):
+        # each interval delivers its n frames, but for a depleting last one
+        run = run_local(env, action, until_s)
+        n = env.actions.n_ticks
+        steps.extend((action, min(n, run.mtp_ms.size - k * n)) for k in range(len(run.t)))
+        return run
+
     monkeypatch.setattr(XrEnvironment, "step", recording_step)
+    monkeypatch.setattr(XrEnvironment, "run_local", recording_run)
     res = run_experiment(default_scenario("threshold", "cycle", horizon_s=300.0), seed=1)
     assert [action for action, _ in steps] == res.decisions["action"]
     # both modes, and congested intervals that deliver other than 20 frames
@@ -356,6 +383,19 @@ def test_aggregate_seeds_statistics():
         aggregate_seeds([])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=True), st.integers(-2**40, 2**40)), min_size=1, max_size=12))
+def test_median_and_p95_equal_numpys(values):
+    # numpy warns where the two middle values overflow or are infinities of either sign
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = float(np.median(values))
+    got = _median(values)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    finite = sorted(float(x) for x in values if math.isfinite(x) and abs(x) < 1e300)
+    if finite:
+        assert _percentile(finite, 95) == float(np.percentile(finite, 95))
+
+
 def test_aggregate_handles_missing_levels():
     records = [
         make_record(1, 90.0, 10.0, per_level={"1000": 90.0, "10": 50.0}),
@@ -417,6 +457,15 @@ def test_default_scenario_names():
     assert default_scenario("rl", "cycle").name == "rl-cycle"
     assert default_scenario("local", "stable", stable_mbps=1000.0).name == "local-stable1000"
     assert default_scenario("rl", "cycle", name="custom").name == "custom"
+
+
+@pytest.mark.parametrize("profile", ["cycle", "steps.json"])
+def test_default_scenario_refuses_stable_mbps_for_another_profile(tmp_path, profile):
+    # it used to be ignored, and the cycle ran
+    path = profile if profile == "cycle" else str(tmp_path / profile)
+    (tmp_path / "steps.json").write_text('{"levels_mbps": [1000, 10, 1], "dwell_s": 30}')
+    with pytest.raises(ValueError, match=re.escape(f"stable_mbps is for the stable profile only, not {path!r}")):
+        default_scenario("local", path, stable_mbps=5.0)
 
 
 def test_default_scenario_horizon_and_seeds():

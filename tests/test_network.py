@@ -12,6 +12,7 @@ from xredge.network import (
     bandwidth_at,
     cycle_profile,
     last_rtt,
+    last_rtts,
     level_index,
     rtt_samples,
     stable_profile,
@@ -158,6 +159,13 @@ def test_last_rtt_is_the_last_of_rtt_samples(model, n):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         assert last_rtt(model, rng, n) == rtt_samples(model, ref, n)[-1]
         assert rng.bit_generator.state == ref.bit_generator.state
+        # a run of intervals keeps each one's last draw, of a short last interval too
+        for total in (n, 3 * n, 3 * n + 1, 3 * n + n // 2):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            samples = rtt_samples(model, ref, total)
+            assert last_rtts(model, rng, n, total) == samples[n - 1::n] + samples[-1:] * (total % n > 0)
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert last_rtts(model, np.random.default_rng(seed), n, n) == [last_rtt(model, np.random.default_rng(seed), n)]
 
 
 def test_lognormal_samples_bounded_below_by_base():

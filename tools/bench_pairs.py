@@ -1,10 +1,12 @@
 """Benchmark a change against a base commit in alternating pairs of runs.
 
-    python tools/bench_pairs.py --base <rev> --out BENCH_<n>.json
+    python tools/bench_pairs.py --base <rev> [--base-dir PATH] --out BENCH_<n>.json
         [--workload greedy-cycle ...] [--pairs 10] [--seconds 20] [--seed 1] [--traced]
 
 The base side is `<rev>` checked out with `git worktree add` into a
-temporary directory, which is removed again however the script ends; the
+temporary directory, which is removed again however the script ends, or,
+with --base-dir, the directory given, which holds `<rev>`'s files made by
+`git archive` or a clone and is left in place; the
 change side is this checkout as it stands, which the script does not edit
 (perfbench writes its results under `.perfbench_out/`, which git ignores).
 Each pair runs the unchanged `perfbench/run.py --workload W --seed n
@@ -49,6 +51,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,9 +257,28 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
+@contextmanager
+def base_checkout(base_sha: str, base_dir: Path | None):
+    """The base side's checkout: base_dir as it is, or else base_sha checked
+    out by `git worktree add` into a temporary directory that is removed
+    however the block ends."""
+    if base_dir is not None:
+        yield base_dir
+        return
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        root = Path(tmp) / "base"
+        git("worktree", "add", "--detach", str(root), base_sha)
+        try:
+            yield root
+        finally:
+            git("worktree", "remove", "--force", str(root))
+
+
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the base commit, any git revision")
+    parser.add_argument("--base-dir", type=Path, help="a directory that already holds the base "
+                        "commit's files, made by `git archive` or a clone, instead of a worktree")
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     parser.add_argument("--workload", action="append", help="a perfbench workload (repeatable; "
                         "default greedy-cycle, rl-cycle and static-cli)")
@@ -266,18 +288,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traced", action="store_true", help="also one --trace 1 run per side "
                         "and workload, and each policy's 1200 s cycle episode in three rounds")
     args = parser.parse_args(argv)
+    if args.base_dir is not None:
+        # perfbench and the episode script run with the base directory as their cwd
+        args.base_dir = args.base_dir.resolve()
+        if not (args.base_dir / "perfbench" / "run.py").is_file():
+            parser.error(f"--base-dir {args.base_dir} holds no perfbench/run.py")
+    return args
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     workloads = args.workload or ["greedy-cycle", "rl-cycle", "static-cli"]
     keep_dir = ROOT / ".perfbench_out" / args.out.stem
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_root = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(base_root), base_sha)
-        try:
-            report = bench({"base": base_root, "change": ROOT}, workloads, args.pairs,
-                           args.seconds, args.seed, args.traced, keep_dir)
-        finally:
-            git("worktree", "remove", "--force", str(base_root))
+    with base_checkout(base_sha, args.base_dir) as base_root:
+        report = bench({"base": base_root, "change": ROOT}, workloads, args.pairs,
+                       args.seconds, args.seed, args.traced, keep_dir)
     report = {
         "base_sha": base_sha,
         "change_sha": git("rev-parse", "HEAD"),
