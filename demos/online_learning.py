@@ -27,7 +27,7 @@ while not env.done:
     out = env.step(action)
     policy.observe_outcome(out, env)
 
-    window_viol.append(out.info["mean_v"])
+    window_viol.append(out.v_mean)
     window_local.append(1.0 if action % 2 == 0 else 0.0)
     if env.t % 100 == 0:
         compl = 100.0 * np.mean([v == 0.0 for v in window_viol])

@@ -115,13 +115,14 @@ class Battery:
 
     def drain_intervals(
         self, power_w: float, dt_s: float, n: int, t0s: list[float]
-    ) -> tuple[np.ndarray, float | None]:
+    ) -> tuple[np.ndarray, list[float], float | None]:
         """`steps(power_w, dt_s, n, t0)` for each t0 of t0s in turn, in one
-        array pass, until the charge runs out: the same charge, ledger and
-        instant, bit for bit.
+        array pass, until the charge runs out: the same charge, energy,
+        ledger and instant, bit for bit.
 
         Returns the charge after each tick that drew power, the one that ran
-        the charge out included (its charge is 0.0), and the instant the
+        the charge out included (its charge is 0.0), the energy each
+        interval that drew power returns from `steps`, and the instant the
         charge ran out, or None if it lasted. The battery must not be
         depleted. `np.subtract.accumulate` takes the ticks' drops from the
         charge one after another, as `steps` does, and `np.add.accumulate`
@@ -138,8 +139,11 @@ class Battery:
         ledger[0] = self.energy_j
         self.energy_j = np.add.accumulate(ledger).item(-1)
         self.soc = charge.item(ticks)
+        # an interval's energy as steps sums it from 0.0: folds[k] is k ticks' worth
+        folds = np.add.accumulate(np.append(0.0, np.full(n, full)))
         if ticks == before.size:
-            return charge[1:], None
-        _, depleted_at = self._run_out(full, drop_pct, t0s[ticks // n] + ticks % n * dt_s, dt_s)
+            return charge[1:], [folds.item(n)] * len(t0s), None
+        consumed, depleted_at = self._run_out(full, drop_pct, t0s[ticks // n] + ticks % n * dt_s, dt_s)
         charge[ticks + 1] = 0.0
-        return charge[1:ticks + 2], depleted_at
+        energy = [folds.item(n)] * (ticks // n) + [folds.item(ticks % n) + consumed]
+        return charge[1:ticks + 2], energy, depleted_at

@@ -13,8 +13,8 @@ motion-to-photon latency.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -208,35 +208,22 @@ class ActionTable:
             for xs in (v, mtp_mean, v_mean))
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """One decision interval's result; the frames it delivered are arrays,
-    one entry per frame in delivery order. The state and `done` it leaves
-    are read from the environment."""
-
-    reward: float
-    t_capture: np.ndarray  # capture time, s
-    mtp_ms: np.ndarray     # motion-to-photon latency, ms
-    info: dict
-
-
-class LocalRun(NamedTuple):
-    """Consecutive intervals of one local action, as `XrEnvironment.run_local`
-    advances them. Each list holds one value per interval, in order: its
-    start and the bandwidth observed then, which a step reads before it
-    runs, and the RTT, mean MTP, mean violation, charge and reward that a
-    step of it leaves or returns. The frames are arrays as in StepOutcome.
-    A named tuple: a frozen dataclass costs a millisecond more to import."""
-
-    t: list[float]
-    bandwidth_mbps: list[float]
-    rtt_ms: list[float]
-    mtp_mean_ms: list[float]
-    mean_v: list[float]
-    soc: list[float]
-    reward: list[float]
-    t_capture: np.ndarray
-    mtp_ms: np.ndarray
+# the decisions.csv cells of one decision, in file order: the interval's
+# start, the action id and its three labels, the bandwidth observed at the
+# start, and the RTT, mean MTP, mean violation, power, charge and reward
+# that the interval leaves or returns
+ROW_FIELDS = ("t", "action", "quality", "imu", "mode", "bandwidth_mbps", "rtt_ms", "mtp_mean_ms", "v_mean",
+              "power_w", "soc_pct", "reward")
+# What `step` returns for one decision interval, and `run_local` for
+# consecutive intervals of one action: a step's cells are scalars, a run's
+# one list per field, one value per interval. After the row fields come the
+# delivered frames, float64 arrays in delivery order (a run's concatenated)
+# of capture time (s) and motion-to-photon latency (ms), and the counts:
+# frames captured, frames dropped (overflow and flush), queued frames priced
+# as censored, and the raw energy drawn in J. The state and `done` it leaves
+# are read from the environment.
+Outcome = namedtuple("Outcome", [*ROW_FIELDS, "t_capture", "mtp_ms", "frames_captured", "frames_dropped",
+                                 "pending_censored", "energy_j"])
 
 
 def compliance_term(mean_v: float, params: RewardParams) -> float:
@@ -309,7 +296,7 @@ class XrEnvironment:
     def observe(self) -> np.ndarray:
         return observe(self.state, self.cfg)
 
-    def step(self, action: int) -> StepOutcome:
+    def step(self, action: int) -> Outcome:
         """Apply an action id for one decision interval.
 
         The battery is drained first, which fixes how many ticks capture a
@@ -330,7 +317,8 @@ class XrEnvironment:
         # a switch to local execution abandons pending uploads
         flushed = self.queue.flush() if local and self.queue.depth else 0
 
-        t0 = self.t
+        # the interval's start and the bandwidth observed then
+        t0, bandwidth = self.t, self.state.bandwidth_mbps
         # the interval is truncated at the instant the charge runs out
         energy_j, captured, depleted_at = self.battery.steps(power, tick_s, n_ticks, t0)
         t_end = depleted_at if depleted_at is not None else t0 + n_ticks * tick_s
@@ -386,18 +374,10 @@ class XrEnvironment:
             mtp_ms=mtp_obs,
         )
         self.done = self.battery.depleted or t_end >= cfg.horizon_s - 1e-9
+        return Outcome(t0, row, *tab.labels[row], bandwidth, rtt, mtp_mean, mean_v, power, self.battery.soc,
+                       reward, t_capture, mtp, captured, dropped + flushed, pending_censored, energy_j)
 
-        info = {
-            "mean_v": mean_v,
-            "mtp_mean_ms": mtp_mean,
-            "frames_captured": captured,
-            "frames_dropped": dropped + flushed,
-            "pending_censored": pending_censored,
-            "energy_j": energy_j,
-        }
-        return StepOutcome(reward=reward, t_capture=t_capture, mtp_ms=mtp, info=info)
-
-    def run_local(self, action: int, until_s: float = math.inf) -> LocalRun:
+    def run_local(self, action: int, until_s: float = math.inf) -> Outcome:
         """Advance the intervals of one local action that end before until_s,
         as repeated `step(action)` calls would, in array passes.
 
@@ -405,10 +385,12 @@ class XrEnvironment:
         most MAX_RUN_FRAMES frames; it may advance no interval at all. Every
         value it leaves or returns is the one the steps would, bit for bit:
         the interval starts accumulate as step advances `t`, the battery
-        drains through `Battery.drain_intervals`, the RTTs come from one draw
-        through `last_rtts`, and the reward and observed bandwidth are
+        drains through `Battery.drain_intervals`, which also sums each
+        interval's energy as `Battery.steps` does, the RTTs come from one
+        draw through `last_rtts`, and the reward and observed bandwidth are
         step's formulas on arrays. A local interval never queues, so only
-        the uplink queue's flush depends on where the run starts.
+        the uplink queue's flush, counted as the first interval's drops,
+        depends on where the run starts.
         """
         if self.done:
             raise RuntimeError("episode is over")
@@ -426,15 +408,14 @@ class XrEnvironment:
         m = min(int(np.searchsorted(ends, cfg.horizon_s - 1e-9)) + 1,
                 int(np.searchsorted(ends, until_s)), ends.size)
         if m == 0:
-            return LocalRun([], [], [], [], [], [], [], np.empty(0), np.empty(0))
+            return Outcome(*([] for _ in ROW_FIELDS), np.empty(0), np.empty(0), [], [], [], [])
         # as in step, a switch to local execution abandons pending uploads
-        if self.queue.depth:
-            self.queue.flush()
+        flushed = self.queue.flush() if self.queue.depth else 0
         starts = t[:m].tolist()
-        charge, depleted_at = self.battery.drain_intervals(power, tick_s, n, starts)
+        charge, energy_j, depleted_at = self.battery.drain_intervals(power, tick_s, n, starts)
         captured = charge.size
         # the interval that ran the charge out is the run's last
-        m = -(-captured // n)
+        m = len(energy_j)
         short = captured - (m - 1) * n
         if depleted_at is not None:
             ends[m - 1] = depleted_at
@@ -468,4 +449,7 @@ class XrEnvironment:
             mtp_ms=tab.mtp_local_ms[row],
         )
         self.done = self.battery.depleted or t_end >= cfg.horizon_s - 1e-9
-        return LocalRun(starts[:m], bandwidth, rtt, mtp_mean, mean_v, soc, reward, t_capture, mtp)
+        # the action id, its three labels and the power are each the same in every interval
+        action_cells = ([x] * m for x in (row, *tab.labels[row]))
+        return Outcome(starts[:m], *action_cells, bandwidth, rtt, mtp_mean, mean_v, [power] * m, soc, reward,
+                       t_capture, mtp, [n] * (m - 1) + [short], [flushed] + [0] * (m - 1), [0] * m, energy_j)

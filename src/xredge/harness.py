@@ -25,38 +25,25 @@ from .actions import N_ACTIONS, ExecutionMode
 from .config import check_ranges, field_types, fold_sum, from_jsonable, ranged, to_jsonable
 from .dqn import DqnConfig
 from .energy import lifetime_projection
-from .environment import ActionTable, EnvConfig, XrEnvironment
+from .environment import ROW_FIELDS, EnvConfig, XrEnvironment
 from .network import BandwidthProfile, cycle_profile, level_index, stable_profile
 from .policies import POLICIES, RlPolicy, make_policy
 
 METRICS_SCHEMA_VERSION = 1
 
 
-# each decisions.csv column, in file order: one field of `_decision_row` each
-DECISION_COLUMNS = ["t", "action", "quality", "imu", "mode", "bandwidth_mbps", "rtt_ms",
-                    "mtp_mean_ms", "v_mean", "power_w", "soc_pct", "reward", "epsilon", "loss"]
+# each decisions.csv column, in file order: an Outcome's row fields, then the learner's
+DECISION_COLUMNS = [*ROW_FIELDS, "epsilon", "loss"]
+# the row fields' span of an Outcome
+_ROW = slice(len(ROW_FIELDS))
 
 
-def _decision_row(t0, bandwidth, action, env, outcome, agent) -> tuple:
-    """What one decision keeps once its step has returned: one plain float,
-    int or str per DECISION_COLUMNS column, in its order, so a run holds no
-    container the cyclic GC walks. t0 and the bandwidth are the decision's,
-    and agent is the rl learner or None."""
-    state, info = env.state, outcome.info
+def _learner_cells(agent) -> tuple:
+    """A decision's epsilon and loss cells, read once its outcome has been
+    observed: the rl learner's, or two empty cells when agent is None."""
     if agent is None:
-        epsilon = loss = ""
-    else:
-        epsilon, loss = agent.epsilon, "" if agent.last_loss is None else agent.last_loss
-    return (t0, action, *ActionTable.labels[action], bandwidth, state.rtt_ms, info["mtp_mean_ms"],
-            info["mean_v"], state.power_w, state.soc, outcome.reward, epsilon, loss)
-
-
-def _run_rows(action, env, run) -> zip:
-    """The decision rows of a planned run, one per interval, as
-    `_decision_row` makes each; a planned policy has no learner."""
-    return zip(run.t, repeat(action), *map(repeat, ActionTable.labels[action]), run.bandwidth_mbps,
-               run.rtt_ms, run.mtp_mean_ms, run.mean_v, repeat(env.state.power_w), run.soc,
-               run.reward, repeat(""), repeat(""))
+        return "", ""
+    return agent.epsilon, "" if agent.last_loss is None else agent.last_loss
 
 
 # fixed trace column order (documented interface)
@@ -151,8 +138,6 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
     is_local, repeat_until = env.actions.is_local, policy.repeat_until
 
     while not env.done:
-        # the bandwidth this decision observes, the profile's level at env.t
-        t0, bandwidth = env.t, env.state.bandwidth_mbps
         tic = time.perf_counter()
         action = policy.select(env)
         toc_select = time.perf_counter()
@@ -162,7 +147,8 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
         toc_learn = time.perf_counter()
         latencies_s.append((toc_select - tic) + (toc_learn - tic_learn))
 
-        rows.append(_decision_row(t0, bandwidth, action, env, outcome, agent))
+        # a row is a tuple of plain floats, ints and strs, which the cyclic GC stops tracking
+        rows.append((*outcome[_ROW], *_learner_cells(agent)))
         t_parts.append(outcome.t_capture)
         mtp_parts.append(outcome.mtp_ms)
         part_actions.append(action)
@@ -181,7 +167,7 @@ def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = N
                 raise RuntimeError(f"{spec.policy} did not repeat action {action} before t = {until_s} s")
             policy.observe_outcome(None, env)
             latencies_s.append(time.perf_counter() - tic)
-        rows.extend(_run_rows(action, env, run))
+        rows.extend(zip(*run[_ROW], *map(repeat, _learner_cells(agent))))
         t_parts.append(run.t_capture)
         mtp_parts.append(run.mtp_ms)
         part_actions.append(action)
@@ -374,15 +360,20 @@ def sweep(
 ) -> list[tuple[object, dict]]:
     """One-factor-at-a-time sweep: vary one dotted parameter, rerun all seeds.
 
-    Every value's scenario is built before the first run, so a bad value
-    fails before any artifact is written.
+    Every value's scenario is built before the first run, so a bad value,
+    or two values that coerce to one scenario name, fail before any
+    artifact is written.
     """
-    specs = []
-    for v in values:
-        spec = replace_path(base, param_path, v)
+    specs, raw_by_name = [], {}
+    for raw in values:
+        spec = replace_path(base, param_path, raw)
         # names and rows carry the coerced value: 2 for a float field is 2.0
         v = to_jsonable(reduce(getattr, param_path.split("."), spec))
-        specs.append((v, replace(spec, name=f"{base.name}__{param_path.replace('.', '_')}_{v}")))
+        name = f"{base.name}__{param_path.replace('.', '_')}_{v}"
+        if name in raw_by_name:  # the second run would overwrite the first's directory
+            raise ValueError(f"sweep values {raw_by_name[name]!r} and {raw!r} are one scenario, {name}")
+        raw_by_name[name] = raw
+        specs.append((v, replace(spec, name=name)))
     return [(v, run_scenario(spec, out_dir)[1]) for v, spec in specs]
 
 

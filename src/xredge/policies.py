@@ -7,7 +7,7 @@ decision from the current state on selects `action`, whatever the outcomes,
 so the harness may advance the intervals that end before it in one run:
 for ever for a static policy, to the end of the dwell for THRESHOLD, and
 never for the closed-loop GREEDY and RL. A decision of such a run has no
-StepOutcome of its own, so its observe_outcome gets None. GREEDY uses the simulator's own
+Outcome of its own, so its observe_outcome gets None. GREEDY uses the simulator's own
 models as a perfect one-step predictor: for every action it prices the
 expected epoch reward (expected violation under the RTT jitter law, exact
 power draw, current battery credit) and takes the argmax, ties to the lowest

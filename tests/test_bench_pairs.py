@@ -94,6 +94,50 @@ def test_pair_keeps_the_round_count_and_quartiles_not_every_round(tmp_path):
     assert bench_pairs.end_to_end(run)["raw_wall_s"] == 0.625
 
 
+def rounds_of(runs):
+    """Pairs' rounds as `bench` keeps them, from ((base decisions, base peak),
+    (change decisions, change peak)) per pair."""
+    return [{side: {"decisions": d, "peak_rss_mb": peak} for side, (d, peak) in zip(bench_pairs.SIDES, pair)}
+            for pair in runs]
+
+
+def test_rss_fit_recovers_a_synthetic_sets_slope_and_offset():
+    # 40 MB at no decision, 100 B per decision, and the change 2.5 MB lower
+    a, b, c = 40.0, 100.0, -2.5
+    decisions = [(120_000, 150_000), (200_000, 180_000), (90_000, 260_000), (300_000, 310_000)]
+    runs = [tuple((d, a + b * d / 2**20 + c * k) for k, d in enumerate(pair)) for pair in decisions]
+    fit = bench_pairs.rss_fit(rounds_of(runs))
+    assert fit["bytes_per_decision"] == pytest.approx(b, rel=1e-9)
+    assert fit["change_mb"] == pytest.approx(c, rel=1e-9)
+    assert fit["change_mb_se"] == pytest.approx(0.0, abs=1e-9)
+    assert fit["r2"] == pytest.approx(1.0) and fit["runs"] == 8
+
+
+def test_rss_fit_needs_runs_that_determine_it():
+    # one pair leaves no residual; equal decision counts on every run
+    # cannot tell the slope from the offset
+    assert bench_pairs.rss_fit(rounds_of([((100, 50.0), (200, 51.0))])) is None
+    assert bench_pairs.rss_fit(rounds_of([((100, 50.0), (100, 51.0))] * 3)) is None
+
+
+@pytest.mark.parametrize("workload, per_decision, change_mb", [
+    ("static-cli", 96.5, -1.07),
+    ("greedy-cycle", 93.6, -1.43),
+])
+def test_rss_fit_of_bench_30(workload, per_decision, change_mb):
+    report = json.loads((Path(__file__).resolve().parent.parent / "BENCH_30.json").read_text())
+    result = report["workloads"][workload]
+    fit = bench_pairs.rss_fit(result["rounds"])
+    assert fit["bytes_per_decision"] == pytest.approx(per_decision, abs=0.05)
+    assert fit["change_mb"] == pytest.approx(change_mb, abs=0.005)
+    assert fit["r2"] >= 0.99 and fit["runs"] == 20
+    # the raw medians stay next to the fit: the change peaked higher there
+    line = bench_pairs.rss_line(workload, {**result, "peak_rss_fit": fit})
+    m = result["metrics"]["peak_rss_mb"]
+    assert line.startswith(f"{workload} peak_rss_mb median {m['base_median']:.1f} -> {m['change_median']:.1f} MB; "
+                           f"at equal decisions {change_mb:+.2f} ± ")
+
+
 def test_tree_digest_names_uncommitted_edits_and_untracked_run_files(tmp_path):
     def git(*args):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
@@ -183,6 +227,9 @@ def test_bench_keeps_every_runs_result_file_by_pair_workload_and_side(tmp_path):
     workloads = ["static-cli", "rl-cycle"]
     report = bench_pairs.bench(roots, workloads, 2, 0.5, 1, False, keep_dir)
     assert [pair["change"]["decisions"] for pair in report["workloads"]["rl-cycle"]["rounds"]] == [2, 4]
+    # every peak is 1.0 MB: no slope, no change, and no R² to give
+    fit = report["workloads"]["rl-cycle"]["peak_rss_fit"]
+    assert fit["bytes_per_decision"] == pytest.approx(0.0, abs=1e-6) and fit["r2"] is None
     # each checkout holds one file per workload, its last run's; all eight are kept
     for root in roots.values():
         assert len(list((root / ".perfbench_out").iterdir())) == 2

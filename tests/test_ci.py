@@ -34,6 +34,15 @@ def test_demos_step_globs_at_least_one_demo():
     assert sorted(ROOT.glob(pattern))
 
 
+def test_every_demo_has_its_pinned_stdout_and_the_demos_step_diffs_it():
+    demos = {p.stem for p in (ROOT / "demos").glob("*.py")}
+    pinned = {p.stem for p in (ROOT / "tests" / "golden" / "demos").glob("*.txt")}
+    assert demos and demos == pinned
+    run = step_run("Demos")
+    assert "OPENBLAS_CORETYPE=Haswell" in run
+    assert re.search(r'\bdiff\b.*"tests/golden/demos/\$\(basename "\$demo" \.py\)\.txt"', run)
+
+
 def test_digest_step_calls_functions_that_workloads_defines():
     called = set(re.findall(r"\bworkloads\.(\w+)\(", step_run("Benchmark digests")))
     tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())

@@ -676,6 +676,16 @@ def test_bad_seeds_flag_fails_before_any_run(tmp_path, capsys, seeds, fragment):
     assert not list(tmp_path.rglob("metrics.json"))
 
 
+def test_sweep_of_one_value_twice_fails_before_any_run(tmp_path, capsys):
+    # 30 and 30.0 both name local-cycle__env_tau_mtp_ms_30.0, which the second run overwrote
+    out = tmp_path / "runs"
+    rc = main(["sweep", "--policy", "local", "--horizon", "5", "--seeds", "1",
+               "--param", "env.tau_mtp_ms", "--values", "30,30.0", "--out", str(out)])
+    assert_clean_error(rc, capsys, "sweep values 30 and 30.0 are one scenario, "
+                                   "local-cycle__env_tau_mtp_ms_30.0")
+    assert not out.exists()
+
+
 def test_sweep_with_a_bad_value_fails_before_any_run(tmp_path, capsys):
     # the good first value used to run and write its artifacts first
     rc = main(["sweep", "--policy", "rl", "--profile", "stable", "--horizon", "3",

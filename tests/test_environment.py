@@ -156,8 +156,8 @@ def test_local_full_interval():
     assert out.mtp_ms.size == out.t_capture.size == 20
     assert all(m == pytest.approx(30.0) for m in out.mtp_ms)
     assert all(out.mtp_ms <= env.cfg.tau_mtp_ms)
-    assert out.info["mean_v"] == 0.0
-    assert out.info["energy_j"] == pytest.approx(20.8)
+    assert out.v_mean == 0.0
+    assert out.energy_j == pytest.approx(20.8)
     assert env.state.power_w == pytest.approx(20.8)
     assert env.t == pytest.approx(1.0)
     soc_expected = 100.0 - 3.0 * 20.8 / (16.6 * 3600.0) * 100.0
@@ -171,9 +171,9 @@ def test_offload_starvation_is_penalized():
     env = make_env(profile=stable_profile(1.0))
     out = env.step(A_OFFLOAD_FULL)
     assert out.mtp_ms.size == 0
-    assert out.info["pending_censored"] == 20
+    assert out.pending_censored == 20
     assert env.queue.depth == 20
-    assert out.info["mean_v"] > 1.0
+    assert out.v_mean > 1.0
     assert out.reward < -1.0
 
 
@@ -191,7 +191,7 @@ def test_local_switch_flushes_queue():
     assert env.queue.depth == 20
     out = env.step(A_LOCAL_FULL)
     assert env.queue.depth == 0
-    assert out.info["frames_dropped"] >= 20
+    assert out.frames_dropped >= 20
 
 
 def test_battery_depletion_ends_episode_early():
@@ -214,8 +214,8 @@ def test_depleting_local_interval_keeps_its_last_rtt(rtt):
     env, ref = XrEnvironment(cfg, seed=3), np.random.default_rng(3)
     assert env.state.rtt_ms == rtt_samples(cfg.rtt, ref, 1)[0]
     out = env.step(A_LOCAL_FULL)
-    assert env.done and 1 < out.info["frames_captured"] < cfg.actions.n_ticks
-    assert env.state.rtt_ms == rtt_samples(cfg.rtt, ref, out.info["frames_captured"])[-1]
+    assert env.done and 1 < out.frames_captured < cfg.actions.n_ticks
+    assert env.state.rtt_ms == rtt_samples(cfg.rtt, ref, out.frames_captured)[-1]
     assert env.rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -443,27 +443,53 @@ def test_horizon_interval_dwell_triples_either_step_or_fail_at_construction(trip
     mbps=st.sampled_from([1.0, 10.0, 100.0, 1000.0]),
     capacity_wh=st.sampled_from([16.6, 0.002]),
     actions=st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, max_size=30),
+    planned=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_frame_ledger_closes_every_step_and_every_run(profile, mbps, capacity_wh, actions, seed):
+# a run that flushes the queue an offloaded step filled
+@example(profile="stable", mbps=1.0, capacity_wh=16.6, actions=[5, 4, 4], planned=True, seed=0)
+# a run whose one interval runs the charge out after its first frame
+@example(profile="stable", mbps=1000.0, capacity_wh=0.002, actions=[1, 0, 0], planned=True, seed=0)
+def test_frame_ledger_closes_every_step_and_every_run(profile, mbps, capacity_wh, actions, planned, seed):
     # the cycle's five levels at 2 s dwells, so a short run meets all of them;
-    # the tiny battery runs out mid-interval within a few decisions
+    # the tiny battery runs out mid-interval within a few decisions; when
+    # planned, a local action at an odd position is a run of up to two
+    # intervals, which flushes what an offloaded step left queued
     prof = replace(cycle_profile(), dwell_s=2.0) if profile == "cycle" else stable_profile(mbps)
     env = make_env(seed=seed, profile=prof, capacity_wh=capacity_wh, horizon_s=float(len(actions)))
-    for a in actions:
+    # (captured, delivered, dropped, change in queue depth) of every interval
+    ledger = []
+    energy = []
+    for i, a in enumerate(actions):
         if env.done:
             break
         depth0, dropped0 = env.queue.depth, env.queue.dropped
-        out = env.step(a)
-        info = out.info
-        # captured = delivered + overflow drops + flushed + change in queue depth
-        assert info["frames_captured"] == (
-            out.mtp_ms.size + info["frames_dropped"] + env.queue.depth - depth0
-        )
-        assert info["frames_dropped"] == env.queue.dropped - dropped0
+        if planned and i % 2 and env.actions.is_local[a]:
+            out = env.run_local(a, env.t + 2.5)
+            # each interval's frames end where the next interval starts
+            cuts = np.searchsorted(out.t_capture, out.t[1:]).tolist()
+            delivered = np.diff([0, *cuts, out.mtp_ms.size]).tolist()
+            # a run empties the queue in its first interval, and never queues
+            grew = [env.queue.depth - depth0] + [0] * (len(out.t) - 1)
+            ledger += zip(out.frames_captured, delivered, out.frames_dropped, grew)
+            energy += out.energy_j
+            assert out.pending_censored == [0] * len(out.t)
+            dropped = sum(out.frames_dropped)
+        else:
+            out = env.step(a)
+            ledger.append((out.frames_captured, out.mtp_ms.size, out.frames_dropped, env.queue.depth - depth0))
+            energy.append(out.energy_j)
+            dropped = out.frames_dropped
+        assert dropped == env.queue.dropped - dropped0
         assert out.mtp_ms.size == out.t_capture.size
         assert 0 <= env.queue.depth <= env.queue.max_depth
+    # captured = delivered + overflow drops + flushed + change in queue depth
+    for captured, delivered, dropped, grew in ledger:
+        assert captured == delivered + dropped + grew
+    captured, delivered, dropped, _ = map(sum, zip(*ledger))
+    assert (captured, delivered, dropped) == (env.frames_captured, env.frames_delivered, env.queue.dropped)
     assert env.frames_captured == env.frames_delivered + env.queue.dropped + env.queue.depth
+    assert math.fsum(energy) == pytest.approx(env.battery.energy_j, rel=1e-12)
 
 
 # the profiles an offload interval meets: dwells it lies inside, a level too
@@ -496,5 +522,5 @@ def test_every_live_offload_step_prices_a_frame(profile, queue_max_depth, capaci
             break
         out = env.step(a)
         if not env.actions.is_local[a]:
-            assert out.mtp_ms.size + out.info["pending_censored"] >= 1
-            assert math.isfinite(out.info["mean_v"])
+            assert out.mtp_ms.size + out.pending_censored >= 1
+            assert math.isfinite(out.v_mean)

@@ -255,5 +255,5 @@ def test_prediction_equals_the_simulated_epoch_where_the_models_coincide(mbps, t
                     table=CONFIGS[table].table, tau_mtp_ms=tau)
     predicted = predicted_epoch(XrEnvironment(cfg, seed=0))[0]
     for a in range(N_ACTIONS):
-        simulated = XrEnvironment(cfg, seed=0).step(a).info["mean_v"]
+        simulated = XrEnvironment(cfg, seed=0).step(a).v_mean
         assert math.isclose(predicted[a], simulated, rel_tol=1e-12), (a, predicted[a], simulated)

@@ -444,6 +444,18 @@ def test_sweep_labels_and_values(tmp_path):
     assert all(spec.name in n for n in names)
 
 
+@pytest.mark.parametrize("param, values, raws", [
+    ("env.tau_mtp_ms", [30, 30.0], "30 and 30.0"),
+    ("env.reward.lam", [0.5, 2, 2.0], "2 and 2.0"),
+    ("policy", ["local", "greedy", "local"], "'local' and 'local'"),
+])
+def test_sweep_refuses_values_of_one_scenario_before_any_run(tmp_path, param, values, raws):
+    # the second run of a name overwrote the first's directory
+    with pytest.raises(ValueError, match=f"sweep values {raws} are one scenario"):
+        sweep(local_spec(horizon=5.0), param, values, out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_spec_round_trip_stable_and_cycle(tmp_path):
     for spec in (local_spec(), default_scenario("rl", "cycle", seeds=(4, 5))):
         path = tmp_path / f"{spec.name}.json"

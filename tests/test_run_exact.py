@@ -21,7 +21,7 @@ import xredge.environment as environment
 import xredge.harness as harness
 from xredge.actions import N_ACTIONS
 from xredge.energy import Battery
-from xredge.environment import EnvConfig, XrEnvironment
+from xredge.environment import EnvConfig, Outcome, XrEnvironment
 from xredge.harness import DECISION_COLUMNS, FRAME_COLUMNS, default_scenario, run_experiment
 from xredge.network import BandwidthProfile, cycle_profile, stable_profile
 from xredge.policies import StaticPolicy, ThresholdPolicy
@@ -53,13 +53,14 @@ def test_drain_intervals_equals_the_scalar_steps(capacity_wh, soc0, drain_factor
     array = Battery(capacity_wh, soc0, drain_factor)
     by_interval = Battery(capacity_wh, soc0, drain_factor)
     by_tick = Battery(capacity_wh, soc0, drain_factor)
-    charge, depleted_at = array.drain_intervals(power_w, dt_s, n, t0s)
+    charge, energy, depleted_at = array.drain_intervals(power_w, dt_s, n, t0s)
 
-    ends, captured, instant = [], 0, None
+    ends, energies, captured, instant = [], [], 0, None
     for t0 in t0s:
-        _, ticks, instant = by_interval.steps(power_w, dt_s, n, t0)
+        interval_energy, ticks, instant = by_interval.steps(power_w, dt_s, n, t0)
         captured += ticks
         ends.append(by_interval.soc)
+        energies.append(interval_energy)
         if instant is not None:
             break
     ticks = []
@@ -70,6 +71,7 @@ def test_drain_intervals_equals_the_scalar_steps(capacity_wh, soc0, drain_factor
                 ticks.append(by_tick.soc)
     assert charge.tolist() == ticks
     assert charge.size == captured and depleted_at == instant
+    assert energy == energies and all(type(x) is float for x in energy)
     assert charge[n - 1::n].tolist() + ([charge.item(-1)] if captured % n else []) == ends
     for b in (by_interval, by_tick):
         assert (array.soc, array.energy_j) == (b.soc, b.energy_j)
@@ -78,22 +80,24 @@ def test_drain_intervals_equals_the_scalar_steps(capacity_wh, soc0, drain_factor
 
 def stepped_intervals(env: XrEnvironment, action: int, until_s: float, max_intervals: int) -> dict:
     """What `run_local(action, until_s)` returns, taken from `step` calls:
-    one step per interval that ends before until_s, up to max_intervals."""
-    cols = {k: [] for k in ("t", "bandwidth_mbps", "rtt_ms", "mtp_mean_ms", "mean_v", "soc", "reward")}
-    t_capture, mtp = [], []
+    one step per interval that ends before until_s, up to max_intervals.
+    Each Outcome field maps to its steps' values in order, the frames
+    concatenated."""
+    cols = {k: [] for k in Outcome._fields}
     span = env.actions.n_ticks * env.actions.tick_s
     while not env.done and len(cols["t"]) < max_intervals and env.t + span < until_s:
-        cols["t"].append(env.t)
-        cols["bandwidth_mbps"].append(env.state.bandwidth_mbps)
+        t0, bandwidth = env.t, env.state.bandwidth_mbps
         out = env.step(action)
-        cols["rtt_ms"].append(env.state.rtt_ms)
-        cols["mtp_mean_ms"].append(out.info["mtp_mean_ms"])
-        cols["mean_v"].append(out.info["mean_v"])
-        cols["soc"].append(env.state.soc)
-        cols["reward"].append(out.reward)
-        t_capture += out.t_capture.tolist()
-        mtp += out.mtp_ms.tolist()
-    return {**cols, "t_capture": t_capture, "mtp_ms": mtp}
+        # the start and the bandwidth a step reads before it runs, and the
+        # RTT, power and charge it leaves in the state
+        assert (out.t, out.bandwidth_mbps) == (t0, bandwidth)
+        assert (out.rtt_ms, out.power_w, out.soc_pct) == (env.state.rtt_ms, env.state.power_w, env.state.soc)
+        for k, x in out._asdict().items():
+            if isinstance(x, np.ndarray):
+                cols[k] += x.tolist()
+            else:
+                cols[k].append(x)
+    return cols
 
 
 def assert_same_environment(env: XrEnvironment, ref: XrEnvironment) -> None:
@@ -130,6 +134,10 @@ def assert_same_environment(env: XrEnvironment, ref: XrEnvironment) -> None:
 # which the local step before the run flushes
 @example(profile="stable-10", interval_s=1.0, capacity_wh=16.6, intervals=12, extra_s=0.0, before=[5, 4],
          action=4, until="dwell", max_run_frames=environment.MAX_RUN_FRAMES, seed=0)
+# a run right after an offloaded interval, which flushes the queue itself
+# and counts the flush as its first interval's drops
+@example(profile="stable-10", interval_s=1.0, capacity_wh=16.6, intervals=12, extra_s=0.0, before=[5],
+         action=4, until="dwell", max_run_frames=environment.MAX_RUN_FRAMES, seed=0)
 def test_run_local_equals_stepping_interval_by_interval(profile, interval_s, capacity_wh, intervals, extra_s,
                                                          before, action, until, max_run_frames, seed):
     cfg = EnvConfig(profile=PROFILES[profile], capacity_wh=capacity_wh, decision_interval_s=interval_s,
@@ -150,7 +158,10 @@ def test_run_local_equals_stepping_interval_by_interval(profile, interval_s, cap
         got = getattr(run, key)
         got = got.tolist() if isinstance(got, np.ndarray) else got
         assert got == values, key
-        assert all(type(x) is float for x in got), key
+        assert list(map(type, got)) == list(map(type, values)), key
+        if key not in ("action", "quality", "imu", "mode", "frames_captured", "frames_dropped",
+                       "pending_censored"):
+            assert all(type(x) is float for x in got), key
     assert run.t_capture.dtype == run.mtp_ms.dtype == np.float64
     assert_same_environment(env, ref)
 

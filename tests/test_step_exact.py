@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xredge.actions import N_ACTIONS
+from xredge.actions import N_ACTIONS, decode_action
 from xredge.energy import Battery, PowerParams
 from xredge.environment import EnvConfig, SystemState, XrEnvironment, interval_reward, observe
 from xredge.latency import violation
@@ -50,11 +50,14 @@ def reference_rtt(model: RttModel, rng: np.random.Generator) -> float:
 
 def reference_step(env: XrEnvironment, action: int):
     """One decision interval, one tick at a time; returns (state, obs,
-    reward, done, t_capture, mtp_ms, info) and updates env as step does.
+    reward, done, t_capture, mtp_ms, cells) and updates env as step does,
+    where cells maps each scalar field of step's Outcome to its value.
     env.queue must be a ReferenceUplinkQueue."""
     cfg = env.cfg
     row = action
-    quality = env.actions.configs[row].quality
+    config = decode_action(action)
+    quality = config.quality
+    bandwidth0 = env.state.bandwidth_mbps
     local = env.actions.is_local[row]
     power = env.actions.power_w[row]
     mtp_local_ms = env.actions.mtp_local_ms[row]
@@ -114,15 +117,25 @@ def reference_step(env: XrEnvironment, action: int):
         mtp_ms=mtps[-1] if mtps else env.state.mtp_ms,
     )
     env.done = env.battery.depleted or t_end >= cfg.horizon_s - 1e-9
-    info = {
-        "mean_v": mean_v,
+    cells = {
+        "t": t0,
+        "action": action,
+        "quality": config.quality.value,
+        "imu": config.imu.value,
+        "mode": config.mode.name,
+        "bandwidth_mbps": bandwidth0,
+        "rtt_ms": rtt,
         "mtp_mean_ms": float(np.mean(mtps)) if mtps else float("nan"),
+        "v_mean": mean_v,
+        "power_w": power,
+        "soc_pct": env.battery.soc,
+        "reward": reward,
         "frames_captured": captured,
         "frames_dropped": dropped + flushed,
         "pending_censored": pending_censored,
         "energy_j": energy_j,
     }
-    return env.state, observe(env.state, cfg), reward, env.done, t_capture, mtps, info
+    return env.state, observe(env.state, cfg), reward, env.done, t_capture, mtps, cells
 
 
 def same(a, b) -> bool:
@@ -189,9 +202,11 @@ def test_step_equals_the_tick_by_tick_definition(profile, rtt, frame_ms, capacit
         if env.done:
             break
         out = env.step(a)
-        state, obs, reward, done, t_capture, mtps, info = reference_step(ref, a)
-        assert out.info.keys() == info.keys()
-        assert all(same(out.info[k], info[k]) for k in info), (out.info, info)
+        state, obs, reward, done, t_capture, mtps, cells = reference_step(ref, a)
+        fields = out._asdict()
+        # every field but the two frame arrays is a scalar cell
+        assert fields.keys() - {"t_capture", "mtp_ms"} == cells.keys()
+        assert all(same(fields[k], cells[k]) for k in cells), (fields, cells)
         assert env.state == state
         # the learner observes the environment once step has returned
         assert np.array_equal(env.observe(), obs)

@@ -32,7 +32,11 @@ won; next to the scaled round seconds (`wall_s`) it keeps the raw ones
 Each pair also keeps, per side, the round count, the quartiles of the round
 seconds (the kept result file holds each round) and, next to the peak RSS,
 the decisions completed: perfbench logs every decision, so a faster side
-that completes more rounds peaks higher. The output also holds the kept
+that completes more rounds peaks higher. Next to the raw medians, each
+workload's `peak_rss_fit` compares the peaks at an equal decision count:
+the least-squares fit of `peak_rss_mb = a + b*decisions + c*[change side]`
+over both sides' runs, with b in bytes per decision, c in MB with its
+standard error, and R². The output also holds the kept
 result files' directory, both commits, `change_tree` (a SHA-256 of the
 change side's uncommitted edits and of each untracked file under `src/`
 and `perfbench/`, which name the tree measured), the machine facts
@@ -53,6 +57,8 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 # perfbench's end-to-end metrics, all better lower, and the raw round time
@@ -133,6 +139,31 @@ def summarize(pairs: list[dict[str, dict[str, float]]]) -> dict[str, dict]:
             "gain_resolved": wins >= 0.9 * len(pairs) and bm - cm > b3 - b1,
         }
     return out
+
+
+def rss_fit(rounds: list[dict[str, dict]]) -> dict | None:
+    """The fit of `peak_rss_mb = a + b*decisions + c*[change side]` over
+    both sides' runs, `rounds` holding one {"base": detail, "change":
+    detail} per pair as `pair_detail` makes each; None if the runs cannot
+    determine a, b and c with a residual left over.
+
+    Returns b in bytes per decision (perfbench's MB is ru_maxrss/1024, a MiB
+    of 2**20 bytes), c in MB with its standard error, and R² (None when
+    every peak is equal): c is the change's peak against the base's at an
+    equal decision count.
+    """
+    runs = [(r[side]["decisions"], k, r[side]["peak_rss_mb"]) for r in rounds for k, side in enumerate(SIDES)]
+    x = np.array([(1.0, d, k) for d, k, _ in runs])
+    y = np.array([peak for _, _, peak in runs])
+    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < 3 or len(runs) <= 3:
+        return None
+    resid = y - x @ coef
+    rss, tss = float(resid @ resid), float(((y - y.mean()) ** 2).sum())
+    cov = rss / (len(runs) - 3) * np.linalg.inv(x.T @ x)
+    return {"bytes_per_decision": float(coef[1]) * 2**20, "change_mb": float(coef[2]),
+            "change_mb_se": float(np.sqrt(cov[2, 2])), "r2": 1.0 - rss / tss if tss else None,
+            "runs": len(runs)}
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int,
@@ -217,6 +248,18 @@ def pair_line(i: int, n_pairs: int, workload: str, first: str, runs: dict[str, d
             f"({b['decisions']} decisions) -> {c['peak_rss_mb']:.1f} ({c['decisions']} decisions)")
 
 
+def rss_line(workload: str, result: dict) -> str:
+    """One workload's peak RSS medians, base -> change, and its equal-decision fit."""
+    m = result["metrics"]["peak_rss_mb"]
+    line = f"{workload} peak_rss_mb median {m['base_median']:.1f} -> {m['change_median']:.1f} MB"
+    fit = result["peak_rss_fit"]
+    if fit is None:
+        return line + "; too few runs for the equal-decision fit"
+    r2 = "n/a" if fit["r2"] is None else f"{fit['r2']:.4f}"
+    return (line + f"; at equal decisions {fit['change_mb']:+.2f} ± {fit['change_mb_se']:.2f} MB "
+            f"({fit['bytes_per_decision']:.1f} B/decision, R² {r2})")
+
+
 def end_to_end(run: dict) -> dict[str, float]:
     """The end-to-end metrics of one untraced run, with the raw round time."""
     m = values(run)
@@ -245,7 +288,8 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
             pairs[w].append({side: end_to_end(runs[side]) for side in SIDES})
             rounds[w].append({side: pair_detail(runs[side]) for side in SIDES})
             print(pair_line(i, n_pairs, w, order[0], runs), flush=True)
-    out = {w: {"metrics": summarize(pairs[w]), "rounds": rounds[w]} for w in workloads}
+    out = {w: {"metrics": summarize(pairs[w]), "peak_rss_fit": rss_fit(rounds[w]), "rounds": rounds[w]}
+           for w in workloads}
     report = {"machine": machine, "workloads": out,
               "src_lines": {side: source_lines(roots[side]) for side in SIDES}}
     if traced:
@@ -318,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         **report,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    for w, result in report["workloads"].items():
+        print(rss_line(w, result))
     lines = report["src_lines"]
     print(f"wrote {args.out}; src/xredge/*.py lines {lines['base']} -> {lines['change']}")
     return 0
