@@ -17,7 +17,7 @@ print("bandwidth schedule, first full cycle:")
 for i, level in enumerate(profile.levels_mbps):
     t0 = i * profile.dwell_s
     print(f"  t in [{t0:5.0f}, {t0 + profile.dwell_s:5.0f}) s -> {level:6g} Mbps")
-print(f"wraps after {profile.cycle_s:g} s: "
+print(f"wraps after {len(profile.levels_mbps) * profile.dwell_s:g} s: "
       f"bandwidth at t=301 s is {bandwidth_at(profile, 301.0):g} Mbps")
 print()
 

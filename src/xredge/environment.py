@@ -23,7 +23,7 @@ from .config import check_ranges, ranged
 from .energy import Battery, PowerParams, client_power
 from .latency import (FrameSizeModel, ProcTimeTable, UplinkQueue, mtp_local, offload_mtp_ms,
                       proc_time, serialization_s, violation)
-from .network import BandwidthProfile, RttModel, bandwidth_at, last_rtt, last_rtts, level_index, rtt_samples
+from .network import BandwidthProfile, RttModel, bandwidth_at, last_rtts, level_index, rtt_samples
 
 # the most frames an interval may hold: the action table and each step build arrays that long
 MAX_INTERVAL_FRAMES = 100_000
@@ -33,6 +33,8 @@ MAX_RUN_FRAMES = 1 << 15
 # the smallest MTP threshold, 1 us: below it a frame's relative excess
 # `violation(mtp, tau)` can overflow to inf (a 30 ms frame at tau 1e-308 does)
 MIN_TAU_MTP_MS = 1e-3
+# an interval ending this close short of the horizon ends the episode: summed lengths fall ulps short
+HORIZON_TOL_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -203,9 +205,18 @@ class ActionTable:
         # the greedy predictor's scalar sweep reads all but the first as floats
         self.later_arrival_ms = tuple(self.arrival_ms[1:].tolist())
         # local-only values are nan on offload rows
-        self.v_local, self.mtp_mean_local_ms, self.v_mean_local = (
-            tuple(x if local else float("nan") for x, local in zip(xs, self.is_local))
-            for xs in (v, mtp_mean, v_mean))
+        self.v_local = tuple(x if local else float("nan") for x, local in zip(v, self.is_local))
+        # a full local interval's (mean MTP, mean violation), which local_means returns
+        self._local_means = tuple(pair if local else (float("nan"), float("nan"))
+                                  for pair, local in zip(zip(mtp_mean, v_mean), self.is_local))
+
+    def local_means(self, row: int, k: int) -> tuple[float, float]:
+        """The mean MTP (ms) and the mean violation of k frames of local
+        action `row`, 1 <= k <= n_ticks: a full interval's are cached, and
+        fewer frames are those of an interval the charge cut short."""
+        if k == self.n_ticks:
+            return self._local_means[row]
+        return _mean(np.full(k, self.mtp_local_ms[row])), _mean(np.full(k, self.v_local[row]))
 
 
 # the decisions.csv cells of one decision, in file order: the interval's
@@ -296,6 +307,31 @@ class XrEnvironment:
     def observe(self) -> np.ndarray:
         return observe(self.state, self.cfg)
 
+    def _enter(self, action: int) -> int:
+        """The row of action id `action` for an interval that starts now: an
+        ended episode raises RuntimeError, and an id that is not an int or a
+        numpy integer in [0, N_ACTIONS) (a bool, a float) raises ValueError."""
+        if self.done:
+            raise RuntimeError("episode is over")
+        if type(action) is not int and (isinstance(action, bool) or not isinstance(action, (int, np.integer))):
+            raise ValueError(f"action id must be an int, got {action!r}")
+        if not 0 <= action < N_ACTIONS:
+            raise ValueError(f"action id out of range [0, {N_ACTIONS}): {action}")
+        return int(action)
+
+    def _close(self, t_end: float, captured: int, delivered: int, power: float, rtt: float,
+               mtp_obs: float) -> None:
+        """End the advance whose last interval ends at t_end: count its frames
+        and leave the state observed then, whose bandwidth is the level at
+        t_end or, past the horizon, at the horizon."""
+        cfg = self.cfg
+        self.t = t_end
+        self.frames_captured += captured
+        self.frames_delivered += delivered
+        self.state = SystemState(soc=self.battery.soc, power_w=power, rtt_ms=rtt, mtp_ms=mtp_obs,
+                                 bandwidth_mbps=bandwidth_at(cfg.profile, min(t_end, cfg.horizon_s)))
+        self.done = self.battery.depleted or t_end >= cfg.horizon_s - HORIZON_TOL_S
+
     def step(self, action: int) -> Outcome:
         """Apply an action id for one decision interval.
 
@@ -304,11 +340,7 @@ class XrEnvironment:
         in one call, in the order the tick-by-tick definition draws them. A
         local interval keeps only the last RTT, so it exponentiates only that.
         """
-        if self.done:
-            raise RuntimeError("episode is over")
-        row = int(action)
-        if not 0 <= row < N_ACTIONS:
-            raise ValueError(f"action id out of range [0, {N_ACTIONS}): {action}")
+        row = self._enter(action)
         cfg, tab = self.cfg, self.actions
         local = tab.is_local[row]
         power = tab.power_w[row]
@@ -325,15 +357,11 @@ class XrEnvironment:
         ticks = t0 + tab.tick_offsets_s[:captured]
 
         if local:
-            rtt = last_rtt(cfg.rtt, self.rng, captured)
+            rtt = last_rtts(cfg.rtt, self.rng, n_ticks, captured)[0]
             dropped = pending_censored = 0
             mtp_obs = tab.mtp_local_ms[row]
             t_capture, mtp = ticks, np.full(captured, mtp_obs)
-            if captured == n_ticks:
-                mean_v, mtp_mean = tab.v_mean_local[row], tab.mtp_mean_local_ms[row]
-            else:
-                mean_v = _mean(np.full(captured, tab.v_local[row]))
-                mtp_mean = _mean(mtp)
+            mtp_mean, mean_v = tab.local_means(row, captured)
         else:
             rtts = rtt_samples(cfg.rtt, self.rng, captured)
             rtt = rtts[-1]
@@ -362,18 +390,8 @@ class XrEnvironment:
             v_values = violation(np.concatenate((mtp, pending)) if pending else mtp, cfg.tau_mtp_ms)
             mean_v = _mean(v_values)
 
-        self.t = t_end
-        self.frames_captured += captured
-        self.frames_delivered += mtp.size
+        self._close(t_end, captured, mtp.size, power, rtt, mtp_obs)
         reward = interval_reward(mean_v, power, self.battery.soc, cfg.reward)
-        self.state = SystemState(
-            soc=self.battery.soc,
-            power_w=power,
-            rtt_ms=rtt,
-            bandwidth_mbps=bandwidth_at(cfg.profile, min(t_end, cfg.horizon_s)),
-            mtp_ms=mtp_obs,
-        )
-        self.done = self.battery.depleted or t_end >= cfg.horizon_s - 1e-9
         return Outcome(t0, row, *tab.labels[row], bandwidth, rtt, mtp_mean, mean_v, power, self.battery.soc,
                        reward, t_capture, mtp, captured, dropped + flushed, pending_censored, energy_j)
 
@@ -387,16 +405,15 @@ class XrEnvironment:
         the interval starts accumulate as step advances `t`, the battery
         drains through `Battery.drain_intervals`, which also sums each
         interval's energy as `Battery.steps` does, the RTTs come from one
-        draw through `last_rtts`, and the reward and observed bandwidth are
-        step's formulas on arrays. A local interval never queues, so only
-        the uplink queue's flush, counted as the first interval's drops,
-        depends on where the run starts.
+        draw through `last_rtts`, the means through `ActionTable.local_means`,
+        the reward and observed bandwidth are step's formulas on arrays, and
+        the last interval ends through `_close`, as a step does. A local
+        interval never queues, so only the uplink queue's flush, counted as
+        the first interval's drops, depends on where the run starts.
         """
-        if self.done:
-            raise RuntimeError("episode is over")
-        row = int(action)
+        row = self._enter(action)
         cfg, tab = self.cfg, self.actions
-        if not (0 <= row < N_ACTIONS and tab.is_local[row]):
+        if not tab.is_local[row]:
             raise ValueError(f"not a local action id: {action}")
         power, tick_s, n = tab.power_w[row], tab.tick_s, tab.n_ticks
 
@@ -405,7 +422,7 @@ class XrEnvironment:
         t[0] = self.t
         np.add.accumulate(t, out=t)
         ends = t[1:]
-        m = min(int(np.searchsorted(ends, cfg.horizon_s - 1e-9)) + 1,
+        m = min(int(np.searchsorted(ends, cfg.horizon_s - HORIZON_TOL_S)) + 1,
                 int(np.searchsorted(ends, until_s)), ends.size)
         if m == 0:
             return Outcome(*([] for _ in ROW_FIELDS), np.empty(0), np.empty(0), [], [], [], [])
@@ -422,33 +439,21 @@ class XrEnvironment:
         rtt = last_rtts(cfg.rtt, self.rng, n, captured)
         t_capture = (t[:m, None] + tab.tick_offsets_s).ravel()[:captured]
         mtp = np.full(captured, tab.mtp_local_ms[row])
-        mtp_mean = [tab.mtp_mean_local_ms[row]] * m
-        mean_v = [tab.v_mean_local[row]] * m
+        (mtp_full, v_full), (mtp_last, v_last) = tab.local_means(row, n), tab.local_means(row, short)
+        mtp_mean = [mtp_full] * (m - 1) + [mtp_last]
+        mean_v = [v_full] * (m - 1) + [v_last]
         soc = charge[n - 1::n]
-        reward = interval_reward(mean_v[0], power, soc, cfg.reward).tolist()
+        reward = interval_reward(v_full, power, soc, cfg.reward).tolist()
         soc = soc.tolist()
         if short < n:
-            mtp_mean[-1] = _mean(mtp[:short])
-            mean_v[-1] = _mean(np.full(short, tab.v_local[row]))
             soc.append(charge.item(-1))
-            reward.append(interval_reward(mean_v[-1], power, soc[-1], cfg.reward))
-        # the bandwidth observed after each interval, bandwidth_at(min(t_end, horizon))
-        levels = level_index(cfg.profile, np.minimum(ends[:m], cfg.horizon_s))
-        seen = np.asarray(cfg.profile.levels_mbps)[levels].tolist()
+            reward.append(interval_reward(v_last, power, soc[-1], cfg.reward))
+        # the bandwidth observed at each interval's start: the state's, then the level at the end of
+        # each interval but the last, which all end short of the horizon; _close observes the last's
+        levels = level_index(cfg.profile, ends[:m - 1])
+        bandwidth = [self.state.bandwidth_mbps, *np.asarray(cfg.profile.levels_mbps)[levels].tolist()]
 
-        t_end = ends.item(m - 1)
-        self.t = t_end
-        self.frames_captured += captured
-        self.frames_delivered += captured
-        bandwidth = [self.state.bandwidth_mbps, *seen[:-1]]
-        self.state = SystemState(
-            soc=self.battery.soc,
-            power_w=power,
-            rtt_ms=rtt[-1],
-            bandwidth_mbps=seen[-1],
-            mtp_ms=tab.mtp_local_ms[row],
-        )
-        self.done = self.battery.depleted or t_end >= cfg.horizon_s - 1e-9
+        self._close(ends.item(m - 1), captured, captured, power, rtt[-1], tab.mtp_local_ms[row])
         # the action id, its three labels and the power are each the same in every interval
         action_cells = ([x] * m for x in (row, *tab.labels[row]))
         return Outcome(starts[:m], *action_cells, bandwidth, rtt, mtp_mean, mean_v, [power] * m, soc, reward,

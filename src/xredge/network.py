@@ -37,10 +37,6 @@ class BandwidthProfile:
         if not self.levels_mbps:
             raise ValueError("profile needs at least one bandwidth level")
 
-    @property
-    def cycle_s(self) -> float:
-        return len(self.levels_mbps) * self.dwell_s
-
     def describe(self) -> str:
         if len(self.levels_mbps) == 1:
             return f"stable({self.levels_mbps[0]:g}Mbps)"
@@ -136,21 +132,17 @@ def rtt_samples(model: RttModel, rng: np.random.Generator, n: int) -> list[float
     return _rtt_ms(model, rng.standard_normal(n).tolist())
 
 
-def last_rtt(model: RttModel, rng: np.random.Generator, n: int) -> float:
-    """rtt_samples(model, rng, n)[-1] for n >= 1, bit for bit and leaving the
-    generator in the same state: it draws all n normals but exponentiates
-    only the last. It is `last_rtts(model, rng, n, n)[0]`, kept to one
-    `item` call for the step of a single interval."""
-    return _rtt_ms(model, [rng.standard_normal(n).item(-1)])[0]
-
-
 def last_rtts(model: RttModel, rng: np.random.Generator, n: int, total: int) -> list[float]:
-    """last_rtt over consecutive intervals of n frames, `total` frames in all,
-    the last interval possibly short: entries n - 1, 2n - 1, ... and
-    total - 1 of rtt_samples(model, rng, total) for total >= 1, bit for bit
-    and leaving the generator in the same state. It draws all the normals
-    in one call but exponentiates only those."""
+    """The last RTT of each of consecutive intervals of n frames, `total`
+    frames in all, the last interval possibly short: entries n - 1, 2n - 1,
+    ... and total - 1 of rtt_samples(model, rng, total) for total >= 1, bit
+    for bit and leaving the generator in the same state. It draws all the
+    normals in one call but exponentiates only those. A single interval of
+    `total` <= n frames is `last_rtts(model, rng, n, total)[0]`."""
     z = rng.standard_normal(total)
+    if total <= n:
+        # one interval, a step's: a slice costs more than the one item
+        return _rtt_ms(model, [z.item(-1)])
     last = z[n - 1::n].tolist()
     if total % n:
         last.append(z.item(-1))

@@ -164,16 +164,34 @@ def test_tree_digest_names_uncommitted_edits_and_untracked_run_files(tmp_path):
     assert digest["untracked_sha256"] == {"src/b.py": hashlib.sha256(b"y = 1\n").hexdigest()}
 
 
-def test_episode_summary_keeps_every_round_with_its_spread():
+def test_round_summary_keeps_every_round_with_its_spread():
     # three rounds' {policy: seconds}, as each episode process prints them
     rl = [0.75, 0.5, 0.875]
     rounds = [{"local": 0.03, "offload": 0.07, "threshold": 0.06, "greedy": 0.25 + i, "rl": x}
               for i, x in enumerate(rl)]
-    s = bench_pairs.episode_summary(rounds)
+    s = bench_pairs.round_summary(rounds)
     assert s.keys() == set(bench_pairs.EPISODE_POLICIES)
     assert s["rl"] == {"rounds": rl, "min": 0.5, "median": 0.75, "max": 0.875}
     assert s["greedy"] == {"rounds": [0.25, 1.25, 2.25], "min": 0.25, "median": 1.25, "max": 2.25}
     assert s["local"] == {"rounds": [0.03] * 3, "min": 0.03, "median": 0.03, "max": 0.03}
+
+
+def test_step_us_times_both_cases_in_process_and_the_episode_script_holds_it():
+    us = bench_pairs.step_us(batches=2, calls=3)
+    assert us.keys() == {"local", "offload"}
+    assert all(0.0 < x < 1e6 for x in us.values())
+    # each round's process defines the same function from its source
+    assert bench_pairs._EPISODE_SCRIPT.startswith("def step_us(batches: int = 7, calls: int = 1500)")
+    assert '"step_us": step_us()' in bench_pairs._EPISODE_SCRIPT
+
+
+def test_step_rounds_summarize_per_case_and_print_the_min_of_rounds():
+    rounds = {"base": [{"local": 9.5, "offload": 20.5}, {"local": 9.25, "offload": 21.0}],
+              "change": [{"local": 9.0, "offload": 20.25}, {"local": 9.75, "offload": 20.0}]}
+    step = {side: bench_pairs.round_summary(r) for side, r in rounds.items()}
+    assert step["change"]["offload"] == {"rounds": [20.25, 20.0], "min": 20.0, "median": 20.125, "max": 20.25}
+    assert bench_pairs.step_line(step) == ("XrEnvironment.step µs per call, min of rounds: "
+                                           "local 9.25 -> 9.00, offload 20.50 -> 20.00")
 
 
 def test_result_with_a_failed_episode_is_refused(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 from functools import reduce
 
@@ -140,12 +141,27 @@ def test_zero_horizon_immediately_done():
         env.step(A_LOCAL_FULL)
 
 
-def test_step_rejects_bad_action():
+@pytest.mark.parametrize("action, message", [
+    (-1, "out of range"), (18, "out of range"),
+    # a float is not truncated to a row, nor a string or a bool taken as one
+    *((a, f"must be an int, got {re.escape(repr(a))}$")
+      for a in (4.9, 4.0, np.float64(4.0), "4", True, np.bool_(True), None)),
+])
+def test_step_and_run_local_reject_bad_action(action, message):
     env = make_env()
-    with pytest.raises(ValueError):
-        env.step(-1)
-    with pytest.raises(ValueError):
-        env.step(18)
+    for advance in (env.step, env.run_local):
+        with pytest.raises(ValueError, match=message):
+            advance(action)
+    assert env.t == 0.0 and env.frames_captured == 0
+
+
+def test_numpy_integer_action_ids_run_as_plain_ints():
+    env, ref = make_env(), make_env()
+    out, expected = env.step(np.int64(A_LOCAL_FULL)), ref.step(A_LOCAL_FULL)
+    assert type(out.action) is int
+    assert out.action == expected.action and out.reward == expected.reward and env.state == ref.state
+    run = env.run_local(np.int32(A_LOCAL_FULL), env.t + 3.5)
+    assert run.action == [A_LOCAL_FULL] * 3 and all(type(a) is int for a in run.action)
 
 
 def test_local_full_interval():

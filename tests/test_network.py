@@ -11,7 +11,6 @@ from xredge.network import (
     RttModel,
     bandwidth_at,
     cycle_profile,
-    last_rtt,
     last_rtts,
     level_index,
     rtt_samples,
@@ -27,7 +26,7 @@ def test_cycle_profile_shape():
     p = cycle_profile()
     assert p.levels_mbps == (1000.0, 500.0, 100.0, 10.0, 1.0)
     assert p.dwell_s == 60.0
-    assert p.cycle_s == 300.0
+    assert len(p.levels_mbps) * p.dwell_s == 300.0
 
 
 @pytest.mark.parametrize(
@@ -55,7 +54,7 @@ def test_cycle_schedule_values(t, expected):
 @given(st.floats(min_value=0.0, max_value=10_000.0, allow_nan=False))
 def test_schedule_is_periodic(t):
     p = cycle_profile()
-    assert bandwidth_at(p, t) == bandwidth_at(p, t + p.cycle_s)
+    assert bandwidth_at(p, t) == bandwidth_at(p, t + len(p.levels_mbps) * p.dwell_s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,7 +126,9 @@ def test_zero_jitter_scale_gives_the_base_on_every_draw(base_ms, sigma, n, seed)
     model = RttModel(base_ms=base_ms, jitter_scale_ms=0.0, sigma=sigma)
     assert model.jitter_mean_ms() == 0.0
     assert rtt_samples(model, np.random.default_rng(seed), n) == [base_ms] * n
-    assert last_rtt(model, np.random.default_rng(seed), n) == base_ms
+    # one interval of n frames, and intervals of one and of two frames
+    for k in (n, 1, 2):
+        assert last_rtts(model, np.random.default_rng(seed), k, n) == [base_ms] * -(-n // k)
 
 
 @pytest.mark.parametrize("model", [
@@ -153,19 +154,17 @@ def test_rtt_samples_equal_one_draw_at_a_time(model):
     RttModel(base_ms=0.0),
     RttModel(jitter_scale_ms=0.0),
 ])
-def test_last_rtt_is_the_last_of_rtt_samples(model, n):
-    # a local interval exponentiates only its last draw, but consumes all n
+def test_last_rtts_are_the_last_of_each_intervals_rtt_samples(model, n):
+    # a local interval exponentiates only its last draw, but consumes all its
+    # frames' draws: one interval of up to n frames (fewer when the charge
+    # runs out), and a run of intervals keeps each one's last draw, of a
+    # short last interval too
     for seed in range(20):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert last_rtt(model, rng, n) == rtt_samples(model, ref, n)[-1]
-        assert rng.bit_generator.state == ref.bit_generator.state
-        # a run of intervals keeps each one's last draw, of a short last interval too
-        for total in (n, 3 * n, 3 * n + 1, 3 * n + n // 2):
+        for total in (*range(1, n + 1), 3 * n, 3 * n + 1, 3 * n + n // 2):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             samples = rtt_samples(model, ref, total)
             assert last_rtts(model, rng, n, total) == samples[n - 1::n] + samples[-1:] * (total % n > 0)
             assert rng.bit_generator.state == ref.bit_generator.state
-        assert last_rtts(model, np.random.default_rng(seed), n, n) == [last_rtt(model, np.random.default_rng(seed), n)]
 
 
 def test_lognormal_samples_bounded_below_by_base():

@@ -24,6 +24,9 @@ minimum, median and maximum, since one side's best round can fall in a
 faster phase of the host than the other's. Each round is a fresh process
 that runs each policy's episode once untimed first: a policy's first
 episode in a process pays a warm-up (about 1 s for rl, 40 ms for local).
+After its episodes, each round also times `XrEnvironment.step` in µs per
+call, the minimum of 7 batches of 1500 calls: local action 12 on the cycle
+profile and offload action 5 on stable 1000 Mbps (`step_us`).
 
 The output holds, per workload and metric, each pair's two values, each
 side's median and interquartile range, and the number of pairs the change
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -69,9 +73,36 @@ RUN_PATHS = ("src", "perfbench")
 # the policies whose 1200 s cycle episode --traced times, and the rounds
 EPISODE_POLICIES = ("local", "offload", "threshold", "greedy", "rl")
 EPISODE_ROUNDS = 3
+
+
+def step_us(batches: int = 7, calls: int = 1500) -> dict[str, float]:
+    """Microseconds per `XrEnvironment.step` call of the xredge on the
+    path: the minimum over `batches` batches of `calls` calls, each batch
+    on a fresh environment whose horizon its last call ends, of local
+    action 12 on the cycle profile and of offload action 5 on stable
+    1000 Mbps. `_EPISODE_SCRIPT` holds its source."""
+    import time
+    from xredge.environment import EnvConfig, XrEnvironment
+    from xredge.network import cycle_profile, stable_profile
+    cases = {"local": (12, cycle_profile()), "offload": (5, stable_profile(1000.0))}
+    out = {}
+    for name, (action, profile) in cases.items():
+        cfg = EnvConfig(profile=profile, horizon_s=float(calls))
+        best = float("inf")
+        for _ in range(batches):
+            step = XrEnvironment(cfg, seed=0).step
+            tic = time.perf_counter()
+            for _ in range(calls):
+                step(action)
+            best = min(best, time.perf_counter() - tic)
+        out[name] = best / calls * 1e6
+    return out
+
+
 # each policy named in argv[2:]: one untimed episode, then one timed, run by
-# run_experiment without artifacts; prints {policy: wall seconds}
-_EPISODE_SCRIPT = """
+# run_experiment without artifacts, then `step_us`; prints
+# {"episode_s": {policy: wall seconds}, "step_us": {case: µs per call}}
+_EPISODE_SCRIPT = inspect.getsource(step_us) + """
 import json, sys, time
 from xredge.harness import default_scenario, run_experiment
 seed, seconds = int(sys.argv[1]), {}
@@ -81,7 +112,7 @@ for policy in sys.argv[2:]:
     tic = time.perf_counter()
     run_experiment(spec, seed)
     seconds[policy] = time.perf_counter() - tic
-print(json.dumps(seconds))
+print(json.dumps({"episode_s": seconds, "step_us": step_us()}))
 """
 
 
@@ -190,9 +221,10 @@ def read_result(path: Path) -> dict:
     return run
 
 
-def episode_seconds(root: Path, seed: int) -> dict[str, float]:
+def episode_round(root: Path, seed: int) -> dict[str, dict[str, float]]:
     """One warm episode of each EPISODE_POLICIES policy in a fresh process,
-    with checkout `root`'s source; returns each episode's wall seconds."""
+    with checkout `root`'s source, then `step_us`; returns each episode's
+    wall seconds as "episode_s" and the µs per step call as "step_us"."""
     cmd = [sys.executable, "-c", _EPISODE_SCRIPT, str(seed), *EPISODE_POLICIES]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
@@ -201,24 +233,27 @@ def episode_seconds(root: Path, seed: int) -> dict[str, float]:
     return json.loads(proc.stdout)
 
 
-def episode_summary(rounds: list[dict[str, float]]) -> dict[str, dict]:
-    """Per policy of one side's rounds: each round's episode seconds, in
-    round order, and their minimum, median and maximum."""
+def round_summary(rounds: list[dict[str, float]]) -> dict[str, dict]:
+    """Per key of one side's rounds, a policy's episode seconds or a step
+    case's µs: each round's value, in round order, and their minimum,
+    median and maximum."""
     out = {}
-    for p in EPISODE_POLICIES:
-        xs = [r[p] for r in rounds]
-        out[p] = {"rounds": xs, "min": min(xs), "median": statistics.median(xs), "max": max(xs)}
+    for key in rounds[0]:
+        xs = [r[key] for r in rounds]
+        out[key] = {"rounds": xs, "min": min(xs), "median": statistics.median(xs), "max": max(xs)}
     return out
 
 
 def episode_rounds(roots: dict[str, Path], seed: int) -> dict[str, dict[str, dict]]:
-    """Per side, `episode_summary` of EPISODE_ROUNDS rounds, the side that
-    runs first alternating from round to round."""
+    """`episode_round` EPISODE_ROUNDS times per side, the side that runs
+    first alternating from round to round; returns per measure
+    ("episode_s", "step_us") and side the `round_summary` of its rounds."""
     rounds: dict[str, list] = {side: [] for side in SIDES}
     for i in range(EPISODE_ROUNDS):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            rounds[side].append(episode_seconds(roots[side], seed))
-    return {side: episode_summary(rounds[side]) for side in SIDES}
+            rounds[side].append(episode_round(roots[side], seed))
+    return {measure: {side: round_summary([r[measure] for r in rounds[side]]) for side in SIDES}
+            for measure in ("episode_s", "step_us")}
 
 
 def values(run: dict) -> dict[str, float]:
@@ -260,6 +295,13 @@ def rss_line(workload: str, result: dict) -> str:
             f"({fit['bytes_per_decision']:.1f} B/decision, R² {r2})")
 
 
+def step_line(step: dict[str, dict]) -> str:
+    """Each step case's µs per call, the minimum over rounds, base -> change."""
+    cases = (f"{case} {step['base'][case]['min']:.2f} -> {step['change'][case]['min']:.2f}"
+             for case in step["change"])
+    return "XrEnvironment.step µs per call, min of rounds: " + ", ".join(cases)
+
+
 def end_to_end(run: dict) -> dict[str, float]:
     """The end-to-end metrics of one untraced run, with the raw round time."""
     m = values(run)
@@ -297,7 +339,7 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
             out[w]["traced"] = {side: values(run_perfbench(roots[side], w, seed, seconds, 1,
                                                            keep_dir / f"traced-{w}-{side}.json"))
                                 for side in SIDES}
-        report["episode_s"] = episode_rounds(roots, seed)
+        report.update(episode_rounds(roots, seed))
     return report
 
 
@@ -364,6 +406,8 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for w, result in report["workloads"].items():
         print(rss_line(w, result))
+    if "step_us" in report:
+        print(step_line(report["step_us"]))
     lines = report["src_lines"]
     print(f"wrote {args.out}; src/xredge/*.py lines {lines['base']} -> {lines['change']}")
     return 0
