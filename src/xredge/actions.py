@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
+import numpy as np
+
 
 class QualityLevel(Enum):
     LOW = "low"
@@ -65,16 +67,19 @@ def quality_scale(quality: QualityLevel) -> float:
     return (w * h) / (w_hi * h_hi)
 
 
-def decode_action(action_id: int) -> ExecutionConfig:
-    """Map an integer action id (0..17) to its execution configuration."""
-    if not isinstance(action_id, (int,)) or isinstance(action_id, bool):
+def action_row(action_id) -> int:
+    """`action_id` as a plain int if it is an int or numpy integer in [0, N_ACTIONS), else ValueError."""
+    if type(action_id) is not int and (isinstance(action_id, bool) or not isinstance(action_id, (int, np.integer))):
         raise ValueError(f"action id must be an int, got {action_id!r}")
     if not 0 <= action_id < N_ACTIONS:
         raise ValueError(f"action id out of range [0, {N_ACTIONS}): {action_id}")
-    imu = _IMU_ORDER[action_id // 6]
-    quality = _QUALITY_ORDER[(action_id % 6) // 2]
-    mode = ExecutionMode(action_id % 2)
-    return ExecutionConfig(quality=quality, imu=imu, mode=mode)
+    return int(action_id)
+
+
+def decode_action(action_id: int) -> ExecutionConfig:
+    """Map an action id (0..17, see `action_row`) to its execution configuration."""
+    row = action_row(action_id)
+    return ExecutionConfig(quality=_QUALITY_ORDER[row % 6 // 2], imu=_IMU_ORDER[row // 6], mode=ExecutionMode(row % 2))
 
 
 def all_configs() -> list[ExecutionConfig]:

@@ -86,8 +86,6 @@ def from_jsonable(tp, data, path: str = "value"):
     the dotted `path`.
     """
     if dataclasses.is_dataclass(tp):
-        if isinstance(data, tp):
-            return data
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected an object, got {data!r}")
         types = field_types(tp)

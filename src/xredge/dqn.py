@@ -29,7 +29,6 @@ class DqnConfig:
     eps0: float = ranged("[0, 1]", 1.0)
     eps_decay: float = ranged("(0, 1]", 0.9975)        # per-decision multiplicative decay
     eps_min: float = ranged("[0, 1]", 0.05)
-    train_per_decision: int = ranged("[1, inf)", 1)
 
     def __post_init__(self):
         check_ranges(self)
@@ -278,12 +277,11 @@ class DqnAgent:
         return int(np.argmax(self.q_values(obs)))
 
     def record_and_train(self, obs, action, reward, next_obs, done) -> float | None:
-        """Store a transition, run the per-decision training, advance clocks."""
+        """Store a transition, train one step once the buffer holds a batch, advance clocks."""
         self.buffer.push(obs, action, reward, next_obs, done)
         loss = None
         if len(self.buffer) >= self.cfg.batch_size:
-            for _ in range(self.cfg.train_per_decision):
-                loss = self.train_step()
+            loss = self.train_step()
         self.decision_count += 1
         if self.decision_count % self.cfg.target_sync_every == 0:
             self.sync_target()

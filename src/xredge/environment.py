@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import ExecutionMode, N_ACTIONS, all_configs, quality_scale
+from .actions import ExecutionMode, action_row, all_configs, quality_scale
 from .config import check_ranges, ranged
 from .energy import Battery, PowerParams, client_power
 from .latency import (FrameSizeModel, ProcTimeTable, UplinkQueue, mtp_local, offload_mtp_ms,
@@ -84,8 +84,6 @@ class EnvConfig:
     decision_interval_s: float = ranged("(0, inf)", 1.0)
     horizon_s: float = ranged("[0, inf)", 1200.0)
     queue_max_depth: int = ranged("[1, inf)", 20)
-    rtt_max_ms: float = ranged("(0, inf)", 50.0)    # observation clamp
-    mtp_max_ms: float = ranged("(0, inf)", 100.0)   # observation clamp
 
     def __post_init__(self):
         check_ranges(self)
@@ -262,6 +260,9 @@ def interval_reward(mean_v: float, power_w: float, soc: float, params: RewardPar
 
 # the length of `observe`'s vector, the learner's input size
 OBS_DIM = 5
+# the RTT and MTP (ms) that `observe` scales to 1; larger values clamp there
+RTT_MAX_MS = 50.0
+MTP_MAX_MS = 100.0
 
 
 def observe(state: SystemState, cfg: EnvConfig) -> np.ndarray:
@@ -272,9 +273,9 @@ def observe(state: SystemState, cfg: EnvConfig) -> np.ndarray:
     """
     soc = state.soc / 100.0
     power = min(max(state.power_w / cfg.reward.p_max_w, 0.0), 1.0)
-    rtt = min(max(state.rtt_ms / cfg.rtt_max_ms, 0.0), 1.0)
+    rtt = min(max(state.rtt_ms / RTT_MAX_MS, 0.0), 1.0)
     bw = min(max(np.log10(max(state.bandwidth_mbps, 1e-12)) / 3.0, 0.0), 1.0)
-    mtp = min(max(state.mtp_ms / cfg.mtp_max_ms, 0.0), 1.0)
+    mtp = min(max(state.mtp_ms / MTP_MAX_MS, 0.0), 1.0)
     return np.array([soc, power, rtt, bw, mtp], dtype=np.float64)
 
 
@@ -308,16 +309,11 @@ class XrEnvironment:
         return observe(self.state, self.cfg)
 
     def _enter(self, action: int) -> int:
-        """The row of action id `action` for an interval that starts now: an
-        ended episode raises RuntimeError, and an id that is not an int or a
-        numpy integer in [0, N_ACTIONS) (a bool, a float) raises ValueError."""
+        """The row of action id `action` (`actions.action_row`) for an
+        interval that starts now; an ended episode raises RuntimeError."""
         if self.done:
             raise RuntimeError("episode is over")
-        if type(action) is not int and (isinstance(action, bool) or not isinstance(action, (int, np.integer))):
-            raise ValueError(f"action id must be an int, got {action!r}")
-        if not 0 <= action < N_ACTIONS:
-            raise ValueError(f"action id out of range [0, {N_ACTIONS}): {action}")
-        return int(action)
+        return action_row(action)
 
     def _close(self, t_end: float, captured: int, delivered: int, power: float, rtt: float,
                mtp_obs: float) -> None:

@@ -1,5 +1,6 @@
 """Action-space encoding: id layout, pixel ratios, validation."""
 
+import numpy as np
 import pytest
 
 from xredge.actions import (
@@ -9,10 +10,12 @@ from xredge.actions import (
     ExecutionMode,
     ImuRate,
     QualityLevel,
+    action_row,
     all_configs,
     decode_action,
     quality_scale,
 )
+from xredge.environment import EnvConfig, XrEnvironment
 
 
 def test_eighteen_actions():
@@ -65,3 +68,29 @@ def test_resolution_table():
 def test_decode_rejects_bad_ids(bad):
     with pytest.raises(ValueError):
         decode_action(bad)
+
+
+def _outcome(call, action):
+    """("ok", value) of call(action), or ("error", message) of its ValueError."""
+    try:
+        return "ok", call(action)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+STEP_CFG = EnvConfig(horizon_s=2.0)
+
+
+@pytest.mark.parametrize("action", [
+    *range(N_ACTIONS), np.int8(3), np.uint64(17), np.int64(4),
+    -1, 18, 4.0, np.float64(4.0), "4", True, np.bool_(True), None,
+], ids=repr)
+def test_decode_and_step_take_the_same_action_ids(action):
+    decoded, stepped = _outcome(decode_action, action), _outcome(XrEnvironment(STEP_CFG, seed=0).step, action)
+    assert decoded[0] == stepped[0]
+    if decoded[0] == "error":
+        assert decoded[1] == stepped[1]
+        return
+    config, out = decoded[1], stepped[1]
+    assert (out.quality, out.imu, out.mode) == (config.quality.value, config.imu.value, config.mode.name)
+    assert config == decode_action(int(action)) and type(action_row(action)) is int

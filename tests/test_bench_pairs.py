@@ -164,16 +164,19 @@ def test_tree_digest_names_uncommitted_edits_and_untracked_run_files(tmp_path):
     assert digest["untracked_sha256"] == {"src/b.py": hashlib.sha256(b"y = 1\n").hexdigest()}
 
 
-def test_round_summary_keeps_every_round_with_its_spread():
-    # three rounds' {policy: seconds}, as each episode process prints them
-    rl = [0.75, 0.5, 0.875]
-    rounds = [{"local": 0.03, "offload": 0.07, "threshold": 0.06, "greedy": 0.25 + i, "rl": x}
-              for i, x in enumerate(rl)]
-    s = bench_pairs.round_summary(rounds)
+def test_episode_seconds_summarize_per_policy_over_the_pairs():
+    # three pairs' {policy: seconds}, as each side's episode process prints them
+    base_rl, change_rl = [0.75, 0.5, 0.875], [0.625, 0.625, 0.75]
+    pairs = [{side: {"local": 0.03, "offload": 0.07, "threshold": 0.06, "greedy": 0.25 + i, "rl": rl}
+              for side, rl in zip(bench_pairs.SIDES, rls)} for i, rls in enumerate(zip(base_rl, change_rl))]
+    s = bench_pairs.summarize(pairs)
     assert s.keys() == set(bench_pairs.EPISODE_POLICIES)
-    assert s["rl"] == {"rounds": rl, "min": 0.5, "median": 0.75, "max": 0.875}
-    assert s["greedy"] == {"rounds": [0.25, 1.25, 2.25], "min": 0.25, "median": 1.25, "max": 2.25}
-    assert s["local"] == {"rounds": [0.03] * 3, "min": 0.03, "median": 0.03, "max": 0.03}
+    assert s["rl"]["base"] == base_rl and s["rl"]["change"] == change_rl
+    assert (s["rl"]["base_median"], s["rl"]["change_median"]) == (0.75, 0.625)
+    assert s["rl"]["base_iqr"] == 0.1875 and s["rl"]["change_wins"] == 2 and s["rl"]["pairs"] == 3
+    # equal seconds tie in every pair, and no gain resolves
+    assert s["local"]["change_wins"] == 0 and not s["local"]["gain_resolved"]
+    assert s["greedy"]["base"] == s["greedy"]["change"] == [0.25, 1.25, 2.25]
 
 
 def test_step_us_times_both_cases_in_process_and_the_episode_script_holds_it():
@@ -185,13 +188,13 @@ def test_step_us_times_both_cases_in_process_and_the_episode_script_holds_it():
     assert '"step_us": step_us()' in bench_pairs._EPISODE_SCRIPT
 
 
-def test_step_rounds_summarize_per_case_and_print_the_min_of_rounds():
-    rounds = {"base": [{"local": 9.5, "offload": 20.5}, {"local": 9.25, "offload": 21.0}],
-              "change": [{"local": 9.0, "offload": 20.25}, {"local": 9.75, "offload": 20.0}]}
-    step = {side: bench_pairs.round_summary(r) for side, r in rounds.items()}
-    assert step["change"]["offload"] == {"rounds": [20.25, 20.0], "min": 20.0, "median": 20.125, "max": 20.25}
-    assert bench_pairs.step_line(step) == ("XrEnvironment.step µs per call, min of rounds: "
-                                           "local 9.25 -> 9.00, offload 20.50 -> 20.00")
+def test_step_pairs_summarize_per_case_and_print_the_medians_and_wins():
+    step = bench_pairs.summarize([{"base": {"local": 9.5, "offload": 20.5}, "change": {"local": 9.0, "offload": 20.25}},
+                                  {"base": {"local": 9.25, "offload": 21.0}, "change": {"local": 9.75, "offload": 20.0}}])
+    assert step["offload"]["change"] == [20.25, 20.0] and step["offload"]["change_median"] == 20.125
+    assert step["local"]["change_wins"] == 1 and step["offload"]["change_wins"] == 2
+    assert bench_pairs.step_line(step) == ("XrEnvironment.step µs per call, median of pairs: "
+                                           "local 9.38 -> 9.38 (1/2 won), offload 20.75 -> 20.12 (2/2 won)")
 
 
 def test_result_with_a_failed_episode_is_refused(tmp_path):
@@ -279,3 +282,48 @@ def test_base_dir_without_perfbench_is_refused(tmp_path, capsys):
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(["--base", "HEAD", "--base-dir", str(tmp_path), "--out", "B.json"])
     assert "holds no perfbench/run.py" in capsys.readouterr().err
+
+
+def test_traced_pairs_time_the_episodes_once_per_side_in_each_pairs_order(tmp_path, monkeypatch):
+    base = tmp_path / "base"
+    (base / "perfbench").mkdir(parents=True)
+    (base / "perfbench" / "run.py").write_text("")
+    sides = {base: "base", bench_pairs.ROOT: "change"}
+    calls = []
+
+    def fake_perfbench(root, workload, seed, seconds, trace, keep):
+        calls.append(("perfbench", sides[root], trace))
+        metrics = {k: {"value": 1.0} for k in ("setup_s", "wall_s", "decision_us_p50", "decision_us_p99",
+                                               "peak_rss_mb")}
+        return {"result": {"failed": 0, "metrics": metrics},
+                "detail": {"raw_round_s": [1.0], "round_s": [1.0], "decisions": len(calls), "peak_rss_mb": 1.0,
+                           "machine": {}}}
+
+    def fake_episodes(root, seed):
+        calls.append(("episodes", sides[root], None))
+        return {"episode_s": {p: float(len(calls)) for p in bench_pairs.EPISODE_POLICIES},
+                "step_us": {"local": 10.0 + len(calls), "offload": 20.0 + len(calls)}}
+
+    def fake_git(*args, cwd=bench_pairs.ROOT):
+        return "0" * 40 if args[0] == "rev-parse" else ""
+
+    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(bench_pairs, "episode_round", fake_episodes)
+    monkeypatch.setattr(bench_pairs, "git", fake_git)
+    monkeypatch.setattr(bench_pairs, "tree_digest", lambda root: {})
+    out = tmp_path / "BENCH_9.json"
+    assert bench_pairs.main(["--base", "HEAD", "--base-dir", str(base), "--out", str(out),
+                             "--workload", "static-cli", "--pairs", "3", "--traced"]) == 0
+    # each pair's episodes follow its perfbench runs in its side order; the traced runs come last
+    order = [("base", "change"), ("change", "base"), ("base", "change")]
+    assert calls == [*(call for first, second in order for call in (
+        ("perfbench", first, 0), ("perfbench", second, 0), ("episodes", first, None), ("episodes", second, None))),
+        ("perfbench", "base", 1), ("perfbench", "change", 1)]
+    report = json.loads(out.read_text())
+    assert report["step_us"].keys() == {"local", "offload"}
+    assert report["episode_s"].keys() == set(bench_pairs.EPISODE_POLICIES)
+    for summary in (*report["step_us"].values(), *report["episode_s"].values()):
+        assert summary["pairs"] == 3 and len(summary["base"]) == len(summary["change"]) == 3
+    # the change side's episodes ran first in the second pair only
+    assert report["episode_s"]["rl"]["base"] == [3.0, 8.0, 11.0]
+    assert report["episode_s"]["rl"]["change"] == [4.0, 7.0, 12.0]

@@ -178,6 +178,12 @@ def test_aggregate_missing_dir_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_aggregate_of_a_dir_without_runs_fails_cleanly(tmp_path, capsys):
+    rc = main(["aggregate", "--runs", str(tmp_path)])
+    assert_clean_error(rc, capsys, f"no metrics.json files under {tmp_path}")
+    assert not (tmp_path / "aggregate.json").exists()
+
+
 def test_omitted_flags_take_the_default_scenario():
     spec = _build_spec(build_parser().parse_args(["run"]))
     assert spec == default_scenario("rl", "cycle")
@@ -291,6 +297,9 @@ NAN, INF = float("nan"), float("inf")
     (_set("dqn.obs_dim", 5), "scenario.dqn: unknown field obs_dim"),
     (_set("env.rtt.distribution", "none"), "scenario.env.rtt: unknown field distribution"),
     (_set("env.power.w_proc", 1.0), "scenario.env.power: unknown field w_proc"),
+    (_set("env.rtt_max_ms", 50.0), "scenario.env: unknown field rtt_max_ms"),
+    (_set("env.mtp_max_ms", 100.0), "scenario.env: unknown field mtp_max_ms"),
+    (_set("dqn.train_per_decision", 1), "scenario.dqn: unknown field train_per_decision"),
     (_set("dqn.hidden", [0]), "DqnConfig.hidden must be within [1, inf): (0,)"),
     (_set("dqn.lr", -1), "DqnConfig.lr must be within (0, inf): -1.0"),
     (_set("dqn.lr", NAN), "DqnConfig.lr must be within (0, inf): nan"),
@@ -668,6 +677,7 @@ def test_sweep_float_field_to_zero_jitter(tmp_path):
     ("1,-2", "ScenarioSpec.seeds must be within [0, inf): (1, -2)"),
     ("1,1", "seeds must be distinct: [1, 1]"),
     (",", "seeds must not be empty"),
+    ("1,x", "seeds must be comma-separated integers: '1,x'"),
 ])
 def test_bad_seeds_flag_fails_before_any_run(tmp_path, capsys, seeds, fragment):
     rc = main(["run", "--policy", "local", "--profile", "stable", "--horizon", "3",
@@ -693,6 +703,19 @@ def test_sweep_with_a_bad_value_fails_before_any_run(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert_clean_error(rc, capsys, "DqnConfig.lr must be within (0, inf): -1.0")
     assert not list(tmp_path.rglob("metrics.json"))
+
+
+@pytest.mark.parametrize("param, values, fragment", [
+    ("env.tau_mtp_ms", ",", "no sweep values parsed from ','"),
+    # a path that goes on past a float field, and an object field given a number
+    ("env.tau_mtp_ms.x", "1", "float has no field 'x'"),
+    ("env.table.rho", "1", "ProcTimeTable.rho: expected an object, got 1"),
+])
+def test_bad_sweep_flags_fail_before_any_run(tmp_path, capsys, param, values, fragment):
+    rc = main(["sweep", "--policy", "local", "--horizon", "3", "--seeds", "1",
+               "--param", param, "--values", values, "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys, fragment)
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_to_an_unknown_policy_fails_before_any_run(tmp_path, capsys):

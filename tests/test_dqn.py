@@ -247,7 +247,7 @@ def small_cfg(**kw):
 
 @pytest.mark.parametrize("overrides", [
     dict(batch_size=0), dict(batch_size=51), dict(target_sync_every=0),
-    dict(train_per_decision=0), dict(gamma=-0.1), dict(gamma=1.1),
+    dict(gamma=-0.1), dict(gamma=1.1),
     dict(eps_decay=0.0), dict(eps_decay=1.01), dict(eps_min=-0.1),
     dict(eps0=0.0, eps_min=0.05), dict(eps0=1.5, eps_min=0.05),
 ])

@@ -150,12 +150,11 @@ class RefAgent:
         self.buffer.push(obs, action, reward, next_obs, done)
         loss = None
         if len(self.buffer) >= self.cfg.batch_size:
-            for _ in range(self.cfg.train_per_decision):
-                obs_b, act_b, rew_b, next_b, done_b = self.buffer.sample(self.cfg.batch_size, self.rng)
-                max_next_q = self.target.forward(next_b).max(axis=1)
-                y = td_targets(rew_b, max_next_q, done_b, self.cfg.gamma)
-                loss, grads = ref_loss_and_grads(self.online, obs_b, act_b, y)
-                self.optimizer.step(grads)
+            obs_b, act_b, rew_b, next_b, done_b = self.buffer.sample(self.cfg.batch_size, self.rng)
+            max_next_q = self.target.forward(next_b).max(axis=1)
+            y = td_targets(rew_b, max_next_q, done_b, self.cfg.gamma)
+            loss, grads = ref_loss_and_grads(self.online, obs_b, act_b, y)
+            self.optimizer.step(grads)
         self.decision_count += 1
         if self.decision_count % self.cfg.target_sync_every == 0:
             self.target.copy_from(self.online)
@@ -179,9 +178,9 @@ def assert_shares_theta(agent):
     # default 5-128-128-18 network; 420 decisions wrap the 40-slot ring, sync
     # 8 times and take Adam past t = 356, where 1 - 0.9**t rounds to 1.0
     (5, 18, DqnConfig(buffer_capacity=40, target_sync_every=50)),
-    # several updates per decision, a deeper net and a batch as large as the ring
+    # a deeper net and a batch as large as the ring
     (3, 4, DqnConfig(hidden=(16, 8, 8), batch_size=12, buffer_capacity=12, target_sync_every=7,
-                     train_per_decision=3, gamma=0.9, lr=1e-2, eps_decay=0.99)),
+                     gamma=0.9, lr=1e-2, eps_decay=0.99)),
     # one-row batches, so every workspace buffer is a single row
     (4, 6, DqnConfig(hidden=(10,), batch_size=1, buffer_capacity=30, target_sync_every=11,
                      lr=1e-2, eps_decay=0.99)),

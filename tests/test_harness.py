@@ -37,6 +37,7 @@ from xredge.harness import (
     write_frame_csv,
 )
 from xredge.network import BandwidthProfile, bandwidth_at, cycle_profile, stable_profile
+from xredge.policies import ThresholdPolicy
 
 
 def local_spec(horizon=1200.0, mbps=1000.0, seeds=(1,)):
@@ -230,6 +231,13 @@ def test_frame_modes_repeat_each_decisions_mode_over_its_frames(monkeypatch):
         assert modes[start:start + n] == [decode_action(action).mode] * n
         start += n
     assert start == len(modes) == res.metrics.frames_delivered
+
+
+def test_a_planned_run_the_policy_breaks_is_refused(monkeypatch):
+    # threshold promises local action 4 to the end, then offloads once the bandwidth rises
+    monkeypatch.setattr(ThresholdPolicy, "repeat_until", lambda self, env, action: math.inf)
+    with pytest.raises(RuntimeError, match=r"^threshold did not repeat action 4 before t = inf s$"):
+        run_experiment(default_scenario("threshold", "cycle", horizon_s=300.0), seed=1)
 
 
 def test_metrics_file_excludes_timing(tmp_path):

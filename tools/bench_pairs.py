@@ -17,16 +17,16 @@ this checkout's `.perfbench_out/<out stem>/pair<k>-<W>-<side>.json` (the
 traced runs' to `traced-<W>-<side>.json`) and read there, so every run's
 rounds outlive the base worktree and the next run of the same side.
 With --traced, each side also runs `--trace 1` once per workload after the
-pairs, for the per-layer metrics, and times one 1200 s cycle episode per
-policy in-process with its own source, in three rounds in which the side
-that runs first alternates too; it keeps every round's seconds with their
-minimum, median and maximum, since one side's best round can fall in a
-faster phase of the host than the other's. Each round is a fresh process
-that runs each policy's episode once untimed first: a policy's first
-episode in a process pays a warm-up (about 1 s for rl, 40 ms for local).
-After its episodes, each round also times `XrEnvironment.step` in µs per
-call, the minimum of 7 batches of 1500 calls: local action 12 on the cycle
-profile and offload action 5 on stable 1000 Mbps (`step_us`).
+pairs, for the per-layer metrics. Inside every pair, after its perfbench
+runs and in its side order, each side also times one 1200 s cycle episode
+per policy in-process with its own source (`episode_s`). Each such round is a
+fresh process that runs each policy's episode once untimed first: a
+policy's first episode in a process pays a warm-up (about 1 s for rl, 40 ms
+for local). After its episodes, the round also times `XrEnvironment.step`
+in µs per call, the minimum of 7 batches of 1500 calls: local action 12 on
+the cycle profile and offload action 5 on stable 1000 Mbps (`step_us`).
+Each policy's `episode_s` and each case's `step_us` are summarised as a
+perfbench metric is, one value per side in each pair.
 
 The output holds, per workload and metric, each pair's two values, each
 side's median and interquartile range, and the number of pairs the change
@@ -70,9 +70,8 @@ METRICS = ("setup_s", "wall_s", "raw_wall_s", "decision_us_p50", "decision_us_p9
 SIDES = ("base", "change")
 # the directories whose files a perfbench run imports
 RUN_PATHS = ("src", "perfbench")
-# the policies whose 1200 s cycle episode --traced times, and the rounds
+# the policies whose 1200 s cycle episode --traced times
 EPISODE_POLICIES = ("local", "offload", "threshold", "greedy", "rl")
-EPISODE_ROUNDS = 3
 
 
 def step_us(batches: int = 7, calls: int = 1500) -> dict[str, float]:
@@ -233,29 +232,6 @@ def episode_round(root: Path, seed: int) -> dict[str, dict[str, float]]:
     return json.loads(proc.stdout)
 
 
-def round_summary(rounds: list[dict[str, float]]) -> dict[str, dict]:
-    """Per key of one side's rounds, a policy's episode seconds or a step
-    case's µs: each round's value, in round order, and their minimum,
-    median and maximum."""
-    out = {}
-    for key in rounds[0]:
-        xs = [r[key] for r in rounds]
-        out[key] = {"rounds": xs, "min": min(xs), "median": statistics.median(xs), "max": max(xs)}
-    return out
-
-
-def episode_rounds(roots: dict[str, Path], seed: int) -> dict[str, dict[str, dict]]:
-    """`episode_round` EPISODE_ROUNDS times per side, the side that runs
-    first alternating from round to round; returns per measure
-    ("episode_s", "step_us") and side the `round_summary` of its rounds."""
-    rounds: dict[str, list] = {side: [] for side in SIDES}
-    for i in range(EPISODE_ROUNDS):
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            rounds[side].append(episode_round(roots[side], seed))
-    return {measure: {side: round_summary([r[measure] for r in rounds[side]]) for side in SIDES}
-            for measure in ("episode_s", "step_us")}
-
-
 def values(run: dict) -> dict[str, float]:
     """Each metric's value in one run's result."""
     return {k: v["value"] for k, v in run["result"]["metrics"].items()}
@@ -296,10 +272,10 @@ def rss_line(workload: str, result: dict) -> str:
 
 
 def step_line(step: dict[str, dict]) -> str:
-    """Each step case's µs per call, the minimum over rounds, base -> change."""
-    cases = (f"{case} {step['base'][case]['min']:.2f} -> {step['change'][case]['min']:.2f}"
-             for case in step["change"])
-    return "XrEnvironment.step µs per call, min of rounds: " + ", ".join(cases)
+    """Each step case's median µs per call, base -> change, and the pairs the change won."""
+    cases = (f"{case} {s['base_median']:.2f} -> {s['change_median']:.2f} ({s['change_wins']}/{s['pairs']} won)"
+             for case, s in step.items())
+    return "XrEnvironment.step µs per call, median of pairs: " + ", ".join(cases)
 
 
 def end_to_end(run: dict) -> dict[str, float]:
@@ -319,6 +295,7 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
           seed: int, traced: bool, keep_dir: Path) -> dict:
     pairs: dict[str, list] = {w: [] for w in workloads}
     rounds: dict[str, list] = {w: [] for w in workloads}
+    episodes = []
     machine = None
     for i in range(n_pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -330,6 +307,8 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
             pairs[w].append({side: end_to_end(runs[side]) for side in SIDES})
             rounds[w].append({side: pair_detail(runs[side]) for side in SIDES})
             print(pair_line(i, n_pairs, w, order[0], runs), flush=True)
+        if traced:
+            episodes.append({side: episode_round(roots[side], seed) for side in order})
     out = {w: {"metrics": summarize(pairs[w]), "peak_rss_fit": rss_fit(rounds[w]), "rounds": rounds[w]}
            for w in workloads}
     report = {"machine": machine, "workloads": out,
@@ -339,7 +318,8 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
             out[w]["traced"] = {side: values(run_perfbench(roots[side], w, seed, seconds, 1,
                                                            keep_dir / f"traced-{w}-{side}.json"))
                                 for side in SIDES}
-        report.update(episode_rounds(roots, seed))
+        for measure in ("episode_s", "step_us"):
+            report[measure] = summarize([{side: pair[side][measure] for side in SIDES} for pair in episodes])
     return report
 
 
@@ -372,7 +352,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--traced", action="store_true", help="also one --trace 1 run per side "
-                        "and workload, and each policy's 1200 s cycle episode in three rounds")
+                        "and workload, and each policy's 1200 s cycle episode once per side in each pair")
     args = parser.parse_args(argv)
     if args.base_dir is not None:
         # perfbench and the episode script run with the base directory as their cwd
