@@ -412,27 +412,54 @@ _FRAME_TAILS = np.array([[f",{flag:d},{m.name}\r\n" for m in ExecutionMode] for 
 
 def write_frame_csv(path: Path, frames: dict[str, np.ndarray]) -> None:
     """One FRAME_COLUMNS row per delivered frame, in csv.writer's bytes,
-    formatted a column and written a chunk of rows at a time."""
+    formatted a column and written a chunk of rows at a time: a row is
+    five parts, the capture time's two, a comma, the MTP and the tail."""
     t_capture, mtp, compliant, mode = (frames[c] for c in FRAME_COLUMNS)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(FRAME_COLUMNS) + "\r\n")
         for i in range(0, mtp.size, FRAME_CSV_CHUNK_ROWS):
             j = i + FRAME_CSV_CHUNK_ROWS
-            tails = _FRAME_TAILS[compliant[i:j].view(np.int8), mode[i:j]].tolist()
-            fh.write("".join(map("".join, zip(
-                map(repr, t_capture[i:j].tolist()),
-                repeat(","),
-                _repr_runs(mtp[i:j]),
-                tails,
-            ))))
+            parts = [","] * (5 * mtp[i:j].size)
+            parts[0::5], parts[1::5] = _capture_time_parts(t_capture[i:j])
+            parts[3::5] = _repr_runs(mtp[i:j])
+            parts[4::5] = _FRAME_TAILS[compliant[i:j].view(np.int8), mode[i:j]].tolist()
+            fh.write("".join(parts))
+
+
+# the fraction of a whole millisecond as repr writes it: ".0", ".001", ..., ".999"
+_MS_FRACTIONS = np.array([f".{ms:03d}".rstrip("0") if ms else ".0" for ms in range(1000)], dtype=object)
+# below this many seconds a double's ulp is under 2.5e-4 s, a quarter millisecond
+_MS_GRID_LIMIT_S = 2.0**40
+
+
+def _capture_time_parts(values: np.ndarray) -> tuple[list[str], list[str]]:
+    """repr of each float of a non-empty float64 vector as two lists of
+    strings whose pairs join to it. A value of [0, 2**40) that is the double
+    nearest a whole number of milliseconds, as a 50 ms frame tick's capture
+    time is, is its seconds, formatted once per run of equal seconds, and
+    its fraction from `_MS_FRACTIONS`: that decimal reads back as the value,
+    and any other that does lies within an ulp, under a quarter
+    millisecond, so none is as short. Every other value is its repr and "".
+    """
+    grid = (values < _MS_GRID_LIMIT_S) & ~np.signbit(values)
+    ms = np.rint(np.where(grid, values, 0.0) * 1000.0)
+    grid &= ms / 1000.0 == values
+    seconds, fraction = np.divmod(ms.astype(np.int64), 1000)
+    heads = list(_repr_runs(seconds))
+    tails = _MS_FRACTIONS[fraction].tolist()
+    if not grid.all():
+        off = np.flatnonzero(~grid)
+        for k, text in zip(off.tolist(), map(repr, values[off].tolist())):
+            heads[k], tails[k] = text, ""
+    return heads, tails
 
 
 def _repr_runs(values: np.ndarray) -> Iterator[str]:
-    """repr of each float of a non-empty float64 vector, formatted once per
-    run of bit-identical values: equal int64 bits, so 0.0 and -0.0, and
-    nans of different payloads, are formatted apart. A vector of mostly
-    distinct values, such as offloaded frames' MTPs, is formatted value by
-    value, which costs less than repeating each one."""
+    """repr of each value of a non-empty float64 or int64 vector, formatted
+    once per run of bit-identical values: equal int64 bits, so 0.0 and
+    -0.0, and nans of different payloads, are formatted apart. A vector of
+    mostly distinct values, such as offloaded frames' MTPs, is formatted
+    value by value, which costs less than repeating each one."""
     bits = values.view(np.int64)
     firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     if 2 * firsts.size > values.size:
@@ -487,10 +514,9 @@ def default_scenario(
     else:
         prof = from_jsonable(BandwidthProfile, read_json(Path(profile)), str(profile))
         label = Path(profile).stem
-    env = replace(EnvConfig(), profile=prof, horizon_s=horizon_s)
     return ScenarioSpec(
         name=name if name is not None else f"{policy}-{label}",
         policy=policy,
-        env=env,
+        env=EnvConfig(profile=prof, horizon_s=horizon_s),
         seeds=seeds,
     )

@@ -4,9 +4,12 @@ import hashlib
 import importlib.util
 import json
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
+
+from xredge import harness
 
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
@@ -186,6 +189,25 @@ def test_step_us_times_both_cases_in_process_and_the_episode_script_holds_it():
     # each round's process defines the same function from its source
     assert bench_pairs._EPISODE_SCRIPT.startswith("def step_us(batches: int = 7, calls: int = 1500)")
     assert '"step_us": step_us()' in bench_pairs._EPISODE_SCRIPT
+
+
+def test_episode_seconds_keep_each_policys_fastest_warm_run(monkeypatch):
+    # each run advances a fake clock by its policy's next duration; the first
+    # run of a policy is the untimed warm-up
+    durations = {"local": [9.0, 0.5, 0.25, 0.375], "rl": [9.0, 2.0, 3.0, 1.5]}
+    clock, runs = [0.0], []
+
+    def fake_run(spec, seed):
+        runs.append((spec.policy, spec.env.horizon_s, spec.seeds, seed))
+        clock[0] += durations[spec.policy][sum(r[0] == spec.policy for r in runs) - 1]
+
+    monkeypatch.setattr(harness, "run_experiment", fake_run)
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    assert bench_pairs.episode_s(["local", "rl"], seed=4) == {"local": 0.25, "rl": 1.5}
+    assert runs == [("local", 1200.0, (4,), 4)] * 4 + [("rl", 1200.0, (4,), 4)] * 4
+    # each round's process runs the same function for every policy
+    assert 'episode_s(sys.argv[2:], int(sys.argv[1]))' in bench_pairs._EPISODE_SCRIPT
+    assert "\ndef episode_s(policies: list[str], seed: int, runs: int = 3)" in bench_pairs._EPISODE_SCRIPT
 
 
 def test_step_pairs_summarize_per_case_and_print_the_medians_and_wins():

@@ -21,12 +21,17 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
-def step_run(name: str) -> str:
-    """The `run` script of the one workflow step called `name`."""
+def workflow_step(name: str) -> dict:
+    """The one workflow step called `name`."""
     jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"].values()
     steps = [step for job in jobs for step in job["steps"] if step.get("name") == name]
     assert len(steps) == 1, f"{len(steps)} steps are named {name!r}"
-    return steps[0]["run"]
+    return steps[0]
+
+
+def step_run(name: str) -> str:
+    """The `run` script of the one workflow step called `name`."""
+    return workflow_step(name)["run"]
 
 
 def test_demos_step_globs_at_least_one_demo():
@@ -68,7 +73,10 @@ def test_console_script_step_runs_the_declared_entry_point():
 
 def test_console_script_step_runs_and_writes_its_outputs(tmp_path):
     # the step's commands in its order, each as `python -m xredge.cli` in a
-    # child interpreter, with $RUNNER_TEMP at tmp_path
+    # child interpreter, with $RUNNER_TEMP at tmp_path and the step's
+    # environment, in which a RuntimeWarning is an error
+    step_env = workflow_step("Console script")["env"]
+    assert step_env == {"PYTHONWARNINGS": "error::RuntimeWarning"}
     script = step_run("Console script").replace("$RUNNER_TEMP", str(tmp_path))
     commands = [shlex.split(line) for line in script.splitlines() if line.strip()]
     assert [argv[1] for argv in commands] == ["run", "sweep", "aggregate", "report"]
@@ -76,7 +84,7 @@ def test_console_script_step_runs_and_writes_its_outputs(tmp_path):
     stdout = {}
     for argv in commands:
         proc = subprocess.run([sys.executable, "-m", "xredge.cli", *argv[1:]], capture_output=True,
-                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                              text=True, cwd=tmp_path, env={**os.environ, **step_env, "PYTHONPATH": path}, timeout=120)
         assert proc.returncode == 0, (argv, proc.stderr)
         stdout[argv[1]] = proc.stdout.splitlines()
     # aggregate and report each write their file where the step points them

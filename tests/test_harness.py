@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from xredge.actions import ExecutionMode, decode_action
 from xredge.config import fold_sum, from_jsonable, to_jsonable
-from xredge.environment import XrEnvironment
+from xredge import environment
+from xredge.environment import EnvConfig, XrEnvironment
 from xredge.harness import (
     DECISION_COLUMNS,
     FRAME_COLUMNS,
@@ -23,6 +24,7 @@ from xredge.harness import (
     METRICS_SCHEMA_VERSION,
     MetricsRecord,
     ScenarioSpec,
+    _capture_time_parts,
     _median,
     _percentile,
     aggregate_seeds,
@@ -125,12 +127,23 @@ def reference_frame_csv(frames) -> bytes:
     ("local", "stable", 2 * FRAME_CSV_CHUNK_ROWS / 20, 1000.0, "two chunks"),
     # nothing gets through the uplink: the header alone
     ("offload", "stable", 3.0, 0.001, "empty"),
+    # every frame of a full episode, capture times of up to four-digit seconds
+    ("offload", "stable", 1200.0, 1000.0, "full"),
+    # a 60 Hz frame: two capture times in three are off the millisecond grid
+    ("threshold", "cycle", 300.0, None, "60 Hz"),
 ])
 def test_frame_csv_is_csv_writer_bytes(tmp_path, policy, profile, horizon_s, mbps, case):
     spec = default_scenario(policy, profile, horizon_s=horizon_s, seeds=(1,), stable_mbps=mbps)
+    if case == "60 Hz":
+        spec = replace_path(spec, "env.power.tau_frame_ms", 1000 / 60)
     res = run_experiment(spec, seed=1, out_dir=tmp_path)
     n = res.metrics.frames_delivered
-    if case == "partial":
+    if case == "full":
+        assert n == 24000 and res.frames["t_capture"][-1] == 1199.95
+    elif case == "60 Hz":
+        off_grid = [tail == "" for tail in _capture_time_parts(res.frames["t_capture"])[1]]
+        assert n > FRAME_CSV_CHUNK_ROWS and 0 < sum(off_grid) < n
+    elif case == "partial":
         assert n > FRAME_CSV_CHUNK_ROWS and n % FRAME_CSV_CHUNK_ROWS
         assert set(res.frames["mode"].tolist()) == {0, 1}
         assert set(res.frames["compliant"].tolist()) == {False, True}
@@ -151,6 +164,45 @@ def test_frame_csv_formats_zeros_of_either_sign_apart(tmp_path):
               "mode": np.zeros(mtp.size, np.int8)}
     write_frame_csv(tmp_path / "frames.csv", frames)
     assert (tmp_path / "frames.csv").read_bytes() == reference_frame_csv(frames)
+
+
+def joined_capture_times(values) -> list[str]:
+    heads, tails = _capture_time_parts(np.array(values, dtype=np.float64))
+    return list(map("".join, zip(heads, tails)))
+
+
+def ms_grid(ms: int) -> float:
+    """The double nearest ms milliseconds, in seconds."""
+    return ms / 1000
+
+
+_GRID_MS = st.integers(0, 2**40 * 1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    # millisecond-grid values up to 2**40 s
+    _GRID_MS.map(ms_grid),
+    # their off-grid neighbours, one ulp away
+    st.tuples(_GRID_MS, st.sampled_from([-math.inf, math.inf])).map(
+        lambda p: float(np.nextafter(ms_grid(p[0]), p[1]))),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    # at or above 2**40 s
+    st.floats(min_value=2.0**40),
+    st.floats(),
+), min_size=1, max_size=40))
+def test_capture_time_parts_join_to_repr(values):
+    assert joined_capture_times(values) == list(map(repr, values))
+
+
+def test_capture_time_parts_format_seconds_far_apart_in_one_chunk():
+    # a chunk that spans 0 s and 1e11 s: one string per run of equal seconds,
+    # not one per second between them
+    values = [0.0, 1e11, 0.05, 1e11 + 0.05, 0.123]
+    heads, tails = _capture_time_parts(np.array(values))
+    assert heads == ["0", "100000000000", "0", "100000000000", "0"]
+    assert tails == [".0", ".0", ".05", ".05", ".123"]
+    assert joined_capture_times(values) == list(map(repr, values))
 
 
 def reference_decision_csv(decisions) -> bytes:
@@ -493,3 +545,18 @@ def test_default_scenario_horizon_and_seeds():
     assert spec.env.horizon_s == 600.0
     assert spec.seeds == (9,)
     assert spec.env.profile == stable_profile(1000.0)
+
+
+def test_default_scenario_builds_one_action_table(monkeypatch):
+    built = []
+
+    class CountedTable(environment.ActionTable):
+        def __init__(self, cfg):
+            built.append(cfg)
+            super().__init__(cfg)
+
+    monkeypatch.setattr(environment, "ActionTable", CountedTable)
+    spec = default_scenario("threshold", "stable", horizon_s=600.0, stable_mbps=25.0)
+    assert len(built) == 1
+    assert spec == ScenarioSpec(name="threshold-stable25", policy="threshold", env=dataclasses.replace(
+        EnvConfig(), profile=stable_profile(25.0), horizon_s=600.0))

@@ -18,13 +18,14 @@ traced runs' to `traced-<W>-<side>.json`) and read there, so every run's
 rounds outlive the base worktree and the next run of the same side.
 With --traced, each side also runs `--trace 1` once per workload after the
 pairs, for the per-layer metrics. Inside every pair, after its perfbench
-runs and in its side order, each side also times one 1200 s cycle episode
-per policy in-process with its own source (`episode_s`). Each such round is a
-fresh process that runs each policy's episode once untimed first: a
-policy's first episode in a process pays a warm-up (about 1 s for rl, 40 ms
-for local). After its episodes, the round also times `XrEnvironment.step`
-in µs per call, the minimum of 7 batches of 1500 calls: local action 12 on
-the cycle profile and offload action 5 on stable 1000 Mbps (`step_us`).
+runs and in its side order, each side also times each policy's 1200 s cycle
+episode in-process with its own source (`episode_s`), the fastest of 3 warm
+runs. Each such round is a fresh process that runs each policy's episode
+once untimed first: a policy's first episode in a process pays a warm-up
+(about 1 s for rl, 40 ms for local). After its episodes, the round also
+times `XrEnvironment.step` in µs per call, the minimum of 7 batches of 1500
+calls: local action 12 on the cycle profile and offload action 5 on stable
+1000 Mbps (`step_us`).
 Each policy's `episode_s` and each case's `step_us` are summarised as a
 perfbench metric is, one value per side in each pair.
 
@@ -98,20 +99,31 @@ def step_us(batches: int = 7, calls: int = 1500) -> dict[str, float]:
     return out
 
 
-# each policy named in argv[2:]: one untimed episode, then one timed, run by
-# run_experiment without artifacts, then `step_us`; prints
+def episode_s(policies: list[str], seed: int, runs: int = 3) -> dict[str, float]:
+    """Wall seconds of each policy's 1200 s cycle episode at `seed`, run
+    without artifacts by `run_experiment` of the xredge on the path: one
+    untimed run, then the fastest of `runs` timed runs, as `step_us` keeps
+    its fastest batch. `_EPISODE_SCRIPT` holds its source."""
+    import time
+    from xredge.harness import default_scenario, run_experiment
+    out = {}
+    for policy in policies:
+        spec = default_scenario(policy, "cycle", horizon_s=1200.0, seeds=(seed,))
+        run_experiment(spec, seed)
+        best = float("inf")
+        for _ in range(runs):
+            tic = time.perf_counter()
+            run_experiment(spec, seed)
+            best = min(best, time.perf_counter() - tic)
+        out[policy] = best
+    return out
+
+
+# `episode_s` of each policy named in argv[2:], then `step_us`; prints
 # {"episode_s": {policy: wall seconds}, "step_us": {case: µs per call}}
-_EPISODE_SCRIPT = inspect.getsource(step_us) + """
-import json, sys, time
-from xredge.harness import default_scenario, run_experiment
-seed, seconds = int(sys.argv[1]), {}
-for policy in sys.argv[2:]:
-    spec = default_scenario(policy, "cycle", horizon_s=1200.0, seeds=(seed,))
-    run_experiment(spec, seed)
-    tic = time.perf_counter()
-    run_experiment(spec, seed)
-    seconds[policy] = time.perf_counter() - tic
-print(json.dumps({"episode_s": seconds, "step_us": step_us()}))
+_EPISODE_SCRIPT = inspect.getsource(step_us) + inspect.getsource(episode_s) + """
+import json, sys
+print(json.dumps({"episode_s": episode_s(sys.argv[2:], int(sys.argv[1])), "step_us": step_us()}))
 """
 
 
@@ -221,9 +233,9 @@ def read_result(path: Path) -> dict:
 
 
 def episode_round(root: Path, seed: int) -> dict[str, dict[str, float]]:
-    """One warm episode of each EPISODE_POLICIES policy in a fresh process,
-    with checkout `root`'s source, then `step_us`; returns each episode's
-    wall seconds as "episode_s" and the µs per step call as "step_us"."""
+    """`episode_s` of the EPISODE_POLICIES, then `step_us`, in a fresh
+    process with checkout `root`'s source; returns each policy's episode
+    seconds as "episode_s" and the µs per step call as "step_us"."""
     cmd = [sys.executable, "-c", _EPISODE_SCRIPT, str(seed), *EPISODE_POLICIES]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
@@ -352,7 +364,8 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--traced", action="store_true", help="also one --trace 1 run per side "
-                        "and workload, and each policy's 1200 s cycle episode once per side in each pair")
+                        "and workload, and each policy's 1200 s cycle episode, the fastest of 3, "
+                        "once per side in each pair")
     args = parser.parse_args(argv)
     if args.base_dir is not None:
         # perfbench and the episode script run with the base directory as their cwd
