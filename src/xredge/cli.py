@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .config import from_jsonable
 from .harness import (
-    DEFAULT_PROFILE,
     METRICS_SCHEMA_VERSION,
     MetricsRecord,
     ScenarioSpec,
@@ -24,7 +23,6 @@ from .harness import (
     load_spec,
     read_json,
     run_scenario,
-    save_spec,
     sweep,
     write_json,
 )
@@ -64,8 +62,6 @@ def _build_spec(args) -> ScenarioSpec:
             flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
             raise ValueError(f"--scenario cannot be combined with {flags}")
         return load_spec(args.scenario)
-    if args.stable_mbps is not None and args.profile != "stable":
-        raise ValueError(f"--stable-mbps is for --profile stable only, not {args.profile or DEFAULT_PROFILE!r}")
     if args.seeds is not None:
         given["seeds"] = _parse_seeds(args.seeds)
     return default_scenario(**{_SCENARIO_FLAGS[dest]: v for dest, v in given.items()})
@@ -75,7 +71,6 @@ def _cmd_run(args) -> int:
     spec = _build_spec(args)
     out = _out_dir(args)
     results, agg = run_scenario(spec, out)
-    save_spec(spec, out / spec.name / "scenario.json")
     print(f"scenario {spec.name} ({spec.policy}, {spec.env.profile.describe()})")
     for r in results:
         m = r.metrics

@@ -366,7 +366,7 @@ class XrEnvironment:
             dwell_s = cfg.profile.dwell_s
             if t0 // dwell_s == ticks.item(-1) // dwell_s:
                 t_capture, mtp, dropped = self.queue.transmit(
-                    ticks, bandwidth_at(cfg.profile, t0), rtts, tick_s, offload, payload, tab)
+                    ticks, bandwidth, rtts, tick_s, offload, payload, tab)
             else:
                 # one call per run of ticks that share a dwell, at that dwell's level
                 dwells = ticks // dwell_s

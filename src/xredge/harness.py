@@ -324,7 +324,9 @@ def aggregate_seeds(records: list[MetricsRecord]) -> dict:
 
 
 def run_scenario(spec: ScenarioSpec, out_dir: str | Path | None = None) -> tuple[list[RunResult], dict]:
-    """Run every seed of a scenario; returns per-seed results and the aggregate."""
+    """Run every seed of a scenario; returns per-seed results and the
+    aggregate. With `out_dir`, the scenario's directory holds each seed's
+    run, `aggregate.json` and the spec as `scenario.json`."""
     results = []
     for seed in spec.seeds:
         seed_dir = Path(out_dir) / spec.name / f"seed_{seed}" if out_dir is not None else None
@@ -333,6 +335,7 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path | None = None) -> tuple
     if out_dir is not None:
         # each seed's run made the scenario's directory
         write_json(Path(out_dir) / spec.name / "aggregate.json", agg)
+        save_spec(spec, Path(out_dir) / spec.name / "scenario.json")
     return results, agg
 
 

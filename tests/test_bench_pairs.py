@@ -4,7 +4,9 @@ import hashlib
 import importlib.util
 import json
 import subprocess
+import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -182,13 +184,13 @@ def test_episode_seconds_summarize_per_policy_over_the_pairs():
     assert s["greedy"]["base"] == s["greedy"]["change"] == [0.25, 1.25, 2.25]
 
 
-def test_step_us_times_both_cases_in_process_and_the_episode_script_holds_it():
+def test_step_us_times_both_cases_in_process_and_the_job_script_holds_it():
     us = bench_pairs.step_us(batches=2, calls=3)
     assert us.keys() == {"local", "offload"}
     assert all(0.0 < x < 1e6 for x in us.values())
-    # each round's process defines the same function from its source
-    assert bench_pairs._EPISODE_SCRIPT.startswith("def step_us(batches: int = 7, calls: int = 1500)")
-    assert '"step_us": step_us()' in bench_pairs._EPISODE_SCRIPT
+    # each step job's process defines the same function from its source
+    assert bench_pairs._JOB_SCRIPT.startswith("def step_us(batches: int = 7, calls: int = 1500)")
+    assert 'step_us() if job == "step_us"' in bench_pairs._JOB_SCRIPT
 
 
 def test_episode_seconds_keep_each_policys_fastest_warm_run(monkeypatch):
@@ -203,11 +205,16 @@ def test_episode_seconds_keep_each_policys_fastest_warm_run(monkeypatch):
 
     monkeypatch.setattr(harness, "run_experiment", fake_run)
     monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
-    assert bench_pairs.episode_s(["local", "rl"], seed=4) == {"local": 0.25, "rl": 1.5}
+    assert (bench_pairs.episode_s("local", seed=4), bench_pairs.episode_s("rl", seed=4)) == (0.25, 1.5)
     assert runs == [("local", 1200.0, (4,), 4)] * 4 + [("rl", 1200.0, (4,), 4)] * 4
-    # each round's process runs the same function for every policy
-    assert 'episode_s(sys.argv[2:], int(sys.argv[1]))' in bench_pairs._EPISODE_SCRIPT
-    assert "\ndef episode_s(policies: list[str], seed: int, runs: int = 3)" in bench_pairs._EPISODE_SCRIPT
+    # each episode job's process runs the same function for its one policy
+    assert "episode_s(args[0], int(args[1]))" in bench_pairs._JOB_SCRIPT
+    assert "\ndef episode_s(policy: str, seed: int, runs: int = 3)" in bench_pairs._JOB_SCRIPT
+
+
+def test_a_job_prints_its_value_from_a_fresh_process_with_the_checkouts_source():
+    seconds = bench_pairs.run_job(bench_pairs.ROOT, "episode_s", "local", "1")
+    assert isinstance(seconds, float) and 0.0 < seconds < 60.0
 
 
 def test_step_pairs_summarize_per_case_and_print_the_medians_and_wins():
@@ -281,45 +288,97 @@ def test_bench_keeps_every_runs_result_file_by_pair_workload_and_side(tmp_path):
                     for k in (1, 2) for w in workloads for side in bench_pairs.SIDES}
 
 
-def test_base_dir_is_taken_as_the_base_checkout_without_a_worktree(tmp_path, monkeypatch):
-    base = tmp_path / "base"
-    (base / "perfbench").mkdir(parents=True)
-    (base / "perfbench" / "run.py").write_text("")
-    monkeypatch.chdir(tmp_path)
-    args = bench_pairs.parse_args(["--base", "HEAD~1", "--base-dir", "base", "--out", "BENCH_9.json"])
-    # made absolute: perfbench runs with the checkout as its working directory
-    assert (args.base, args.base_dir) == ("HEAD~1", base.resolve())
-    assert bench_pairs.parse_args(["--base", "HEAD~1", "--out", "B.json"]).base_dir is None
+def test_base_tree_holds_the_archive_of_the_base_commit_and_is_removed(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+                              check=True, capture_output=True).stdout
 
-    def no_git(*args, **kwargs):
-        raise AssertionError(f"git {args} called")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("base = 1\n")
+    (tmp_path / "gone.txt").write_text("only in the base\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    base = git("rev-parse", "HEAD").decode().strip()
+    (tmp_path / "perfbench" / "run.py").write_text("base = 2\n")
+    (tmp_path / "gone.txt").unlink()
+    (tmp_path / "new.txt").write_text("only in the change\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "change")
+    # an uncommitted edit and an untracked file are not the base's either
+    (tmp_path / "perfbench" / "run.py").write_text("base = 3\n")
+    (tmp_path / "untracked.txt").write_text("x\n")
+    worktrees = git("worktree", "list")
+    with bench_pairs.base_tree(base, tmp_path) as root:
+        files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+        assert files == git("ls-tree", "-r", "--name-only", base).decode().split()
+        for name in files:
+            assert (root / name).read_bytes() == git("show", f"{base}:{name}")
+        assert root != tmp_path and not (root / "new.txt").exists()
+    assert not root.exists()
+    assert git("worktree", "list") == worktrees
 
-    monkeypatch.setattr(bench_pairs, "git", no_git)
-    with bench_pairs.base_checkout("0" * 40, args.base_dir) as root:
-        assert root == base.resolve()
-    assert (base / "perfbench" / "run.py").exists()
 
-
-def test_base_dir_without_perfbench_is_refused(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [["--base-dir", "base"], ["--seconds", "20"]])
+def test_base_dir_and_seconds_are_refused(capsys, flag):
     with pytest.raises(SystemExit):
-        bench_pairs.parse_args(["--base", "HEAD", "--base-dir", str(tmp_path), "--out", "B.json"])
-    assert "holds no perfbench/run.py" in capsys.readouterr().err
+        bench_pairs.parse_args(["--base", "HEAD", "--out", "B.json", *flag])
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-def test_traced_pairs_time_the_episodes_once_per_side_in_each_pairs_order(tmp_path, monkeypatch):
-    base = tmp_path / "base"
-    (base / "perfbench").mkdir(parents=True)
-    (base / "perfbench" / "run.py").write_text("")
-    sides = {base: "base", bench_pairs.ROOT: "change"}
-    calls = []
-
-    def fake_perfbench(root, workload, seed, seconds, trace, keep):
+def fake_perfbench_run(calls, sides):
+    """A `run_perfbench` that logs (perfbench, side, trace) and returns a
+    result whose decisions count the calls so far."""
+    def run(root, workload, seed, seconds, trace, keep):
         calls.append(("perfbench", sides[root], trace))
         metrics = {k: {"value": 1.0} for k in ("setup_s", "wall_s", "decision_us_p50", "decision_us_p99",
                                                "peak_rss_mb")}
         return {"result": {"failed": 0, "metrics": metrics},
                 "detail": {"raw_round_s": [1.0], "round_s": [1.0], "decisions": len(calls), "peak_rss_mb": 1.0,
                            "machine": {}}}
+    return run
+
+
+def test_each_timed_job_runs_in_its_own_process_in_each_pairs_side_order(tmp_path, monkeypatch):
+    roots = {side: tmp_path / side for side in bench_pairs.SIDES}
+    sides = {root: side for side, root in roots.items()}
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        assert cmd[:3] == [sys.executable, "-c", bench_pairs._JOB_SCRIPT]
+        assert kwargs["env"]["PYTHONPATH"] == str(cwd / "src")
+        calls.append((sides[cwd], *cmd[3:]))
+        value = {"local": 10.0, "offload": 20.0} if cmd[3] == "step_us" else float(len(calls))
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(value) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_perfbench_run([], sides))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    report = bench_pairs.bench(roots, ["static-cli"], 2, 20.0, 7, True, tmp_path / "keep")
+    jobs = [*(("episode_s", policy, "7") for policy in bench_pairs.EPISODE_POLICIES), ("step_us",)]
+    assert calls == [(side, *job) for order in (("base", "change"), ("change", "base"))
+                     for side in order for job in jobs]
+    # each job's one value lands under its policy or case
+    assert report["episode_s"]["rl"]["base"] == [5.0, 23.0]
+    assert report["episode_s"]["rl"]["change"] == [11.0, 17.0]
+    assert report["step_us"]["offload"]["change"] == [20.0, 20.0]
+
+
+def test_a_failed_job_names_itself_and_its_stderr(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, 1, stdout="", stderr="boom"))
+    with pytest.raises(RuntimeError, match="episode_s rl 1 in .* exited 1:\nboom"):
+        bench_pairs.run_job(tmp_path, "episode_s", "rl", "1")
+
+
+def test_traced_pairs_time_the_episodes_once_per_side_in_each_pairs_order(tmp_path, monkeypatch):
+    base = tmp_path / "base"
+    sides = {base: "base", bench_pairs.ROOT: "change"}
+    calls, trees = [], []
+
+    @contextmanager
+    def fake_base_tree(rev):
+        trees.append(rev)
+        yield base
 
     def fake_episodes(root, seed):
         calls.append(("episodes", sides[root], None))
@@ -329,19 +388,23 @@ def test_traced_pairs_time_the_episodes_once_per_side_in_each_pairs_order(tmp_pa
     def fake_git(*args, cwd=bench_pairs.ROOT):
         return "0" * 40 if args[0] == "rev-parse" else ""
 
-    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_perfbench_run(calls, sides))
     monkeypatch.setattr(bench_pairs, "episode_round", fake_episodes)
+    monkeypatch.setattr(bench_pairs, "base_tree", fake_base_tree)
     monkeypatch.setattr(bench_pairs, "git", fake_git)
     monkeypatch.setattr(bench_pairs, "tree_digest", lambda root: {})
     out = tmp_path / "BENCH_9.json"
-    assert bench_pairs.main(["--base", "HEAD", "--base-dir", str(base), "--out", str(out),
+    assert bench_pairs.main(["--base", "HEAD", "--out", str(out),
                              "--workload", "static-cli", "--pairs", "3", "--traced"]) == 0
+    assert trees == ["0" * 40]
     # each pair's episodes follow its perfbench runs in its side order; the traced runs come last
     order = [("base", "change"), ("change", "base"), ("base", "change")]
     assert calls == [*(call for first, second in order for call in (
         ("perfbench", first, 0), ("perfbench", second, 0), ("episodes", first, None), ("episodes", second, None))),
         ("perfbench", "base", 1), ("perfbench", "change", 1)]
     report = json.loads(out.read_text())
+    # the run length is the benchmark's, not an option
+    assert report["seconds"] == json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     assert report["step_us"].keys() == {"local", "offload"}
     assert report["episode_s"].keys() == set(bench_pairs.EPISODE_POLICIES)
     for summary in (*report["step_us"].values(), *report["episode_s"].values()):

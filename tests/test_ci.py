@@ -79,7 +79,7 @@ def test_console_script_step_runs_and_writes_its_outputs(tmp_path):
     assert step_env == {"PYTHONWARNINGS": "error::RuntimeWarning"}
     script = step_run("Console script").replace("$RUNNER_TEMP", str(tmp_path))
     commands = [shlex.split(line) for line in script.splitlines() if line.strip()]
-    assert [argv[1] for argv in commands] == ["run", "sweep", "aggregate", "report"]
+    assert [argv[1] for argv in commands] == ["run", "sweep", "aggregate", "report", "run"]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     stdout = {}
     for argv in commands:
@@ -95,3 +95,8 @@ def test_console_script_step_runs_and_writes_its_outputs(tmp_path):
     # the aggregated directory holds one scenario: the one seed of `run`
     agg = json.loads(aggregate.read_text())
     assert (agg["scenario"], agg["seeds"]) == ("threshold-cycle", [1])
+    # the last run reruns a sweep point from its scenario.json to the same bytes
+    spec = Path(commands[4][commands[4].index("--scenario") + 1])
+    rerun = Path(commands[4][commands[4].index("--out") + 1]) / spec.parent.name
+    for name in ("scenario.json", "seed_1/metrics.json"):
+        assert (rerun / name).read_bytes() == (spec.parent / name).read_bytes(), name

@@ -585,7 +585,7 @@ def test_stable_mbps_with_another_profile_fails_before_any_run(tmp_path, capsys,
     path = profile if profile == "cycle" else str(tmp_path / profile)
     rc = main(["run", "--policy", "local", "--profile", path, "--stable-mbps", "5", "--horizon", "3",
                "--seeds", "1", "--out", str(tmp_path / "o")])
-    assert_clean_error(rc, capsys, f"--stable-mbps is for --profile stable only, not {path!r}")
+    assert_clean_error(rc, capsys, f"stable_mbps is for the stable profile only, not {path!r}")
     assert not (tmp_path / "o").exists()
 
 

@@ -351,6 +351,7 @@ def test_run_scenario_layout(tmp_path):
             assert (root / f"seed_{seed}" / name).exists()
     saved = json.loads((root / "aggregate.json").read_text())
     assert saved == agg
+    assert load_spec(root / "scenario.json") == spec
 
 
 # aggregate.json of two 120 s threshold/cycle seeds, generated when
@@ -502,6 +503,16 @@ def test_sweep_labels_and_values(tmp_path):
     names = [agg["scenario"] for _, agg in rows]
     assert names[0] != names[1]
     assert all(spec.name in n for n in names)
+
+
+def test_sweep_writes_each_points_spec(tmp_path):
+    # a point's directory holds the scenario it ran, so the point reruns from it
+    spec = local_spec(horizon=5.0, seeds=(1, 2))
+    rows = sweep(spec, "env.tau_mtp_ms", [25, 30.0], out_dir=tmp_path)
+    for v, agg in rows:
+        point = dataclasses.replace(replace_path(spec, "env.tau_mtp_ms", v), name=agg["scenario"])
+        assert load_spec(tmp_path / point.name / "scenario.json") == point
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(agg["scenario"] for _, agg in rows)
 
 
 @pytest.mark.parametrize("param, values, raws", [

@@ -1,32 +1,28 @@
 """Benchmark a change against a base commit in alternating pairs of runs.
 
-    python tools/bench_pairs.py --base <rev> [--base-dir PATH] --out BENCH_<n>.json
-        [--workload greedy-cycle ...] [--pairs 10] [--seconds 20] [--seed 1] [--traced]
+    python tools/bench_pairs.py --base <rev> --out BENCH_<n>.json
+        [--workload greedy-cycle ...] [--pairs 10] [--seed 1] [--traced]
 
-The base side is `<rev>` checked out with `git worktree add` into a
-temporary directory, which is removed again however the script ends, or,
-with --base-dir, the directory given, which holds `<rev>`'s files made by
-`git archive` or a clone and is left in place; the
-change side is this checkout as it stands, which the script does not edit
-(perfbench writes its results under `.perfbench_out/`, which git ignores).
-Each pair runs the unchanged `perfbench/run.py --workload W --seed n
---seconds s --trace 0` once per side, and the side that runs first
-alternates from pair to pair. Each side's
+The base side is `git archive <rev>` unpacked into a temporary directory,
+which is removed again however the script ends; the change side is this
+checkout as it stands, which the script does not edit (perfbench writes its
+results under `.perfbench_out/`, which git ignores). Each pair runs the
+unchanged `perfbench/run.py --workload W --seed n --seconds s --trace 0`
+once per side, s being this checkout's `perfbench/spec.py` RUN_SECONDS, and
+the side that runs first alternates from pair to pair. Each side's
 `.perfbench_out/result-<W>-seed<n>-trace0.json` is copied after its run to
 this checkout's `.perfbench_out/<out stem>/pair<k>-<W>-<side>.json` (the
 traced runs' to `traced-<W>-<side>.json`) and read there, so every run's
-rounds outlive the base worktree and the next run of the same side.
+rounds outlive the base tree and the next run of the same side.
 With --traced, each side also runs `--trace 1` once per workload after the
 pairs, for the per-layer metrics. Inside every pair, after its perfbench
-runs and in its side order, each side also times each policy's 1200 s cycle
-episode in-process with its own source (`episode_s`), the fastest of 3 warm
-runs. Each such round is a fresh process that runs each policy's episode
-once untimed first: a policy's first episode in a process pays a warm-up
-(about 1 s for rl, 40 ms for local). After its episodes, the round also
-times `XrEnvironment.step` in µs per call, the minimum of 7 batches of 1500
-calls: local action 12 on the cycle profile and offload action 5 on stable
-1000 Mbps (`step_us`).
-Each policy's `episode_s` and each case's `step_us` are summarised as a
+runs and in its side order, each side also runs one fresh process per timed
+job with its own source: one per policy for its 1200 s cycle episode
+(`episode_s`), an untimed run and then the fastest of 3, and one for
+`XrEnvironment.step` in µs per call (`step_us`), the minimum of 7 batches of
+1500 calls of local action 12 on the cycle profile and of offload action 5
+on stable 1000 Mbps, so no job runs after another in one process. Each
+policy's `episode_s` and each case's `step_us` are summarised as a
 perfbench metric is, one value per side in each pair.
 
 The output holds, per workload and metric, each pair's two values, each
@@ -53,12 +49,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import io
 import json
 import os
+import runpy
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -71,7 +70,7 @@ METRICS = ("setup_s", "wall_s", "raw_wall_s", "decision_us_p50", "decision_us_p9
 SIDES = ("base", "change")
 # the directories whose files a perfbench run imports
 RUN_PATHS = ("src", "perfbench")
-# the policies whose 1200 s cycle episode --traced times
+# the policies whose 1200 s cycle episode --traced times, one process each
 EPISODE_POLICIES = ("local", "offload", "threshold", "greedy", "rl")
 
 
@@ -80,7 +79,7 @@ def step_us(batches: int = 7, calls: int = 1500) -> dict[str, float]:
     path: the minimum over `batches` batches of `calls` calls, each batch
     on a fresh environment whose horizon its last call ends, of local
     action 12 on the cycle profile and of offload action 5 on stable
-    1000 Mbps. `_EPISODE_SCRIPT` holds its source."""
+    1000 Mbps. `_JOB_SCRIPT` holds its source."""
     import time
     from xredge.environment import EnvConfig, XrEnvironment
     from xredge.network import cycle_profile, stable_profile
@@ -99,31 +98,29 @@ def step_us(batches: int = 7, calls: int = 1500) -> dict[str, float]:
     return out
 
 
-def episode_s(policies: list[str], seed: int, runs: int = 3) -> dict[str, float]:
-    """Wall seconds of each policy's 1200 s cycle episode at `seed`, run
+def episode_s(policy: str, seed: int, runs: int = 3) -> float:
+    """Wall seconds of `policy`'s 1200 s cycle episode at `seed`, run
     without artifacts by `run_experiment` of the xredge on the path: one
     untimed run, then the fastest of `runs` timed runs, as `step_us` keeps
-    its fastest batch. `_EPISODE_SCRIPT` holds its source."""
+    its fastest batch. `_JOB_SCRIPT` holds its source."""
     import time
     from xredge.harness import default_scenario, run_experiment
-    out = {}
-    for policy in policies:
-        spec = default_scenario(policy, "cycle", horizon_s=1200.0, seeds=(seed,))
+    spec = default_scenario(policy, "cycle", horizon_s=1200.0, seeds=(seed,))
+    run_experiment(spec, seed)
+    best = float("inf")
+    for _ in range(runs):
+        tic = time.perf_counter()
         run_experiment(spec, seed)
-        best = float("inf")
-        for _ in range(runs):
-            tic = time.perf_counter()
-            run_experiment(spec, seed)
-            best = min(best, time.perf_counter() - tic)
-        out[policy] = best
-    return out
+        best = min(best, time.perf_counter() - tic)
+    return best
 
 
-# `episode_s` of each policy named in argv[2:], then `step_us`; prints
-# {"episode_s": {policy: wall seconds}, "step_us": {case: µs per call}}
-_EPISODE_SCRIPT = inspect.getsource(step_us) + inspect.getsource(episode_s) + """
+# one timed job: argv[1:] is `step_us`, or `episode_s` with a policy and a
+# seed; prints the function's value as JSON
+_JOB_SCRIPT = inspect.getsource(step_us) + inspect.getsource(episode_s) + """
 import json, sys
-print(json.dumps({"episode_s": episode_s(sys.argv[2:], int(sys.argv[1])), "step_us": step_us()}))
+job, *args = sys.argv[1:]
+print(json.dumps(step_us() if job == "step_us" else episode_s(args[0], int(args[1]))))
 """
 
 
@@ -232,16 +229,23 @@ def read_result(path: Path) -> dict:
     return run
 
 
-def episode_round(root: Path, seed: int) -> dict[str, dict[str, float]]:
-    """`episode_s` of the EPISODE_POLICIES, then `step_us`, in a fresh
-    process with checkout `root`'s source; returns each policy's episode
-    seconds as "episode_s" and the µs per step call as "step_us"."""
-    cmd = [sys.executable, "-c", _EPISODE_SCRIPT, str(seed), *EPISODE_POLICIES]
+def run_job(root: Path, *args: str):
+    """One `_JOB_SCRIPT` job, named by `args`, in a fresh process with
+    checkout `root`'s source; returns the value it prints."""
+    cmd = [sys.executable, "-c", _JOB_SCRIPT, *args]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     if proc.returncode != 0:
-        raise RuntimeError(f"episodes in {root} exited {proc.returncode}:\n{proc.stderr}")
+        raise RuntimeError(f"{' '.join(args)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def episode_round(root: Path, seed: int) -> dict[str, dict[str, float]]:
+    """`episode_s` of each of the EPISODE_POLICIES, then `step_us`, each in
+    its own process with checkout `root`'s source; returns each policy's
+    episode seconds as "episode_s" and the µs per step call as "step_us"."""
+    return {"episode_s": {policy: run_job(root, "episode_s", policy, str(seed)) for policy in EPISODE_POLICIES},
+            "step_us": run_job(root, "step_us")}
 
 
 def values(run: dict) -> dict[str, float]:
@@ -336,43 +340,29 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
 
 
 @contextmanager
-def base_checkout(base_sha: str, base_dir: Path | None):
-    """The base side's checkout: base_dir as it is, or else base_sha checked
-    out by `git worktree add` into a temporary directory that is removed
-    however the block ends."""
-    if base_dir is not None:
-        yield base_dir
-        return
+def base_tree(rev: str, repo: Path = ROOT):
+    """`git archive` of commit `rev` of `repo`, unpacked into a temporary
+    directory that is removed however the block ends."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo, check=True,
+                             capture_output=True).stdout
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        root = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(root), base_sha)
-        try:
-            yield root
-        finally:
-            git("worktree", "remove", "--force", str(root))
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the base commit, any git revision")
-    parser.add_argument("--base-dir", type=Path, help="a directory that already holds the base "
-                        "commit's files, made by `git archive` or a clone, instead of a worktree")
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     parser.add_argument("--workload", action="append", help="a perfbench workload (repeatable; "
                         "default greedy-cycle, rl-cycle and static-cli)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--traced", action="store_true", help="also one --trace 1 run per side "
-                        "and workload, and each policy's 1200 s cycle episode, the fastest of 3, "
-                        "once per side in each pair")
-    args = parser.parse_args(argv)
-    if args.base_dir is not None:
-        # perfbench and the episode script run with the base directory as their cwd
-        args.base_dir = args.base_dir.resolve()
-        if not (args.base_dir / "perfbench" / "run.py").is_file():
-            parser.error(f"--base-dir {args.base_dir} holds no perfbench/run.py")
-    return args
+                        "and workload, and in each pair one process per side for each policy's "
+                        "1200 s cycle episode and one for XrEnvironment.step")
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -380,9 +370,11 @@ def main(argv: list[str] | None = None) -> int:
     base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     workloads = args.workload or ["greedy-cycle", "rl-cycle", "static-cli"]
     keep_dir = ROOT / ".perfbench_out" / args.out.stem
-    with base_checkout(base_sha, args.base_dir) as base_root:
+    # both sides' run length: the benchmark's, as this checkout defines it
+    seconds = float(runpy.run_path(str(ROOT / "perfbench" / "spec.py"))["RUN_SECONDS"])
+    with base_tree(base_sha) as base_root:
         report = bench({"base": base_root, "change": ROOT}, workloads, args.pairs,
-                       args.seconds, args.seed, args.traced, keep_dir)
+                       seconds, args.seed, args.traced, keep_dir)
     report = {
         "base_sha": base_sha,
         "change_sha": git("rev-parse", "HEAD"),
@@ -391,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         "change_tree": tree_digest(ROOT),
         "command": ["tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seed": args.seed,
         "results_dir": str(keep_dir.relative_to(ROOT)),
         **report,
