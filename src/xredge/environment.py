@@ -83,7 +83,8 @@ class EnvConfig:
     tau_mtp_ms: float = ranged(f"[{MIN_TAU_MTP_MS}, inf)", 30.0)
     decision_interval_s: float = ranged("(0, inf)", 1.0)
     horizon_s: float = ranged("[0, inf)", 1200.0)
-    queue_max_depth: int = ranged("[1, inf)", 20)
+    # below 2**63: the queue's deques take their maxlen as a C ssize_t
+    queue_max_depth: int = ranged("[1, 1e18)", 20)
 
     def __post_init__(self):
         check_ranges(self)

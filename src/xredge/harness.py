@@ -16,7 +16,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .dqn import DqnConfig
 from .energy import lifetime_projection
 from .environment import ROW_FIELDS, EnvConfig, XrEnvironment
 from .network import BandwidthProfile, cycle_profile, level_index, stable_profile
-from .policies import POLICIES, RlPolicy, make_policy
+from .policies import POLICIES, RlPolicy
 
 METRICS_SCHEMA_VERSION = 1
 
@@ -66,7 +66,7 @@ class ScenarioSpec:
         # the name is a directory under --out, so it must stay one component
         if self.name in ("", ".", "..") or {"/", os.sep, os.altsep} & set(self.name):
             raise ValueError(f"scenario name must be one directory name: {self.name!r}")
-        # make_policy's own rule, checked before a run writes anything
+        # the one policy-name rule, checked before a run writes anything
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy kind: {self.policy!r}")
         if not self.seeds:
@@ -125,7 +125,7 @@ class RunResult:
 def run_experiment(spec: ScenarioSpec, seed: int, out_dir: str | Path | None = None) -> RunResult:
     """Execute one seeded run of a scenario; optionally write its artifacts."""
     env = XrEnvironment(spec.env, seed=seed)
-    policy = make_policy(spec.policy, spec.dqn, seed=seed + _AGENT_SEED_OFFSET)
+    policy = POLICIES[spec.policy](spec.dqn, seed + _AGENT_SEED_OFFSET)
     agent = policy.agent if isinstance(policy, RlPolicy) else None
 
     rows: list[tuple] = []
@@ -231,9 +231,9 @@ def _compute_metrics(spec, seed, env, decisions, frames) -> MetricsRecord:
         else float("inf")
     )
     n_dec = len(decisions["action"])
-    local_pct = 100.0 * decisions["mode"].count("LOCAL") / n_dec if n_dec else 0.0
+    histogram = np.bincount(np.asarray(decisions["action"], dtype=np.intp), minlength=N_ACTIONS).tolist()
+    local_pct = 100.0 * sum(compress(histogram, env.actions.is_local)) / n_dec if n_dec else 0.0
     per_level, per_level_n = per_bandwidth_compliance(frames["t_capture"], frames["compliant"], cfg.profile)
-    histogram = [decisions["action"].count(a) for a in range(N_ACTIONS)]
     violation_sum = fold_sum(decisions["v_mean"])
 
     return MetricsRecord(

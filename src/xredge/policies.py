@@ -228,11 +228,3 @@ POLICIES = {
     "threshold": lambda dqn_cfg, seed: ThresholdPolicy(),
     "rl": lambda dqn_cfg, seed: RlPolicy(dqn_cfg, seed=seed),
 }
-
-
-def make_policy(kind: str, dqn_cfg: DqnConfig | None = None, seed: int = 0):
-    """Policy factory by exact name, one of POLICIES."""
-    factory = POLICIES.get(kind)
-    if factory is None:
-        raise ValueError(f"unknown policy kind: {kind!r}")
-    return factory(dqn_cfg or DqnConfig(), seed)

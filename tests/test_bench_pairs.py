@@ -1,10 +1,10 @@
 """The summary that tools/bench_pairs.py writes from alternating benchmark pairs."""
 
-import hashlib
 import importlib.util
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -13,8 +13,8 @@ import pytest
 
 from xredge import harness
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+CHECKOUT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", CHECKOUT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
@@ -69,7 +69,7 @@ def fake_result(path, wall_s, peak_rss_mb, decisions, decision_us_p50=20.0, roun
     path.write_text(json.dumps({
         "result": {"failed": 0, "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}},
         "detail": {"raw_round_s": [r + 0.125 for r in rounds], "round_s": rounds, "decisions": decisions,
-                   "peak_rss_mb": peak_rss_mb, "problems": []},
+                   "peak_rss_mb": peak_rss_mb, "problems": [], "machine": {}},
     }))
     return path
 
@@ -130,7 +130,7 @@ def test_rss_fit_needs_runs_that_determine_it():
     ("greedy-cycle", 93.6, -1.43),
 ])
 def test_rss_fit_of_bench_30(workload, per_decision, change_mb):
-    report = json.loads((Path(__file__).resolve().parent.parent / "BENCH_30.json").read_text())
+    report = json.loads((CHECKOUT / "BENCH_30.json").read_text())
     result = report["workloads"][workload]
     fit = bench_pairs.rss_fit(result["rounds"])
     assert fit["bytes_per_decision"] == pytest.approx(per_decision, abs=0.05)
@@ -143,30 +143,60 @@ def test_rss_fit_of_bench_30(workload, per_decision, change_mb):
                            f"at equal decisions {change_mb:+.2f} ± ")
 
 
-def test_tree_digest_names_uncommitted_edits_and_untracked_run_files(tmp_path):
-    def git(*args):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
-                       check=True, capture_output=True)
+class Repo:
+    """A temporary two-commit git repository that stands in for the checkout
+    (`bench_pairs.ROOT`): the base commit, a change commit, then an
+    uncommitted edit, an untracked file under `src/` and an ignored file."""
 
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "a.py").write_text("x = 1\n")
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "base")
-    clean = bench_pairs.tree_digest(tmp_path)
-    assert clean == {"diff_sha256": hashlib.sha256(b"").hexdigest(), "untracked_sha256": {}}
-    (tmp_path / "src" / "a.py").write_text("x = 2\n")
-    edited = bench_pairs.tree_digest(tmp_path)
-    assert edited["diff_sha256"] != clean["diff_sha256"]
-    # an untracked file a run imports is named; one outside the run paths
-    # and an ignored one are not
-    (tmp_path / "src" / "b.py").write_text("y = 1\n")
-    (tmp_path / "notes.txt").write_text("not run\n")
-    (tmp_path / ".gitignore").write_text("*.pyc\n")
-    (tmp_path / "src" / "b.pyc").write_bytes(b"\0")
-    digest = bench_pairs.tree_digest(tmp_path)
-    assert digest["diff_sha256"] == edited["diff_sha256"]
-    assert digest["untracked_sha256"] == {"src/b.py": hashlib.sha256(b"y = 1\n").hexdigest()}
+    def __init__(self, path: Path):
+        self.path = path
+        (path / "src").mkdir()
+        (path / "perfbench").mkdir()
+        (path / "perfbench" / "spec.py").write_text("RUN_SECONDS = 20\n")
+        (path / "src" / "a.py").write_text("x = 1\n")
+        (path / "gone.txt").write_text("only in the base\n")
+        (path / ".gitignore").write_text("*.log\n.perfbench_out/\n")
+        self.git("init", "-q")
+        self.commit("base")
+        self.base = self.git("rev-parse", "HEAD")
+        (path / "src" / "a.py").write_text("x = 2\n")
+        (path / "gone.txt").unlink()
+        self.commit("change")
+        (path / "src" / "a.py").write_text("x = 3\n")
+        (path / "src" / "new.py").write_text("y = 1\n")
+        (path / "src" / "run.log").write_text("ignored\n")
+
+    def git(self, *args: str) -> str:
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=self.path,
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    def commit(self, message: str):
+        self.git("add", "-A")
+        self.git("commit", "-q", "-m", message)
+
+    def state(self) -> tuple[str, str, str]:
+        """What the tool must leave as it is: the status, the index and HEAD."""
+        return (self.git("status", "--porcelain", "--untracked-files=all"), self.git("diff", "--cached"),
+                self.git("rev-parse", "HEAD"))
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    (tmp_path / "repo").mkdir()
+    repo = Repo(tmp_path / "repo")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo.path)
+    return repo
+
+
+def test_worktree_tree_holds_edits_and_untracked_files_and_leaves_the_checkout_alone(repo):
+    before = repo.state()
+    tree = bench_pairs.worktree_tree()
+    assert repo.state() == before
+    # the uncommitted edit and the untracked file are in; the ignored file is not
+    assert repo.git("ls-tree", "-r", "--name-only", tree).split() == [
+        ".gitignore", "perfbench/spec.py", "src/a.py", "src/new.py"]
+    assert repo.git("show", f"{tree}:src/a.py") == "x = 3"
+    assert tree != repo.git("rev-parse", "HEAD^{tree}")
 
 
 def test_episode_seconds_summarize_per_policy_over_the_pairs():
@@ -288,35 +318,19 @@ def test_bench_keeps_every_runs_result_file_by_pair_workload_and_side(tmp_path):
                     for k in (1, 2) for w in workloads for side in bench_pairs.SIDES}
 
 
-def test_base_tree_holds_the_archive_of_the_base_commit_and_is_removed(tmp_path):
-    def git(*args):
-        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
-                              check=True, capture_output=True).stdout
-
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text("base = 1\n")
-    (tmp_path / "gone.txt").write_text("only in the base\n")
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "base")
-    base = git("rev-parse", "HEAD").decode().strip()
-    (tmp_path / "perfbench" / "run.py").write_text("base = 2\n")
-    (tmp_path / "gone.txt").unlink()
-    (tmp_path / "new.txt").write_text("only in the change\n")
-    git("add", "-A")
-    git("commit", "-q", "-m", "change")
-    # an uncommitted edit and an untracked file are not the base's either
-    (tmp_path / "perfbench" / "run.py").write_text("base = 3\n")
-    (tmp_path / "untracked.txt").write_text("x\n")
-    worktrees = git("worktree", "list")
-    with bench_pairs.base_tree(base, tmp_path) as root:
-        files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
-        assert files == git("ls-tree", "-r", "--name-only", base).decode().split()
-        for name in files:
-            assert (root / name).read_bytes() == git("show", f"{base}:{name}")
-        assert root != tmp_path and not (root / "new.txt").exists()
-    assert not root.exists()
-    assert git("worktree", "list") == worktrees
+def test_tree_dirs_hold_each_sides_tree_in_like_directories_and_are_removed(repo):
+    sides = {"base": repo.base, "change": bench_pairs.worktree_tree()}
+    with bench_pairs.tree_dir(sides["base"]) as base, bench_pairs.tree_dir(sides["change"]) as change:
+        roots = {"base": base, "change": change}
+        for side, rev in sides.items():
+            files = sorted(p.relative_to(roots[side]).as_posix() for p in roots[side].rglob("*") if p.is_file())
+            assert files == repo.git("ls-tree", "-r", "--name-only", rev).split()
+            for name in files:
+                assert (roots[side] / name).read_text() == repo.git("show", f"{rev}:{name}") + "\n"
+        assert (base / "src" / "a.py").read_text() == "x = 1\n" and (base / "gone.txt").exists()
+        assert (change / "src" / "a.py").read_text() == "x = 3\n" and not (change / "src" / "run.log").exists()
+        assert base.parent == change.parent and len(base.name) == len(change.name)
+    assert not base.exists() and not change.exists()
 
 
 @pytest.mark.parametrize("flag", [["--base-dir", "base"], ["--seconds", "20"]])
@@ -371,32 +385,34 @@ def test_a_failed_job_names_itself_and_its_stderr(tmp_path, monkeypatch):
 
 
 def test_traced_pairs_time_the_episodes_once_per_side_in_each_pairs_order(tmp_path, monkeypatch):
-    base = tmp_path / "base"
-    sides = {base: "base", bench_pairs.ROOT: "change"}
+    revs = {"0" * 40: "base", "1" * 40: "change"}
+    roots = {rev: tmp_path / side for rev, side in revs.items()}
+    sides = {roots[rev]: side for rev, side in revs.items()}
     calls, trees = [], []
 
     @contextmanager
-    def fake_base_tree(rev):
+    def fake_tree_dir(rev):
         trees.append(rev)
-        yield base
+        yield roots[rev]
 
     def fake_episodes(root, seed):
         calls.append(("episodes", sides[root], None))
         return {"episode_s": {p: float(len(calls)) for p in bench_pairs.EPISODE_POLICIES},
                 "step_us": {"local": 10.0 + len(calls), "offload": 20.0 + len(calls)}}
 
-    def fake_git(*args, cwd=bench_pairs.ROOT):
+    def fake_git(*args):
         return "0" * 40 if args[0] == "rev-parse" else ""
 
     monkeypatch.setattr(bench_pairs, "run_perfbench", fake_perfbench_run(calls, sides))
     monkeypatch.setattr(bench_pairs, "episode_round", fake_episodes)
-    monkeypatch.setattr(bench_pairs, "base_tree", fake_base_tree)
+    monkeypatch.setattr(bench_pairs, "tree_dir", fake_tree_dir)
     monkeypatch.setattr(bench_pairs, "git", fake_git)
-    monkeypatch.setattr(bench_pairs, "tree_digest", lambda root: {})
+    monkeypatch.setattr(bench_pairs, "worktree_tree", lambda: "1" * 40)
     out = tmp_path / "BENCH_9.json"
     assert bench_pairs.main(["--base", "HEAD", "--out", str(out),
                              "--workload", "static-cli", "--pairs", "3", "--traced"]) == 0
-    assert trees == ["0" * 40]
+    # both sides' trees are unpacked one way, the base's first
+    assert trees == ["0" * 40, "1" * 40]
     # each pair's episodes follow its perfbench runs in its side order; the traced runs come last
     order = [("base", "change"), ("change", "base"), ("base", "change")]
     assert calls == [*(call for first, second in order for call in (
@@ -412,3 +428,52 @@ def test_traced_pairs_time_the_episodes_once_per_side_in_each_pairs_order(tmp_pa
     # the change side's episodes ran first in the second pair only
     assert report["episode_s"]["rl"]["base"] == [3.0, 8.0, 11.0]
     assert report["episode_s"]["rl"]["change"] == [4.0, 7.0, 12.0]
+
+
+def test_every_side_runs_in_its_own_temporary_tree_and_never_in_the_checkout(repo, tmp_path, monkeypatch):
+    real_run, runs = subprocess.run, []
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        if cmd[0] == "git":
+            return real_run(cmd, cwd=cwd, **kwargs)
+        cwd = Path(cwd)
+        runs.append((cwd, (cwd / "src" / "a.py").read_text()))
+        if cmd[1] == "perfbench/run.py":
+            a = dict(zip(cmd[2::2], cmd[3::2]))
+            (cwd / ".perfbench_out").mkdir(exist_ok=True)
+            fake_result(cwd / ".perfbench_out" / f"result-{a['--workload']}-seed{a['--seed']}-trace{a['--trace']}.json",
+                        1.0, 50.0, len(runs))
+            return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+        assert kwargs["env"]["PYTHONPATH"] == str(cwd / "src")
+        value = {"local": 10.0, "offload": 20.0} if cmd[3] == "step_us" else 1.0
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(value), stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    before = repo.state()
+    out = tmp_path / "BENCH_9.json"
+    assert bench_pairs.main(["--base", repo.base, "--out", str(out), "--workload", "static-cli",
+                             "--pairs", "2", "--traced"]) == 0
+    assert repo.state() == before
+    # two pairs of perfbench runs and six jobs per side, then one traced run per side
+    assert len(runs) == 2 * (2 + 2 * 6) + 2
+    dirs = {cwd: source for cwd, source in runs}
+    assert sorted(dirs.values()) == ["x = 1\n", "x = 3\n"]
+    (parent,) = {d.parent for d in dirs}
+    assert parent == Path(tempfile.gettempdir()) and len({len(d.name) for d in dirs}) == 1
+    assert not any(d.exists() or d.is_relative_to(repo.path) or d.is_relative_to(CHECKOUT) for d in dirs)
+    # each side's run files are named by their git tree ids
+    report = json.loads(out.read_text())
+    assert report["base_tree"] == {p: repo.git("rev-parse", f"{repo.base}:{p}") for p in ("src", "perfbench")}
+    tree = bench_pairs.worktree_tree()
+    assert report["change_tree"] == {p: repo.git("rev-parse", f"{tree}:{p}") for p in ("src", "perfbench")}
+    assert report["change_dirty"] and report["change_sha"] == repo.git("rev-parse", "HEAD")
+    assert len(list((repo.path / report["results_dir"]).iterdir())) == 2 * 2 + 2
+
+
+@pytest.mark.skipif(not (CHECKOUT / ".git").exists(), reason="not a git checkout")
+def test_the_checkout_ignores_what_benchmarks_tests_and_runs_leave_behind():
+    # the change tree takes every untracked, unignored file (`git add -A`)
+    ignored = [".perfbench_out/", "runs/", ".hypothesis/", "__pycache__/", "src/xredge/__pycache__/"]
+    out = subprocess.run(["git", "check-ignore", *ignored], cwd=CHECKOUT, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ignored

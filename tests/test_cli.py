@@ -274,11 +274,14 @@ NAN, INF = float("nan"), float("inf")
 # 100% compliance or wrote NaN power, a NaN dwell failed at the first step,
 # and the zero p_max_w, infinite interval, overflowing jitter mean and
 # infinite horizon escaped as tracebacks; of the learner's, a negative or
-# NaN lr ran and a zero hidden width escaped as an OverflowError; a key that
-# names no setting, such as the learner's shape or a removed alias, is unknown
+# NaN lr ran and a zero hidden width escaped as an OverflowError, as did a
+# queue depth beyond a C ssize_t; a key that names no setting, such as the
+# learner's shape or a removed alias, is unknown
 @pytest.mark.parametrize("edit, fragment", [
     (_bad_key, "scenario.env: unknown field horzion_s"),
     (_str_for_int, "scenario.env.queue_max_depth: expected int"),
+    (_set("env.queue_max_depth", 2**63), f"EnvConfig.queue_max_depth must be within [1, 1e18): {2**63}"),
+    (_set("env.queue_max_depth", 10**30), f"EnvConfig.queue_max_depth must be within [1, 1e18): {10**30}"),
     (_bad_enum, "scenario.env.table.rho.turbo: 'turbo' is not one of"),
     (_set("env.profile.levels_mbps", [NAN]), "BandwidthProfile.levels_mbps must be within (0, inf): (nan,)"),
     (_set("env.profile.dwell_s", NAN), "BandwidthProfile.dwell_s must be within (0, inf): nan"),

@@ -8,16 +8,17 @@ import pytest
 
 from xredge.dqn import DqnConfig
 from xredge.environment import EnvConfig, XrEnvironment, interval_reward
+from xredge.harness import ScenarioSpec
 from xredge.network import RttModel, cycle_profile, stable_profile
 from xredge.policies import (
     ACTION_LOCAL_FULL,
     ACTION_OFFLOAD_FULL,
+    POLICIES,
     GreedyPolicy,
     RlPolicy,
     THRESHOLD_MBPS,
     ThresholdPolicy,
     greedy_select,
-    make_policy,
     predicted_epoch,
     threshold_select,
 )
@@ -35,8 +36,8 @@ def make_env(mbps=1000.0, seed=0, **overrides):
 
 def test_static_policies_pick_full_fidelity_actions():
     env = make_env()
-    assert make_policy("local").select(env) == ACTION_LOCAL_FULL == 4
-    assert make_policy("offload").select(env) == ACTION_OFFLOAD_FULL == 5
+    assert POLICIES["local"](DqnConfig(), 0).select(env) == ACTION_LOCAL_FULL == 4
+    assert POLICIES["offload"](DqnConfig(), 0).select(env) == ACTION_OFFLOAD_FULL == 5
 
 
 def test_threshold_select_boundary():
@@ -173,21 +174,24 @@ def test_rl_policy_requires_select_before_outcome():
 
 
 # ---------------------------------------------------------------------------
-# factory
+# registry
 # ---------------------------------------------------------------------------
 
 
-def test_make_policy_kinds():
-    assert make_policy("local").action_id == ACTION_LOCAL_FULL
-    assert make_policy("offload").action_id == ACTION_OFFLOAD_FULL
-    assert isinstance(make_policy("greedy"), GreedyPolicy)
-    assert isinstance(make_policy("threshold"), ThresholdPolicy) and THRESHOLD_MBPS == 15.0
-    assert isinstance(make_policy("rl", seed=3), RlPolicy)
+def test_policy_registry_kinds():
+    def make(kind):
+        return POLICIES[kind](DqnConfig(), 3)
+
+    assert make("local").action_id == ACTION_LOCAL_FULL
+    assert make("offload").action_id == ACTION_OFFLOAD_FULL
+    assert isinstance(make("greedy"), GreedyPolicy)
+    assert isinstance(make("threshold"), ThresholdPolicy) and THRESHOLD_MBPS == 15.0
+    assert isinstance(make("rl"), RlPolicy)
     # names are exact: "LOCAL" would run local under a second policy name
     with pytest.raises(ValueError, match="unknown policy kind: 'LOCAL'"):
-        make_policy("LOCAL")
-    with pytest.raises(ValueError):
-        make_policy("dagger")
+        ScenarioSpec(policy="LOCAL")
+    with pytest.raises(ValueError, match="unknown policy kind: 'dagger'"):
+        ScenarioSpec(policy="dagger")
 
 
 def test_greedy_prices_offload_jitter_under_a_light_tail():

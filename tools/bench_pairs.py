@@ -3,27 +3,27 @@
     python tools/bench_pairs.py --base <rev> --out BENCH_<n>.json
         [--workload greedy-cycle ...] [--pairs 10] [--seed 1] [--traced]
 
-The base side is `git archive <rev>` unpacked into a temporary directory,
-which is removed again however the script ends; the change side is this
-checkout as it stands, which the script does not edit (perfbench writes its
-results under `.perfbench_out/`, which git ignores). Each pair runs the
-unchanged `perfbench/run.py --workload W --seed n --seconds s --trace 0`
-once per side, s being this checkout's `perfbench/spec.py` RUN_SECONDS, and
-the side that runs first alternates from pair to pair. Each side's
-`.perfbench_out/result-<W>-seed<n>-trace0.json` is copied after its run to
-this checkout's `.perfbench_out/<out stem>/pair<k>-<W>-<side>.json` (the
-traced runs' to `traced-<W>-<side>.json`) and read there, so every run's
-rounds outlive the base tree and the next run of the same side.
+Each side is a git tree, `git archive`d into a temporary directory that is
+removed however the script ends; both directories share one parent and one
+name length. The base is commit <rev>. The change is this checkout's working
+tree with its uncommitted edits and untracked, unignored files, written
+through a throwaway index (`GIT_INDEX_FILE`; `git read-tree HEAD`, `git add
+-A`, `git write-tree`), which leaves the checkout's index, HEAD and files as
+they are and adds only loose blob and tree objects to `.git/objects`.
+Each pair runs the unchanged `perfbench/run.py --workload W --seed n
+--seconds s --trace 0` once per side (s: this checkout's `perfbench/spec.py`
+RUN_SECONDS), the side that runs first alternating from pair to pair, and
+copies each run's result file to this checkout's
+`.perfbench_out/<out stem>/pair<k>-<W>-<side>.json` (the traced runs' to
+`traced-<W>-<side>.json`), where it is read and outlives the trees.
 With --traced, each side also runs `--trace 1` once per workload after the
-pairs, for the per-layer metrics. Inside every pair, after its perfbench
-runs and in its side order, each side also runs one fresh process per timed
-job with its own source: one per policy for its 1200 s cycle episode
-(`episode_s`), an untimed run and then the fastest of 3, and one for
-`XrEnvironment.step` in µs per call (`step_us`), the minimum of 7 batches of
-1500 calls of local action 12 on the cycle profile and of offload action 5
-on stable 1000 Mbps, so no job runs after another in one process. Each
-policy's `episode_s` and each case's `step_us` are summarised as a
-perfbench metric is, one value per side in each pair.
+pairs, for the per-layer metrics, and inside every pair, after its perfbench
+runs and in its side order, one fresh process per timed job with its own
+source: per policy its 1200 s cycle episode (`episode_s`, an untimed run,
+then the fastest of 3), and `XrEnvironment.step` in µs per call (`step_us`,
+the minimum of 7 batches of 1500 calls of local action 12 on the cycle
+profile and of offload action 5 on stable 1000 Mbps). Each is summarised
+as a perfbench metric is, one value per side in each pair.
 
 The output holds, per workload and metric, each pair's two values, each
 side's median and interquartile range, and the number of pairs the change
@@ -36,18 +36,16 @@ that completes more rounds peaks higher. Next to the raw medians, each
 workload's `peak_rss_fit` compares the peaks at an equal decision count:
 the least-squares fit of `peak_rss_mb = a + b*decisions + c*[change side]`
 over both sides' runs, with b in bytes per decision, c in MB with its
-standard error, and R². The output also holds the kept
-result files' directory, both commits, `change_tree` (a SHA-256 of the
-change side's uncommitted edits and of each untracked file under `src/`
-and `perfbench/`, which name the tree measured), the machine facts
-perfbench records and each side's `src/xredge/*.py` line count, which the
-last line printed shows too.
+standard error, and R². The output also holds the kept result files'
+directory, both commits, `base_tree` and `change_tree` (each side's tree
+ids of `src/` and `perfbench/`, comparable with `git rev-parse <commit>:src`),
+`change_dirty` (the change tree is not HEAD's), perfbench's machine facts
+and each side's `src/xredge/*.py` line count, which is also printed last.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import inspect
 import io
 import json
@@ -59,7 +57,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -124,21 +122,31 @@ print(json.dumps(step_us() if job == "step_us" else episode_s(args[0], int(args[
 """
 
 
-def git(*args: str, cwd: Path = ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def tree_digest(root: Path) -> dict:
-    """What names checkout `root`'s tree beyond its HEAD commit: the SHA-256
-    of `git diff --binary HEAD`, and of each untracked, unignored file under
-    RUN_PATHS by its path."""
-    diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=root, check=True,
-                          capture_output=True).stdout
-    untracked = git("ls-files", "--others", "--exclude-standard", "-z", "--", *RUN_PATHS, cwd=root)
-    return {"diff_sha256": hashlib.sha256(diff).hexdigest(),
-            "untracked_sha256": {path: hashlib.sha256((root / path).read_bytes()).hexdigest()
-                                 for path in sorted(filter(None, untracked.split("\0")))}}
+def worktree_tree() -> str:
+    """The checkout's working tree, untracked and unignored files included,
+    as a git tree id, written through a throwaway index."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
+
+
+@contextmanager
+def tree_dir(rev: str):
+    """`git archive` of the checkout's tree-ish `rev`, unpacked into a `bench-tree-*` temporary
+    directory (one parent and name length for every side), removed however the block ends."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tempfile.TemporaryDirectory(prefix="bench-tree-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -207,7 +215,7 @@ def rss_fit(rounds: list[dict[str, dict]]) -> dict | None:
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int,
                   keep: Path) -> dict:
-    """One `perfbench/run.py` run in checkout `root`; copies its result file
+    """One `perfbench/run.py` run in tree `root`; copies its result file
     to `keep` and returns it."""
     result = root / ".perfbench_out" / f"result-{workload}-seed{seed}-trace{trace}.json"
     result.unlink(missing_ok=True)
@@ -231,7 +239,7 @@ def read_result(path: Path) -> dict:
 
 def run_job(root: Path, *args: str):
     """One `_JOB_SCRIPT` job, named by `args`, in a fresh process with
-    checkout `root`'s source; returns the value it prints."""
+    tree `root`'s source; returns the value it prints."""
     cmd = [sys.executable, "-c", _JOB_SCRIPT, *args]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
@@ -242,7 +250,7 @@ def run_job(root: Path, *args: str):
 
 def episode_round(root: Path, seed: int) -> dict[str, dict[str, float]]:
     """`episode_s` of each of the EPISODE_POLICIES, then `step_us`, each in
-    its own process with checkout `root`'s source; returns each policy's
+    its own process with tree `root`'s source; returns each policy's
     episode seconds as "episode_s" and the µs per step call as "step_us"."""
     return {"episode_s": {policy: run_job(root, "episode_s", policy, str(seed)) for policy in EPISODE_POLICIES},
             "step_us": run_job(root, "step_us")}
@@ -302,7 +310,7 @@ def end_to_end(run: dict) -> dict[str, float]:
 
 
 def source_lines(root: Path) -> int:
-    """The lines of checkout `root`'s `src/xredge/*.py`, as `wc -l` counts
+    """The lines of tree `root`'s `src/xredge/*.py`, as `wc -l` counts
     them: the source size that CI's "Source size" step prints."""
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "xredge").glob("*.py"))
 
@@ -339,18 +347,6 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
     return report
 
 
-@contextmanager
-def base_tree(rev: str, repo: Path = ROOT):
-    """`git archive` of commit `rev` of `repo`, unpacked into a temporary
-    directory that is removed however the block ends."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo, check=True,
-                             capture_output=True).stdout
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        yield Path(tmp)
-
-
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the base commit, any git revision")
@@ -372,15 +368,18 @@ def main(argv: list[str] | None = None) -> int:
     keep_dir = ROOT / ".perfbench_out" / args.out.stem
     # both sides' run length: the benchmark's, as this checkout defines it
     seconds = float(runpy.run_path(str(ROOT / "perfbench" / "spec.py"))["RUN_SECONDS"])
-    with base_tree(base_sha) as base_root:
-        report = bench({"base": base_root, "change": ROOT}, workloads, args.pairs,
-                       seconds, args.seed, args.traced, keep_dir)
+    trees = {"base": base_sha, "change": worktree_tree()}
+    with ExitStack() as stack:
+        roots = {side: stack.enter_context(tree_dir(rev)) for side, rev in trees.items()}
+        report = bench(roots, workloads, args.pairs, seconds, args.seed, args.traced, keep_dir)
     report = {
         "base_sha": base_sha,
         "change_sha": git("rev-parse", "HEAD"),
-        # the change side is the working tree, which may hold uncommitted edits
-        "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "change_tree": tree_digest(ROOT),
+        # the working tree may hold uncommitted edits and untracked files
+        "change_dirty": trees["change"] != git("rev-parse", "HEAD^{tree}"),
+        # base_tree and change_tree: each side's tree ids of its RUN_PATHS
+        **{f"{side}_tree": {path: git("rev-parse", f"{rev}:{path}") for path in RUN_PATHS}
+           for side, rev in trees.items()},
         "command": ["tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
         "pairs": args.pairs,
         "seconds": seconds,
