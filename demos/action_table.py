@@ -29,7 +29,7 @@ for action, cfg in enumerate(tab.configs):
     else:
         row = tab.offload_row[action]
         serialization_ms = tab.payload_offload_mbit[row] / BW_MBPS * 1000.0
-        mtp = serialization_ms + tab.fixed_offload_ms[row, 0]
+        mtp = serialization_ms + tab.fixed_offload_ms[row]
     w, h = RESOLUTION[cfg.quality]
     print(
         f"{action:>2}  {cfg.quality.name:8} {cfg.imu.name:7} {cfg.mode.name:8} "

@@ -15,7 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .actions import N_ACTIONS
 from .config import check_ranges, ranged
+from .environment import OBS_DIM
+
+# the most parameters the configured Q-network may hold: 80 MB per float64
+# copy, of which an agent keeps seven (network, target, gradient and Adam's four)
+MAX_PARAMETERS = 10**7
+
+
+def n_parameters(sizes: tuple[int, ...]) -> int:
+    """Weights and biases of a fully connected network with layer widths `sizes`."""
+    return sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
 
 
 @dataclass(frozen=True)
@@ -24,7 +35,7 @@ class DqnConfig:
     lr: float = ranged("(0, inf)", 5e-4)
     gamma: float = ranged("[0, 1]", 0.99)
     batch_size: int = ranged("[1, inf)", 32)
-    buffer_capacity: int = ranged("[1, inf)", 5000)
+    buffer_capacity: int = ranged("[1, 1e7)", 5000)   # 104 B per transition
     target_sync_every: int = ranged("[1, inf)", 100)   # decisions between target-network copies
     eps0: float = ranged("[0, 1]", 1.0)
     eps_decay: float = ranged("(0, 1]", 0.9975)        # per-decision multiplicative decay
@@ -32,6 +43,11 @@ class DqnConfig:
 
     def __post_init__(self):
         check_ranges(self)
+        # the network RlPolicy builds, from the observation to the action values
+        n = n_parameters((OBS_DIM, *self.hidden, N_ACTIONS))
+        if n > MAX_PARAMETERS:
+            raise ValueError(f"DqnConfig.hidden makes a Q-network of {n} parameters, "
+                             f"more than {MAX_PARAMETERS}: {self.hidden!r}")
         if self.batch_size > self.buffer_capacity:
             raise ValueError(f"batch_size must not exceed buffer_capacity: "
                              f"{self.batch_size} vs {self.buffer_capacity}")
@@ -60,7 +76,7 @@ class QNetwork:
 
     def __init__(self, sizes: tuple[int, ...], rng: np.random.Generator):
         self.sizes = tuple(int(s) for s in sizes)
-        self._bind(np.empty(sum(i * o + o for i, o in zip(self.sizes[:-1], self.sizes[1:]))))
+        self._bind(np.empty(n_parameters(self.sizes)))
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)

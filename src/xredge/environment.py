@@ -121,12 +121,11 @@ class ActionTable:
     whose constants make a per-frame value it derives non-finite. Each value
     is computed once by the simulator's function that defines it, so a
     lookup is bit-identical to calling that function. Values are tuples but
-    for two numpy arrays the greedy predictor broadcasts over an epoch's
-    frames: `arrival_ms`, one entry per frame, and the column `fixed_offload_ms`.
-    Local-only values are nan on offload rows. The offload values have one
-    row per offload quality, in `offload_qualities` order; `offload_row`
-    gives each action id its row (-1 for a local action). The uplink queue
-    keeps that row per frame.
+    for `tick_offsets_s`, the numpy array `step` slices; `arrival_ms` holds
+    one entry per frame of an epoch. Local-only values are nan on offload
+    rows. The offload values have one row per offload quality, in
+    `offload_qualities` order; `offload_row` gives each action id its row
+    (-1 for a local action). The uplink queue keeps that row per frame.
     """
 
     # the action space itself is the same for every config
@@ -170,10 +169,9 @@ class ActionTable:
         self.encode_ms = tuple(proc_time(c, t) for c in _OFFLOAD_CONFIGS)
         self.decode_ms = t.t_decode_ms
         # an offloaded frame's MTP at zero queueing and serialization age,
-        # with the base RTT standing in for the drawn one; a column, one row
-        # per offload quality, to broadcast over an epoch's frames
-        fixed_ms = [offload_mtp_ms(0.0, cfg.rtt.base_ms, self, r) for r in range(len(_OFFLOAD_CONFIGS))]
-        self.fixed_offload_ms = np.array(fixed_ms)[:, None]
+        # with the base RTT standing in for the drawn one, per offload row
+        self.fixed_offload_ms = fixed_ms = tuple(offload_mtp_ms(0.0, cfg.rtt.base_ms, self, r)
+                                                 for r in range(len(_OFFLOAD_CONFIGS)))
 
         # each action's MTP of a frame that does not queue: its local pipeline,
         # or its offload terms plus the largest payload's serialization at the
@@ -185,7 +183,7 @@ class ActionTable:
                   for m, local, r in zip(self.mtp_local_ms, self.is_local, self.offload_row)]
         with np.errstate(over="ignore", invalid="ignore"):
             # frame arrival times within an epoch, relative to its start
-            self.arrival_ms = np.arange(n) * cfg.power.tau_frame_ms
+            self.arrival_ms = tuple((np.arange(n) * cfg.power.tau_frame_ms).tolist())
             v = violation(np.array(mtp_ms), cfg.tau_mtp_ms).tolist()
             # their means over an interval's n frames: exact for a local action
             mtp_mean = [_mean(np.full(n, m)) for m in mtp_ms]
@@ -199,10 +197,8 @@ class ActionTable:
             for action, x in enumerate(values):
                 if not math.isfinite(x):
                     raise ValueError(f"derived {name} of action {action} must be finite: {x!r}")
-        if not math.isfinite(last_arrival := self.arrival_ms[-1].item()):
+        if not math.isfinite(last_arrival := self.arrival_ms[-1]):
             raise ValueError(f"derived last frame arrival (ms) must be finite: {last_arrival!r}")
-        # the greedy predictor's scalar sweep reads all but the first as floats
-        self.later_arrival_ms = tuple(self.arrival_ms[1:].tolist())
         # local-only values are nan on offload rows
         self.v_local = tuple(x if local else float("nan") for x, local in zip(v, self.is_local))
         # a full local interval's (mean MTP, mean violation), which local_means returns
@@ -287,9 +283,6 @@ class XrEnvironment:
         """Start the episode; same config and seed, same trajectory."""
         self.cfg = cfg
         self.actions = cfg.actions
-        # slack -> cfg.rtt.jitter_excess_mean_ms(slack) / tau, filled by the
-        # greedy predictor while the uplink queue is empty
-        self.excess_per_tau: dict[float, float] = {}
         self.rng = np.random.default_rng(seed)
         self.t = 0.0
         self.battery = Battery(cfg.capacity_wh, cfg.soc0, cfg.drain_factor)

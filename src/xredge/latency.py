@@ -87,9 +87,12 @@ def mtp_local(cfg: ExecutionConfig, table: ProcTimeTable) -> float:
 
 def violation(mtp_ms, tau_ms: float):
     """Relative threshold excess max(0, (MTP - tau) / tau), elementwise on a
-    float or a numpy array of MTPs; a nan MTP stays nan. `EnvConfig`
-    checks that tau_ms is positive."""
-    return np.maximum(0.0, (mtp_ms - tau_ms) / tau_ms)
+    numpy array of MTPs, or a float for a float; a nan MTP stays nan.
+    `EnvConfig` checks that tau_ms is positive."""
+    v = (mtp_ms - tau_ms) / tau_ms
+    if type(v) is float:
+        return 0.0 if v < 0.0 else v
+    return np.maximum(0.0, v)
 
 
 def serialization_s(mbit, mbps):

@@ -18,12 +18,14 @@ the full compliance bonus, which is what collapses GREEDY onto the cheapest
 local configuration.
 
 How GREEDY scores actions: `predicted_epoch` runs the uplink's Lindley
-recursion frame by frame, once per offload quality of the environment's
-action table, and adds each frame's age to the table's
-`latency.offload_mtp_ms` at zero age; each action reads its violation from
-that sweep or, if local, from the table, and its reward is the sum of the
-simulator's `interval_reward` terms. Every value is bit-identical to the
-per-action definition that the tests keep as their reference.
+recursion in one loop of Python floats per offload quality of the
+environment's action table, adds each frame's age to the table's
+`latency.offload_mtp_ms` at zero age, and prices each distinct slack's
+jitter exceedance once, in a memo local to the call; nothing is kept on the
+environment. Each action reads its violation from that sweep or, if local,
+from the table, and its reward is the sum of the simulator's
+`interval_reward` terms. Every value is bit-identical to the per-action
+definition that the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -92,58 +94,41 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
     deterministic delay comes from a first-in-first-out service sweep at the
     currently observed bandwidth, seeded with the real queue backlog, plus
     the closed-form expected RTT-jitter exceedance above each frame's
-    remaining threshold slack. That exceedance is computed once per distinct
-    slack: per environment (`env.excess_per_tau`) while the queue is empty,
-    per call under a backlog.
+    remaining threshold slack, which is priced once per distinct slack in
+    a memo local to the call.
 
-    The sweep runs the Lindley recursion finish_i = max(a_i, finish_{i-1}) + s,
-    with a_k = k*T and finish_0 = backlog + s, frame by frame on Python
-    floats. With the exceedances added in frame order, every value is, bit for
-    bit, the one of the frame-by-frame definition.
+    The sweep runs the Lindley recursion finish_k = max(a_k, finish_{k-1}) + s,
+    with a_k = k*T and finish_{-1} = backlog, one loop per quality on Python
+    floats. Each frame's term is added in frame order from 0.0, so every
+    value is, bit for bit, the one of the frame-by-frame definition.
     """
     cfg, tab = env.cfg, env.actions
     tau = cfg.tau_mtp_ms
     bw = env.state.bandwidth_mbps
+    jitter_mean = tab.jitter_mean_ms
+    excess_mean = cfg.rtt.jitter_excess_mean_ms
     arrival = tab.arrival_ms
-    n = arrival.size
-
-    # with the queue empty the slacks depend on the bandwidth alone, so the
-    # environment keeps their exceedances; a backlog's are priced afresh
-    if env.queue.depth:
-        backlog_ms = serialization_s(env.queue.backlog_mbit, bw) * 1000.0
-        excess = {}
-    else:
-        backlog_ms = 0.0
-        excess = env.excess_per_tau
-
-    # one row per offload quality, one finish time per frame
-    rows = []
-    for s in [serialization_s(p, bw) * 1000.0 for p in tab.payload_offload_mbit]:
-        f = backlog_ms + s
-        row = [f]
-        for a in tab.later_arrival_ms:
+    backlog_ms = serialization_s(env.queue.backlog_mbit, bw) * 1000.0
+    excess = {}   # slack -> its expected exceedance over tau
+    out = []
+    for p, fixed in zip(tab.payload_offload_mbit, tab.fixed_offload_ms):
+        s = serialization_s(p, bw) * 1000.0
+        f = backlog_ms
+        total = 0.0
+        for a in arrival:
             f = (a if a > f else f) + s
-            row.append(f)
-        rows.append(row)
-    finish = np.array(rows)
-
-    det_mtp = (finish - arrival) + tab.fixed_offload_ms
-    slack = tau - det_mtp
-    pos = slack > 0.0
-    # already violating before jitter: the mean jitter adds on top; where
-    # every frame has slack, the exceedances below overwrite every value
-    ev = np.empty_like(slack) if pos.all() else violation(det_mtp + tab.jitter_mean_ms, tau)
-    if pos.any():
-        xs = slack[pos].tolist()
-        values = list(map(excess.get, xs))
-        if None in values:
-            # price each slack not seen before once, then gather again
-            for x in set(xs).difference(excess):
-                excess[x] = cfg.rtt.jitter_excess_mean_ms(x) / tau
-            values = list(map(excess.get, xs))
-        ev[pos] = values
-    # accumulate adds in frame order, as the definition does; np.sum adds pairwise
-    return (np.add.accumulate(ev, axis=1)[:, -1] / n).tolist()
+            det = (f - a) + fixed
+            slack = tau - det
+            if slack > 0.0:
+                term = excess.get(slack)
+                if term is None:
+                    term = excess[slack] = excess_mean(slack) / tau
+            else:
+                # already violating before jitter: the mean jitter adds on top
+                term = violation(det + jitter_mean, tau)
+            total += term
+        out.append(total / len(arrival))
+    return out
 
 
 def predicted_epoch_violation(action_id: int, env: XrEnvironment, offload_v: list[float]) -> float:

@@ -20,7 +20,9 @@ _spec.loader.exec_module(bench_pairs)
 
 
 def pairs_of(base, change, name="wall_s"):
-    return [{"base": {name: b}, "change": {name: c}} for b, c in zip(base, change)]
+    """Pairs of one metric whose first side alternates, base first, as bench runs them."""
+    return [{"first": bench_pairs.SIDES[k % 2], "base": {name: b}, "change": {name: c}}
+            for k, (b, c) in enumerate(zip(base, change))]
 
 
 def test_quartiles_interpolate_linearly():
@@ -38,7 +40,19 @@ def test_summary_counts_wins_and_resolves_a_clear_gain():
     assert s["base_iqr"] == 2.0 and s["change_iqr"] == 2.0
     assert s["median_change_pct"] == pytest.approx(-25.0)
     assert s["change_wins"] == 10 and s["pairs"] == 10
+    assert s["change_wins_by_first"] == {"base": 5, "change": 5}
     assert s["gain_resolved"]
+
+
+def test_summary_splits_the_wins_by_the_side_that_ran_first():
+    # the side that runs first reads faster: the change wins each pair it
+    # ran first in and loses each it ran second in, though the medians tie
+    base = [10.0, 11.0] * 5
+    change = [11.0, 10.0] * 5
+    s = bench_pairs.summarize(pairs_of(base, change))["wall_s"]
+    assert s["first"] == ["base", "change"] * 5
+    assert s["change_wins"] == 5 and s["change_wins_by_first"] == {"base": 0, "change": 5}
+    assert s["median_change_pct"] == 0.0 and not s["gain_resolved"]
 
 
 @pytest.mark.parametrize("base, change, wins", [
@@ -54,7 +68,8 @@ def test_summary_leaves_a_split_or_small_gain_unresolved(base, change, wins):
 
 
 def test_summary_keeps_every_metric_of_the_pairs():
-    pairs = [{"base": {"wall_s": 1.0, "peak_rss_mb": 50.0}, "change": {"wall_s": 0.9, "peak_rss_mb": 51.0}}]
+    pairs = [{"first": "change", "base": {"wall_s": 1.0, "peak_rss_mb": 50.0},
+              "change": {"wall_s": 0.9, "peak_rss_mb": 51.0}}]
     s = bench_pairs.summarize(pairs)
     assert s.keys() == {"wall_s", "peak_rss_mb"}
     assert s["peak_rss_mb"]["change_wins"] == 0 and s["wall_s"]["change_wins"] == 1
@@ -202,8 +217,9 @@ def test_worktree_tree_holds_edits_and_untracked_files_and_leaves_the_checkout_a
 def test_episode_seconds_summarize_per_policy_over_the_pairs():
     # three pairs' {policy: seconds}, as each side's episode process prints them
     base_rl, change_rl = [0.75, 0.5, 0.875], [0.625, 0.625, 0.75]
-    pairs = [{side: {"local": 0.03, "offload": 0.07, "threshold": 0.06, "greedy": 0.25 + i, "rl": rl}
-              for side, rl in zip(bench_pairs.SIDES, rls)} for i, rls in enumerate(zip(base_rl, change_rl))]
+    pairs = [{"first": bench_pairs.SIDES[i % 2],
+              **{side: {"local": 0.03, "offload": 0.07, "threshold": 0.06, "greedy": 0.25 + i, "rl": rl}
+                 for side, rl in zip(bench_pairs.SIDES, rls)}} for i, rls in enumerate(zip(base_rl, change_rl))]
     s = bench_pairs.summarize(pairs)
     assert s.keys() == set(bench_pairs.EPISODE_POLICIES)
     assert s["rl"]["base"] == base_rl and s["rl"]["change"] == change_rl
@@ -248,8 +264,9 @@ def test_a_job_prints_its_value_from_a_fresh_process_with_the_checkouts_source()
 
 
 def test_step_pairs_summarize_per_case_and_print_the_medians_and_wins():
-    step = bench_pairs.summarize([{"base": {"local": 9.5, "offload": 20.5}, "change": {"local": 9.0, "offload": 20.25}},
-                                  {"base": {"local": 9.25, "offload": 21.0}, "change": {"local": 9.75, "offload": 20.0}}])
+    step = bench_pairs.summarize([
+        {"first": "base", "base": {"local": 9.5, "offload": 20.5}, "change": {"local": 9.0, "offload": 20.25}},
+        {"first": "change", "base": {"local": 9.25, "offload": 21.0}, "change": {"local": 9.75, "offload": 20.0}}])
     assert step["offload"]["change"] == [20.25, 20.0] and step["offload"]["change_median"] == 20.125
     assert step["local"]["change_wins"] == 1 and step["offload"]["change_wins"] == 2
     assert bench_pairs.step_line(step) == ("XrEnvironment.step µs per call, median of pairs: "
@@ -428,6 +445,11 @@ def test_traced_pairs_time_the_episodes_once_per_side_in_each_pairs_order(tmp_pa
     # the change side's episodes ran first in the second pair only
     assert report["episode_s"]["rl"]["base"] == [3.0, 8.0, 11.0]
     assert report["episode_s"]["rl"]["change"] == [4.0, 7.0, 12.0]
+    # every summary records each pair's first side and splits its wins by it
+    for summary in (*report["step_us"].values(), *report["episode_s"].values(),
+                    *report["workloads"]["static-cli"]["metrics"].values()):
+        assert summary["first"] == ["base", "change", "base"]
+    assert report["episode_s"]["rl"]["change_wins_by_first"] == {"base": 0, "change": 1}
 
 
 def test_every_side_runs_in_its_own_temporary_tree_and_never_in_the_checkout(repo, tmp_path, monkeypatch):

@@ -275,8 +275,10 @@ NAN, INF = float("nan"), float("inf")
 # and the zero p_max_w, infinite interval, overflowing jitter mean and
 # infinite horizon escaped as tracebacks; of the learner's, a negative or
 # NaN lr ran and a zero hidden width escaped as an OverflowError, as did a
-# queue depth beyond a C ssize_t; a key that names no setting, such as the
-# learner's shape or a removed alias, is unknown
+# queue depth beyond a C ssize_t; a replay buffer or a hidden width of
+# 2**63 failed with numpy's line, which names no field, and a 10M-wide
+# hidden layer built a 1.9 GB network; a key that names no setting, such as
+# the learner's shape or a removed alias, is unknown
 @pytest.mark.parametrize("edit, fragment", [
     (_bad_key, "scenario.env: unknown field horzion_s"),
     (_str_for_int, "scenario.env.queue_max_depth: expected int"),
@@ -304,6 +306,12 @@ NAN, INF = float("nan"), float("inf")
     (_set("env.mtp_max_ms", 100.0), "scenario.env: unknown field mtp_max_ms"),
     (_set("dqn.train_per_decision", 1), "scenario.dqn: unknown field train_per_decision"),
     (_set("dqn.hidden", [0]), "DqnConfig.hidden must be within [1, inf): (0,)"),
+    (_set("dqn.hidden", [2**63]), f"DqnConfig.hidden makes a Q-network of {24 * 2**63 + 18} parameters"),
+    (_set("dqn.hidden", [10**7]), "DqnConfig.hidden makes a Q-network of 240000018 parameters, "
+                                  "more than 10000000: (10000000,)"),
+    (_set("dqn.hidden", [200_000_000, 200_000_000]), "DqnConfig.hidden makes a Q-network of 40000005000000018 parameters"),
+    (_set("dqn.buffer_capacity", 2**63), f"DqnConfig.buffer_capacity must be within [1, 1e7): {2**63}"),
+    (_set("dqn.buffer_capacity", 10**16), f"DqnConfig.buffer_capacity must be within [1, 1e7): {10**16}"),
     (_set("dqn.lr", -1), "DqnConfig.lr must be within (0, inf): -1.0"),
     (_set("dqn.lr", NAN), "DqnConfig.lr must be within (0, inf): nan"),
 ])
@@ -383,20 +391,19 @@ def test_model_constant_too_large_for_the_run_fails_at_construction(tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
-# each asks for more than 2**57 bytes in one array, more than a 64-bit
-# address space maps, so the allocation fails at the request and touches nothing
-@pytest.mark.parametrize("path, value, fragment", [
-    ("dqn.hidden", [200_000_000, 200_000_000], "Unable to allocate 284. PiB"),
-    ("dqn.buffer_capacity", 10**16, "Unable to allocate 355. PiB"),
-])
-def test_unallocatable_learner_size_fails_cleanly(tmp_path, capsys, path, value, fragment):
+def test_unallocatable_learner_size_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # with the network's bound raised past it, this width asks for more than
+    # 2**57 bytes in one array, more than a 64-bit address space maps, so the
+    # allocation fails at the request and touches nothing
+    from xredge import dqn
     from xredge.config import to_jsonable
 
+    monkeypatch.setattr(dqn, "MAX_PARAMETERS", 10**20)
     data = to_jsonable(default_scenario("rl", "cycle", horizon_s=3.0, seeds=(1,)))
-    _set(path, value)(data)
+    _set("dqn.hidden", [200_000_000, 200_000_000])(data)
     (tmp_path / "big.json").write_text(json.dumps(data))
     rc = main(["run", "--scenario", str(tmp_path / "big.json"), "--out", str(tmp_path / "o")])
-    assert_clean_error(rc, capsys, "error: out of memory: ", fragment)
+    assert_clean_error(rc, capsys, "error: out of memory: ", "Unable to allocate 284. PiB")
     assert not (tmp_path / "o").exists()
 
 

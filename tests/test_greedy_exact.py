@@ -9,6 +9,7 @@ two models describe the same epoch.
 """
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -172,25 +173,36 @@ def test_prediction_exact_where_service_time_meets_frame_period(frame_ms, qualit
     assert_exact(env)
 
 
-def test_exceedances_kept_per_environment_stay_few_and_skip_a_backlog():
-    # greedy stays local on the cycle, so the queue is empty at every decision
-    # and the slacks depend on the observed bandwidth alone
-    env = XrEnvironment(default_scenario("greedy", "cycle").env, seed=1)
-    while not env.done:
-        env.step(greedy_select(env))
-    kept = dict(env.excess_per_tau)
-    levels = len(env.cfg.profile.levels_mbps)
-    assert 0 < len(kept) <= levels * len(env.actions.offload_qualities) * env.actions.n_ticks
-    tau = env.cfg.tau_mtp_ms
-    assert all(e == env.cfg.rtt.jitter_excess_mean_ms(x) / tau for x, e in kept.items())
+def assert_leaves_env_alone(env):
+    """The predictor leaves every attribute of `env` the same object, and in
+    the same state, its action table included: the pickle is unchanged, so
+    nothing fills a cache in place. A repeated call returns equal lists."""
+    attrs, state = dict(vars(env)), pickle.dumps(env)
+    first = predicted_epoch(env)
+    assert vars(env).keys() == attrs.keys()
+    assert all(vars(env)[name] is value for name, value in attrs.items())
+    assert pickle.dumps(env) == state
+    assert predicted_epoch(env) == first
 
-    # a backlog's slacks are priced afresh and leave the kept ones as they
-    # were; a short one at the top level leaves the early frames some slack
+
+def test_prediction_keeps_no_state_over_a_greedy_episode_or_a_backlog():
+    # greedy stays local on the cycle, so the queue is empty at every decision;
+    # a twin that takes the same steps without a prediction ends in the same state
+    cfg = default_scenario("greedy", "cycle").env
+    env, twin = XrEnvironment(cfg, seed=1), XrEnvironment(cfg, seed=1)
+    while not env.done:
+        action = greedy_select(env)
+        env.step(action)
+        twin.step(action)
+    assert pickle.dumps(env) == pickle.dumps(twin)
+    assert_leaves_env_alone(env)
+
+    # a short backlog at the top level leaves the early frames some slack
     env.state = replace(env.state, bandwidth_mbps=1000.0)
     row = env.actions.offload_qualities.index(QualityLevel.HIGH)
     env.queue.enqueue(env.t - 0.05, row, env.cfg.frame.payload_mbit(QualityLevel.HIGH) * 0.3)
     assert_exact(env)
-    assert env.excess_per_tau == kept
+    assert_leaves_env_alone(env)
 
 
 @pytest.mark.parametrize("mbps, any_slack, all_slack", [
@@ -206,21 +218,16 @@ def test_prediction_exact_on_each_pricing_branch(mbps, any_slack, all_slack):
         positive = [slack > 0.0 for a in offload for _, slack in reference_frames(a, env)]
         assert (any(positive), all(positive)) == (any_slack, all_slack)
 
-    # every exceedance is priced for the first time
-    assert env.excess_per_tau == {}
+    # the first prediction of a fresh environment already leaves it alone
+    assert_leaves_env_alone(env)
     assert_branch()
     assert_exact(env)
-    kept = dict(env.excess_per_tau)
-    assert bool(kept) == any_slack
-    # every exceedance is read from those kept
-    assert_exact(env)
-    assert env.excess_per_tau == kept
-    # a backlog too short to change the branch is priced afresh
+    # a backlog too short to change the branch
     row = env.actions.offload_qualities.index(QualityLevel.HIGH)
     env.queue.enqueue(-0.05, row, env.cfg.frame.payload_mbit(QualityLevel.HIGH) * 1e-3)
+    assert_leaves_env_alone(env)
     assert_branch()
     assert_exact(env)
-    assert env.excess_per_tau == kept
 
 
 finite = st.floats(-1e3, 1e3)

@@ -1,9 +1,12 @@
 """Motion-to-photon latency: processing times, frame payloads, uplink queue."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xredge.actions import (
     ExecutionConfig,
@@ -86,6 +89,20 @@ def test_violation_is_elementwise():
     assert v[:-1].tolist() == [max(0.0, (m - 30.0) / 30.0) for m in mtp[:-1].tolist()]
     assert np.isnan(v[-1])
     assert violation(np.array([]), 30.0).size == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mtp=st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308])),
+    tau=st.floats(min_value=0.0, exclude_min=True),
+)
+def test_violation_of_a_float_is_a_float_bit_identical_to_the_array_formula(mtp, tau):
+    # finite values, signed zeros, infinities, nan and subnormals alike
+    v = violation(mtp, tau)
+    assert type(v) is float
+    with np.errstate(all="ignore"):
+        expected = violation(np.array([mtp]), tau)[0]
+    assert struct.pack("<d", v) == struct.pack("<d", expected)
 
 
 @pytest.mark.parametrize("make", [

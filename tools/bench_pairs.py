@@ -25,9 +25,10 @@ the minimum of 7 batches of 1500 calls of local action 12 on the cycle
 profile and of offload action 5 on stable 1000 Mbps). Each is summarised
 as a perfbench metric is, one value per side in each pair.
 
-The output holds, per workload and metric, each pair's two values, each
-side's median and interquartile range, and the number of pairs the change
-won; next to the scaled round seconds (`wall_s`) it keeps the raw ones
+The output holds, per workload and metric, each pair's two values and the
+side that ran first in it, each side's median and interquartile range, and
+the number of pairs the change won, in all and split by the side that ran
+first; next to the scaled round seconds (`wall_s`) it keeps the raw ones
 (`raw_wall_s`), since perfbench scales round times by a speed probe.
 Each pair also keeps, per side, the round count, the quartiles of the round
 seconds (the kept result file holds each round) and, next to the peak RSS,
@@ -158,30 +159,38 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict[str, dict[str, float]]]) -> dict[str, dict]:
-    """Per metric: each pair's base and change values, each side's median
-    and IQR, the change's relative median shift and the pairs it won.
+def summarize(pairs: list[dict]) -> dict[str, dict]:
+    """Per metric: each pair's base and change values and the side that ran
+    first, each side's median and IQR, the change's relative median shift,
+    and the pairs it won, in all and split by the side that ran first.
 
-    `pairs` holds one {"base": {metric: value}, "change": {...}} per pair;
-    every metric is better lower, and a tie wins for neither side. The gain
-    is resolved when the change wins at least nine tenths of the pairs and
-    its median is lower than the base's by more than the base's IQR.
+    `pairs` holds one {"first": side, "base": {metric: value}, "change":
+    {...}} per pair; every metric is better lower, and a tie wins for
+    neither side. The gain is resolved when the change wins at least nine
+    tenths of the pairs and its median is lower than the base's by more
+    than the base's IQR. A win count that leans on one order shows an order
+    effect inside the pairs, which alternation keeps out of the medians only.
     """
+    first = [p["first"] for p in pairs]
     out = {}
     for name in pairs[0]["base"]:
         base = [p["base"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
-        wins = sum(c < b for b, c in zip(base, change))
+        won = [c < b for b, c in zip(base, change)]
+        wins = sum(won)
         out[name] = {
             "base": base,
             "change": change,
+            "first": first,
             "base_median": bm,
             "base_iqr": b3 - b1,
             "change_median": cm,
             "change_iqr": c3 - c1,
             "median_change_pct": 100.0 * (cm - bm) / bm,
             "change_wins": wins,
+            # the pairs the change won, per side that ran first in them
+            "change_wins_by_first": {side: sum(w for w, f in zip(won, first) if f == side) for side in SIDES},
             "pairs": len(pairs),
             "gain_resolved": wins >= 0.9 * len(pairs) and bm - cm > b3 - b1,
         }
@@ -328,11 +337,11 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
                                         keep_dir / f"pair{i + 1:02d}-{w}-{side}.json")
                     for side in order}
             machine = machine or runs["change"]["detail"]["machine"]
-            pairs[w].append({side: end_to_end(runs[side]) for side in SIDES})
+            pairs[w].append({"first": order[0], **{side: end_to_end(runs[side]) for side in SIDES}})
             rounds[w].append({side: pair_detail(runs[side]) for side in SIDES})
             print(pair_line(i, n_pairs, w, order[0], runs), flush=True)
         if traced:
-            episodes.append({side: episode_round(roots[side], seed) for side in order})
+            episodes.append({"first": order[0], **{side: episode_round(roots[side], seed) for side in order}})
     out = {w: {"metrics": summarize(pairs[w]), "peak_rss_fit": rss_fit(rounds[w]), "rounds": rounds[w]}
            for w in workloads}
     report = {"machine": machine, "workloads": out,
@@ -343,7 +352,8 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
                                                            keep_dir / f"traced-{w}-{side}.json"))
                                 for side in SIDES}
         for measure in ("episode_s", "step_us"):
-            report[measure] = summarize([{side: pair[side][measure] for side in SIDES} for pair in episodes])
+            report[measure] = summarize([{"first": pair["first"], **{side: pair[side][measure] for side in SIDES}}
+                                         for pair in episodes])
     return report
 
 
