@@ -21,16 +21,19 @@ How GREEDY scores actions: `predicted_epoch` runs the uplink's Lindley
 recursion in one loop of Python floats per offload quality of the
 environment's action table, adds each frame's age to the table's
 `latency.offload_mtp_ms` at zero age, and prices each distinct slack's
-jitter exceedance once, in a memo local to the call; nothing is kept on the
-environment. Each action reads its violation from that sweep or, if local,
-from the table, and its reward is the sum of the simulator's
-`interval_reward` terms. Every value is bit-identical to the per-action
-definition that the tests keep as their reference.
+jitter exceedance once: over an empty queue in one memo per action table,
+held in a weak map of this module, under a backlog in a memo local to the
+call; nothing is kept on the environment or the table. Each action reads
+its violation from that sweep or, if local, from the table, and its reward
+is the sum of the simulator's `interval_reward` terms. Every value is
+bit-identical to the per-action definition that the tests keep as their
+reference.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -45,6 +48,9 @@ ACTION_LOCAL_FULL = 4      # HIGH imu, HIGH quality, LOCAL
 ACTION_OFFLOAD_FULL = 5    # HIGH imu, HIGH quality, OFFLOAD
 # the observed bandwidth above which THRESHOLD offloads
 THRESHOLD_MBPS = 15.0
+# ActionTable -> {slack: expected exceedance over tau} of its empty-queue
+# predictions; weak, so a memo goes with its config and table
+_EMPTY_QUEUE_EXCESS = weakref.WeakKeyDictionary()
 
 
 class StaticPolicy:
@@ -94,8 +100,10 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
     deterministic delay comes from a first-in-first-out service sweep at the
     currently observed bandwidth, seeded with the real queue backlog, plus
     the closed-form expected RTT-jitter exceedance above each frame's
-    remaining threshold slack, which is priced once per distinct slack in
-    a memo local to the call.
+    remaining threshold slack, priced once per distinct slack. Over an
+    empty queue a level, a quality and a frame fix the slack, so the memo
+    is the table's in `_EMPTY_QUEUE_EXCESS`, at most len(levels_mbps) * 3 *
+    n_ticks entries; a backlog's memo is local to the call.
 
     The sweep runs the Lindley recursion finish_k = max(a_k, finish_{k-1}) + s,
     with a_k = k*T and finish_{-1} = backlog, one loop per quality on Python
@@ -109,7 +117,8 @@ def offload_epoch_violation(env: XrEnvironment) -> list[float]:
     excess_mean = cfg.rtt.jitter_excess_mean_ms
     arrival = tab.arrival_ms
     backlog_ms = serialization_s(env.queue.backlog_mbit, bw) * 1000.0
-    excess = {}   # slack -> its expected exceedance over tau
+    # slack -> its expected exceedance over tau; a backlog's slacks are unbounded
+    excess = {} if env.queue.depth else _EMPTY_QUEUE_EXCESS.setdefault(tab, {})
     out = []
     for p, fixed in zip(tab.payload_offload_mbit, tab.fixed_offload_ms):
         s = serialization_s(p, bw) * 1000.0

@@ -357,6 +357,40 @@ def test_base_dir_and_seconds_are_refused(capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+def bench_of(medians):
+    """A BENCH dict trimmed to what `chain` reads, from {workload: {metric: (base median, change median)}}."""
+    return {"workloads": {w: {"metrics": {m: {"base_median": b, "change_median": c} for m, (b, c) in ms.items()}}
+                          for w, ms in medians.items()}}
+
+
+def test_chain_multiplies_the_files_median_ratios_and_runs_nothing(tmp_path, capsys, monkeypatch):
+    first = bench_of({"greedy-cycle": {"wall_s": (2.0, 1.5), "peak_rss_mb": (50.0, 55.0)},
+                      "static-cli": {"wall_s": (1.0, 0.9)}})
+    second = bench_of({"greedy-cycle": {"wall_s": (1.5, 1.2), "peak_rss_mb": (55.0, 55.0), "setup_s": (1.0, 2.0)}})
+    # only what every file holds: static-cli and setup_s are not chained
+    ratios = bench_pairs.chain([first, second])
+    assert ratios == {"greedy-cycle": {"wall_s": pytest.approx(0.6), "peak_rss_mb": pytest.approx(1.1)}}
+    assert list(ratios["greedy-cycle"]) == ["wall_s", "peak_rss_mb"]
+    assert bench_pairs.chain([first])["static-cli"] == {"wall_s": 0.9}
+
+    paths = [tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"]
+    for path, report in zip(paths, (first, second)):
+        path.write_text(json.dumps(report))
+    for name in ("git", "bench", "run_perfbench", "run_job"):
+        monkeypatch.setattr(bench_pairs, name, lambda *a, **k: pytest.fail("--chain ran something"))
+    assert bench_pairs.main(["--chain", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "greedy-cycle: wall_s ×0.600, peak_rss_mb ×1.100", f"chained 2 files: {paths[0]} {paths[1]}"]
+
+
+@pytest.mark.parametrize("argv", [["--base", "HEAD"], ["--out", "B.json"], [],
+                                  ["--chain", "B.json", "--base", "HEAD"], ["--chain", "B.json", "--out", "C.json"]])
+def test_a_run_needs_base_and_out_and_a_chain_takes_neither(capsys, argv):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(argv)
+    assert "--base" in capsys.readouterr().err
+
+
 def fake_perfbench_run(calls, sides):
     """A `run_perfbench` that logs (perfbench, side, trace) and returns a
     result whose decisions count the calls so far."""

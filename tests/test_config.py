@@ -120,6 +120,9 @@ def test_declared_range_is_the_accepted_range(cls, name, interval):
                 _build(cls, name, v)
     if integral:
         candidates = [int(lo), int(lo) + 1, int(lo) + 1000]
+        # the largest int within a finite upper end, so that a closed one is met
+        if math.isfinite(hi):
+            candidates.append(int(hi) if closed[1] else int(hi) - 1)
     else:
         candidates = [lo, hi, 0.0, 0.5 * (lo + hi), lo + 1, 1e300, -1e300]
         candidates += [math.nextafter(end, toward) for end, toward in zip((lo, hi), (hi, lo))]

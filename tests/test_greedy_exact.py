@@ -8,8 +8,10 @@ The last test holds the prediction to `XrEnvironment.step` itself, where the
 two models describe the same epoch.
 """
 
+import gc
 import math
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,7 @@ from xredge.environment import (EnvConfig, RewardParams, XrEnvironment, battery_
 from xredge.harness import default_scenario
 from xredge.latency import ProcTimeTable, UplinkQueue, mtp_local, violation
 from xredge.network import RttModel, cycle_profile, stable_profile
-from xredge.policies import greedy_select, predicted_epoch
+from xredge.policies import _EMPTY_QUEUE_EXCESS, greedy_select, predicted_epoch
 
 
 def reference_frames(action_id, env):
@@ -264,3 +266,79 @@ def test_prediction_equals_the_simulated_epoch_where_the_models_coincide(mbps, t
     for a in range(N_ACTIONS):
         simulated = XrEnvironment(cfg, seed=0).step(a).v_mean
         assert math.isclose(predicted[a], simulated, rel_tol=1e-12), (a, predicted[a], simulated)
+
+
+def count_excess_calls(monkeypatch):
+    """The slacks that `RttModel.jitter_excess_mean_ms` prices from here on, in call order."""
+    calls = []
+    real = RttModel.jitter_excess_mean_ms
+
+    def counted(self, threshold_ms):
+        calls.append(threshold_ms)
+        return real(self, threshold_ms)
+
+    monkeypatch.setattr(RttModel, "jitter_excess_mean_ms", counted)
+    return calls
+
+
+def test_an_empty_queue_prices_each_slack_once_per_action_table(monkeypatch):
+    # a config of its own, so that its table's memo starts empty
+    cfg = replace(default_scenario("greedy", "cycle").env)
+    calls = count_excess_calls(monkeypatch)
+    env = XrEnvironment(cfg, seed=1)
+    while not env.done:
+        assert env.queue.depth == 0
+        env.step(greedy_select(env))
+    memo = _EMPTY_QUEUE_EXCESS[cfg.actions]
+    # a level, a quality and a frame fix each slack
+    assert 0 < len(memo) <= len(cfg.profile.levels_mbps) * 3 * cfg.actions.n_ticks
+    assert sorted(calls) == sorted(memo)
+    assert all(term == cfg.rtt.jitter_excess_mean_ms(slack) / cfg.tau_mtp_ms for slack, term in memo.items())
+
+
+def test_a_backlogged_prediction_adds_no_entry(monkeypatch):
+    cfg = EnvConfig(profile=stable_profile(1000.0))
+    env = XrEnvironment(cfg, seed=0)
+    predicted_epoch(env)
+    memo = dict(_EMPTY_QUEUE_EXCESS[cfg.actions])
+    # the first prediction of another config is backlogged
+    fresh = EnvConfig(profile=stable_profile(1000.0))
+    backlogged = XrEnvironment(fresh, seed=0)
+    for e in (env, backlogged):
+        row = e.actions.offload_qualities.index(QualityLevel.HIGH)
+        e.queue.enqueue(-0.05, row, e.cfg.frame.payload_mbit(QualityLevel.HIGH) * 0.3)
+    calls = count_excess_calls(monkeypatch)
+    for e in (env, backlogged):
+        predicted_epoch(e)
+    # the backlogs priced slacks, and kept none of them
+    assert calls
+    assert _EMPTY_QUEUE_EXCESS[cfg.actions] == memo
+    assert fresh.actions not in _EMPTY_QUEUE_EXCESS
+    assert_exact(backlogged)
+
+
+def test_two_configs_keep_separate_memos():
+    # two equal configs and one whose threshold moves every slack
+    cfgs = [EnvConfig(profile=stable_profile(1000.0)), EnvConfig(profile=stable_profile(1000.0)),
+            EnvConfig(profile=stable_profile(1000.0), tau_mtp_ms=45.0)]
+    for cfg in cfgs:
+        assert_exact(XrEnvironment(cfg, seed=0))
+    memos = [_EMPTY_QUEUE_EXCESS[cfg.actions] for cfg in cfgs]
+    assert len({id(memo) for memo in memos}) == 3
+    assert memos[0] == memos[1] != memos[2]
+    for cfg, memo in zip(cfgs, memos):
+        assert memo
+        assert all(term == cfg.rtt.jitter_excess_mean_ms(slack) / cfg.tau_mtp_ms for slack, term in memo.items())
+
+
+def test_a_dropped_configs_memo_goes_with_it():
+    cfg = EnvConfig(profile=stable_profile(1000.0))
+    env = XrEnvironment(cfg, seed=0)
+    predicted_epoch(env)
+    table = weakref.ref(cfg.actions)
+    assert table() in _EMPTY_QUEUE_EXCESS
+    held = len(_EMPTY_QUEUE_EXCESS)
+    del cfg, env
+    gc.collect()
+    assert table() is None
+    assert len(_EMPTY_QUEUE_EXCESS) < held

@@ -2,6 +2,7 @@
 
     python tools/bench_pairs.py --base <rev> --out BENCH_<n>.json
         [--workload greedy-cycle ...] [--pairs 10] [--seed 1] [--traced]
+    python tools/bench_pairs.py --chain BENCH_a.json BENCH_b.json ...
 
 Each side is a git tree, `git archive`d into a temporary directory that is
 removed however the script ends; both directories share one parent and one
@@ -42,6 +43,11 @@ directory, both commits, `base_tree` and `change_tree` (each side's tree
 ids of `src/` and `perfbench/`, comparable with `git rev-parse <commit>:src`),
 `change_dirty` (the change tree is not HEAD's), perfbench's machine facts
 and each side's `src/xredge/*.py` line count, which is also printed last.
+
+`--chain` runs nothing. It reads BENCH files, each measured against its
+parent, and prints per workload and metric the product of their
+change/base median ratios: the chain's reading from the first base to the
+last change.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import argparse
 import inspect
 import io
 import json
+import math
 import os
 import runpy
 import shutil
@@ -357,10 +364,31 @@ def bench(roots: dict[str, Path], workloads: list[str], n_pairs: int, seconds: f
     return report
 
 
+def chain(reports: list[dict]) -> dict[str, dict[str, float]]:
+    """Per workload and metric that every report holds, the product of the
+    reports' change/base median ratios, in the first report's order."""
+    out = {}
+    for w, result in reports[0]["workloads"].items():
+        if all(w in r["workloads"] for r in reports):
+            metrics = [r["workloads"][w]["metrics"] for r in reports]
+            out[w] = {m: math.prod(s[m]["change_median"] / s[m]["base_median"] for s in metrics)
+                      for m in result["metrics"] if all(m in s for s in metrics)}
+    return out
+
+
+def chain_lines(paths: list[Path]) -> list[str]:
+    """One line per workload of `chain` over the BENCH files at `paths`."""
+    ratios = chain([json.loads(p.read_text()) for p in paths])
+    return [f"{w}: " + ", ".join(f"{m} ×{r:.3f}" for m, r in metrics.items())
+            for w, metrics in ratios.items()] + [f"chained {len(paths)} files: {' '.join(map(str, paths))}"]
+
+
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="the base commit, any git revision")
-    parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
+    parser.add_argument("--chain", nargs="+", type=Path, metavar="BENCH",
+                        help="run nothing: print the product of these files' median ratios")
+    parser.add_argument("--base", help="the base commit, any git revision")
+    parser.add_argument("--out", type=Path, help="the JSON file to write")
     parser.add_argument("--workload", action="append", help="a perfbench workload (repeatable; "
                         "default greedy-cycle, rl-cycle and static-cli)")
     parser.add_argument("--pairs", type=int, default=10)
@@ -368,11 +396,19 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--traced", action="store_true", help="also one --trace 1 run per side "
                         "and workload, and in each pair one process per side for each policy's "
                         "1200 s cycle episode and one for XrEnvironment.step")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.chain is None and (args.base is None or args.out is None):
+        parser.error("the following arguments are required: --base, --out (or --chain alone)")
+    if args.chain is not None and (args.base is not None or args.out is not None):
+        parser.error("--chain runs nothing: give it without --base and --out")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
+    if args.chain:
+        print("\n".join(chain_lines(args.chain)))
+        return 0
     base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     workloads = args.workload or ["greedy-cycle", "rl-cycle", "static-cli"]
     keep_dir = ROOT / ".perfbench_out" / args.out.stem
